@@ -12,11 +12,18 @@ reflexive closure of the nest's generated order:
 A supremum only exists when the set of upper bounds has a unique least
 element; incomparable upper bounds yield "does not exist" with a reason,
 never an arbitrary pick.
+
+`NestContext` holds the values a sweep derives from one nest (its order and
+preorder, the complement nest and its order, member sups, both ladders, T0)
+and computes each at most once, on first use.  The public functions below
+take a nest and evaluate through a fresh context; sweeps build one context
+per nest and share it across all of that nest's properties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     InstanceError,
@@ -109,13 +116,7 @@ class SupConditions:
     sups_onto: bool
 
 
-def member_sups(nest: Nest) -> dict[int, SupResult]:
-    rel = nest_preorder(nest)
-    return {m: sup_of(rel, m) for m in nest.masks}
-
-
-def sup_conditions(nest: Nest) -> SupConditions:
-    sups = member_sups(nest)
+def _ladder(nest: SetFamily, sups: dict[int, SupResult]) -> SupConditions:
     exist = all(r.exists for r in sups.values())
     escape = exist and all(
         not (m >> r.element & 1) for m, r in sups.items()
@@ -125,6 +126,89 @@ def sup_conditions(nest: Nest) -> SupConditions:
         for x in nest.universe.elements()
     )
     return SupConditions(exist, escape, onto)
+
+
+def _dual_ladder(right: Nest, rel_right: Relation, rel_left: Relation) -> SupConditions:
+    """The ladder of the right nest of a dual pair, from the reflexive orders
+    of both sides.
+
+    Computed twice: as suprema under the right nest's own (reversed) order,
+    and as infima under the left nest's order.  The two routes must agree;
+    disagreement means the duality invariant was broken.
+    """
+    by_sup = {m: sup_of(rel_right, m) for m in right.masks}
+    by_inf = {m: inf_of(rel_left, m) for m in right.masks}
+    for m in right.masks:
+        if (by_sup[m].exists, by_sup[m].element) != (by_inf[m].exists, by_inf[m].element):
+            raise InstanceError(
+                "sup-under-reversed-order and inf routes disagree; dual-pair "
+                "invariant violated"
+            )
+    return _ladder(right, by_sup)
+
+
+class NestContext:
+    """Derived values of one nest, each computed at most once, on first use.
+
+    A context belongs to a single nest and is dropped with it; nothing is
+    shared between nests.  The complement nest is the nest's dual, so
+    ``dual_sup_conditions`` is the ladder of the complement pair.
+    """
+
+    def __init__(self, nest: Nest) -> None:
+        self.nest = nest
+
+    @cached_property
+    def order(self) -> Relation:
+        return generated_order(self.nest)
+
+    @cached_property
+    def preorder(self) -> Relation:
+        return reflexive_closure(self.order)
+
+    @cached_property
+    def complement(self) -> Nest:
+        return family_complement(self.nest)
+
+    @cached_property
+    def complement_order(self) -> Relation:
+        return generated_order(self.complement)
+
+    @cached_property
+    def complement_preorder(self) -> Relation:
+        return reflexive_closure(self.complement_order)
+
+    @cached_property
+    def sups(self) -> dict[int, SupResult]:
+        return {m: sup_of(self.preorder, m) for m in self.nest.masks}
+
+    @cached_property
+    def sup_conditions(self) -> SupConditions:
+        return _ladder(self.nest, self.sups)
+
+    @cached_property
+    def dual_sup_conditions(self) -> SupConditions:
+        return _dual_ladder(self.complement, self.complement_preorder, self.preorder)
+
+    @cached_property
+    def t0(self) -> bool:
+        return t0_separates(self.nest)
+
+    @cached_property
+    def alexandroff(self) -> SetFamily:
+        return alexandroff_family(self.order)
+
+    @cached_property
+    def complement_alexandroff(self) -> SetFamily:
+        return alexandroff_family(self.complement_order)
+
+
+def member_sups(nest: Nest) -> dict[int, SupResult]:
+    return NestContext(nest).sups
+
+
+def sup_conditions(nest: Nest) -> SupConditions:
+    return NestContext(nest).sup_conditions
 
 
 @dataclass(frozen=True)
@@ -165,30 +249,9 @@ def complement_dual(left: Nest) -> DualPair:
 
 
 def dual_sup_conditions(pair: DualPair) -> SupConditions:
-    """The sup-condition ladder for the right nest of a dual pair.
-
-    Computed twice: as suprema under the right nest's own (reversed) order,
-    and as infima under the left nest's order.  The two routes must agree;
-    disagreement means the duality invariant was broken.
-    """
-    right = pair.right
-    rel_right = nest_preorder(right)
-    rel_left = nest_preorder(pair.left)
-    by_sup = {m: sup_of(rel_right, m) for m in right.masks}
-    by_inf = {m: inf_of(rel_left, m) for m in right.masks}
-    for m in right.masks:
-        if (by_sup[m].exists, by_sup[m].element) != (by_inf[m].exists, by_inf[m].element):
-            raise InstanceError(
-                "sup-under-reversed-order and inf routes disagree; dual-pair "
-                "invariant violated"
-            )
-    exist = all(r.exists for r in by_sup.values())
-    escape = exist and all(not (m >> r.element & 1) for m, r in by_sup.items())
-    onto = escape and all(
-        any(r.element == x and not (m >> x & 1) for m, r in by_sup.items())
-        for x in right.universe.elements()
-    )
-    return SupConditions(exist, escape, onto)
+    """The sup-condition ladder for the right nest of a dual pair, with the
+    sup route cross-checked against infima under the left nest's order."""
+    return _dual_ladder(pair.right, nest_preorder(pair.right), nest_preorder(pair.left))
 
 
 def is_interlocking(family: SetFamily) -> bool:
@@ -216,12 +279,15 @@ def is_interlocking(family: SetFamily) -> bool:
 
 
 def is_interlocking_via_alexandroff(nest: Nest) -> bool:
+    return is_interlocking_via_alexandroff_in(NestContext(nest))
+
+
+def is_interlocking_via_alexandroff_in(ctx: NestContext) -> bool:
     """Alexandroff route: members closed for the nest's order must have their
     complements closed for the complement nest's order."""
-    alex = alexandroff_family(generated_order(nest))
-    alex_c = alexandroff_family(generated_order(family_complement(nest)))
-    full = nest.universe.full_mask
-    for m in nest.masks:
+    alex, alex_c = ctx.alexandroff, ctx.complement_alexandroff
+    full = ctx.nest.universe.full_mask
+    for m in ctx.nest.masks:
         closed_here = alex.contains_mask(m ^ full)
         if closed_here and not alex_c.contains_mask(m):
             return False
@@ -229,13 +295,16 @@ def is_interlocking_via_alexandroff(nest: Nest) -> bool:
 
 
 def is_interlocking_via_lower_sets(nest: Nest) -> bool:
+    return is_interlocking_via_lower_sets_in(NestContext(nest))
+
+
+def is_interlocking_via_lower_sets_in(ctx: NestContext) -> bool:
     """Lower-set route: if a member's complement is a lower set for the
     complement nest's order, the member is a lower set for the nest's order."""
-    rel = generated_order(nest)
-    rel_c = generated_order(family_complement(nest))
-    u = nest.universe
+    rel, rel_c = ctx.order, ctx.complement_order
+    u = ctx.nest.universe
     full = u.full_mask
-    for m in nest.masks:
+    for m in ctx.nest.masks:
         comp = Subset(u, m ^ full)
         if down_set(rel_c, comp).mask == comp.mask:
             if down_set(rel, Subset(u, m)).mask != m:
@@ -303,10 +372,15 @@ def member_lower_set_report(nest: Nest, member: Subset) -> MemberLowerSetReport:
     _check_same_universe(nest.universe, member.universe)
     if member.mask not in nest.masks:
         raise InstanceError("subset is not a member of the nest")
+    return member_lower_set_report_in(NestContext(nest), member)
+
+
+def member_lower_set_report_in(ctx: NestContext, member: Subset) -> MemberLowerSetReport:
+    """`member_lower_set_report` for a member of the context's nest."""
+    nest = ctx.nest
     union_matches = member_union_of_smaller(nest, member.mask) == member.mask
-    rel = generated_order(nest)
-    lower = down_set(rel, member).mask == member.mask
-    pre = nest_preorder(nest)
+    lower = down_set(ctx.order, member).mask == member.mask
+    pre = ctx.preorder
     greatest = any(
         member.mask & ~pre.rows[g] == 0
         for g in nest.universe.elements()
@@ -347,16 +421,29 @@ class LotsReport:
         return self.order_linear and self.ray_topology_matches
 
 
-def lots_report(pair: DualPair) -> LotsReport:
-    left, right = pair.left, pair.right
-    cond = sup_conditions(left)
-    cond_dual = dual_sup_conditions(pair)
+def lots_hypotheses(
+    left: Nest, right: Nest, cond: SupConditions, cond_dual: SupConditions
+) -> tuple[bool, bool]:
+    """The orderability hypotheses of a dual pair, ``(sup_onto_pair,
+    t0_escape_pair)``, from the ladders of both sides.
+
+    The one source of the hypotheses for `lots_report` and for every caller
+    that tests them before asking for the conclusion.
+    """
     sup_onto_pair = cond.sups_onto and cond_dual.sups_onto
     t0_escape_pair = (
-        t0_separates(left)
-        and t0_separates(right)
-        and cond.sups_escape
+        cond.sups_escape
         and cond_dual.sups_escape
+        and t0_separates(left)
+        and t0_separates(right)
+    )
+    return sup_onto_pair, t0_escape_pair
+
+
+def lots_report(pair: DualPair) -> LotsReport:
+    left, right = pair.left, pair.right
+    sup_onto_pair, t0_escape_pair = lots_hypotheses(
+        left, right, sup_conditions(left), dual_sup_conditions(pair)
     )
     rel = generated_order(left)
     both = topology_from_subbase(

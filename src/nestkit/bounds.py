@@ -7,14 +7,18 @@ cover of the universe with no single member swallowing the region, and that
 cover is returned as the constructive witness.  ``up_reach_covers`` is the
 mirror image, witnessed by the members meeting the region, whose
 intersection must then be empty.
+
+Each predicate has a context form (``*_in``) that reads the order from a
+`NestContext`, so a sweep over regions derives the nest's order once; the
+nest forms build a context and delegate to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import NestContext
 from .core import Nest, SetFamily, Subset, _check_same_universe
-from .orders import generated_order, reflexive_closure
 from .topology import down_set, up_set
 
 
@@ -42,8 +46,15 @@ class CoverWitness:
 
 def down_reach_covers(nest: Nest, region: Subset, want_witness: bool = True) -> CoverWitness:
     """Does the strict downward reach of the region cover the universe?"""
+    return down_reach_covers_in(NestContext(nest), region, want_witness)
+
+
+def down_reach_covers_in(
+    ctx: NestContext, region: Subset, want_witness: bool = True
+) -> CoverWitness:
+    nest = ctx.nest
     _check_same_universe(nest.universe, region.universe)
-    reach = down_set(generated_order(nest), region)
+    reach = down_set(ctx.order, region)
     full = nest.universe.full_mask
     if reach.mask == full:
         witness = None
@@ -58,8 +69,15 @@ def down_reach_covers(nest: Nest, region: Subset, want_witness: bool = True) -> 
 
 def up_reach_covers(nest: Nest, region: Subset, want_witness: bool = True) -> CoverWitness:
     """Does the strict upward reach of the region cover the universe?"""
+    return up_reach_covers_in(NestContext(nest), region, want_witness)
+
+
+def up_reach_covers_in(
+    ctx: NestContext, region: Subset, want_witness: bool = True
+) -> CoverWitness:
+    nest = ctx.nest
     _check_same_universe(nest.universe, region.universe)
-    reach = up_set(generated_order(nest), region)
+    reach = up_set(ctx.order, region)
     full = nest.universe.full_mask
     if reach.mask == full:
         witness = None
@@ -80,11 +98,13 @@ def has_upper_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
     downward-reach dichotomy on T0-separating nests (see the bound-covers
     suite for the divergence witnesses of the strict form).
     """
-    _check_same_universe(nest.universe, region.universe)
-    rel = generated_order(nest)
-    if not strict:
-        rel = reflexive_closure(rel)
-    bounds = nest.universe.full_mask
+    return has_upper_bound_in(NestContext(nest), region, strict)
+
+
+def has_upper_bound_in(ctx: NestContext, region: Subset, strict: bool = True) -> bool:
+    _check_same_universe(ctx.nest.universe, region.universe)
+    rel = ctx.order if strict else ctx.preorder
+    bounds = region.universe.full_mask
     remaining = region.mask
     y = 0
     while remaining:
@@ -97,13 +117,15 @@ def has_upper_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
 
 def has_lower_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
     """Mirror of `has_upper_bound`: some x below every element of the region."""
-    _check_same_universe(nest.universe, region.universe)
-    rel = generated_order(nest)
-    if not strict:
-        rel = reflexive_closure(rel)
+    return has_lower_bound_in(NestContext(nest), region, strict)
+
+
+def has_lower_bound_in(ctx: NestContext, region: Subset, strict: bool = True) -> bool:
+    _check_same_universe(ctx.nest.universe, region.universe)
+    rel = ctx.order if strict else ctx.preorder
     return any(
         rel.rows[x] & region.mask == region.mask
-        for x in nest.universe.elements()
+        for x in region.universe.elements()
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .analysis import (
@@ -55,13 +56,19 @@ USAGE_ERROR = 2
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InstanceError, KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return USAGE_ERROR
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves it unchanged, so every call
+    to `main` reuses it."""
+    return build_parser()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -126,7 +126,7 @@ class Subset:
 
 
 def _check_same_universe(a: Universe, b: Universe) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise InstanceError("operands live in different universes")
 
 
@@ -225,13 +225,19 @@ def enumerate_nests(
     The stream is deterministic; ``offset``/``stride`` select a residue class
     of the global sequence so workers can split the space and any slice can be
     regenerated independently.  ``include_trivial`` controls whether the empty
-    set and the whole universe may appear as members.
+    set and the whole universe may appear as members, and ``max_members``
+    caps the number of members (0 leaves only the empty nest).
     """
     if universe.size > bound:
         raise ValueError(
             f"universe size {universe.size} exceeds the nest enumeration bound "
             f"{bound}; pass bound= explicitly to go higher"
         )
+    _check_max_members(max_members)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if not 0 <= offset < stride:
+        raise ValueError(f"offset must lie in [0, stride) = [0, {stride}), got {offset}")
     candidates = _nest_candidates(universe, include_trivial)
     chain: list[int] = []
     counter = 0
@@ -259,6 +265,8 @@ def enumerate_nests(
     nest = emit()
     if nest is not None:
         yield nest
+    if max_members == 0:
+        return
     for i in range(len(candidates)):
         chain.append(candidates[i])
         nest = emit()
@@ -274,6 +282,7 @@ def count_nests(
     max_members: int | None = None,
 ) -> int:
     """Number of nests `enumerate_nests` yields, via an independent recursion."""
+    _check_max_members(max_members)
     candidates = _nest_candidates(universe, include_trivial)
     cap = len(candidates) if max_members is None else max_members
 
@@ -290,6 +299,11 @@ def count_nests(
         return total
 
     return 1 + sum(chains_from(i, cap) for i in range(len(candidates)))
+
+
+def _check_max_members(max_members: int | None) -> None:
+    if max_members is not None and max_members < 0:
+        raise ValueError(f"max_members must be >= 0, got {max_members}")
 
 
 def _nest_candidates(universe: Universe, include_trivial: bool) -> list[int]:

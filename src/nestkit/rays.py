@@ -151,10 +151,26 @@ class Quadratic:
 
     @classmethod
     def from_json(cls, data: dict) -> Quadratic:
-        return cls(
-            Fraction(data["a"][0], data["a"][1]),
-            Fraction(data["b"][0], data["b"][1]),
-        )
+        """Read ``{"a": [num, den], "b": [num, den]}``, rejecting anything
+        that is not a pair of integers with a nonzero denominator."""
+        if not isinstance(data, dict):
+            raise InstanceError(f"point {data!r} must be an object with 'a' and 'b'")
+        parts = []
+        for key in ("a", "b"):
+            value = data.get(key)
+            if not (
+                isinstance(value, list)
+                and len(value) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+            ):
+                raise InstanceError(
+                    f"point coordinate {key!r} must be a [numerator, denominator] "
+                    f"integer pair, got {value!r}"
+                )
+            if value[1] == 0:
+                raise InstanceError(f"point coordinate {key!r} has a zero denominator")
+            parts.append(Fraction(value[0], value[1]))
+        return cls(*parts)
 
 
 def rational_between(lo: Quadratic, hi: Quadratic) -> Fraction:

@@ -17,11 +17,12 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .analysis import (
-    complement_dual,
-    dual_sup_conditions,
+    DualPair,
+    NestContext,
     is_interlocking,
-    is_interlocking_via_alexandroff,
-    is_interlocking_via_lower_sets,
+    is_interlocking_via_alexandroff_in,
+    is_interlocking_via_lower_sets_in,
+    lots_hypotheses,
     lots_report,
     sup_conditions,
 )
@@ -115,41 +116,43 @@ def _target_escaping_sup(spec: SearchSpec):
 
 def _target_escaping_sup_pairs(spec: SearchSpec):
     for nest in _nest_stream(spec):
-        pair = complement_dual(nest)
+        ctx = NestContext(nest)
         hit = (
-            sup_conditions(nest).sups_escape
-            and dual_sup_conditions(pair).sups_escape
-            and any(m for m in nest.masks + pair.right.masks)
+            ctx.sup_conditions.sups_escape
+            and ctx.dual_sup_conditions.sups_escape
+            and any(m for m in nest.masks + ctx.complement.masks)
         )
         note = None
         if hit:
             note = {
                 "instance": family_to_dict(nest),
-                "dual": family_to_dict(pair.right),
+                "dual": family_to_dict(ctx.complement),
             }
         yield nest, note
 
 
 def _target_lots_pairs(spec: SearchSpec):
     for nest in _nest_stream(spec):
-        pair = complement_dual(nest)
-        report = lots_report(pair)
+        ctx = NestContext(nest)
         note = None
-        if report.hypotheses_hold:
+        if any(lots_hypotheses(
+            nest, ctx.complement, ctx.sup_conditions, ctx.dual_sup_conditions
+        )):
             note = {
                 "instance": family_to_dict(nest),
-                "dual": family_to_dict(pair.right),
-                "is_lots": report.is_lots,
+                "dual": family_to_dict(ctx.complement),
+                "is_lots": lots_report(DualPair(nest, ctx.complement)).is_lots,
             }
         yield nest, note
 
 
 def _target_interlocking_disagreements(spec: SearchSpec):
     for nest in _nest_stream(spec):
+        ctx = NestContext(nest)
         verdicts = (
             is_interlocking(nest),
-            is_interlocking_via_alexandroff(nest),
-            is_interlocking_via_lower_sets(nest),
+            is_interlocking_via_alexandroff_in(ctx),
+            is_interlocking_via_lower_sets_in(ctx),
         )
         note = None
         if len(set(verdicts)) > 1:

@@ -35,12 +35,24 @@ def _universe_fields(universe: Universe) -> dict:
     return out
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _labels_from(data: dict) -> tuple[str, ...] | None:
+    labels = data.get("labels")
+    if labels is None:
+        return None
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise InstanceError("'labels' must be a list of strings")
+    return tuple(labels)
+
+
 def _universe_from(data: dict) -> Universe:
     size = data.get("universe")
-    if not isinstance(size, int):
+    if not _is_int(size):
         raise InstanceError("instance needs an integer 'universe' size")
-    labels = data.get("labels")
-    return Universe(size, tuple(labels) if labels is not None else None)
+    return Universe(size, _labels_from(data))
 
 
 def family_to_dict(family: SetFamily, kind: str | None = None) -> dict:
@@ -58,6 +70,14 @@ def family_from_dict(data: dict) -> SetFamily | Topology:
     members = data.get("family")
     if not isinstance(members, list):
         raise InstanceError("instance needs a 'family' list of index lists")
+    for ids in members:
+        if not isinstance(ids, list):
+            raise InstanceError(f"'family' member {ids!r} is not a list of element indices")
+        for i in ids:
+            if not _is_int(i):
+                raise InstanceError(
+                    f"'family' member {ids!r} has a non-integer element index {i!r}"
+                )
     masks = tuple(mask_of(ids, universe.size) for ids in members)
     if len(set(masks)) != len(masks):
         raise InstanceError("family members must be distinct")
@@ -89,7 +109,11 @@ def relation_from_dict(data: dict) -> Relation:
     if not isinstance(pairs, list):
         raise InstanceError("relation needs a 'pairs' list")
     for pair in pairs:
-        if len(pair) != 2 or not all(0 <= v < universe.size for v in pair):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(_is_int(v) and 0 <= v < universe.size for v in pair)
+        ):
             raise InstanceError(f"bad relation pair {pair!r}")
     return Relation.from_pairs(universe, [tuple(p) for p in pairs])
 
@@ -103,15 +127,13 @@ def group_to_dict(group: FiniteGroup) -> dict:
 
 def group_from_dict(data: dict) -> FiniteGroup:
     table = data.get("table")
-    if not isinstance(table, list):
-        raise InstanceError("group needs a 'table'")
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(_is_int(v) for v in row) for row in table
+    ):
+        raise InstanceError("group needs a 'table' of integer rows")
     if data.get("order") not in (None, len(table)):
         raise InstanceError("group order and table size disagree")
-    labels = data.get("labels")
-    return FiniteGroup(
-        tuple(tuple(row) for row in table),
-        tuple(labels) if labels is not None else None,
-    )
+    return FiniteGroup(tuple(tuple(row) for row in table), _labels_from(data))
 
 
 def _quadratic_to_json(x: Quadratic | None) -> dict | None:
@@ -120,6 +142,14 @@ def _quadratic_to_json(x: Quadratic | None) -> dict | None:
 
 def _quadratic_from(data: dict | None) -> Quadratic | None:
     return None if data is None else Quadratic.from_json(data)
+
+
+def _endpoint(eps_data: dict, key: str) -> Quadratic:
+    if key not in eps_data:
+        raise InstanceError(
+            f"endpoint set {eps_data.get('kind')!r} needs an endpoint {key!r}"
+        )
+    return Quadratic.from_json(eps_data[key])
 
 
 def ray_to_dict(nest: RayNest) -> dict:
@@ -155,6 +185,8 @@ def ray_from_dict(data: dict) -> RayNest:
     if kind not in ("Q", "Qsqrt2"):
         raise InstanceError(f"unknown carrier kind {kind!r}")
     window_data = data.get("window")
+    if window_data is not None and not isinstance(window_data, dict):
+        raise InstanceError("ray 'window' must be null or an object with 'lo' and 'hi'")
     window = (
         None
         if window_data is None
@@ -168,20 +200,21 @@ def ray_from_dict(data: dict) -> RayNest:
         endpoints = EndpointSet.all_carrier()
     elif eps_kind == "dense_interval":
         endpoints = EndpointSet.dense_interval(
-            Quadratic.from_json(eps_data["lo"]),
-            Quadratic.from_json(eps_data["hi"]),
+            _endpoint(eps_data, "lo"),
+            _endpoint(eps_data, "hi"),
             eps_data.get("include_lo", True),
             eps_data.get("include_hi", False),
         )
     elif eps_kind == "arithmetic_progression":
         endpoints = EndpointSet.progression(
-            Quadratic.from_json(eps_data["start"]),
-            Quadratic.from_json(eps_data["step"]),
+            _endpoint(eps_data, "start"),
+            _endpoint(eps_data, "step"),
         )
     elif eps_kind == "finite_list":
-        endpoints = EndpointSet.finite(
-            Quadratic.from_json(p) for p in eps_data.get("points", [])
-        )
+        points = eps_data.get("points", [])
+        if not isinstance(points, list):
+            raise InstanceError("endpoint set 'finite_list' needs a 'points' list")
+        endpoints = EndpointSet.finite(Quadratic.from_json(p) for p in points)
     else:
         raise InstanceError(f"unknown endpoint set kind {eps_kind!r}")
     shape = data.get("shape")

@@ -11,23 +11,23 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .analysis import (
     DualPair,
-    complement_dual,
+    NestContext,
     dual_pair,
     dual_sup_conditions,
     is_interlocking,
-    is_interlocking_via_alexandroff,
-    is_interlocking_via_lower_sets,
+    is_interlocking_via_alexandroff_in,
+    is_interlocking_via_lower_sets_in,
+    lots_hypotheses,
     lots_report,
     member_closed_by_intersections,
     member_lower_set_report,
-    member_sups,
+    member_lower_set_report_in,
     member_union_of_smaller,
     nest_preorder,
     sup_conditions,
@@ -37,9 +37,11 @@ from .analysis import (
 from .bounds import (
     covering_subfamilies,
     down_reach_covers,
-    has_lower_bound,
+    down_reach_covers_in,
+    has_lower_bound_in,
     has_upper_bound,
-    up_reach_covers,
+    has_upper_bound_in,
+    up_reach_covers_in,
 )
 from .core import (
     Nest,
@@ -103,7 +105,6 @@ from .reporting import SuiteReport, Violation, sort_violations
 from .serialize import family_to_dict
 from .topology import (
     Topology,
-    alexandroff_family,
     down_set,
     interval_topology,
     is_closed_in_family,
@@ -154,6 +155,9 @@ def _nest_payload(nest: SetFamily, **extra) -> dict:
 def _pmap(fn: Callable, jobs: list, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # imported here so that single-worker runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
@@ -395,8 +399,9 @@ def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str
         u = Universe(n)
         for nest in enumerate_nests(u, bound=max_n):
             count += 1
-            order = generated_order(nest)
-            alex = alexandroff_family(order)
+            ctx = NestContext(nest)
+            order = ctx.order
+            alex = ctx.alexandroff
             formula = tuple(
                 mask for mask in range(u.full_mask + 1)
                 if up_set_by_complements(nest, Subset(u, mask)).mask == mask
@@ -459,6 +464,7 @@ def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str
 def _sup_worker(args: tuple[int, int, int, int]) -> dict:
     n, offset, stride, max_n = args
     u = Universe(n)
+    full = u.full_mask
     violations: list[tuple[str, dict]] = []
     onto_hits: list[list[list[int]]] = []
     escape_t0: list[list[list[int]]] = []
@@ -466,17 +472,18 @@ def _sup_worker(args: tuple[int, int, int, int]) -> dict:
     count = 0
     for nest in enumerate_nests(u, bound=max_n, offset=offset, stride=stride):
         count += 1
-        pre = nest_preorder(nest)
-        cond = sup_conditions(nest)
-        sups = member_sups(nest)
-        full = u.full_mask
+        ctx = NestContext(nest)
+        pre = ctx.preorder
+        cond = ctx.sup_conditions
+        sups = ctx.sups
+        t0 = ctx.t0
         payload = lambda **kw: _nest_payload(nest, **kw)
 
         if cond.sups_onto and not cond.sups_escape:
             violations.append(("ladder:onto-escape", payload()))
         if cond.sups_escape and not cond.sups_exist:
             violations.append(("ladder:escape-exist", payload()))
-        if cond.sups_onto and not t0_separates(nest):
+        if cond.sups_onto and not t0:
             violations.append(("ladder:onto-t0", payload()))
 
         for mask, result in sups.items():
@@ -495,38 +502,33 @@ def _sup_worker(args: tuple[int, int, int, int]) -> dict:
         if cond.sups_onto and topology_from_subbase(nest) != lower_topology(pre):
             violations.append(("onto:nest-topology-is-lower", payload()))
 
-        # census inventories; the frozen shape claims are exhaustive facts of
-        # the n <= 4 range (richer escape shapes appear from five points on)
-        doc = family_to_dict(nest)["family"]
+        # census inventories; the bare-escape shape claim (a single
+        # co-singleton nonempty member) is checked at every size swept
         if cond.sups_onto:
-            onto_hits.append([[n], doc])
-        if cond.sups_escape and t0_separates(nest):
-            escape_t0.append([[n], doc])
+            onto_hits.append([[n], family_to_dict(nest)["family"]])
+        if cond.sups_escape and t0:
+            escape_t0.append([[n], family_to_dict(nest)["family"]])
         if cond.sups_escape and any(m for m in nest.masks):
-            bare_escape.append([[n], doc])
-            if t0_separates(nest):
+            bare_escape.append([[n], family_to_dict(nest)["family"]])
+            if t0:
                 violations.append(("census:escape-t0-empty-members", payload()))
             nonempty = [m for m in nest.masks if m]
-            if n <= 4 and not (
+            if not (
                 len(nonempty) == 1
                 and bin(nonempty[0] ^ full).count("1") == 1
             ):
                 violations.append(("census:bare-escape-form", payload()))
 
         # member lower-set reports
-        t0 = t0_separates(nest)
         for mask in nest.masks:
-            report = member_lower_set_report(nest, Subset(u, mask))
+            report = member_lower_set_report_in(ctx, Subset(u, mask))
             if report.union_of_smaller_matches != report.is_lower_set:
                 violations.append(("lower-set:routes-agree", payload(member=mask)))
             if t0 and report.no_greatest_element != report.is_lower_set:
                 violations.append(("lower-set:t0-greatest", payload(member=mask)))
 
         # dual pair with the complement nest
-        pair = complement_dual(nest)
-        violations.extend(
-            (pid, inst) for pid, inst in _dual_pair_checks(pair)
-        )
+        violations.extend(_dual_pair_checks(DualPair(nest, ctx.complement)))
     return {
         "count": count,
         "violations": violations,
@@ -537,31 +539,36 @@ def _sup_worker(args: tuple[int, int, int, int]) -> dict:
 
 
 def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
+    """Premises first: the joint, interval and upper topologies and the
+    orderability report are built only for the pairs whose premise fires."""
     out = []
-    u = pair.left.universe
-    cond = sup_conditions(pair.left)
+    left, right = pair.left, pair.right
+    u = left.universe
+    cond = sup_conditions(left)
     dcond = dual_sup_conditions(pair)
-    payload = {
-        "universe": u.size,
-        "left": family_to_dict(pair.left)["family"],
-        "right": family_to_dict(pair.right)["family"],
-    }
-    pre = nest_preorder(pair.left)
-    both = topology_from_subbase(SetFamily.dedupe(u, pair.left.masks + pair.right.masks))
-    tin = interval_topology(pre)
+
+    def payload() -> dict:
+        return {
+            "universe": u.size,
+            "left": family_to_dict(left)["family"],
+            "right": family_to_dict(right)["family"],
+        }
+
+    # the onto rungs imply the escape rungs, so the escape premise covers both
     if cond.sups_escape and dcond.sups_escape:
+        both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))
+        tin = interval_topology(nest_preorder(left))
         if not all(tin.is_open(o) for o in both.opens):
-            out.append(("pair:escape-joint-in-interval", payload))
-        if u.size <= 4 and any(m for m in pair.left.masks + pair.right.masks):
-            out.append(("census:paired-escape-empty-members", payload))
-    if cond.sups_onto and dcond.sups_onto and both != tin:
-        out.append(("pair:onto-joint-is-interval", payload))
+            out.append(("pair:escape-joint-in-interval", payload()))
+        if u.size <= 4 and any(m for m in left.masks + right.masks):
+            out.append(("census:paired-escape-empty-members", payload()))
+        if cond.sups_onto and dcond.sups_onto and both != tin:
+            out.append(("pair:onto-joint-is-interval", payload()))
     if dcond.sups_onto:
-        if topology_from_subbase(pair.right) != upper_topology(pre):
-            out.append(("pair:dual-onto-upper", payload))
-    report = lots_report(pair)
-    if report.hypotheses_hold and not report.is_lots:
-        out.append(("pair:lots-hypotheses", payload))
+        if topology_from_subbase(right) != upper_topology(nest_preorder(left)):
+            out.append(("pair:dual-onto-upper", payload()))
+    if any(lots_hypotheses(left, right, cond, dcond)) and not lots_report(pair).is_lots:
+        out.append(("pair:lots-hypotheses", payload()))
     return out
 
 
@@ -599,15 +606,14 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
     pair_bound = min(max_n, 3)
     for n in range(1, pair_bound + 1):
         u = Universe(n)
-        nests = list(enumerate_nests(u, bound=max_n))
+        contexts = [NestContext(nest) for nest in enumerate_nests(u, bound=max_n)]
         buckets: dict[tuple, list[Nest]] = {}
-        for nest in nests:
-            buckets.setdefault(generated_order(nest).rows, []).append(nest)
-        for left in nests:
-            key = transpose(generated_order(left)).rows
-            for right in buckets.get(key, []):
+        for ctx in contexts:
+            buckets.setdefault(ctx.order.rows, []).append(ctx.nest)
+        for ctx in contexts:
+            for right in buckets.get(transpose(ctx.order).rows, []):
                 count += 1
-                pair = dual_pair(left, right)
+                pair = dual_pair(ctx.nest, right)
                 violations += [
                     Violation(pid, inst) for pid, inst in _dual_pair_checks(pair)
                 ]
@@ -654,15 +660,15 @@ def _interlocking_worker(args: tuple[int, int, int, int, int | None]) -> dict:
     full = u.full_mask
     for nest in enumerate_nests(u, max_members=cap, bound=max_n, offset=offset, stride=stride):
         count += 1
+        ctx = NestContext(nest)
         by_def = is_interlocking(nest)
-        by_alex = is_interlocking_via_alexandroff(nest)
-        by_lower = is_interlocking_via_lower_sets(nest)
+        by_alex = is_interlocking_via_alexandroff_in(ctx)
+        by_lower = is_interlocking_via_lower_sets_in(ctx)
         if not (by_def == by_alex == by_lower):
             violations.append(("interlocking:triple", _nest_payload(
                 nest, by_def=by_def, by_alex=by_alex, by_lower=by_lower
             )))
-        alex = alexandroff_family(generated_order(nest))
-        alex_c = alexandroff_family(generated_order(family_complement(nest)))
+        alex, alex_c = ctx.alexandroff, ctx.complement_alexandroff
         for mask in nest.masks:
             member = Subset(u, mask)
             if member_closed_by_intersections(nest, mask) != is_closed_in_family(alex, member):
@@ -702,45 +708,46 @@ def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
         u = Universe(n)
         full = u.full_mask
         for nest in enumerate_nests(u, bound=max_n):
-            order = generated_order(nest)
-            pre = reflexive_closure(order)
-            t0 = t0_separates(nest)
+            ctx = NestContext(nest)
+            t0 = ctx.t0
             for mask in range(full + 1):
                 count += 1
                 region = Subset(u, mask)
-                down = down_reach_covers(nest, region)
-                up = up_reach_covers(nest, region)
-                payload = _nest_payload(nest, region=list(region.indices))
+                down = down_reach_covers_in(ctx, region)
+                up = up_reach_covers_in(ctx, region)
+
+                def payload() -> dict:
+                    return _nest_payload(nest, region=list(region.indices))
 
                 not_containing = [m for m in nest.masks if mask & ~m]
                 cover = 0
                 for m in not_containing:
                     cover |= m
                 if down.holds != (cover == full):
-                    violations.append(Violation("down:cover-form", payload))
+                    violations.append(Violation("down:cover-form", payload()))
                 if down.holds:
                     seen = down.witness_family
                     if seen is None or any(mask & ~m == 0 for m in seen.masks):
-                        violations.append(Violation("down:witness", payload))
+                        violations.append(Violation("down:witness", payload()))
                 meeting = [m for m in nest.masks if mask & m]
                 inter = full
                 for m in meeting:
                     inter &= m
                 if up.holds != (bool(meeting) and inter == 0):
-                    violations.append(Violation("up:intersection-form", payload))
+                    violations.append(Violation("up:intersection-form", payload()))
                 if up.holds:
                     seen = up.witness_family
                     if seen is None or any(mask & m == 0 for m in seen.masks):
-                        violations.append(Violation("up:witness", payload))
+                        violations.append(Violation("up:witness", payload()))
 
                 if t0:
-                    if down.holds != (not has_upper_bound(nest, region, strict=False)):
-                        violations.append(Violation("down:bound-dichotomy", payload))
-                    if up.holds != (not has_lower_bound(nest, region, strict=False)):
-                        violations.append(Violation("up:bound-dichotomy", payload))
+                    if down.holds != (not has_upper_bound_in(ctx, region, strict=False)):
+                        violations.append(Violation("down:bound-dichotomy", payload()))
+                    if up.holds != (not has_lower_bound_in(ctx, region, strict=False)):
+                        violations.append(Violation("up:bound-dichotomy", payload()))
                 if mask == 0 and n >= 1:
-                    if not has_upper_bound(nest, region) or not has_lower_bound(nest, region):
-                        violations.append(Violation("bounds:empty-region", payload))
+                    if not has_upper_bound_in(ctx, region) or not has_lower_bound_in(ctx, region):
+                        violations.append(Violation("bounds:empty-region", payload()))
 
             # converse: a cover with no single member containing the region
             # forces full downward reach; and any cover of X is itself a
@@ -753,7 +760,7 @@ def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
                     union |= m
                 for mask in range(full + 1):
                     if not any(mask & ~m == 0 for m in chosen):
-                        if not down_reach_covers(nest, Subset(u, mask), want_witness=False).holds:
+                        if not down_reach_covers_in(ctx, Subset(u, mask), want_witness=False).holds:
                             violations.append(Violation(
                                 "down:cover-converse",
                                 _nest_payload(nest, region=mask, cover=list(chosen)),
@@ -765,18 +772,19 @@ def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
                         ))
 
             if t0:
+                pre = ctx.preorder
                 minimum = next(
                     (x for x in u.elements() if pre.rows[x] == full), None
                 )
                 for mask in nest.masks:
                     member = Subset(u, mask)
-                    if mask != full and not has_upper_bound(nest, member):
+                    if mask != full and not has_upper_bound_in(ctx, member):
                         violations.append(Violation(
                             "member:strict-upper-bound", _nest_payload(nest, member=mask)
                         ))
                     if mask and minimum is not None:
                         expect = not (mask >> minimum & 1)
-                        if has_lower_bound(nest, member) != expect:
+                        if has_lower_bound_in(ctx, member) != expect:
                             violations.append(Violation(
                                 "member:lower-bound-minimum", _nest_payload(nest, member=mask)
                             ))

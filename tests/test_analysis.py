@@ -1,6 +1,7 @@
 import pytest
 
 from nestkit.analysis import (
+    NestContext,
     complement_dual,
     dual_pair,
     dual_sup_conditions,
@@ -8,14 +9,26 @@ from nestkit.analysis import (
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
+    lots_hypotheses,
     lots_report,
     member_lower_set_report,
+    member_lower_set_report_in,
     member_sups,
     nest_preorder,
     sup_conditions,
     sup_of,
 )
-from nestkit.core import InstanceError, Nest, SetFamily, Subset, Universe, mask_of
+from nestkit.core import (
+    InstanceError,
+    Nest,
+    SetFamily,
+    Subset,
+    Universe,
+    enumerate_nests,
+    family_complement,
+    mask_of,
+)
+from nestkit.orders import generated_order, reflexive_closure, t0_separates
 
 U3 = Universe(3)
 U4 = Universe(4)
@@ -137,3 +150,44 @@ def test_member_sups_map():
     sups = member_sups(QUAD)
     assert not sups[mask_of([0, 1], 4)].exists
     assert sups[U4.full_mask].exists is False  # no point above everything
+
+
+def test_nest_context_matches_the_public_functions():
+    for n in (1, 2, 3, 4):
+        u = Universe(n)
+        for nest in enumerate_nests(u):
+            ctx = NestContext(nest)
+            pair = complement_dual(nest)
+            assert ctx.order == generated_order(nest)
+            assert ctx.preorder == reflexive_closure(generated_order(nest))
+            assert ctx.complement.masks == family_complement(nest).masks
+            assert ctx.complement_order == generated_order(pair.right)
+            assert ctx.sups == member_sups(nest)
+            assert ctx.sup_conditions == sup_conditions(nest)
+            assert ctx.dual_sup_conditions == dual_sup_conditions(pair)
+            assert ctx.t0 == t0_separates(nest)
+            for mask in nest.masks:
+                member = Subset(u, mask)
+                assert member_lower_set_report_in(ctx, member) == member_lower_set_report(
+                    nest, member)
+
+
+def test_lots_hypotheses_agree_with_lots_report():
+    for n in (1, 2, 3, 4):
+        for nest in enumerate_nests(Universe(n)):
+            pair = complement_dual(nest)
+            cond, dual = sup_conditions(nest), dual_sup_conditions(pair)
+            hypotheses = lots_hypotheses(nest, pair.right, cond, dual)
+            # the hypotheses as stated: onto on both sides, or T0 and escape
+            # on both sides
+            assert hypotheses == (
+                cond.sups_onto and dual.sups_onto,
+                t0_separates(nest) and t0_separates(pair.right)
+                and cond.sups_escape and dual.sups_escape,
+            )
+            report = lots_report(pair)
+            assert (report.sup_onto_pair, report.t0_escape_pair) == hypotheses
+            ctx = NestContext(nest)
+            assert lots_hypotheses(
+                nest, ctx.complement, ctx.sup_conditions, ctx.dual_sup_conditions
+            ) == hypotheses

@@ -1,9 +1,14 @@
+from nestkit.analysis import NestContext
 from nestkit.bounds import (
     covering_subfamilies,
     down_reach_covers,
+    down_reach_covers_in,
     has_lower_bound,
+    has_lower_bound_in,
     has_upper_bound,
+    has_upper_bound_in,
     up_reach_covers,
+    up_reach_covers_in,
 )
 from nestkit.core import Nest, Subset, Universe, enumerate_nests
 from nestkit.topology import down_set, up_set
@@ -95,3 +100,38 @@ def test_covering_subfamilies():
             union |= m
         assert union == U3.full_mask
     assert covering_subfamilies(CHAIN) == []  # the chain never reaches x3
+
+
+def test_nest_forms_match_the_context_forms():
+    # the public nest forms and the context forms sweeps use agree on every
+    # nest and region up to three points, and the bound predicates match
+    # their definition over "some member contains y but not x"
+    for n in (1, 2, 3):
+        u = Universe(n)
+        for nest in enumerate_nests(u):
+            ctx = NestContext(nest)
+
+            def below(y, x):
+                return any(m >> y & 1 and not m >> x & 1 for m in nest.masks)
+
+            for mask in range(u.full_mask + 1):
+                region = Subset(u, mask)
+                ys = region.indices
+                for want in (True, False):
+                    assert down_reach_covers(nest, region, want) == down_reach_covers_in(
+                        ctx, region, want)
+                    assert up_reach_covers(nest, region, want) == up_reach_covers_in(
+                        ctx, region, want)
+                for strict in (True, False):
+                    upper = has_upper_bound(nest, region, strict)
+                    lower = has_lower_bound(nest, region, strict)
+                    assert upper == has_upper_bound_in(ctx, region, strict)
+                    assert lower == has_lower_bound_in(ctx, region, strict)
+                    assert upper == any(
+                        all(below(y, x) or (not strict and y == x) for y in ys)
+                        for x in u.elements()
+                    )
+                    assert lower == any(
+                        all(below(x, y) or (not strict and y == x) for y in ys)
+                        for x in u.elements()
+                    )

@@ -104,3 +104,67 @@ def test_search_cli(tmp_path, capsys):
     assert main(["search", "--list"]) == 0
     assert main(["search", "--target", "nope"]) == 2
     assert main(["search"]) == 2
+
+
+def _write(tmp_path, name, document):
+    path = tmp_path / name
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
+
+
+def _analyze_error(path, capsys):
+    code = main(["analyze", "--input", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_analyze_rejects_non_integer_member_index(tmp_path, capsys):
+    path = _write(tmp_path, "bad-index.json",
+                  {"universe": 3, "family": [[0, "1"]], "kind": "family"})
+    code, err = _analyze_error(path, capsys)
+    assert code == 2
+    assert "family" in err and "index" in err
+
+
+def test_analyze_rejects_non_string_labels(tmp_path, capsys):
+    path = _write(tmp_path, "bad-labels.json", {
+        "universe": 3, "labels": [1, 2, 3], "family": [[0], [0, 1]], "kind": "nest",
+    })
+    code, err = _analyze_error(path, capsys)
+    assert code == 2
+    assert "labels" in err
+
+
+def test_analyze_rejects_zero_denominator(tmp_path, capsys):
+    path = _write(tmp_path, "zero-denominator.json", {
+        "carrier": "Qsqrt2", "window": None, "shape": "open", "orientation": "lower",
+        "endpoints": {"kind": "finite_list", "points": [{"a": [1, 0], "b": [0, 1]}]},
+    })
+    code, err = _analyze_error(path, capsys)
+    assert code == 2
+    assert "denominator" in err
+
+
+def test_analyze_rejects_missing_ray_endpoint(tmp_path, capsys):
+    path = _write(tmp_path, "missing-lo.json", {
+        "carrier": "Q", "window": None, "shape": "open", "orientation": "lower",
+        "endpoints": {"kind": "dense_interval", "hi": {"a": [1, 1], "b": [0, 1]}},
+    })
+    code, err = _analyze_error(path, capsys)
+    assert code == 2
+    assert "endpoint" in err and "'lo'" in err
+
+
+def test_parser_is_built_once(monkeypatch, nest_file, capsys):
+    from nestkit import cli
+
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    try:
+        assert main(["analyze", "--input", str(nest_file)]) == 0
+        assert main(["check", "--suite", "nope"]) == 2
+        assert main(["demo", "--list"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]

@@ -116,3 +116,49 @@ def test_enumerate_bound_refusal():
     assert next(enumerate_nests(Universe(5), bound=5)).masks == ()
     with pytest.raises(ValueError, match="bound"):
         next(enumerate_families(Universe(4)))
+
+
+def test_enumerate_max_members_zero_yields_only_the_empty_nest():
+    for size in (1, 2, 3):
+        u = Universe(size)
+        assert [n.masks for n in enumerate_nests(u, max_members=0)] == [()]
+        assert count_nests(u, max_members=0) == 1
+        for cap in range(0, (1 << size) + 2):
+            capped = list(enumerate_nests(u, max_members=cap))
+            assert len(capped) == count_nests(u, max_members=cap)
+            assert all(len(n) <= cap for n in capped)
+
+
+def test_enumerate_rejects_bad_stride_offset_and_cap():
+    u = Universe(3)
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="stride"):
+            list(enumerate_nests(u, stride=stride))
+    for offset, stride in ((3, 3), (5, 2), (-1, 1), (-1, 4)):
+        with pytest.raises(ValueError, match="offset"):
+            list(enumerate_nests(u, offset=offset, stride=stride))
+    with pytest.raises(ValueError, match="max_members"):
+        list(enumerate_nests(u, max_members=-1))
+    with pytest.raises(ValueError, match="max_members"):
+        count_nests(u, max_members=-1)
+
+
+def _fubini(n: int) -> int:
+    """Ordered set partitions (OEIS A000670): a(m) = sum_k C(m,k) a(m-k)."""
+    from math import comb
+
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+def test_nest_count_is_four_times_fubini():
+    # a nest on n points is an ordered partition of the points into its
+    # successive differences, with the empty set and X each in or out
+    expected = (4, 12, 52, 300, 2164, 18732, 189172)
+    for size, want in zip(range(1, 8), expected):
+        assert 4 * _fubini(size) == want
+        assert count_nests(Universe(size)) == want
+    for size in range(1, 6):
+        assert sum(1 for _ in enumerate_nests(Universe(size), bound=5)) == 4 * _fubini(size)

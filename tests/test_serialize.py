@@ -113,3 +113,30 @@ def test_ray_roundtrip(tmp_path):
 def test_unrecognized_document():
     with pytest.raises(InstanceError):
         instance_from_dict({"mystery": 1})
+
+
+_RAY = {"carrier": "Q", "window": None, "shape": "open", "orientation": "lower"}
+_ONE = {"a": [1, 1], "b": [0, 1]}
+
+
+@pytest.mark.parametrize("document, field", [
+    ({"universe": 3, "family": [0, 1], "kind": "family"}, "family"),
+    ({"universe": 3, "family": [[True]], "kind": "family"}, "index"),
+    ({"universe": True, "family": []}, "universe"),
+    ({"universe": 2, "labels": "ab", "family": []}, "labels"),
+    ({"universe": 3, "pairs": [["0", 1]]}, "pair"),
+    ({"universe": 3, "pairs": [0]}, "pair"),
+    ({"table": [[0, "1"], [1, 0]]}, "table"),
+    ({"table": [0, 1]}, "table"),
+    ({"table": [[0]], "labels": [0]}, "labels"),
+    ({**_RAY, "window": 5, "endpoints": {"kind": "all_carrier"}}, "window"),
+    ({**_RAY, "endpoints": {"kind": "arithmetic_progression", "start": _ONE}}, "step"),
+    ({**_RAY, "endpoints": {"kind": "finite_list", "points": _ONE}}, "points"),
+    ({**_RAY, "endpoints": {"kind": "finite_list", "points": [{"a": [1, 2]}]}}, "'b'"),
+    ({**_RAY, "endpoints": {"kind": "finite_list", "points": [[1, 2]]}}, "point"),
+    ({**_RAY, "endpoints": {"kind": "finite_list", "points": [{"a": [1, 0], "b": [0, 1]}]}},
+     "denominator"),
+])
+def test_malformed_documents_name_the_field(document, field):
+    with pytest.raises(InstanceError, match=field):
+        instance_from_dict(document)

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from nestkit import suites
+from nestkit.analysis import dual_pair
+from nestkit.core import Nest, Universe
 from nestkit.reporting import SuiteReport, Violation, sort_violations
 from nestkit.suites import SuiteConfig, run_suite, suite_names
 
@@ -61,3 +64,29 @@ def test_census_notes_present():
     assert "one-point universe" in joined
     assert "empty members" in joined
     assert "co-singleton" in joined
+
+
+def test_dual_pair_checks_build_interval_topology_only_under_the_premise(monkeypatch):
+    built = []
+    original = suites.interval_topology
+
+    def counting(rel):
+        built.append(rel)
+        return original(rel)
+
+    monkeypatch.setattr(suites, "interval_topology", counting)
+    # the one-point nest of the empty member is self-dual and its sups escape
+    # (and are onto) on both sides, so the interval conclusions are evaluated
+    point = Nest.of(Universe(1), [[]])
+    assert suites._dual_pair_checks(dual_pair(point, point)) == []
+    assert len(built) == 1
+    # a two-point pair whose sups stay inside: no premise, no topology
+    two = Universe(2)
+    assert suites._dual_pair_checks(dual_pair(Nest.of(two, [[0]]), Nest.of(two, [[1]]))) == []
+    assert len(built) == 1
+
+
+def test_sup_census_holds_on_five_points():
+    report = run_suite("sup-conditions", SuiteConfig(max_n=5))
+    assert report.passed, report.summary()
+    assert "co-singleton" in " ".join(report.notes)
