@@ -14,10 +14,11 @@ element; incomparable upper bounds yield "does not exist" with a reason,
 never an arbitrary pick.
 
 `NestContext` holds the values a sweep derives from one nest (its order and
-preorder, the complement nest and its order, member sups, both ladders, T0)
-and computes each at most once, on first use.  The public functions below
-take a nest and evaluate through a fresh context; sweeps build one context
-per nest and share it across all of that nest's properties.
+preorder, the complement nest and its order, member sups, both ladders, T0,
+the strict reach tables) and computes each at most once, on first use.  The
+public functions below take a nest and evaluate through a fresh context;
+sweeps build one context per nest and share it across all of that nest's
+properties.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .topology import (
     point_down_set,
     point_up_set,
     topology_from_subbase,
+    up_reach_table,
 )
 
 REASON_OK = "ok"
@@ -99,10 +101,6 @@ def inf_of(rel_reflexive: Relation, region_mask: int) -> SupResult:
         return result
     reason = REASON_NO_LOWER if result.reason == REASON_NO_BOUND else REASON_NO_GREATEST
     return SupResult(False, None, reason)
-
-
-def nest_order(nest: SetFamily) -> Relation:
-    return generated_order(nest)
 
 
 def nest_preorder(nest: SetFamily) -> Relation:
@@ -193,6 +191,21 @@ class NestContext:
     @cached_property
     def t0(self) -> bool:
         return t0_separates(self.nest)
+
+    @cached_property
+    def up_reach(self) -> tuple[int, ...]:
+        """Strict upward reach of every region under the order, by mask."""
+        return up_reach_table(self.order)
+
+    @cached_property
+    def down_reach(self) -> tuple[int, ...]:
+        """Strict downward reach of every region under the order, by mask."""
+        return up_reach_table(transpose(self.order))
+
+    @cached_property
+    def complement_down_reach(self) -> tuple[int, ...]:
+        """Strict downward reach of every region under the complement order."""
+        return up_reach_table(transpose(self.complement_order))
 
     @cached_property
     def alexandroff(self) -> SetFamily:
@@ -301,14 +314,11 @@ def is_interlocking_via_lower_sets(nest: Nest) -> bool:
 def is_interlocking_via_lower_sets_in(ctx: NestContext) -> bool:
     """Lower-set route: if a member's complement is a lower set for the
     complement nest's order, the member is a lower set for the nest's order."""
-    rel, rel_c = ctx.order, ctx.complement_order
-    u = ctx.nest.universe
-    full = u.full_mask
+    down, down_c = ctx.down_reach, ctx.complement_down_reach
+    full = ctx.nest.universe.full_mask
     for m in ctx.nest.masks:
-        comp = Subset(u, m ^ full)
-        if down_set(rel_c, comp).mask == comp.mask:
-            if down_set(rel, Subset(u, m)).mask != m:
-                return False
+        if down_c[m ^ full] == m ^ full and down[m] != m:
+            return False
     return True
 
 
@@ -372,14 +382,23 @@ def member_lower_set_report(nest: Nest, member: Subset) -> MemberLowerSetReport:
     _check_same_universe(nest.universe, member.universe)
     if member.mask not in nest.masks:
         raise InstanceError("subset is not a member of the nest")
-    return member_lower_set_report_in(NestContext(nest), member)
+    # one region: its reach directly, not a table over every region
+    ctx = NestContext(nest)
+    return _lower_set_report(ctx, member, down_set(ctx.order, member).mask)
 
 
 def member_lower_set_report_in(ctx: NestContext, member: Subset) -> MemberLowerSetReport:
     """`member_lower_set_report` for a member of the context's nest."""
+    return _lower_set_report(ctx, member, ctx.down_reach[member.mask])
+
+
+def _lower_set_report(
+    ctx: NestContext, member: Subset, reach: int
+) -> MemberLowerSetReport:
+    """The report, given the member's strict downward reach."""
     nest = ctx.nest
     union_matches = member_union_of_smaller(nest, member.mask) == member.mask
-    lower = down_set(ctx.order, member).mask == member.mask
+    lower = reach == member.mask
     pre = ctx.preorder
     greatest = any(
         member.mask & ~pre.rows[g] == 0

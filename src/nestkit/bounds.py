@@ -8,9 +8,13 @@ cover is returned as the constructive witness.  ``up_reach_covers`` is the
 mirror image, witnessed by the members meeting the region, whose
 intersection must then be empty.
 
-Each predicate has a context form (``*_in``) that reads the order from a
-`NestContext`, so a sweep over regions derives the nest's order once; the
-nest forms build a context and delegate to it.
+Each predicate has a context form (``*_in``) that reads the order, or for
+the reach covers the strict reach tables, from a `NestContext`, so a sweep
+over regions derives them once per nest.  The nest forms answer for one
+region: the bound predicates delegate to a fresh context, and the reach
+covers compute that region's reach directly with ``down_set``/``up_set``
+instead of tabulating every region; both forms build the verdict in
+`_reach_cover`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import NestContext
 from .core import Nest, SetFamily, Subset, _check_same_universe
+from .orders import generated_order
 from .topology import down_set, up_set
 
 
@@ -44,50 +49,51 @@ class CoverWitness:
         }
 
 
+def _reach_cover(
+    nest: Nest, region: Subset, reach: int, upward: bool, want_witness: bool
+) -> CoverWitness:
+    """The cover verdict for a region whose strict reach is ``reach``.
+
+    The witness is the members not containing the region (downward) or the
+    members meeting it (upward); the violating set is what the reach misses.
+    """
+    full = nest.universe.full_mask
+    if reach != full:
+        return CoverWitness(False, None, Subset(nest.universe, full ^ reach))
+    witness = None
+    if want_witness:
+        r = region.mask
+        witness = Nest(
+            nest.universe,
+            tuple(m for m in nest.masks if (r & m if upward else r & ~m)),
+        )
+    return CoverWitness(True, witness, None)
+
+
 def down_reach_covers(nest: Nest, region: Subset, want_witness: bool = True) -> CoverWitness:
     """Does the strict downward reach of the region cover the universe?"""
-    return down_reach_covers_in(NestContext(nest), region, want_witness)
+    reach = down_set(generated_order(nest), region).mask
+    return _reach_cover(nest, region, reach, False, want_witness)
 
 
 def down_reach_covers_in(
     ctx: NestContext, region: Subset, want_witness: bool = True
 ) -> CoverWitness:
-    nest = ctx.nest
-    _check_same_universe(nest.universe, region.universe)
-    reach = down_set(ctx.order, region)
-    full = nest.universe.full_mask
-    if reach.mask == full:
-        witness = None
-        if want_witness:
-            witness = Nest(
-                nest.universe,
-                tuple(m for m in nest.masks if region.mask & ~m),
-            )
-        return CoverWitness(True, witness, None)
-    return CoverWitness(False, None, Subset(nest.universe, full ^ reach.mask))
+    _check_same_universe(ctx.nest.universe, region.universe)
+    return _reach_cover(ctx.nest, region, ctx.down_reach[region.mask], False, want_witness)
 
 
 def up_reach_covers(nest: Nest, region: Subset, want_witness: bool = True) -> CoverWitness:
     """Does the strict upward reach of the region cover the universe?"""
-    return up_reach_covers_in(NestContext(nest), region, want_witness)
+    reach = up_set(generated_order(nest), region).mask
+    return _reach_cover(nest, region, reach, True, want_witness)
 
 
 def up_reach_covers_in(
     ctx: NestContext, region: Subset, want_witness: bool = True
 ) -> CoverWitness:
-    nest = ctx.nest
-    _check_same_universe(nest.universe, region.universe)
-    reach = up_set(ctx.order, region)
-    full = nest.universe.full_mask
-    if reach.mask == full:
-        witness = None
-        if want_witness:
-            witness = Nest(
-                nest.universe,
-                tuple(m for m in nest.masks if region.mask & m),
-            )
-        return CoverWitness(True, witness, None)
-    return CoverWitness(False, None, Subset(nest.universe, full ^ reach.mask))
+    _check_same_universe(ctx.nest.universe, region.universe)
+    return _reach_cover(ctx.nest, region, ctx.up_reach[region.mask], True, want_witness)
 
 
 def has_upper_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:

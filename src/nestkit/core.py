@@ -327,7 +327,3 @@ def enumerate_families(
     for pick in range(1 << len(subsets)):
         masks = tuple(subsets[i] for i in range(len(subsets)) if pick >> i & 1)
         yield SetFamily(universe, masks)
-
-
-def power_set_masks(universe: Universe) -> range:
-    return range(universe.full_mask + 1)

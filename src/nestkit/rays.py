@@ -126,14 +126,19 @@ class Quadratic:
         return (self - other).sign() >= 0
 
     def floor(self) -> int:
-        # float seed, then exact fixup; inputs at desk scale stay small
-        seed = math.floor(float(self.a) + float(self.b) * math.sqrt(2))
-        n = int(seed)
-        while (self - Quadratic.rational(n)).sign() < 0:
-            n -= 1
-        while (self - Quadratic.rational(n + 1)).sign() >= 0:
-            n += 1
-        return n
+        """Greatest integer <= a + b*sqrt(2), in integer arithmetic only.
+
+        Over a common denominator d the value is (A + B*sqrt(2)) / d with
+        integers A, B, and since A + floor(B*sqrt(2)) is an integer within 1
+        of the numerator, the floor is (A + floor(B*sqrt(2))) // d.
+        """
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        big_a = self.a.numerator * (d // self.a.denominator)
+        big_b = self.b.numerator * (d // self.b.denominator)
+        # |B|*sqrt(2) = sqrt(2*B^2) is irrational unless B == 0
+        root = math.isqrt(2 * big_b * big_b)
+        b_floor = root if big_b >= 0 else -root - 1
+        return (big_a + b_floor) // d
 
     def render(self) -> str:
         if self.b == 0:

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .analysis import (
@@ -228,6 +229,13 @@ def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
             violations.append(Violation(
                 "enumerate:count", {"universe": n, "got": total, "want": count_nests(u)}
             ))
+        # the ordered set partitions count the chains of proper nonempty
+        # subsets; the empty set and X each may or may not join a chain
+        if count_nests(u) != 4 * _fubini(n):
+            violations.append(Violation(
+                "enumerate:fubini-count",
+                {"universe": n, "got": count_nests(u), "want": 4 * _fubini(n)},
+            ))
         # trivial-member exclusion
         for nest in enumerate_nests(u, include_trivial=False, bound=max_n):
             if 0 in nest.masks or u.full_mask in nest.masks:
@@ -251,6 +259,15 @@ def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
                 "enumerate:brute-count", {"universe": n, "got": count_nests(u), "want": brute}
             ))
     return count, violations, []
+
+
+def _fubini(n: int) -> int:
+    """Ordered set partitions of n points (OEIS A000670), by the recurrence
+    a(m) = sum over k = 1..m of C(m, k) a(m - k), with a(0) = 1."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
 
 
 # ------------------------------------------------------- generated orders --
@@ -401,23 +418,35 @@ def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str
             count += 1
             ctx = NestContext(nest)
             order = ctx.order
-            alex = ctx.alexandroff
-            formula = tuple(
-                mask for mask in range(u.full_mask + 1)
-                if up_set_by_complements(nest, Subset(u, mask)).mask == mask
-            )
-            if alex.masks != SetFamily(u, formula).masks:
-                violations.append(Violation("alexandroff:nest-formula", _nest_payload(nest)))
+            up_table, down_table = ctx.up_reach, ctx.down_reach
+            # brute-force reach per region is the oracle for the member
+            # formulas and for the reach tables the sweeps read
+            formula = []
             for mask in range(u.full_mask + 1):
                 region = Subset(u, mask)
-                if down_set_by_members(nest, region) != down_set(order, region):
+                by_complements = up_set_by_complements(nest, region)
+                if by_complements.mask == mask:
+                    formula.append(mask)
+                down = down_set(order, region)
+                up = up_set(order, region)
+                if down_set_by_members(nest, region) != down:
                     violations.append(Violation(
                         "down-set:formula", _nest_payload(nest, region=list(region.indices))
                     ))
-                if up_set_by_complements(nest, region) != up_set(order, region):
+                if by_complements != up:
                     violations.append(Violation(
                         "up-set:formula", _nest_payload(nest, region=list(region.indices))
                     ))
+                if down_table[mask] != down.mask:
+                    violations.append(Violation(
+                        "down-set:table", _nest_payload(nest, region=list(region.indices))
+                    ))
+                if up_table[mask] != up.mask:
+                    violations.append(Violation(
+                        "up-set:table", _nest_payload(nest, region=list(region.indices))
+                    ))
+            if ctx.alexandroff.masks != SetFamily(u, tuple(formula)).masks:
+                violations.append(Violation("alexandroff:nest-formula", _nest_payload(nest)))
     # join laws and interval topology on random nest pairs
     for _ in range(iters):
         n = rng.randint(1, 4)
@@ -560,7 +589,7 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
         tin = interval_topology(nest_preorder(left))
         if not all(tin.is_open(o) for o in both.opens):
             out.append(("pair:escape-joint-in-interval", payload()))
-        if u.size <= 4 and any(m for m in left.masks + right.masks):
+        if any(m for m in left.masks + right.masks):
             out.append(("census:paired-escape-empty-members", payload()))
         if cond.sups_onto and dcond.sups_onto and both != tin:
             out.append(("pair:onto-joint-is-interval", payload()))
@@ -752,14 +781,17 @@ def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
             # converse: a cover with no single member containing the region
             # forces full downward reach; and any cover of X is itself a
             # finite subcover for the region, which is the whole content of
-            # the finite-subcover clause at this scale
+            # the finite-subcover clause at this scale.  A subfamily of a nest
+            # is a chain kept in canonical order, so its last member contains
+            # all the others and alone decides whether one contains the region
             for chosen in covering_subfamilies(nest):
                 count += 1
                 union = 0
                 for m in chosen:
                     union |= m
+                top = chosen[-1]
                 for mask in range(full + 1):
-                    if not any(mask & ~m == 0 for m in chosen):
+                    if mask & ~top:
                         if not down_reach_covers_in(ctx, Subset(u, mask), want_witness=False).holds:
                             violations.append(Violation(
                                 "down:cover-converse",

@@ -11,6 +11,9 @@ Convention notes, since the source material uses both:
   compute them;
 * set-level up/down sets (``up_set``/``down_set``) expect the strict order,
   matching the definition "x is above A iff some y in A lies strictly below".
+  ``up_reach_table`` tabulates the strict upward reach of every region of
+  one order at once; sweeps read it, and ``up_set``/``down_set`` stay as the
+  region-at-a-time definition it is checked against.
 
 Empty intersections close to X and empty unions to the empty set.
 """
@@ -131,6 +134,21 @@ def down_set(rel: Relation, region: Subset) -> Subset:
     return Subset(rel.universe, mask)
 
 
+def up_reach_table(rel: Relation) -> tuple[int, ...]:
+    """Strict upward reach of every region, indexed by region mask.
+
+    ``table[m] == up_set(rel, Subset(u, m)).mask`` for every mask.  Reach
+    distributes over unions, so a region whose highest element is x reaches
+    what the region without x reaches plus ``rel.rows[x]``: one pass that
+    doubles the table per element, with integer operations only.  Downward
+    reach is the table of ``transpose(rel)``.
+    """
+    table = [0]
+    for row in rel.rows:
+        table += [reach | row for reach in table]
+    return tuple(table)
+
+
 def lower_topology(rel_reflexive: Relation) -> Topology:
     """Generated by the subbase {X - up(x)}; expects the reflexive order."""
     u = rel_reflexive.universe
@@ -162,16 +180,13 @@ def interval_topology(rel_reflexive: Relation) -> Topology:
 def alexandroff_family(rel_strict: Relation) -> SetFamily:
     """All subsets equal to their strict upward reach.
 
-    This is the fixed-point family of `up_set` under the strict order.  It is
-    closed under unions and intersections but need not contain X, so it is
-    returned as a family, not a Topology.
+    This is the fixed-point family of `up_set` under the strict order, read
+    off `up_reach_table`.  It is closed under unions and intersections but
+    need not contain X, so it is returned as a family, not a Topology.
     """
-    u = rel_strict.universe
-    fixed = []
-    for mask in range(u.full_mask + 1):
-        if up_set(rel_strict, Subset(u, mask)).mask == mask:
-            fixed.append(mask)
-    return SetFamily(u, tuple(fixed))
+    table = up_reach_table(rel_strict)
+    fixed = tuple(mask for mask, reach in enumerate(table) if reach == mask)
+    return SetFamily(rel_strict.universe, fixed)
 
 
 def is_closed(topology: Topology, subset: Subset) -> bool:

@@ -9,6 +9,7 @@ from nestkit.analysis import (
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
+    is_interlocking_via_lower_sets_in,
     lots_hypotheses,
     lots_report,
     member_lower_set_report,
@@ -29,6 +30,7 @@ from nestkit.core import (
     mask_of,
 )
 from nestkit.orders import generated_order, reflexive_closure, t0_separates
+from nestkit.topology import down_set, up_set
 
 U3 = Universe(3)
 U4 = Universe(4)
@@ -170,6 +172,23 @@ def test_nest_context_matches_the_public_functions():
                 member = Subset(u, mask)
                 assert member_lower_set_report_in(ctx, member) == member_lower_set_report(
                     nest, member)
+
+
+def test_nest_context_reach_tables():
+    # the tables the context forms read, against region-at-a-time reach
+    for n in (1, 2, 3, 4):
+        u = Universe(n)
+        for nest in enumerate_nests(u):
+            ctx = NestContext(nest)
+            for table, reach, rel in (
+                (ctx.up_reach, up_set, ctx.order),
+                (ctx.down_reach, down_set, ctx.order),
+                (ctx.complement_down_reach, down_set, ctx.complement_order),
+            ):
+                assert table == tuple(
+                    reach(rel, Subset(u, m)).mask for m in range(u.full_mask + 1))
+            assert is_interlocking_via_lower_sets_in(ctx) == is_interlocking(nest)
+            assert is_interlocking_via_lower_sets(nest) == is_interlocking(nest)
 
 
 def test_lots_hypotheses_agree_with_lots_report():

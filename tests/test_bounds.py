@@ -104,9 +104,9 @@ def test_covering_subfamilies():
 
 def test_nest_forms_match_the_context_forms():
     # the public nest forms and the context forms sweeps use agree on every
-    # nest and region up to three points, and the bound predicates match
+    # nest and region up to four points, and the bound predicates match
     # their definition over "some member contains y but not x"
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         u = Universe(n)
         for nest in enumerate_nests(u):
             ctx = NestContext(nest)
@@ -135,3 +135,15 @@ def test_nest_forms_match_the_context_forms():
                         all(below(x, y) or (not strict and y == x) for y in ys)
                         for x in u.elements()
                     )
+
+
+def test_converse_premise_reads_the_last_chosen_member():
+    # the bound-covers suite decides "no chosen member contains the region"
+    # from the last member of the chosen chain alone
+    for n in (1, 2, 3, 4):
+        u = Universe(n)
+        for nest in enumerate_nests(u):
+            for chosen in covering_subfamilies(nest):
+                for mask in range(u.full_mask + 1):
+                    by_scan = not any(mask & ~m == 0 for m in chosen)
+                    assert bool(mask & ~chosen[-1]) == by_scan

@@ -168,3 +168,21 @@ def test_parser_is_built_once(monkeypatch, nest_file, capsys):
     finally:
         cli._parser.cache_clear()
     assert built == [1]
+
+
+def test_analyze_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit):
+    from nestkit.cli import ANALYZE_UNIVERSE_BOUND
+
+    chain = [list(range(k)) for k in range(23)]
+    path = _write(tmp_path, "big.json", {"universe": 22, "family": chain, "kind": "nest"})
+    with time_limit(5):
+        code, err = _analyze_error(path, capsys)
+    assert code == 2
+    assert "'universe'" in err and str(ANALYZE_UNIVERSE_BOUND) in err
+    # the bound itself is still answered
+    at_bound = _write(tmp_path, "at-bound.json", {
+        "universe": ANALYZE_UNIVERSE_BOUND,
+        "family": chain[:ANALYZE_UNIVERSE_BOUND + 1], "kind": "nest",
+    })
+    with time_limit(20):
+        assert main(["analyze", "--input", str(at_bound)]) == 0

@@ -54,6 +54,38 @@ def test_quadratic_floor_and_between():
         rational_between(Q(1), Q(1))
 
 
+
+def test_quadratic_floor_matches_exact_comparisons():
+    # floor(q) is the one integer n with n <= q < n + 1, decided exactly
+    values = [Fraction(p, q) for p in range(-13, 14) for q in (1, 2, 3, 7)]
+    for a in values:
+        for b in values[::3]:
+            x = Quadratic(a, b)
+            n = x.floor()
+            assert Q(n) <= x < Q(n + 1), (a, b)
+
+
+def test_quadratic_floor_is_exact_past_float_range(time_limit):
+    with time_limit(2):
+        big = Fraction(10**400)
+        assert Quadratic(big, Fraction(1)).floor() == 10**400 + 1
+        assert Quadratic(-big, Fraction(1)).floor() == -(10**400) + 1
+        assert Quadratic(big, Fraction(-1)).floor() == 10**400 - 2
+        # a float seed lands thousands of integers away at this magnitude
+        assert Quadratic(Fraction(10**24) + Fraction(1, 3), Fraction(1)).floor() == 10**24 + 1
+        tiny = Fraction(1, 10**400)
+        assert Quadratic(tiny, Fraction(0)).floor() == 0
+        assert Quadratic(-tiny, Fraction(0)).floor() == -1
+
+
+def test_rational_between_narrow_intervals(time_limit):
+    with time_limit(2):
+        for exponent in (20, 25, 100):
+            hi = R2() + Q(Fraction(1, 10**exponent))
+            q = rational_between(R2(), hi)
+            assert R2() < Q(q) < hi
+
+
 def test_ray_membership():
     nest = RayNest(LINE, "open", EndpointSet.all_carrier())
     assert nest.ray_contains(Q(Fraction(1, 2)), Q(1))

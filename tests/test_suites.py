@@ -90,3 +90,14 @@ def test_sup_census_holds_on_five_points():
     report = run_suite("sup-conditions", SuiteConfig(max_n=5))
     assert report.passed, report.summary()
     assert "co-singleton" in " ".join(report.notes)
+
+
+def test_core_algebra_checks_nest_counts_against_fubini(monkeypatch):
+    assert [suites._fubini(n) for n in range(7)] == [1, 1, 3, 13, 75, 541, 4683]
+    clean = run_suite("core-algebra", SuiteConfig(max_n=3))
+    assert clean.passed, clean.summary()
+    # a wrong recurrence must surface at every swept size, and only there
+    monkeypatch.setattr(suites, "_fubini", lambda n: 0)
+    broken = run_suite("core-algebra", SuiteConfig(max_n=3))
+    assert [v.property_id for v in broken.violations] == ["enumerate:fubini-count"] * 3
+    assert broken.instances == clean.instances

@@ -1,7 +1,15 @@
 import pytest
 
-from nestkit.core import InstanceError, Nest, SetFamily, Subset, Universe
-from nestkit.orders import Relation, generated_order, reflexive_closure
+from nestkit.core import (
+    InstanceError,
+    Nest,
+    SetFamily,
+    Subset,
+    Universe,
+    enumerate_families,
+    enumerate_nests,
+)
+from nestkit.orders import Relation, generated_order, reflexive_closure, transpose
 from nestkit.topology import (
     Topology,
     alexandroff_family,
@@ -17,6 +25,7 @@ from nestkit.topology import (
     product_topology,
     topology_from_subbase,
     up_set,
+    up_reach_table,
     upper_topology,
 )
 
@@ -94,6 +103,35 @@ def test_alexandroff_family():
     # the whole universe need not belong: under a chain the bottom is unreachable
     chain_order = generated_order(Nest.of(U3, [[0], [0, 1], [0, 1, 2]]))
     assert not alexandroff_family(chain_order).contains_mask(U3.full_mask)
+
+
+
+def _nest_and_family_orders():
+    # every nest order up to five points and every family order up to three
+    for n in range(1, 6):
+        for nest in enumerate_nests(Universe(n), bound=5):
+            yield generated_order(nest)
+    for n in range(1, 4):
+        for family in enumerate_families(Universe(n)):
+            yield generated_order(family)
+
+
+def test_reach_tables_match_up_set_and_down_set():
+    for order in _nest_and_family_orders():
+        u = order.universe
+        up, down = up_reach_table(order), up_reach_table(transpose(order))
+        assert len(up) == len(down) == u.full_mask + 1
+        for mask in range(u.full_mask + 1):
+            region = Subset(u, mask)
+            assert up[mask] == up_set(order, region).mask
+            assert down[mask] == down_set(order, region).mask
+
+
+def test_alexandroff_family_is_the_brute_force_fixed_points():
+    for order in _nest_and_family_orders():
+        u = order.universe
+        fixed = [m for m in range(u.full_mask + 1) if up_set(order, Subset(u, m)).mask == m]
+        assert alexandroff_family(order).masks == SetFamily(u, tuple(fixed)).masks
 
 
 def test_is_closed():
