@@ -30,8 +30,20 @@ def sort_violations(violations: list[Violation]) -> tuple[Violation, ...]:
     )
 
 
+class CanonicalReport:
+    """The canonical bytes of a suite or search report: sorted keys, no
+    spaces, one trailing newline; ``default=str`` renders any value a
+    violation instance holds that JSON has no type for.  Subclasses define
+    ``to_document(include_timing)``."""
+
+    def to_json(self, include_timing: bool = False) -> str:
+        return json.dumps(
+            self.to_document(include_timing), sort_keys=True, separators=(",", ":"), default=str
+        ) + "\n"
+
+
 @dataclass
-class SuiteReport:
+class SuiteReport(CanonicalReport):
     suite: str
     config: dict
     instances: int
@@ -59,11 +71,6 @@ class SuiteReport:
         if include_timing:
             doc["wall_ms"] = round(self.wall_ms, 3)
         return doc
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_document(include_timing), sort_keys=True, separators=(",", ":"), default=str
-        ) + "\n"
 
     def summary(self) -> str:
         head = (

@@ -9,10 +9,10 @@ ordinary instance files, so anything found can be re-fed to ``analyze``.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -24,13 +24,15 @@ from .analysis import (
     is_interlocking_via_lower_sets_in,
     lots_hypotheses,
     lots_report,
-    sup_conditions,
 )
 from .core import Nest, Universe, enumerate_nests
 from .groups import BUILTIN_GROUPS, nest_members_trivial, order_compatible, translation_closed
-from .orders import t0_separates
+from .reporting import CanonicalReport
 from .serialize import canonical_json, family_to_dict
 from .suites import random_nest
+
+# A search filter maps a nest's context to a witness note, or to None.
+Filter = Callable[[NestContext], dict | None]
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class SearchSpec:
 
 
 @dataclass
-class SearchReport:
+class SearchReport(CanonicalReport):
     target: str
     config: dict
     examined: int
@@ -68,11 +70,6 @@ class SearchReport:
         if include_timing:
             doc["wall_ms"] = round(self.wall_ms, 3)
         return doc
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_document(include_timing), sort_keys=True, separators=(",", ":")
-        ) + "\n"
 
     def summary(self) -> str:
         state = "complete" if self.complete else "incomplete (budget exhausted)"
@@ -95,111 +92,89 @@ def _nest_stream(spec: SearchSpec) -> Iterator[Nest]:
             yield random_nest(rng, Universe(n), spec.max_members or n + 1)
 
 
-def _target_sup_onto(spec: SearchSpec):
-    for nest in _nest_stream(spec):
-        hit = sup_conditions(nest).sups_onto
-        yield nest, ({"instance": family_to_dict(nest)} if hit else None)
+def _sup_onto(ctx: NestContext) -> dict | None:
+    if ctx.sup_conditions.sups_onto:
+        return {"instance": family_to_dict(ctx.nest)}
+    return None
 
 
-def _target_escaping_sup(spec: SearchSpec):
-    for nest in _nest_stream(spec):
-        cond = sup_conditions(nest)
-        hit = cond.sups_escape and any(m for m in nest.masks)
-        note = None
-        if hit:
-            note = {
-                "instance": family_to_dict(nest),
-                "t0_separating": t0_separates(nest),
-            }
-        yield nest, note
+def _escaping_sup(ctx: NestContext) -> dict | None:
+    if ctx.sup_conditions.sups_escape and any(ctx.nest.masks):
+        return {"instance": family_to_dict(ctx.nest), "t0_separating": ctx.t0}
+    return None
 
 
-def _target_escaping_sup_pairs(spec: SearchSpec):
-    for nest in _nest_stream(spec):
-        ctx = NestContext(nest)
-        hit = (
-            ctx.sup_conditions.sups_escape
-            and ctx.dual_sup_conditions.sups_escape
-            and any(m for m in nest.masks + ctx.complement.masks)
-        )
-        note = None
-        if hit:
-            note = {
-                "instance": family_to_dict(nest),
-                "dual": family_to_dict(ctx.complement),
-            }
-        yield nest, note
+def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
+    if (
+        ctx.sup_conditions.sups_escape
+        and ctx.dual_sup_conditions.sups_escape
+        and any(ctx.nest.masks + ctx.complement.masks)
+    ):
+        return {"instance": family_to_dict(ctx.nest), "dual": family_to_dict(ctx.complement)}
+    return None
 
 
-def _target_lots_pairs(spec: SearchSpec):
-    for nest in _nest_stream(spec):
-        ctx = NestContext(nest)
-        note = None
-        if any(lots_hypotheses(
-            nest, ctx.complement, ctx.sup_conditions, ctx.dual_sup_conditions
-        )):
-            note = {
-                "instance": family_to_dict(nest),
-                "dual": family_to_dict(ctx.complement),
-                "is_lots": lots_report(DualPair(nest, ctx.complement)).is_lots,
-            }
-        yield nest, note
+def _lots_pairs(ctx: NestContext) -> dict | None:
+    nest, comp = ctx.nest, ctx.complement
+    if any(lots_hypotheses(nest, comp, ctx.sup_conditions, ctx.dual_sup_conditions)):
+        return {
+            "instance": family_to_dict(nest),
+            "dual": family_to_dict(comp),
+            "is_lots": lots_report(DualPair(nest, comp)).is_lots,
+        }
+    return None
 
 
-def _target_interlocking_disagreements(spec: SearchSpec):
-    for nest in _nest_stream(spec):
-        ctx = NestContext(nest)
-        verdicts = (
-            is_interlocking(nest),
-            is_interlocking_via_alexandroff_in(ctx),
-            is_interlocking_via_lower_sets_in(ctx),
-        )
-        note = None
-        if len(set(verdicts)) > 1:
-            note = {"instance": family_to_dict(nest), "verdicts": list(verdicts)}
-        yield nest, note
+def _interlocking_disagreements(ctx: NestContext) -> dict | None:
+    verdicts = (
+        is_interlocking(ctx.nest),
+        is_interlocking_via_alexandroff_in(ctx),
+        is_interlocking_via_lower_sets_in(ctx),
+    )
+    if len(set(verdicts)) > 1:
+        return {"instance": family_to_dict(ctx.nest), "verdicts": list(verdicts)}
+    return None
 
 
-def _target_t0_without_escape(spec: SearchSpec):
-    for nest in _nest_stream(spec):
-        hit = t0_separates(nest) and not sup_conditions(nest).sups_escape
-        yield nest, ({"instance": family_to_dict(nest)} if hit else None)
+def _t0_without_escape(ctx: NestContext) -> dict | None:
+    if ctx.t0 and not ctx.sup_conditions.sups_escape:
+        return {"instance": family_to_dict(ctx.nest)}
+    return None
 
 
-def _random_nests(seed: int, universe: Universe, cap: int) -> Iterator[Nest]:
-    rng = random.Random(seed)
-    while True:
-        yield random_nest(rng, universe, cap)
-
-
-def _target_translation_closed(spec: SearchSpec):
+def _translation_closed(spec: SearchSpec) -> tuple[Iterator[Nest], Filter]:
+    """The nests on a group's elements, and the filter for translation
+    closure under that group."""
     group = BUILTIN_GROUPS[spec.group]()
     u = group.universe
     cap = spec.max_members or 3
     if spec.mode == "exhaustive":
         stream: Iterator[Nest] = enumerate_nests(u, max_members=cap, bound=u.size)
     else:
-        stream = _random_nests(spec.seed, u, cap)
-    for nest in stream:
-        note = None
-        if translation_closed(group, nest):
-            note = {
-                "instance": family_to_dict(nest),
-                "group": spec.group,
-                "order_compatible": order_compatible(group, nest),
-                "members_trivial": nest_members_trivial(group, nest),
-            }
-        yield nest, note
+        rng = random.Random(spec.seed)
+        stream = (random_nest(rng, u, cap) for _ in repeat(None))
+
+    def keep(ctx: NestContext) -> dict | None:
+        if not translation_closed(group, ctx.nest):
+            return None
+        return {
+            "instance": family_to_dict(ctx.nest),
+            "group": spec.group,
+            "order_compatible": order_compatible(group, ctx.nest),
+            "members_trivial": nest_members_trivial(group, ctx.nest),
+        }
+
+    return stream, keep
 
 
-TARGETS: dict[str, Callable] = {
-    "sup-onto-nests": _target_sup_onto,
-    "escaping-sup-nests": _target_escaping_sup,
-    "escaping-sup-dual-pairs": _target_escaping_sup_pairs,
-    "lots-hypothesis-pairs": _target_lots_pairs,
-    "interlocking-disagreements": _target_interlocking_disagreements,
-    "t0-without-escape": _target_t0_without_escape,
-    "translation-closed-nests": _target_translation_closed,
+# The targets over the nests on n <= max_n points
+NEST_TARGETS: dict[str, Filter] = {
+    "sup-onto-nests": _sup_onto,
+    "escaping-sup-nests": _escaping_sup,
+    "escaping-sup-dual-pairs": _escaping_sup_pairs,
+    "lots-hypothesis-pairs": _lots_pairs,
+    "interlocking-disagreements": _interlocking_disagreements,
+    "t0-without-escape": _t0_without_escape,
 }
 
 TARGET_SUMMARIES = {
@@ -216,26 +191,15 @@ TARGET_SUMMARIES = {
 
 
 def target_names() -> list[str]:
-    return sorted(TARGETS)
+    return sorted(TARGET_SUMMARIES)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
-    if spec.target not in TARGETS:
+    if spec.target not in TARGET_SUMMARIES:
         raise KeyError(
             f"unknown search target {spec.target!r}; known: {', '.join(target_names())}"
         )
     started = time.perf_counter()
-    witnesses: list[dict] = []
-    examined = 0
-    stream_exhausted = True
-    for _instance, note in TARGETS[spec.target](spec):
-        if examined >= spec.budget:
-            stream_exhausted = False
-            break
-        examined += 1
-        if note is not None:
-            witnesses.append(note)
-    complete = spec.mode == "exhaustive" and stream_exhausted
     config = {
         "target": spec.target,
         "max_n": spec.max_n,
@@ -244,14 +208,28 @@ def run_search(spec: SearchSpec) -> SearchReport:
         "budget": spec.budget,
         "seed": spec.seed,
     }
-    if spec.target == "translation-closed-nests":
+    if spec.target in NEST_TARGETS:
+        stream, keep = _nest_stream(spec), NEST_TARGETS[spec.target]
+    else:
+        stream, keep = _translation_closed(spec)
         config["group"] = spec.group
+    witnesses: list[dict] = []
+    examined = 0
+    stream_exhausted = True
+    for nest in stream:
+        if examined >= spec.budget:
+            stream_exhausted = False
+            break
+        examined += 1
+        note = keep(NestContext(nest))
+        if note is not None:
+            witnesses.append(note)
     return SearchReport(
         target=spec.target,
         config=config,
         examined=examined,
         witnesses=witnesses,
-        complete=complete,
+        complete=spec.mode == "exhaustive" and stream_exhausted,
         wall_ms=(time.perf_counter() - started) * 1000.0,
     )
 

@@ -1,18 +1,19 @@
 """Registered property suites: exhaustive small-universe sweeps plus seeded
 randomized fuzzing, each returning a deterministic SuiteReport.
 
-Sweeps over nests partition the enumeration stream by stride, so the worker
-count (``workers`` in the config, or the NESTKIT_WORKERS environment
-variable) only changes wall time, never the report document.
+The exhaustive suites run one check per nest through `_sweep`, which
+partitions the enumeration stream by stride, so the worker count
+(``workers`` in the config) only changes wall time, never the report
+document.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 from typing import Callable
 
@@ -103,7 +104,7 @@ from .rays import (
     sup_conditions as ray_sup_conditions,
 )
 from .reporting import SuiteReport, Violation, sort_violations
-from .serialize import family_to_dict
+from .serialize import family_to_dict, ray_to_dict
 from .topology import (
     Topology,
     down_set,
@@ -117,8 +118,6 @@ from .topology import (
     upper_topology,
 )
 
-WORKER_ENV = "NESTKIT_WORKERS"
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -129,9 +128,7 @@ class SuiteConfig:
     workers: int | None = None
 
     def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        return max(1, int(os.environ.get(WORKER_ENV, "1")))
+        return max(1, self.workers or 1)
 
 
 def _config_document(config: SuiteConfig, defaults: dict) -> dict:
@@ -163,12 +160,49 @@ def _pmap(fn: Callable, jobs: list, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _random_mask(rng: random.Random, universe: Universe) -> int:
-    return rng.randrange(universe.full_mask + 1)
+# A nest check returns how many instances it examined, the violations it
+# found as (property id, extras of the nest payload), and census data.
+NestCheck = Callable[[NestContext], tuple[int, list[tuple[str, dict]], list]]
+
+
+def _sweep(
+    config: SuiteConfig,
+    check: NestCheck,
+    cap: Callable[[int], int | None] = lambda n: None,
+) -> tuple[int, list[Violation], list]:
+    """Run a module-level ``check`` on every nest on n = 1..max_n points
+    (at most ``cap(n)`` members), one stride shard per worker and size.
+    Returns the instance count, the violations and the checks' data."""
+    max_n = config.max_n or 4
+    workers = config.resolved_workers()
+    jobs = [
+        (check, n, offset, workers, max_n, cap(n))
+        for n in range(1, max_n + 1)
+        for offset in range(workers)
+    ]
+    count, violations, data = 0, [], []
+    for shard_count, shard_violations, shard_data in _pmap(_sweep_shard, jobs, workers):
+        count += shard_count
+        violations += shard_violations
+        data += shard_data
+    return count, violations, data
+
+
+def _sweep_shard(job: tuple) -> tuple[int, list[Violation], list]:
+    check, n, offset, stride, max_n, cap = job
+    count, violations, data = 0, [], []
+    for nest in enumerate_nests(
+        Universe(n), max_members=cap, bound=max_n, offset=offset, stride=stride
+    ):
+        examined, flagged, found = check(NestContext(nest))
+        count += examined
+        violations += [Violation(pid, _nest_payload(nest, **extra)) for pid, extra in flagged]
+        data += found
+    return count, violations, data
 
 
 def random_family(rng: random.Random, universe: Universe, max_members: int = 4) -> SetFamily:
-    masks = {_random_mask(rng, universe) for _ in range(rng.randint(0, max_members))}
+    masks = {rng.randrange(universe.full_mask + 1) for _ in range(rng.randint(0, max_members))}
     return SetFamily(universe, tuple(masks))
 
 
@@ -204,30 +238,33 @@ def _suite_replay(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
 # ----------------------------------------------------------- core algebra --
 
 
+def _check_core(ctx: NestContext) -> tuple[int, list, list]:
+    nest, comp = ctx.nest, ctx.complement
+    flagged = []
+    if not is_nest(nest):
+        flagged.append(("enumerate:not-a-nest", {}))
+    if family_complement(comp).masks != nest.masks:
+        flagged.append(("complement:involution", {}))
+    if not is_nest(comp):
+        flagged.append(("complement:nest-preserved", {}))
+    return 1, flagged, []
+
+
 def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n = config.max_n or 4
-    violations = []
-    count = 0
+    count, violations, _ = _sweep(config, _check_core)
     for n in range(1, max_n + 1):
         u = Universe(n)
-        seen = set()
-        total = 0
+        # the whole stream once more: no duplicates, and its length
+        whole, seen = [], set()
         for nest in enumerate_nests(u, bound=max_n):
-            count += 1
-            total += 1
             if nest.masks in seen:
                 violations.append(Violation("enumerate:duplicate", _nest_payload(nest)))
             seen.add(nest.masks)
-            if not is_nest(nest):
-                violations.append(Violation("enumerate:not-a-nest", _nest_payload(nest)))
-            comp = family_complement(nest)
-            if family_complement(comp).masks != nest.masks:
-                violations.append(Violation("complement:involution", _nest_payload(nest)))
-            if not is_nest(comp):
-                violations.append(Violation("complement:nest-preserved", _nest_payload(nest)))
-        if total != count_nests(u):
+            whole.append(nest.masks)
+        if len(whole) != count_nests(u):
             violations.append(Violation(
-                "enumerate:count", {"universe": n, "got": total, "want": count_nests(u)}
+                "enumerate:count", {"universe": n, "got": len(whole), "want": count_nests(u)}
             ))
         # the ordered set partitions count the chains of proper nonempty
         # subsets; the empty set and X each may or may not join a chain
@@ -241,7 +278,6 @@ def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
             if 0 in nest.masks or u.full_mask in nest.masks:
                 violations.append(Violation("enumerate:trivial-excluded", _nest_payload(nest)))
         # stride partition reassembles the stream
-        whole = [nest.masks for nest in enumerate_nests(u, bound=max_n)]
         pieces = []
         for offset in range(3):
             pieces += [
@@ -314,8 +350,6 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
 
     # every linear order is generated by its nest of strict down-rays, and
     # that nest T0-separates the universe
-    from itertools import permutations
-
     for n in range(1, 5):
         u = Universe(n)
         for perm in permutations(range(n)):
@@ -378,9 +412,8 @@ def _order_checks(fam: SetFamily) -> list[Violation]:
         out.append(Violation("t0:rectangle-form", _nest_payload(fam)))
     if absorbs_rectangle_compositions(fam) and not is_transitive(order, "standard"):
         out.append(Violation("absorption:transitivity", _nest_payload(fam)))
-    if not any(order.holds(x, x) for x in u.elements()):
-        pass  # generated orders are irreflexive by construction
-    else:
+    # generated orders are irreflexive by construction
+    if any(order.holds(x, x) for x in u.elements()):
         out.append(Violation("order:irreflexive", _nest_payload(fam)))
     # padding with the trivial members never changes the order
     padded = SetFamily.dedupe(u, fam.masks + (0, u.full_mask))
@@ -406,47 +439,38 @@ def _order_checks(fam: SetFamily) -> list[Violation]:
 # -------------------------------------------------------- topology engine --
 
 
+def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
+    """Brute-force reach per region is the oracle for the member formulas
+    and for the reach tables the sweeps read."""
+    nest, order = ctx.nest, ctx.order
+    u = nest.universe
+    up_table, down_table = ctx.up_reach, ctx.down_reach
+    flagged = []
+    formula = []
+    for mask in range(u.full_mask + 1):
+        region = Subset(u, mask)
+        by_complements = up_set_by_complements(nest, region)
+        if by_complements.mask == mask:
+            formula.append(mask)
+        down = down_set(order, region)
+        up = up_set(order, region)
+        for pid, holds in (
+            ("down-set:formula", down_set_by_members(nest, region) == down),
+            ("up-set:formula", by_complements == up),
+            ("down-set:table", down_table[mask] == down.mask),
+            ("up-set:table", up_table[mask] == up.mask),
+        ):
+            if not holds:
+                flagged.append((pid, {"region": list(region.indices)}))
+    if ctx.alexandroff.masks != SetFamily(u, tuple(formula)).masks:
+        flagged.append(("alexandroff:nest-formula", {}))
+    return 1, flagged, []
+
+
 def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    max_n = config.max_n or 4
     iters = config.iters if config.iters is not None else 300
     rng = random.Random(config.seed)
-    violations = []
-    count = 0
-    for n in range(1, max_n + 1):
-        u = Universe(n)
-        for nest in enumerate_nests(u, bound=max_n):
-            count += 1
-            ctx = NestContext(nest)
-            order = ctx.order
-            up_table, down_table = ctx.up_reach, ctx.down_reach
-            # brute-force reach per region is the oracle for the member
-            # formulas and for the reach tables the sweeps read
-            formula = []
-            for mask in range(u.full_mask + 1):
-                region = Subset(u, mask)
-                by_complements = up_set_by_complements(nest, region)
-                if by_complements.mask == mask:
-                    formula.append(mask)
-                down = down_set(order, region)
-                up = up_set(order, region)
-                if down_set_by_members(nest, region) != down:
-                    violations.append(Violation(
-                        "down-set:formula", _nest_payload(nest, region=list(region.indices))
-                    ))
-                if by_complements != up:
-                    violations.append(Violation(
-                        "up-set:formula", _nest_payload(nest, region=list(region.indices))
-                    ))
-                if down_table[mask] != down.mask:
-                    violations.append(Violation(
-                        "down-set:table", _nest_payload(nest, region=list(region.indices))
-                    ))
-                if up_table[mask] != up.mask:
-                    violations.append(Violation(
-                        "up-set:table", _nest_payload(nest, region=list(region.indices))
-                    ))
-            if ctx.alexandroff.masks != SetFamily(u, tuple(formula)).masks:
-                violations.append(Violation("alexandroff:nest-formula", _nest_payload(nest)))
+    count, violations, _ = _sweep(config, _check_topology)
     # join laws and interval topology on random nest pairs
     for _ in range(iters):
         n = rng.randint(1, 4)
@@ -490,81 +514,66 @@ def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str
 # --------------------------------------------------------- sup conditions --
 
 
-def _sup_worker(args: tuple[int, int, int, int]) -> dict:
-    n, offset, stride, max_n = args
-    u = Universe(n)
+def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
+    """Ladder, sup and order-topology facts of one nest and of its pair with
+    the complement nest.  The data are census entries, tagged by inventory,
+    and the pair violations (which carry pair payloads), tagged "pair"."""
+    nest, pre, cond, t0 = ctx.nest, ctx.preorder, ctx.sup_conditions, ctx.t0
+    u = nest.universe
     full = u.full_mask
-    violations: list[tuple[str, dict]] = []
-    onto_hits: list[list[list[int]]] = []
-    escape_t0: list[list[list[int]]] = []
-    bare_escape: list[list[list[int]]] = []
-    count = 0
-    for nest in enumerate_nests(u, bound=max_n, offset=offset, stride=stride):
-        count += 1
-        ctx = NestContext(nest)
-        pre = ctx.preorder
-        cond = ctx.sup_conditions
-        sups = ctx.sups
-        t0 = ctx.t0
-        payload = lambda **kw: _nest_payload(nest, **kw)
+    flagged = []
+    if cond.sups_onto and not cond.sups_escape:
+        flagged.append(("ladder:onto-escape", {}))
+    if cond.sups_escape and not cond.sups_exist:
+        flagged.append(("ladder:escape-exist", {}))
+    if cond.sups_onto and not t0:
+        flagged.append(("ladder:onto-t0", {}))
 
-        if cond.sups_onto and not cond.sups_escape:
-            violations.append(("ladder:onto-escape", payload()))
-        if cond.sups_escape and not cond.sups_exist:
-            violations.append(("ladder:escape-exist", payload()))
-        if cond.sups_onto and not t0:
-            violations.append(("ladder:onto-t0", payload()))
+    for mask, result in ctx.sups.items():
+        if result.exists:
+            above = point_up_set(pre, result.element).mask
+            if (full ^ above) & ~mask:
+                flagged.append(("sup:member-contains-downward", {"member": mask}))
+    if cond.sups_escape:
+        t_nest = topology_from_subbase(nest)
+        t_lower = lower_topology(pre)
+        for mask, result in ctx.sups.items():
+            if mask != (full ^ point_up_set(pre, result.element).mask):
+                flagged.append(("escape:member-equals-ray", {"member": mask}))
+        if not all(t_lower.is_open(o) for o in t_nest.opens):
+            flagged.append(("escape:nest-topology-in-lower", {}))
+    if cond.sups_onto and topology_from_subbase(nest) != lower_topology(pre):
+        flagged.append(("onto:nest-topology-is-lower", {}))
 
-        for mask, result in sups.items():
-            if result.exists:
-                above = point_up_set(pre, result.element).mask
-                if (full ^ above) & ~mask:
-                    violations.append(("sup:member-contains-downward", payload(member=mask)))
-        if cond.sups_escape:
-            t_nest = topology_from_subbase(nest)
-            t_lower = lower_topology(pre)
-            for mask, result in sups.items():
-                if mask != (full ^ point_up_set(pre, result.element).mask):
-                    violations.append(("escape:member-equals-ray", payload(member=mask)))
-            if not all(t_lower.is_open(o) for o in t_nest.opens):
-                violations.append(("escape:nest-topology-in-lower", payload()))
-        if cond.sups_onto and topology_from_subbase(nest) != lower_topology(pre):
-            violations.append(("onto:nest-topology-is-lower", payload()))
+    # census inventories; the bare-escape shape claim (a single
+    # co-singleton nonempty member) is checked at every size swept
+    data = []
+    if cond.sups_onto:
+        data.append(("onto", [[u.size], family_to_dict(nest)["family"]]))
+    if cond.sups_escape and t0:
+        data.append(("escape_t0", [[u.size], family_to_dict(nest)["family"]]))
+    if cond.sups_escape and any(nest.masks):
+        data.append(("bare", [[u.size], family_to_dict(nest)["family"]]))
+        if t0:
+            flagged.append(("census:escape-t0-empty-members", {}))
+        nonempty = [m for m in nest.masks if m]
+        if not (
+            len(nonempty) == 1
+            and bin(nonempty[0] ^ full).count("1") == 1
+        ):
+            flagged.append(("census:bare-escape-form", {}))
 
-        # census inventories; the bare-escape shape claim (a single
-        # co-singleton nonempty member) is checked at every size swept
-        if cond.sups_onto:
-            onto_hits.append([[n], family_to_dict(nest)["family"]])
-        if cond.sups_escape and t0:
-            escape_t0.append([[n], family_to_dict(nest)["family"]])
-        if cond.sups_escape and any(m for m in nest.masks):
-            bare_escape.append([[n], family_to_dict(nest)["family"]])
-            if t0:
-                violations.append(("census:escape-t0-empty-members", payload()))
-            nonempty = [m for m in nest.masks if m]
-            if not (
-                len(nonempty) == 1
-                and bin(nonempty[0] ^ full).count("1") == 1
-            ):
-                violations.append(("census:bare-escape-form", payload()))
+    # member lower-set reports
+    for mask in nest.masks:
+        report = member_lower_set_report_in(ctx, Subset(u, mask))
+        if report.union_of_smaller_matches != report.is_lower_set:
+            flagged.append(("lower-set:routes-agree", {"member": mask}))
+        if t0 and report.no_greatest_element != report.is_lower_set:
+            flagged.append(("lower-set:t0-greatest", {"member": mask}))
 
-        # member lower-set reports
-        for mask in nest.masks:
-            report = member_lower_set_report_in(ctx, Subset(u, mask))
-            if report.union_of_smaller_matches != report.is_lower_set:
-                violations.append(("lower-set:routes-agree", payload(member=mask)))
-            if t0 and report.no_greatest_element != report.is_lower_set:
-                violations.append(("lower-set:t0-greatest", payload(member=mask)))
-
-        # dual pair with the complement nest
-        violations.extend(_dual_pair_checks(DualPair(nest, ctx.complement)))
-    return {
-        "count": count,
-        "violations": violations,
-        "onto": onto_hits,
-        "escape_t0": escape_t0,
-        "bare_escape": bare_escape,
-    }
+    # dual pair with the complement nest
+    data += [("pair", found) for found in _dual_pair_checks(DualPair(nest, ctx.complement))]
+    return 1, flagged, data
 
 
 def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
@@ -603,23 +612,11 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
 
 def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n = config.max_n or 4
-    workers = config.resolved_workers()
-    stride = workers if workers > 1 else 1
-    jobs = [
-        (n, offset, stride, max_n)
-        for n in range(1, max_n + 1)
-        for offset in range(stride)
-    ]
-    results = _pmap(_sup_worker, jobs, workers)
-    violations = []
-    onto, escape_t0, bare = [], [], []
-    count = 0
-    for result in results:
-        count += result["count"]
-        violations += [Violation(pid, inst) for pid, inst in result["violations"]]
-        onto += result["onto"]
-        escape_t0 += result["escape_t0"]
-        bare += result["bare_escape"]
+    count, violations, data = _sweep(config, _check_sup)
+    onto, escape_t0, bare, pair_violations = [], [], [], []
+    tagged = {"onto": onto, "escape_t0": escape_t0, "bare": bare, "pair": pair_violations}
+    for tag, value in data:
+        tagged[tag].append(value)
     if sorted(onto) != [[[1], [[]]]]:
         violations.append(Violation(
             "census:onto-only-trivial", {"inventory": sorted(onto)}
@@ -642,10 +639,8 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
         for ctx in contexts:
             for right in buckets.get(transpose(ctx.order).rows, []):
                 count += 1
-                pair = dual_pair(ctx.nest, right)
-                violations += [
-                    Violation(pid, inst) for pid, inst in _dual_pair_checks(pair)
-                ]
+                pair_violations += _dual_pair_checks(dual_pair(ctx.nest, right))
+    violations += [Violation(pid, inst) for pid, inst in pair_violations]
 
     # the recorded hypothesis-failure witness for the greatest-element test
     u4 = Universe(4)
@@ -681,146 +676,125 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
 # ------------------------------------------------------------ interlocking --
 
 
-def _interlocking_worker(args: tuple[int, int, int, int, int | None]) -> dict:
-    n, offset, stride, max_n, cap = args
-    u = Universe(n)
-    violations = []
-    count = 0
-    full = u.full_mask
-    for nest in enumerate_nests(u, max_members=cap, bound=max_n, offset=offset, stride=stride):
-        count += 1
-        ctx = NestContext(nest)
-        by_def = is_interlocking(nest)
-        by_alex = is_interlocking_via_alexandroff_in(ctx)
-        by_lower = is_interlocking_via_lower_sets_in(ctx)
-        if not (by_def == by_alex == by_lower):
-            violations.append(("interlocking:triple", _nest_payload(
-                nest, by_def=by_def, by_alex=by_alex, by_lower=by_lower
-            )))
-        alex, alex_c = ctx.alexandroff, ctx.complement_alexandroff
-        for mask in nest.masks:
-            member = Subset(u, mask)
-            if member_closed_by_intersections(nest, mask) != is_closed_in_family(alex, member):
-                violations.append(("closed:intersection-form", _nest_payload(nest, member=mask)))
-            complement_closed = is_closed_in_family(alex_c, Subset(u, mask ^ full))
-            if (member_union_of_smaller(nest, mask) == mask) != complement_closed:
-                violations.append(("closed:union-form", _nest_payload(nest, member=mask)))
-    return {"count": count, "violations": violations}
+def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
+    nest = ctx.nest
+    u = nest.universe
+    flagged = []
+    by_def = is_interlocking(nest)
+    by_alex = is_interlocking_via_alexandroff_in(ctx)
+    by_lower = is_interlocking_via_lower_sets_in(ctx)
+    if not (by_def == by_alex == by_lower):
+        flagged.append((
+            "interlocking:triple", {"by_def": by_def, "by_alex": by_alex, "by_lower": by_lower}
+        ))
+    alex, alex_c = ctx.alexandroff, ctx.complement_alexandroff
+    for mask in nest.masks:
+        if member_closed_by_intersections(nest, mask) != is_closed_in_family(alex, Subset(u, mask)):
+            flagged.append(("closed:intersection-form", {"member": mask}))
+        complement_closed = is_closed_in_family(alex_c, Subset(u, mask ^ u.full_mask))
+        if (member_union_of_smaller(nest, mask) == mask) != complement_closed:
+            flagged.append(("closed:union-form", {"member": mask}))
+    return 1, flagged, []
 
 
 def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n = config.max_n or 4
-    workers = config.resolved_workers()
-    stride = workers if workers > 1 else 1
-    jobs = []
-    for n in range(1, max_n + 1):
-        cap = config.max_members if (config.max_members and n >= 4) else (5 if n >= 4 else None)
-        for offset in range(stride):
-            jobs.append((n, offset, stride, max_n, cap))
-    results = _pmap(_interlocking_worker, jobs, workers)
-    violations = []
-    count = 0
-    for result in results:
-        count += result["count"]
-        violations += [Violation(pid, inst) for pid, inst in result["violations"]]
-    return count, violations, []
+    cap = config.max_members or 5
+    count, violations, _ = _sweep(
+        config, _check_interlocking, cap=lambda n: cap if n >= 4 else None
+    )
+    total = sum(count_nests(Universe(n)) for n in range(1, max_n + 1))
+    notes = []
+    if count < total:
+        notes.append(
+            f"nests on four or more points are capped at {cap} members: "
+            f"checked {count} of {total} nests"
+        )
+    return count, violations, notes
 
 
 # ----------------------------------------------------------- bound covers --
 
 
+def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
+    """Every region of one nest, then every covering subfamily: one
+    instance each."""
+    nest, t0 = ctx.nest, ctx.t0
+    u = nest.universe
+    full = u.full_mask
+    flagged = []
+    for mask in range(full + 1):
+        region = Subset(u, mask)
+        down = down_reach_covers_in(ctx, region)
+        up = up_reach_covers_in(ctx, region)
+        failed = []
+        cover = 0
+        for m in nest.masks:
+            if mask & ~m:
+                cover |= m
+        if down.holds != (cover == full):
+            failed.append("down:cover-form")
+        if down.holds:
+            seen = down.witness_family
+            if seen is None or any(mask & ~m == 0 for m in seen.masks):
+                failed.append("down:witness")
+        meeting = [m for m in nest.masks if mask & m]
+        inter = full
+        for m in meeting:
+            inter &= m
+        if up.holds != (bool(meeting) and inter == 0):
+            failed.append("up:intersection-form")
+        if up.holds:
+            seen = up.witness_family
+            if seen is None or any(mask & m == 0 for m in seen.masks):
+                failed.append("up:witness")
+        if t0:
+            if down.holds != (not has_upper_bound_in(ctx, region, strict=False)):
+                failed.append("down:bound-dichotomy")
+            if up.holds != (not has_lower_bound_in(ctx, region, strict=False)):
+                failed.append("up:bound-dichotomy")
+        if mask == 0:
+            if not has_upper_bound_in(ctx, region) or not has_lower_bound_in(ctx, region):
+                failed.append("bounds:empty-region")
+        flagged += [(pid, {"region": list(region.indices)}) for pid in failed]
+
+    # converse: a cover with no single member containing the region
+    # forces full downward reach; and any cover of X is itself a
+    # finite subcover for the region, which is the whole content of
+    # the finite-subcover clause at this scale.  A subfamily of a nest
+    # is a chain kept in canonical order, so its last member contains
+    # all the others and alone decides whether one contains the region
+    covers = covering_subfamilies(nest)
+    for chosen in covers:
+        union = 0
+        for m in chosen:
+            union |= m
+        top = chosen[-1]
+        for mask in range(full + 1):
+            if mask & ~top:
+                if not down_reach_covers_in(ctx, Subset(u, mask), want_witness=False).holds:
+                    flagged.append(("down:cover-converse", {"region": mask, "cover": list(chosen)}))
+            if mask & ~union:
+                flagged.append((
+                    "finite-subcover:reduction", {"region": mask, "cover": list(chosen)}
+                ))
+
+    if t0:
+        pre = ctx.preorder
+        minimum = next((x for x in u.elements() if pre.rows[x] == full), None)
+        for mask in nest.masks:
+            member = Subset(u, mask)
+            if mask != full and not has_upper_bound_in(ctx, member):
+                flagged.append(("member:strict-upper-bound", {"member": mask}))
+            if mask and minimum is not None:
+                expect = not (mask >> minimum & 1)
+                if has_lower_bound_in(ctx, member) != expect:
+                    flagged.append(("member:lower-bound-minimum", {"member": mask}))
+    return full + 1 + len(covers), flagged, []
+
+
 def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    max_n = config.max_n or 4
-    violations = []
-    count = 0
-    for n in range(1, max_n + 1):
-        u = Universe(n)
-        full = u.full_mask
-        for nest in enumerate_nests(u, bound=max_n):
-            ctx = NestContext(nest)
-            t0 = ctx.t0
-            for mask in range(full + 1):
-                count += 1
-                region = Subset(u, mask)
-                down = down_reach_covers_in(ctx, region)
-                up = up_reach_covers_in(ctx, region)
-
-                def payload() -> dict:
-                    return _nest_payload(nest, region=list(region.indices))
-
-                not_containing = [m for m in nest.masks if mask & ~m]
-                cover = 0
-                for m in not_containing:
-                    cover |= m
-                if down.holds != (cover == full):
-                    violations.append(Violation("down:cover-form", payload()))
-                if down.holds:
-                    seen = down.witness_family
-                    if seen is None or any(mask & ~m == 0 for m in seen.masks):
-                        violations.append(Violation("down:witness", payload()))
-                meeting = [m for m in nest.masks if mask & m]
-                inter = full
-                for m in meeting:
-                    inter &= m
-                if up.holds != (bool(meeting) and inter == 0):
-                    violations.append(Violation("up:intersection-form", payload()))
-                if up.holds:
-                    seen = up.witness_family
-                    if seen is None or any(mask & m == 0 for m in seen.masks):
-                        violations.append(Violation("up:witness", payload()))
-
-                if t0:
-                    if down.holds != (not has_upper_bound_in(ctx, region, strict=False)):
-                        violations.append(Violation("down:bound-dichotomy", payload()))
-                    if up.holds != (not has_lower_bound_in(ctx, region, strict=False)):
-                        violations.append(Violation("up:bound-dichotomy", payload()))
-                if mask == 0 and n >= 1:
-                    if not has_upper_bound_in(ctx, region) or not has_lower_bound_in(ctx, region):
-                        violations.append(Violation("bounds:empty-region", payload()))
-
-            # converse: a cover with no single member containing the region
-            # forces full downward reach; and any cover of X is itself a
-            # finite subcover for the region, which is the whole content of
-            # the finite-subcover clause at this scale.  A subfamily of a nest
-            # is a chain kept in canonical order, so its last member contains
-            # all the others and alone decides whether one contains the region
-            for chosen in covering_subfamilies(nest):
-                count += 1
-                union = 0
-                for m in chosen:
-                    union |= m
-                top = chosen[-1]
-                for mask in range(full + 1):
-                    if mask & ~top:
-                        if not down_reach_covers_in(ctx, Subset(u, mask), want_witness=False).holds:
-                            violations.append(Violation(
-                                "down:cover-converse",
-                                _nest_payload(nest, region=mask, cover=list(chosen)),
-                            ))
-                    if mask & ~union:
-                        violations.append(Violation(
-                            "finite-subcover:reduction",
-                            _nest_payload(nest, region=mask, cover=list(chosen)),
-                        ))
-
-            if t0:
-                pre = ctx.preorder
-                minimum = next(
-                    (x for x in u.elements() if pre.rows[x] == full), None
-                )
-                for mask in nest.masks:
-                    member = Subset(u, mask)
-                    if mask != full and not has_upper_bound_in(ctx, member):
-                        violations.append(Violation(
-                            "member:strict-upper-bound", _nest_payload(nest, member=mask)
-                        ))
-                    if mask and minimum is not None:
-                        expect = not (mask >> minimum & 1)
-                        if has_lower_bound_in(ctx, member) != expect:
-                            violations.append(Violation(
-                                "member:lower-bound-minimum", _nest_payload(nest, member=mask)
-                            ))
-
+    count, violations, _ = _sweep(config, _check_bounds)
     # the strict-bound form genuinely diverges from the dichotomy at the top
     u2 = Universe(2)
     nest2 = Nest.of(u2, [[0]])
@@ -885,25 +859,15 @@ def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
         ))
 
     # inversion and multiplication continuity: exhaustive on the smallest
-    # groups, seeded random on the rest; conclusion evaluated on premise hits
-    z2 = groups["z2"]
-    z2_families = [
-        SetFamily(z2.universe, tuple(m for m in range(4) if pick >> m & 1))
-        for pick in range(16)
-    ]
-    for left in z2_families:
-        for right in z2_families:
-            count += 1
-            violations.extend(_continuity_checks(z2, "z2", left, right, cross_check=True))
-
-    z3_small = [
-        SetFamily(z3.universe, masks)
-        for masks in _families_up_to(z3.universe, 2)
-    ]
-    for left in z3_small:
-        for right in z3_small:
-            count += 1
-            violations.extend(_continuity_checks(z3, "z3", left, right, cross_check=False))
+    # groups (every family on z2, up to two members on z3), seeded random on
+    # the rest; conclusion evaluated on premise hits
+    for name, most, cross in (("z2", 4, True), ("z3", 2, False)):
+        group = groups[name]
+        small = _families_up_to(group.universe, most)
+        for left in small:
+            for right in small:
+                count += 1
+                violations.extend(_continuity_checks(group, name, left, right, cross_check=cross))
 
     sampled = ["z3", "z4", "z2xz2", "s3"]
     per_group = max(1, iters // len(sampled))
@@ -928,13 +892,11 @@ def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
     return count, violations, notes
 
 
-def _families_up_to(universe: Universe, max_members: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
+def _families_up_to(universe: Universe, max_members: int) -> list[SetFamily]:
     out = []
     subsets = range(universe.full_mask + 1)
     for k in range(max_members + 1):
-        out.extend(combinations(subsets, k))
+        out.extend(SetFamily(universe, masks) for masks in combinations(subsets, k))
     return out
 
 
@@ -1084,8 +1046,6 @@ def _suite_rays(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
 
 
 def _ray_payload(nest: RayNest, **extra) -> dict:
-    from .serialize import ray_to_dict
-
     doc = ray_to_dict(nest)
     doc.update(extra)
     return doc

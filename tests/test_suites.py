@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,13 +11,32 @@ from nestkit.suites import SuiteConfig, run_suite, suite_names
 
 FAST = SuiteConfig(iters=300)
 
+# sha256 of each suite's canonical document at FAST; a change to any byte of
+# a report (a count, a note, a violation) must be deliberate
+FAST_DIGESTS = {
+    "bound-covers": "3355e2f4d18ae6ae9126c7df8540fbcea45ae1b2b6c1d3ae0be5a742bf2b6799",
+    "core-algebra": "7a220cab20c8cf562b98e57309ef0f6cd6a8a0d77aeb40d8d80fe2438338eeeb",
+    "generated-orders": "064b21485588fa25c2c6ca4edb6d2f2b66ea3411b06bcb1f3ccc14851484995c",
+    "group-compatibility": "38f49f7cfac0898b1d20cd8edd5144d69e91af2365dbdde778480243e59fe9d8",
+    "interlocking": "488827c4b2224d1dbe7695a12149da15ee0b07898d6045a4b2e9b8982a69b050",
+    "ray-classification": "51e966dff492d4dc2b4a19369377fcc67c5715b43afd78bd1d54ab8ffad43dee",
+    "replay": "13ed6d6e27c36075c138ecb9b2d88ad449c032b61f147255cb007aaa4db9b68d",
+    "sup-conditions": "17c6bd5018c6f694b5f6125656e145f9c4de62cb6584a0a24a6d459e5ec003c0",
+    "topology-engine": "3f8306de9acb31430841faaf0d0ad98eff3aa03642b9571a5c0a1185d2adb83a",
+}
+
+EXHAUSTIVE = ["core-algebra", "topology-engine", "sup-conditions", "interlocking", "bound-covers"]
+
 
 def test_all_suites_pass_at_reduced_iterations():
+    assert sorted(FAST_DIGESTS) == suite_names()
     for name in suite_names():
         report = run_suite(name, FAST)
         assert report.passed, report.summary()
         assert report.instances > 0
         assert report.config["seed"] == FAST.seed
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == FAST_DIGESTS[name], name
 
 
 def test_unknown_suite():
@@ -38,10 +58,31 @@ def test_reports_are_deterministic():
     assert "wall_ms" in json.loads(first.to_json(include_timing=True))
 
 
-def test_worker_count_does_not_change_documents():
-    sequential = run_suite("interlocking", SuiteConfig(workers=1))
-    parallel = run_suite("interlocking", SuiteConfig(workers=2))
+@pytest.mark.parametrize("name", EXHAUSTIVE)
+def test_worker_count_does_not_change_documents(name):
+    sequential = run_suite(name, SuiteConfig(workers=1))
+    parallel = run_suite(name, SuiteConfig(workers=2))
     assert sequential.to_json() == parallel.to_json()
+
+
+def test_worker_count_comes_from_the_config_only(monkeypatch):
+    monkeypatch.setenv("NESTKIT_WORKERS", "3")
+    assert SuiteConfig().resolved_workers() == 1
+    assert SuiteConfig(workers=2).resolved_workers() == 2
+    assert SuiteConfig(workers=0).resolved_workers() == 1
+
+
+def test_interlocking_names_the_member_cap_when_it_skips_nests():
+    # on five points the default cap of 5 members leaves out the 120
+    # six-member chains; the note says so and counts against count_nests
+    capped = run_suite("interlocking", SuiteConfig(max_n=5))
+    assert capped.passed and capped.instances == 2412
+    assert capped.notes == (
+        "nests on four or more points are capped at 5 members: checked 2412 of 2532 nests",
+    )
+    # nothing skipped, nothing said
+    assert run_suite("interlocking", SuiteConfig(max_n=5, max_members=6)).notes == ()
+    assert run_suite("interlocking", SuiteConfig()).notes == ()
 
 
 def test_violation_sorting_and_status():
