@@ -8,7 +8,7 @@ serialized instances and reports are byte-stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -26,10 +26,13 @@ class Universe:
 
     size: int
     labels: tuple[str, ...] | None = None
+    # every element's bit; derived from ``size``, so not part of equality
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise InstanceError(f"universe size must be >= 1, got {self.size}")
+        object.__setattr__(self, "full_mask", (1 << self.size) - 1)
         if self.labels is not None:
             labels = tuple(self.labels)
             object.__setattr__(self, "labels", labels)
@@ -39,10 +42,6 @@ class Universe:
                 )
             if len(set(labels)) != len(labels):
                 raise InstanceError("labels must be distinct")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
 
     def label(self, index: int) -> str:
         if self.labels is not None:
@@ -132,7 +131,7 @@ def _check_same_universe(a: Universe, b: Universe) -> None:
 
 def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Sort masks by (cardinality, mask value); the one canonical family order."""
-    return tuple(sorted(masks, key=lambda m: (popcount(m), m)))
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,9 @@ class SetFamily:
         masks = canonical_masks(self.masks)
         object.__setattr__(self, "masks", masks)
         full = self.universe.full_mask
-        for m in masks:
-            if not 0 <= m <= full:
-                raise InstanceError(f"member mask {m:#x} does not fit the universe")
+        if masks and (min(masks) < 0 or max(masks) > full):
+            bad = next(m for m in masks if not 0 <= m <= full)
+            raise InstanceError(f"member mask {bad:#x} does not fit the universe")
         if len(set(masks)) != len(masks):
             raise InstanceError("family members must be distinct")
 
@@ -309,7 +308,7 @@ def _check_max_members(max_members: int | None) -> None:
 def _nest_candidates(universe: Universe, include_trivial: bool) -> list[int]:
     full = universe.full_mask
     masks = range(full + 1) if include_trivial else range(1, full)
-    return sorted(masks, key=lambda m: (popcount(m), m))
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def enumerate_families(

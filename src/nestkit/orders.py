@@ -26,8 +26,8 @@ class Relation:
     def __post_init__(self) -> None:
         if len(self.rows) != self.universe.size:
             raise ValueError("relation needs one row per element")
-        full = self.universe.full_mask
-        if any(row & ~full for row in self.rows):
+        # for ints, 0 <= row <= full says exactly that row & ~full == 0
+        if min(self.rows) < 0 or max(self.rows) > self.universe.full_mask:
             raise ValueError("relation row mentions out-of-range elements")
 
     @classmethod
@@ -62,28 +62,24 @@ class Relation:
         return Relation(self.universe, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
     def is_reflexive(self) -> bool:
-        return all(self.holds(x, x) for x in self.universe.elements())
+        return all(row >> x & 1 for x, row in enumerate(self.rows))
 
     def is_irreflexive(self) -> bool:
-        return not any(self.holds(x, x) for x in self.universe.elements())
+        return not any(row >> x & 1 for x, row in enumerate(self.rows))
 
     def is_antisymmetric(self) -> bool:
+        # row x meets column x (the predecessors of x) at most in x itself
         return all(
-            not (self.holds(x, y) and self.holds(y, x))
-            for x in self.universe.elements()
-            for y in self.universe.elements()
-            if x != y
+            not row & col & ~(1 << x)
+            for x, (row, col) in enumerate(zip(self.rows, _columns(self.rows)))
         )
 
     def is_asymmetric(self) -> bool:
         return self.is_irreflexive() and self.is_antisymmetric()
 
     def is_total(self) -> bool:
-        return all(
-            self.holds(x, y) or self.holds(y, x)
-            for x in self.universe.elements()
-            for y in self.universe.elements()
-        )
+        full = self.universe.full_mask
+        return all(row | col == full for row, col in zip(self.rows, _columns(self.rows)))
 
     def render(self) -> str:
         names = self.universe.label
@@ -96,9 +92,11 @@ def generated_order(family: SetFamily) -> Relation:
     rows = [0] * family.universe.size
     for member in family.masks:
         outside = member ^ full
-        for x in family.universe.elements():
-            if member >> x & 1:
-                rows[x] |= outside
+        inside = member
+        while inside:
+            low = inside & -inside
+            rows[low.bit_length() - 1] |= outside
+            inside ^= low
     return Relation(family.universe, tuple(rows))
 
 
@@ -111,25 +109,23 @@ def rectangle(universe: Universe, member_mask: int) -> Relation:
 
 def generated_order_via_rectangles(family: SetFamily) -> Relation:
     """Same order as `generated_order`, built as a union of member rectangles."""
-    out = Relation.empty(family.universe)
+    rows = [0] * family.universe.size
     for member in family.masks:
-        out = out.union(rectangle(family.universe, member))
-    return out
+        for x, row in enumerate(rectangle(family.universe, member).rows):
+            rows[x] |= row
+    return Relation(family.universe, tuple(rows))
 
 
 def compose(a: Relation, b: Relation) -> Relation:
     """Relational composition: (x,y) in a∘b iff x -b-> z -a-> y for some z."""
     _check_same_universe(a.universe, b.universe)
     rows = []
-    for x in a.universe.elements():
+    for mids in b.rows:
         row = 0
-        mids = b.rows[x]
-        z = 0
         while mids:
-            if mids & 1:
-                row |= a.rows[z]
-            mids >>= 1
-            z += 1
+            low = mids & -mids
+            row |= a.rows[low.bit_length() - 1]
+            mids ^= low
         rows.append(row)
     return Relation(a.universe, tuple(rows))
 
@@ -159,30 +155,21 @@ def is_transitive(rel: Relation, mode: TransitivityMode = "standard") -> bool:
     triples (there are none) but not in the standard sense, since a<b<a fails
     to force a<a.
     """
-    n = rel.universe.size
-    if mode == "standard":
-        for x in range(n):
-            succ = rel.rows[x]
-            y = 0
-            row = succ
-            while row:
-                if row & 1 and rel.rows[y] & ~succ:
-                    return False
-                row >>= 1
-                y += 1
-        return True
-    if mode == "distinct_triples":
-        for x in range(n):
-            for y in range(n):
-                if y == x or not rel.holds(x, y):
-                    continue
-                for z in range(n):
-                    if z == x or z == y:
-                        continue
-                    if rel.holds(y, z) and not rel.holds(x, z):
-                        return False
-        return True
-    raise ValueError(f"unknown transitivity mode {mode!r}")
+    if mode not in ("standard", "distinct_triples"):
+        raise ValueError(f"unknown transitivity mode {mode!r}")
+    # every successor's successors are successors; over distinct triples x
+    # itself is exempt (y is already in succ, and y = x tests row x on itself)
+    distinct = mode == "distinct_triples"
+    rows = rel.rows
+    for x, succ in enumerate(rows):
+        allowed = succ | 1 << x if distinct else succ
+        mids = succ
+        while mids:
+            low = mids & -mids
+            if rows[low.bit_length() - 1] & ~allowed:
+                return False
+            mids ^= low
+    return True
 
 
 def t0_separates(family: SetFamily) -> bool:
@@ -207,13 +194,12 @@ def t1_separates(family: SetFamily) -> bool:
 def t0_separates_via_rectangles(family: SetFamily) -> bool:
     """Rectangle form of T0: the off-diagonal is covered by the members'
     rectangles and their transposes."""
-    covered = generated_order(family)
-    covered = covered.union(transpose(covered))
+    order = generated_order(family)
+    full = family.universe.full_mask
+    # row x of the order and of its transpose cover every y other than x
     return all(
-        covered.holds(x, y)
-        for x in family.universe.elements()
-        for y in family.universe.elements()
-        if x != y
+        row | col | 1 << x == full
+        for x, (row, col) in enumerate(zip(order.rows, transpose(order).rows))
     )
 
 
@@ -245,16 +231,19 @@ def reflexive_closure(rel: Relation) -> Relation:
 
 
 def transpose(rel: Relation) -> Relation:
-    rows = [0] * rel.universe.size
-    for x in rel.universe.elements():
-        row = rel.rows[x]
-        y = 0
+    return Relation(rel.universe, _columns(rel.rows))
+
+
+def _columns(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Column masks of a relation: entry y holds every x with x -> y."""
+    cols = [0] * len(rows)
+    for x, row in enumerate(rows):
+        bit = 1 << x
         while row:
-            if row & 1:
-                rows[y] |= 1 << x
-            row >>= 1
-            y += 1
-    return Relation(rel.universe, tuple(rows))
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
 
 
 def is_linear_order(rel: Relation) -> bool:

@@ -583,10 +583,15 @@ def order_holds(nest: RayNest, x: Quadratic, y: Quadratic) -> bool:
 
 @dataclass(frozen=True)
 class GroupCompatReport:
+    """``witness`` explains an incompatibility in prose; ``counterexample``
+    is the same witness as data: (x, y, g) with x below y in the order, and
+    x∘g not below y∘g, where ∘ is the operation."""
+
     operation: str
     premise_translation_closed: bool
     compatible: bool
     witness: str | None
+    counterexample: tuple[Quadratic, Quadratic, Quadratic] | None = None
 
 
 def shift_closure_description(nest: RayNest) -> str:
@@ -660,7 +665,7 @@ def _additive_compatibility(nest: RayNest) -> GroupCompatReport:
         f"{endpoint.render()}, but shifting both by {shift.render()} lands the "
         "pair in an endpoint-free gap, where they are unrelated"
     )
-    return GroupCompatReport("add", False, False, witness)
+    return GroupCompatReport("add", False, False, witness, (x, y, shift))
 
 
 def _multiplicative_compatibility(nest: RayNest) -> GroupCompatReport:
@@ -675,4 +680,4 @@ def _multiplicative_compatibility(nest: RayNest) -> GroupCompatReport:
         f"{endpoint.render()}, but multiplying by -1 reverses them: a lower "
         "ray times a negative element is an upper ray, not a member"
     )
-    return GroupCompatReport("multiply", False, False, witness)
+    return GroupCompatReport("multiply", False, False, witness, (x, y, -one))

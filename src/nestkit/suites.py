@@ -79,7 +79,6 @@ from .orders import (
     generated_order_via_rectangles,
     is_linear_order,
     is_transitive,
-    orders_equivalent,
     pairwise_union,
     rectangle,
     reflexive_closure,
@@ -92,6 +91,7 @@ from .orders import (
 from .rays import (
     Carrier,
     EndpointSet,
+    GroupCompatReport,
     Quadratic,
     RayNest,
     Window,
@@ -126,6 +126,14 @@ class SuiteConfig:
     iters: int | None = None
     max_members: int | None = None
     workers: int | None = None
+
+    def __post_init__(self) -> None:
+        # the fields are the `check` command's flags; a bad one is named as both
+        for name, least in (("max_n", 1), ("iters", 0), ("max_members", 0), ("workers", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{name} ({flag}) must be >= {least}, got {value}")
 
     def resolved_workers(self) -> int:
         return max(1, self.workers or 1)
@@ -322,13 +330,12 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
             count += 1
             violations.extend(_order_checks(fam))
         # star-union over all pairs of empty-set-containing families
-        with_empty = [f for f in enumerate_families(u) if 0 in f.masks]
-        for f1 in with_empty:
-            for f2 in with_empty:
+        with_empty = [(f, generated_order(f)) for f in enumerate_families(u) if 0 in f.masks]
+        for f1, order1 in with_empty:
+            for f2, order2 in with_empty:
                 count += 1
                 merged = pairwise_union(f1, f2)
-                want = generated_order(f1).union(generated_order(f2))
-                if generated_order(merged) != want:
+                if generated_order(merged) != order1.union(order2):
                     violations.append(Violation("star-union:order", {
                         "universe": n, "left": family_to_dict(f1)["family"],
                         "right": family_to_dict(f2)["family"],
@@ -410,18 +417,20 @@ def _order_checks(fam: SetFamily) -> list[Violation]:
         out.append(Violation("order:product-form", _nest_payload(fam)))
     if t0_separates(fam) != t0_separates_via_rectangles(fam):
         out.append(Violation("t0:rectangle-form", _nest_payload(fam)))
-    if absorbs_rectangle_compositions(fam) and not is_transitive(order, "standard"):
+    # a nest has the family's masks, so this also decides nest:absorption
+    absorbs = absorbs_rectangle_compositions(fam)
+    if absorbs and not is_transitive(order, "standard"):
         out.append(Violation("absorption:transitivity", _nest_payload(fam)))
     # generated orders are irreflexive by construction
-    if any(order.holds(x, x) for x in u.elements()):
+    if not order.is_irreflexive():
         out.append(Violation("order:irreflexive", _nest_payload(fam)))
     # padding with the trivial members never changes the order
     padded = SetFamily.dedupe(u, fam.masks + (0, u.full_mask))
-    if not orders_equivalent(fam, padded):
+    if generated_order(padded) != order:
         out.append(Violation("order:trivial-padding", _nest_payload(fam)))
     if is_nest(fam):
         nest = Nest(u, fam.masks)
-        if not absorbs_rectangle_compositions(nest):
+        if not absorbs:
             out.append(Violation("nest:absorption", _nest_payload(nest)))
         for mode in ("standard", "distinct_triples"):
             if not is_transitive(order, mode):
@@ -697,19 +706,24 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
     return 1, flagged, []
 
 
+# members per nest on four or more points when no cap is given
+INTERLOCKING_DEFAULT_CAP = 5
+
+
 def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n = config.max_n or 4
-    cap = config.max_members or 5
-    count, violations, _ = _sweep(
-        config, _check_interlocking, cap=lambda n: cap if n >= 4 else None
-    )
+    if config.max_members is None:
+        cap, scope = INTERLOCKING_DEFAULT_CAP, "nests on four or more points are"
+        count, violations, _ = _sweep(
+            config, _check_interlocking, cap=lambda n: cap if n >= 4 else None
+        )
+    else:
+        cap, scope = config.max_members, "nests are"
+        count, violations, _ = _sweep(config, _check_interlocking, cap=lambda n: cap)
     total = sum(count_nests(Universe(n)) for n in range(1, max_n + 1))
     notes = []
     if count < total:
-        notes.append(
-            f"nests on four or more points are capped at {cap} members: "
-            f"checked {count} of {total} nests"
-        )
+        notes.append(f"{scope} capped at {cap} members: checked {count} of {total} nests")
     return count, violations, notes
 
 
@@ -904,23 +918,26 @@ def _continuity_checks(
     group: FiniteGroup, name: str, left: SetFamily, right: SetFamily, cross_check: bool
 ) -> list[Violation]:
     out = []
-    payload = {
-        "group": name,
-        "left": family_to_dict(left)["family"],
-        "right": family_to_dict(right)["family"],
-    }
+
+    def payload() -> dict:
+        return {
+            "group": name,
+            "left": family_to_dict(left)["family"],
+            "right": family_to_dict(right)["family"],
+        }
+
     inv_premise = inversion_premise(group, left, right)
     mul_premise = multiplication_premise(group, left) and multiplication_premise(group, right)
     topo = None
     if inv_premise or mul_premise or cross_check:
         topo = subbase_topology(group, left, right)
     if inv_premise and not inversion_continuous(group, topo):
-        out.append(Violation("group:inversion-implication", payload))
+        out.append(Violation("group:inversion-implication", payload()))
     if mul_premise and not multiplication_continuous(group, topo):
-        out.append(Violation("group:multiplication-implication", payload))
+        out.append(Violation("group:multiplication-implication", payload()))
     if cross_check:
         if multiplication_continuous(group, topo) != multiplication_continuous_via_product(group, topo):
-            out.append(Violation("group:continuity-routes", payload))
+            out.append(Violation("group:continuity-routes", payload()))
     return out
 
 
@@ -1029,20 +1046,38 @@ def _suite_rays(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
             if eps.kind != "finite_list" or eps.points:
                 if scale.compatible or scale.witness is None:
                     violations.append(Violation("ray:multiply-incompatible", _ray_payload(nest)))
+            for pid, produced in (("ray:add-witness", report), ("ray:multiply-witness", scale)):
+                if not _counterexample_holds(nest, produced):
+                    violations.append(Violation(pid, _ray_payload(nest)))
     count += 1
-    shift_report = group_compatibility(
-        "add", RayNest(Carrier("Qsqrt2"), "open", EndpointSet.progression(Quadratic.rational(0), one))
+    shift_nest = RayNest(
+        Carrier("Qsqrt2"), "open", EndpointSet.progression(Quadratic.rational(0), one)
     )
+    shift_report = group_compatibility("add", shift_nest)
     if shift_report.premise_translation_closed or shift_report.compatible:
         violations.append(Violation(
             "ray:integer-steps-shift", {"expected": "one-sided progressions are not shift-invariant"}
         ))
+    if not _counterexample_holds(shift_nest, shift_report):
+        violations.append(Violation("ray:add-witness", _ray_payload(shift_nest)))
     notes = [
         "one-sided integer-step rays are incompatible with every nontrivial "
         "shift subgroup: shifting a related pair into the endpoint-free region "
         "below the first endpoint unrelates it (witness recorded in the report)",
     ]
     return count, violations, notes
+
+
+def _counterexample_holds(nest: RayNest, report: GroupCompatReport) -> bool:
+    """An incompatible report carries (x, y, g) with x below y and x∘g not
+    below y∘g; a compatible one carries none."""
+    if report.compatible:
+        return report.counterexample is None
+    if report.counterexample is None:
+        return False
+    x, y, g = report.counterexample
+    act = (lambda v: v + g) if report.operation == "add" else (lambda v: v * g)
+    return order_holds(nest, x, y) and not order_holds(nest, act(x), act(y))
 
 
 def _ray_payload(nest: RayNest, **extra) -> dict:

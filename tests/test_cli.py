@@ -186,3 +186,21 @@ def test_analyze_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit)
     })
     with time_limit(20):
         assert main(["analyze", "--input", str(at_bound)]) == 0
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    # max_n=0 used to be recorded as 0 next to the 4-point instance count
+    ("core-algebra", "--max-n", "0"),
+    # a negative max_n used to pass with 0 instances
+    ("bound-covers", "--max-n", "-2"),
+    ("generated-orders", "--iters", "-1"),
+    ("interlocking", "--max-members", "-1"),
+    ("sup-conditions", "--workers", "-1"),
+])
+def test_check_rejects_an_out_of_range_config(tmp_path, capsys, suite, flag, value):
+    out = tmp_path / "report.json"
+    code = main(["check", "--suite", suite, flag, value, "--json", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and value in err
+    assert not out.exists()

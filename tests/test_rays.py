@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from nestkit import suites
 from nestkit.core import InstanceError
 from nestkit.rays import (
     Carrier,
@@ -193,14 +195,40 @@ def test_group_compatibility():
 
 
 def test_additive_witness_is_sound():
-    # re-check a recorded witness through the symbolic order
+    # re-check every recorded witness through the symbolic order: x is below
+    # y, and the shifted (or negated) pair is not
     for eps in (
         EndpointSet.progression(Q(0), Q(1)),
+        EndpointSet.progression(Q(Fraction(1, 2)), Q(Fraction(1, 3))),
         EndpointSet.dense_interval(Q(Fraction(1, 2)), Q(1)),
+        EndpointSet.dense_interval(Q(Fraction(1, 4)), Q(2)),
         EndpointSet.finite([R2()]),
         EndpointSet.finite([Q(0), Q(2)]),
     ):
         for shape in ("open", "closed"):
             nest = RayNest(LINE, shape, eps)
-            report = group_compatibility("add", nest)
-            assert not report.compatible and report.witness is not None
+            for operation, act in (
+                ("add", lambda v, g: v + g),
+                ("multiply", lambda v, g: v * g),
+            ):
+                report = group_compatibility(operation, nest)
+                assert not report.compatible and report.witness is not None
+                x, y, g = report.counterexample
+                assert order_holds(nest, x, y)
+                assert not order_holds(nest, act(x, g), act(y, g))
+                assert suites._counterexample_holds(nest, report)
+                # the suite's re-check rejects a witness that does not unrelate
+                swapped = dataclasses.replace(report, counterexample=(y, x, g))
+                assert not suites._counterexample_holds(nest, swapped)
+            assert report.counterexample[2] == Q(-1)
+
+
+def test_compatible_reports_carry_no_counterexample():
+    for eps, operation in (
+        (EndpointSet.all_carrier(), "add"),
+        (EndpointSet.finite([]), "add"),
+        (EndpointSet.finite([]), "multiply"),
+    ):
+        report = group_compatibility(operation, RayNest(LINE, "open", eps))
+        assert report.compatible and report.counterexample is None
+        assert suites._counterexample_holds(RayNest(LINE, "open", eps), report)

@@ -85,6 +85,30 @@ def test_interlocking_names_the_member_cap_when_it_skips_nests():
     assert run_suite("interlocking", SuiteConfig()).notes == ()
 
 
+def test_config_rejects_out_of_range_fields():
+    for field, value in (("max_n", 0), ("max_n", -2), ("iters", -1),
+                         ("max_members", -1), ("workers", -1)):
+        with pytest.raises(ValueError, match=field):
+            SuiteConfig(**{field: value})
+    # the smallest accepted values
+    SuiteConfig(max_n=1, iters=0, max_members=0, workers=0)
+
+
+def test_interlocking_applies_a_given_cap_at_every_size():
+    # 68 nests on one to three points; at most one member leaves the empty
+    # nest and the one-member nests: 3 + 5 + 9
+    one = run_suite("interlocking", SuiteConfig(max_n=3, max_members=1))
+    assert one.passed and one.instances == 17
+    assert one.config["max_members"] == 1
+    assert one.notes == ("nests are capped at 1 members: checked 17 of 68 nests",)
+    # zero members leaves the empty nest on each size, not a cap of 5
+    zero = run_suite("interlocking", SuiteConfig(max_n=3, max_members=0))
+    assert zero.instances == 3
+    assert zero.notes == ("nests are capped at 0 members: checked 3 of 68 nests",)
+    # a cap above every nest's length skips nothing
+    assert run_suite("interlocking", SuiteConfig(max_n=3, max_members=4)).instances == 68
+
+
 def test_violation_sorting_and_status():
     violations = [
         Violation("b", {"x": 2}),
