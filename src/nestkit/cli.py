@@ -41,9 +41,9 @@ from .groups import (
 )
 from .instances import get as get_instance, slugs as instance_slugs
 from .orders import generated_order, reflexive_closure, t0_separates, t1_separates
-from .search import SearchSpec, persist_witnesses, run_search, target_names, TARGET_SUMMARIES
+from .search import TARGETS, SearchSpec, persist_witnesses, run_search, target_names
 from .serialize import canonical_json, load_instance
-from .suites import SuiteConfig, run_suite, suite_names, SUITE_SUMMARIES
+from .suites import SUITES, SuiteConfig, run_suite, suite_names
 from .topology import (
     alexandroff_family,
     interval_topology,
@@ -99,12 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="search for witnesses/counterexamples")
     search.add_argument("--target", help="target property (see --list)")
     search.add_argument("--list", action="store_true", help="list targets and exit")
-    search.add_argument("--max-n", type=int, default=4)
+    # unset flags stay None and take the SearchSpec or target default
+    search.add_argument("--max-n", type=int, default=None)
     search.add_argument("--max-members", type=int, default=None)
-    search.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    search.add_argument("--budget", type=int, default=100_000)
-    search.add_argument("--seed", type=int, default=20260808)
-    search.add_argument("--group", default="z4", choices=sorted(BUILTIN_GROUPS))
+    search.add_argument("--mode", choices=("exhaustive", "random"), default=None)
+    search.add_argument("--budget", type=int, default=None)
+    search.add_argument("--seed", type=int, default=None)
+    search.add_argument("--group", default=None, choices=sorted(BUILTIN_GROUPS),
+                        help="group whose nests translation-closed-nests walks")
     search.add_argument("--out", type=Path, default=None, help="persist witnesses here")
     search.add_argument("--json", type=Path, default=None)
     search.set_defaults(handler=cmd_search)
@@ -148,21 +150,20 @@ def _emit(report_json: str, path: Path | None) -> None:
         path.write_text(report_json, encoding="utf-8")
 
 
+def _given(args, *names: str) -> dict:
+    """The named flags that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_check(args) -> int:
     if args.list:
         for name in suite_names():
-            print(f"{name:22s} {SUITE_SUMMARIES[name]}")
+            print(f"{name:22s} {SUITES[name].summary}")
         return 0
     if not args.suite:
         print("error: --suite is required (or use --list)", file=sys.stderr)
         return USAGE_ERROR
-    config = SuiteConfig(
-        max_n=args.max_n,
-        seed=args.seed if args.seed is not None else SuiteConfig().seed,
-        iters=args.iters,
-        max_members=args.max_members,
-        workers=args.workers,
-    )
+    config = SuiteConfig(**_given(args, "max_n", "seed", "iters", "max_members", "workers"))
     report = run_suite(args.suite, config)
     print(report.summary())
     _emit(report.to_json(), args.json)
@@ -172,19 +173,13 @@ def cmd_check(args) -> int:
 def cmd_search(args) -> int:
     if args.list:
         for name in target_names():
-            print(f"{name:28s} {TARGET_SUMMARIES[name]}")
+            print(f"{name:28s} {TARGETS[name].summary}")
         return 0
     if not args.target:
         print("error: --target is required (or use --list)", file=sys.stderr)
         return USAGE_ERROR
     spec = SearchSpec(
-        target=args.target,
-        max_n=args.max_n,
-        max_members=args.max_members,
-        mode=args.mode,
-        budget=args.budget,
-        seed=args.seed,
-        group=args.group,
+        args.target, **_given(args, "max_n", "max_members", "mode", "budget", "seed", "group")
     )
     report = run_search(spec)
     print(report.summary())
@@ -208,12 +203,13 @@ def cmd_demo(args) -> int:
         print("error: --id is required (or use --list)", file=sys.stderr)
         return USAGE_ERROR
     instance = get_instance(args.slug)
+    verdicts, text = instance.build()
     print(f"[{instance.slug}] {instance.summary}")
     print()
-    print(instance.render())
+    print(text)
     print()
     failed = 0
-    for check in instance.verify():
+    for check in instance.verify(verdicts):
         mark = "ok" if check.passed else "MISMATCH"
         print(f"  {mark:8s} {check.key}: {check.got!r}" + (
             "" if check.passed else f" (expected {check.want!r})"
@@ -366,8 +362,8 @@ def cmd_group_check(args) -> int:
         if not t0_separates(nest):
             print("note: the nest does not T0-separate the group; the "
                   "compatibility definition is evaluated regardless")
-        document["translation_closed"] = translation_closed(group, nest)
-        document["order_compatible"] = order_compatible(group, nest)
+        premise = document["translation_closed"] = translation_closed(group, nest)
+        conclusion = document["order_compatible"] = order_compatible(group, nest)
     else:
         right = family
         if args.right is not None:
@@ -378,16 +374,11 @@ def cmd_group_check(args) -> int:
             right = SetFamily(group.universe, loaded.masks)
         runner = inversion_continuity if args.check == "inversion" else multiplication_continuity
         report = runner(group, family, right)
-        document["premise"] = report.premise
-        document["continuous"] = report.continuous
+        premise = document["premise"] = report.premise
+        conclusion = document["continuous"] = report.continuous
     print(canonical_json(document), end="")
     _emit(canonical_json(document), args.json)
-    implied = [key for key in ("order_compatible", "continuous") if key in document]
-    premise_keys = [key for key in ("translation_closed", "premise") if key in document]
-    if premise_keys and implied:
-        premise, conclusion = document[premise_keys[0]], document[implied[0]]
-        return 0 if (not premise or conclusion) else 1
-    return 0
+    return 0 if (not premise or conclusion) else 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Canonical worked instances with frozen expected verdicts.
 
-Each entry rebuilds its objects from scratch, recomputes every advertised
-verdict, and compares against the frozen expectation.  The replay suite runs
-all of them; ``nestkit demo --id <slug>`` prints one with full rosters.
+Each entry's ``build`` constructs its objects once and derives from them
+every advertised verdict and the demo text; ``verify`` compares the verdicts
+against the frozen expectation.  The replay suite runs all of them;
+``nestkit demo --id <slug>`` prints one with full rosters.
 """
 
 from __future__ import annotations
@@ -60,27 +61,27 @@ class CanonicalInstance:
     slug: str
     summary: str
     expected: dict
-    compute: Callable[[], dict]
-    render: Callable[[], str]
+    # builds the instance's objects once: its verdicts and its demo text
+    build: Callable[[], tuple[dict, str]]
 
-    def verify(self) -> list[Check]:
-        got = self.compute()
+    def render(self) -> str:
+        return self.build()[1]
+
+    def verify(self, got: dict | None = None) -> list[Check]:
+        """Compare verdicts (``got``, or freshly built) with the frozen ones."""
+        got = self.build()[0] if got is None else got
         checks = [Check(k, want, got.get(k, "<missing>")) for k, want in self.expected.items()]
         extra = sorted(set(got) - set(self.expected))
         checks += [Check(k, "<unexpected>", got[k]) for k in extra]
         return checks
 
 
-def _pair_t0_nest():
+def _pair_t0() -> tuple[dict, str]:
     u = Universe(2, ("a", "b"))
-    return u, Nest.of(u, [[0]])
-
-
-def _pair_t0_compute() -> dict:
-    u, nest = _pair_t0_nest()
+    nest = Nest.of(u, [[0]])
     cond = sup_conditions(nest)
     sups = member_sups(nest)
-    return {
+    verdicts = {
         "t0_separates": t0_separates(nest),
         "t1_separates": t1_separates(nest),
         "sups_exist": cond.sups_exist,
@@ -88,79 +89,58 @@ def _pair_t0_compute() -> dict:
         "sups_onto": cond.sups_onto,
         "sup_of_member": u.label(sups[0b01].element),
     }
-
-
-def _pair_t0_render() -> str:
-    u, nest = _pair_t0_nest()
-    lines = [
+    return verdicts, "\n".join([
         f"universe: {{a,b}}, nest: {nest.render()}",
         f"generated order: {generated_order(nest).render()}",
         "the nest splits the only pair one way, so it T0-separates but not T1;",
         "the single member has supremum a inside itself, and b is nobody's",
         "supremum, so the escaping-sup conditions fail",
-    ]
-    return "\n".join(lines)
+    ])
 
 
-def _pair_duals():
+def _pair_duals() -> tuple[dict, str]:
     u = Universe(2)
     left = Nest.of(u, [[0]])
     right = Nest.of(u, [[1]])
-    return u, left, right
-
-
-def _pair_duals_compute() -> dict:
-    u, left, right = _pair_duals()
     pair = dual_pair(left, right)
     pre = reflexive_closure(generated_order(left))
+    tin = interval_topology(pre)
     both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))
-    report = lots_report(pair)
-    return {
+    verdicts = {
         "topology_left": topology_from_subbase(left).render(),
         "lower_topology": lower_topology(pre).render(),
         "topology_right": topology_from_subbase(right).render(),
         "upper_topology": upper_topology(pre).render(),
         "up_of_x1": point_up_set(pre, 0).render(),
         "down_of_x2": point_down_set(pre, 1).render(),
-        "interval_discrete": interval_topology(pre).is_discrete(),
+        "interval_discrete": tin.is_discrete(),
         "joint_discrete": both.is_discrete(),
         "sups_onto": sup_conditions(left).sups_onto,
         "dual_sups_exist": dual_sup_conditions(pair).sups_exist,
-        "is_lots": report.is_lots,
+        "is_lots": lots_report(pair).is_lots,
     }
-
-
-def _pair_duals_render() -> str:
-    u, left, right = _pair_duals()
-    pre = reflexive_closure(generated_order(left))
-    both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))
-    return "\n".join([
+    return verdicts, "\n".join([
         f"nests: {left.render()} and {right.render()} (mutual duals)",
-        f"T from left nest : {topology_from_subbase(left).render()}",
-        f"lower topology   : {lower_topology(pre).render()}",
-        f"T from right nest: {topology_from_subbase(right).render()}",
-        f"upper topology   : {upper_topology(pre).render()}",
-        f"interval topology: {interval_topology(pre).render()}",
+        f"T from left nest : {verdicts['topology_left']}",
+        f"lower topology   : {verdicts['lower_topology']}",
+        f"T from right nest: {verdicts['topology_right']}",
+        f"upper topology   : {verdicts['upper_topology']}",
+        f"interval topology: {tin.render()}",
         f"joint topology   : {both.render()}",
         "the joint and interval topologies are both discrete although the",
         "escaping-sup conditions fail: x2 is not the supremum of any member",
     ])
 
 
-def _quad_duals():
+def _quad_duals() -> tuple[dict, str]:
     u = Universe(4)
     left = Nest.of(u, [[0, 1], [0, 1, 2, 3]])
     right = Nest.of(u, [[2, 3], [0, 1, 2, 3]])
-    return u, left, right
-
-
-def _quad_duals_compute() -> dict:
-    u, left, right = _quad_duals()
     pair = dual_pair(left, right)
     pre = reflexive_closure(generated_order(left))
     tin = interval_topology(pre)
     both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))
-    return {
+    verdicts = {
         "order": generated_order(left).render(),
         "topology_left": topology_from_subbase(left).render(),
         "lower_topology": lower_topology(pre).render(),
@@ -174,21 +154,15 @@ def _quad_duals_compute() -> dict:
         "sups_escape": sup_conditions(left).sups_escape,
         "dual_sups_escape": dual_sup_conditions(pair).sups_escape,
     }
-
-
-def _quad_duals_render() -> str:
-    u, left, right = _quad_duals()
-    pre = reflexive_closure(generated_order(left))
-    both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))
-    return "\n".join([
+    return verdicts, "\n".join([
         f"nests: {left.render()} and {right.render()} (mutual duals)",
-        f"generated order  : {generated_order(left).render()}",
-        f"T from left nest : {topology_from_subbase(left).render()}",
-        f"lower topology   : {lower_topology(pre).render()}",
-        f"T from right nest: {topology_from_subbase(right).render()}",
-        f"upper topology   : {upper_topology(pre).render()}",
-        f"joint topology   : {both.render()}",
-        f"interval topology: discrete ({len(interval_topology(pre).opens)} opens)",
+        f"generated order  : {verdicts['order']}",
+        f"T from left nest : {verdicts['topology_left']}",
+        f"lower topology   : {verdicts['lower_topology']}",
+        f"T from right nest: {verdicts['topology_right']}",
+        f"upper topology   : {verdicts['upper_topology']}",
+        f"joint topology   : {verdicts['joint_topology']}",
+        f"interval topology: discrete ({len(tin.opens)} opens)",
         "x3 and x4 are never split, so neither nest T0-separates; the pair of",
         "members {x1,x2} has incomparable upper bounds, so its supremum fails",
         "to exist and the escaping-sup conditions fail on both sides",
@@ -199,12 +173,16 @@ _R_LINE = Carrier("Qsqrt2")
 _UNIT = Carrier("Qsqrt2", Window(Quadratic.rational(0), Quadratic.rational(1)))
 _HALF = Quadratic.rational(Fraction(1, 2))
 _ONE = Quadratic.rational(1)
+_OPEN_DENSE = RayNest(_R_LINE, "open", EndpointSet.all_carrier())
 
 
-def _ray_conditions(nest: RayNest) -> dict:
+def _rays(nest: RayNest, headline: str, with_match: bool = False) -> tuple[dict, str]:
+    """The sup ladders and T0 of a ray nest and its dual, and whether the
+    order matches the carrier's (a verdict only ``with_match``)."""
     cond = ray_sup_conditions(nest)
     dcond = ray_dual_sup_conditions(nest)
-    return {
+    matched, why = order_matches_carrier(nest)
+    verdicts = {
         "sups_exist": cond.sups_exist,
         "sups_escape": cond.sups_escape,
         "sups_onto": cond.sups_onto,
@@ -214,91 +192,59 @@ def _ray_conditions(nest: RayNest) -> dict:
         "t0_separating": separates(nest),
         "dual_t0_separating": separates(dual(nest)),
     }
-
-
-def _ray_render(nest: RayNest, headline: str) -> str:
-    cond = ray_sup_conditions(nest)
-    matched, why = order_matches_carrier(nest)
-    return "\n".join([
+    if with_match:
+        verdicts["order_matches_carrier"] = matched
+    return verdicts, "\n".join([
         headline,
         f"sup ladder: exist={cond.sups_exist} escape={cond.sups_escape} "
         f"onto={cond.sups_onto}",
-        f"T0-separating: {separates(nest)}",
+        f"T0-separating: {verdicts['t0_separating']}",
         f"order matches carrier: {matched} ({why})",
     ])
 
 
-def _rays_open_dense() -> RayNest:
-    return RayNest(_R_LINE, "open", EndpointSet.all_carrier())
-
-
-def _rays_open_dense_compute() -> dict:
-    nest = _rays_open_dense()
-    out = _ray_conditions(nest)
-    out["order_matches_carrier"] = order_matches_carrier(nest)[0]
-    return out
-
-
-def _rays_closed_window() -> RayNest:
-    return RayNest(_UNIT, "closed", EndpointSet.dense_interval(_HALF, _ONE))
-
-
-def _rays_open_window() -> RayNest:
-    return RayNest(_UNIT, "open", EndpointSet.dense_interval(_HALF, _ONE))
-
-
-def _rays_closed_dense() -> RayNest:
-    return RayNest(_R_LINE, "closed", EndpointSet.all_carrier())
-
-
-def _rays_rational_carrier_parts() -> tuple[RayNest, RayNest]:
+def _rays_rational_carrier() -> tuple[dict, str]:
     dense = RayNest(Carrier("Q"), "open", EndpointSet.all_carrier())
     gap = RayNest(Carrier("Q"), "open", EndpointSet.finite([Quadratic.sqrt2()]))
-    return dense, gap
-
-
-def _rays_rational_carrier_compute() -> dict:
-    dense, gap = _rays_rational_carrier_parts()
-    return {
+    verdicts = {
         "dense_t0_separating": separates(dense),
         "dense_order_matches_carrier": order_matches_carrier(dense)[0],
         "dense_sups_exist": ray_sup_conditions(dense).sups_exist,
         "irrational_endpoint_sups_exist": ray_sup_conditions(gap).sups_exist,
     }
-
-
-def _rays_rational_carrier_render() -> str:
-    dense, gap = _rays_rational_carrier_parts()
-    return "\n".join([
+    return verdicts, "\n".join([
         "carrier: the rationals; rays (-inf, e)",
-        "with every rational endpoint: "
-        f"T0={separates(dense)}, order matches carrier={order_matches_carrier(dense)[0]}",
+        f"with every rational endpoint: T0={verdicts['dense_t0_separating']}, "
+        f"order matches carrier={verdicts['dense_order_matches_carrier']}",
         "adding the ray with endpoint √2: its upper bounds in the carrier have",
-        f"no least element, so sups_exist={ray_sup_conditions(gap).sups_exist}",
+        f"no least element, so sups_exist={verdicts['irrational_endpoint_sups_exist']}",
     ])
 
 
-def _rays_integer_steps() -> RayNest:
-    return RayNest(
-        _R_LINE, "open", EndpointSet.progression(Quadratic.rational(0), Quadratic.rational(1))
-    )
-
-
-def _rays_shift_group_compute() -> dict:
-    report = group_compatibility("add", _rays_open_dense())
-    return {
+def _rays_shift_group() -> tuple[dict, str]:
+    report = group_compatibility("add", _OPEN_DENSE)
+    verdicts = {
         "premise_translation_closed": report.premise_translation_closed,
         "compatible": report.compatible,
     }
+    return verdicts, "\n".join([
+        "additive group on the carrier, rays (-inf, e) for all e:",
+        "g + (-inf, e) = (-inf, e+g) is again a member, so the order is",
+        f"compatible: {report.compatible}",
+    ])
 
 
-def _rays_scale_group_compute() -> dict:
-    report = group_compatibility("multiply", _rays_open_dense())
-    return {
+def _rays_scale_group() -> tuple[dict, str]:
+    report = group_compatibility("multiply", _OPEN_DENSE)
+    verdicts = {
         "premise_translation_closed": report.premise_translation_closed,
         "compatible": report.compatible,
         "has_witness": report.witness is not None,
     }
+    return verdicts, "\n".join([
+        "multiplicative group on the punctured carrier, rays (-inf, e):",
+        report.witness or "",
+    ])
 
 
 REGISTRY: dict[str, CanonicalInstance] = {}
@@ -319,8 +265,7 @@ _register(CanonicalInstance(
         "sups_onto": False,
         "sup_of_member": "a",
     },
-    compute=_pair_t0_compute,
-    render=_pair_t0_render,
+    build=_pair_t0,
 ))
 
 _register(CanonicalInstance(
@@ -339,8 +284,7 @@ _register(CanonicalInstance(
         "dual_sups_exist": True,
         "is_lots": True,
     },
-    compute=_pair_duals_compute,
-    render=_pair_duals_render,
+    build=_pair_duals,
 ))
 
 _register(CanonicalInstance(
@@ -362,8 +306,7 @@ _register(CanonicalInstance(
         "sups_escape": False,
         "dual_sups_escape": False,
     },
-    compute=_quad_duals_compute,
-    render=_quad_duals_render,
+    build=_quad_duals,
 ))
 
 _register(CanonicalInstance(
@@ -375,9 +318,8 @@ _register(CanonicalInstance(
         "t0_separating": True, "dual_t0_separating": True,
         "order_matches_carrier": True,
     },
-    compute=_rays_open_dense_compute,
-    render=lambda: _ray_render(
-        _rays_open_dense(), "rays (-inf, e) for every carrier element e"
+    build=lambda: _rays(
+        _OPEN_DENSE, "rays (-inf, e) for every carrier element e", with_match=True
     ),
 ))
 
@@ -389,9 +331,8 @@ _register(CanonicalInstance(
         "dual_sups_exist": True, "dual_sups_escape": False, "dual_sups_onto": False,
         "t0_separating": False, "dual_t0_separating": False,
     },
-    compute=lambda: _ray_conditions(_rays_closed_window()),
-    render=lambda: _ray_render(
-        _rays_closed_window(),
+    build=lambda: _rays(
+        RayNest(_UNIT, "closed", EndpointSet.dense_interval(_HALF, _ONE)),
         "window (0,1); rays (0, e] for carrier endpoints 1/2 <= e < 1",
     ),
 ))
@@ -404,9 +345,8 @@ _register(CanonicalInstance(
         "dual_sups_exist": True, "dual_sups_escape": True, "dual_sups_onto": False,
         "t0_separating": False, "dual_t0_separating": False,
     },
-    compute=lambda: _ray_conditions(_rays_open_window()),
-    render=lambda: _ray_render(
-        _rays_open_window(),
+    build=lambda: _rays(
+        RayNest(_UNIT, "open", EndpointSet.dense_interval(_HALF, _ONE)),
         "window (0,1); rays (0, e) for carrier endpoints 1/2 <= e < 1",
     ),
 ))
@@ -419,9 +359,9 @@ _register(CanonicalInstance(
         "dual_sups_exist": True, "dual_sups_escape": False, "dual_sups_onto": False,
         "t0_separating": True, "dual_t0_separating": True,
     },
-    compute=lambda: _ray_conditions(_rays_closed_dense()),
-    render=lambda: _ray_render(
-        _rays_closed_dense(), "rays (-inf, e] for every carrier element e"
+    build=lambda: _rays(
+        RayNest(_R_LINE, "closed", EndpointSet.all_carrier()),
+        "rays (-inf, e] for every carrier element e",
     ),
 ))
 
@@ -434,8 +374,7 @@ _register(CanonicalInstance(
         "dense_sups_exist": True,
         "irrational_endpoint_sups_exist": False,
     },
-    compute=_rays_rational_carrier_compute,
-    render=_rays_rational_carrier_render,
+    build=_rays_rational_carrier,
 ))
 
 _register(CanonicalInstance(
@@ -446,9 +385,9 @@ _register(CanonicalInstance(
         "dual_sups_exist": True, "dual_sups_escape": True, "dual_sups_onto": False,
         "t0_separating": False, "dual_t0_separating": False,
     },
-    compute=lambda: _ray_conditions(_rays_integer_steps()),
-    render=lambda: _ray_render(
-        _rays_integer_steps(), "rays (-inf, n) for natural numbers n"
+    build=lambda: _rays(
+        RayNest(_R_LINE, "open", EndpointSet.progression(Quadratic.rational(0), _ONE)),
+        "rays (-inf, n) for natural numbers n",
     ),
 ))
 
@@ -456,12 +395,7 @@ _register(CanonicalInstance(
     slug="rays-shift-group",
     summary="addition shifts rays to rays: the generated order is shift-compatible",
     expected={"premise_translation_closed": True, "compatible": True},
-    compute=_rays_shift_group_compute,
-    render=lambda: "\n".join([
-        "additive group on the carrier, rays (-inf, e) for all e:",
-        "g + (-inf, e) = (-inf, e+g) is again a member, so the order is",
-        f"compatible: {group_compatibility('add', _rays_open_dense()).compatible}",
-    ]),
+    build=_rays_shift_group,
 ))
 
 _register(CanonicalInstance(
@@ -472,11 +406,7 @@ _register(CanonicalInstance(
         "compatible": False,
         "has_witness": True,
     },
-    compute=_rays_scale_group_compute,
-    render=lambda: "\n".join([
-        "multiplicative group on the punctured carrier, rays (-inf, e):",
-        group_compatibility("multiply", _rays_open_dense()).witness or "",
-    ]),
+    build=_rays_scale_group,
 ))
 
 

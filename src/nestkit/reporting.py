@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from .serialize import canonical_json
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -31,15 +33,11 @@ def sort_violations(violations: list[Violation]) -> tuple[Violation, ...]:
 
 
 class CanonicalReport:
-    """The canonical bytes of a suite or search report: sorted keys, no
-    spaces, one trailing newline; ``default=str`` renders any value a
-    violation instance holds that JSON has no type for.  Subclasses define
-    ``to_document(include_timing)``."""
+    """The canonical bytes (`canonical_json`) of a suite or search report.
+    Subclasses define ``to_document(include_timing)``."""
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_document(include_timing), sort_keys=True, separators=(",", ":"), default=str
-        ) + "\n"
+        return canonical_json(self.to_document(include_timing))
 
 
 @dataclass

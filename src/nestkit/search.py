@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .analysis import (
     DualPair,
@@ -29,7 +29,7 @@ from .core import Nest, Universe, enumerate_nests
 from .groups import BUILTIN_GROUPS, nest_members_trivial, order_compatible, translation_closed
 from .reporting import CanonicalReport
 from .serialize import canonical_json, family_to_dict
-from .suites import random_nest
+from .suites import random_nest, require_at_least
 
 # A search filter maps a nest's context to a witness note, or to None.
 Filter = Callable[[NestContext], dict | None]
@@ -37,17 +37,35 @@ Filter = Callable[[NestContext], dict | None]
 
 @dataclass(frozen=True)
 class SearchSpec:
+    """One search run.  A field left None takes the target's default, if
+    it has one (`Target.defaults`)."""
+
     target: str
     max_n: int = 4
     max_members: int | None = None
     mode: str = "exhaustive"
     budget: int = 100_000
     seed: int = 20260808
-    group: str = "z4"
+    group: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "random"):
             raise ValueError("mode must be 'exhaustive' or 'random'")
+        require_at_least(self, max_n=1, budget=0, max_members=0)
+
+
+# A walk maps a run's spec to the nests it visits and the filter it keeps
+# witnesses with.
+Walk = Callable[[SearchSpec], tuple[Iterable[Nest], Filter]]
+
+
+@dataclass(frozen=True)
+class Target:
+    summary: str
+    walk: Walk
+    # the spec fields this target sets when the caller leaves them None; a
+    # field only a target reads (the group) is recorded only for that target
+    defaults: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -89,21 +107,37 @@ def _nest_stream(spec: SearchSpec) -> Iterator[Nest]:
         rng = random.Random(spec.seed)
         while True:
             n = rng.randint(1, spec.max_n)
-            yield random_nest(rng, Universe(n), spec.max_members or n + 1)
+            yield random_nest(rng, Universe(n), spec.max_members)
 
 
+TARGETS: dict[str, Target] = {}
+
+
+def _on_points(name: str, summary: str):
+    """Register the decorated filter as target ``name``, walking the nests
+    on 1..max_n points."""
+    def register(keep: Filter) -> Filter:
+        TARGETS[name] = Target(summary, lambda spec: (_nest_stream(spec), keep))
+        return keep
+    return register
+
+
+@_on_points("sup-onto-nests", "nests where every point is an escaping supremum")
 def _sup_onto(ctx: NestContext) -> dict | None:
     if ctx.sup_conditions.sups_onto:
         return {"instance": family_to_dict(ctx.nest)}
     return None
 
 
+@_on_points("escaping-sup-nests", "nests with nonempty members whose sups all escape")
 def _escaping_sup(ctx: NestContext) -> dict | None:
     if ctx.sup_conditions.sups_escape and any(ctx.nest.masks):
         return {"instance": family_to_dict(ctx.nest), "t0_separating": ctx.t0}
     return None
 
 
+@_on_points("escaping-sup-dual-pairs", "dual pairs with escaping sups on both sides "
+            "and a nonempty member (expected empty)")
 def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
     if (
         ctx.sup_conditions.sups_escape
@@ -114,6 +148,7 @@ def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
     return None
 
 
+@_on_points("lots-hypothesis-pairs", "dual pairs satisfying the orderability hypotheses")
 def _lots_pairs(ctx: NestContext) -> dict | None:
     nest, comp = ctx.nest, ctx.complement
     if any(lots_hypotheses(nest, comp, ctx.sup_conditions, ctx.dual_sup_conditions)):
@@ -125,6 +160,8 @@ def _lots_pairs(ctx: NestContext) -> dict | None:
     return None
 
 
+@_on_points("interlocking-disagreements", "nests where the three interlocking routes "
+            "disagree (expected empty)")
 def _interlocking_disagreements(ctx: NestContext) -> dict | None:
     verdicts = (
         is_interlocking(ctx.nest),
@@ -136,6 +173,7 @@ def _interlocking_disagreements(ctx: NestContext) -> dict | None:
     return None
 
 
+@_on_points("t0-without-escape", "T0-separating nests whose sups do not escape")
 def _t0_without_escape(ctx: NestContext) -> dict | None:
     if ctx.t0 and not ctx.sup_conditions.sups_escape:
         return {"instance": family_to_dict(ctx.nest)}
@@ -147,12 +185,11 @@ def _translation_closed(spec: SearchSpec) -> tuple[Iterator[Nest], Filter]:
     closure under that group."""
     group = BUILTIN_GROUPS[spec.group]()
     u = group.universe
-    cap = spec.max_members or 3
     if spec.mode == "exhaustive":
-        stream: Iterator[Nest] = enumerate_nests(u, max_members=cap, bound=u.size)
+        stream: Iterator[Nest] = enumerate_nests(u, max_members=spec.max_members, bound=u.size)
     else:
         rng = random.Random(spec.seed)
-        stream = (random_nest(rng, u, cap) for _ in repeat(None))
+        stream = (random_nest(rng, u, spec.max_members) for _ in repeat(None))
 
     def keep(ctx: NestContext) -> dict | None:
         if not translation_closed(group, ctx.nest):
@@ -167,52 +204,26 @@ def _translation_closed(spec: SearchSpec) -> tuple[Iterator[Nest], Filter]:
     return stream, keep
 
 
-# The targets over the nests on n <= max_n points
-NEST_TARGETS: dict[str, Filter] = {
-    "sup-onto-nests": _sup_onto,
-    "escaping-sup-nests": _escaping_sup,
-    "escaping-sup-dual-pairs": _escaping_sup_pairs,
-    "lots-hypothesis-pairs": _lots_pairs,
-    "interlocking-disagreements": _interlocking_disagreements,
-    "t0-without-escape": _t0_without_escape,
-}
-
-TARGET_SUMMARIES = {
-    "sup-onto-nests": "nests where every point is an escaping supremum",
-    "escaping-sup-nests": "nests with nonempty members whose sups all escape",
-    "escaping-sup-dual-pairs": "dual pairs with escaping sups on both sides "
-                               "and a nonempty member (expected empty)",
-    "lots-hypothesis-pairs": "dual pairs satisfying the orderability hypotheses",
-    "interlocking-disagreements": "nests where the three interlocking routes "
-                                  "disagree (expected empty)",
-    "t0-without-escape": "T0-separating nests whose sups do not escape",
-    "translation-closed-nests": "nests closed under all group translations",
-}
+TARGETS["translation-closed-nests"] = Target(
+    "nests closed under all group translations", _translation_closed,
+    {"group": "z4", "max_members": 3},
+)
 
 
 def target_names() -> list[str]:
-    return sorted(TARGET_SUMMARIES)
+    return sorted(TARGETS)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
-    if spec.target not in TARGET_SUMMARIES:
+    if spec.target not in TARGETS:
         raise KeyError(
             f"unknown search target {spec.target!r}; known: {', '.join(target_names())}"
         )
+    target = TARGETS[spec.target]
+    spec = replace(spec, **{k: v for k, v in target.defaults.items() if getattr(spec, k) is None})
     started = time.perf_counter()
-    config = {
-        "target": spec.target,
-        "max_n": spec.max_n,
-        "max_members": spec.max_members,
-        "mode": spec.mode,
-        "budget": spec.budget,
-        "seed": spec.seed,
-    }
-    if spec.target in NEST_TARGETS:
-        stream, keep = _nest_stream(spec), NEST_TARGETS[spec.target]
-    else:
-        stream, keep = _translation_closed(spec)
-        config["group"] = spec.group
+    config = {k: v for k, v in asdict(spec).items() if k != "group" or k in target.defaults}
+    stream, keep = target.walk(spec)
     witnesses: list[dict] = []
     examined = 0
     stream_exhausted = True

@@ -25,7 +25,9 @@ from .topology import Topology
 
 
 def canonical_json(document: Any) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    """Sorted keys, no spaces, one trailing newline; ``default=str`` renders
+    any value (say, in a violation instance) that JSON has no type for."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"), default=str) + "\n"
 
 
 def _universe_fields(universe: Universe) -> dict:

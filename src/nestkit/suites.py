@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -125,31 +125,42 @@ class SuiteConfig:
     seed: int = 20260808
     iters: int | None = None
     max_members: int | None = None
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self) -> None:
-        # the fields are the `check` command's flags; a bad one is named as both
-        for name, least in (("max_n", 1), ("iters", 0), ("max_members", 0), ("workers", 0)):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{name} ({flag}) must be >= {least}, got {value}")
+        require_at_least(self, max_n=1, iters=0, max_members=0, workers=0)
 
     def resolved_workers(self) -> int:
-        return max(1, self.workers or 1)
+        return max(1, self.workers)
 
 
-def _config_document(config: SuiteConfig, defaults: dict) -> dict:
-    # worker count deliberately omitted: it must not influence the document
-    doc = dict(defaults)
-    if config.max_n is not None:
-        doc["max_n"] = config.max_n
-    if config.iters is not None:
-        doc["iters"] = config.iters
-    if config.max_members is not None:
-        doc["max_members"] = config.max_members
-    doc["seed"] = config.seed
-    return doc
+@dataclass(frozen=True)
+class Suite:
+    run: Callable[[SuiteConfig], tuple[int, list[Violation], list[str]]]
+    summary: str
+    defaults: SuiteConfig
+
+
+SUITES: dict[str, Suite] = {}
+
+
+def _suite(name: str, summary: str, **defaults):
+    """Register the decorated function as suite ``name``, run with the
+    ``defaults`` for the config fields its caller leaves unset."""
+    def register(run):
+        SUITES[name] = Suite(run, summary, SuiteConfig(**defaults))
+        return run
+    return register
+
+
+def require_at_least(config, **least: int) -> None:
+    """Reject a config field below its least value.  The fields are command
+    flags, so a bad one is named as both."""
+    for name, bound in least.items():
+        value = getattr(config, name)
+        if value is not None and value < bound:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{name} ({flag}) must be >= {bound}, got {value}")
 
 
 def _nest_payload(nest: SetFamily, **extra) -> dict:
@@ -173,19 +184,14 @@ def _pmap(fn: Callable, jobs: list, workers: int) -> list:
 NestCheck = Callable[[NestContext], tuple[int, list[tuple[str, dict]], list]]
 
 
-def _sweep(
-    config: SuiteConfig,
-    check: NestCheck,
-    cap: Callable[[int], int | None] = lambda n: None,
-) -> tuple[int, list[Violation], list]:
+def _sweep(config: SuiteConfig, check: NestCheck) -> tuple[int, list[Violation], list]:
     """Run a module-level ``check`` on every nest on n = 1..max_n points
-    (at most ``cap(n)`` members), one stride shard per worker and size.
+    (at most ``max_members`` members), one stride shard per worker and size.
     Returns the instance count, the violations and the checks' data."""
-    max_n = config.max_n or 4
     workers = config.resolved_workers()
     jobs = [
-        (check, n, offset, workers, max_n, cap(n))
-        for n in range(1, max_n + 1)
+        (check, n, offset, workers, config.max_n, config.max_members)
+        for n in range(1, config.max_n + 1)
         for offset in range(workers)
     ]
     count, violations, data = 0, [], []
@@ -197,10 +203,10 @@ def _sweep(
 
 
 def _sweep_shard(job: tuple) -> tuple[int, list[Violation], list]:
-    check, n, offset, stride, max_n, cap = job
+    check, n, offset, stride, max_n, max_members = job
     count, violations, data = 0, [], []
     for nest in enumerate_nests(
-        Universe(n), max_members=cap, bound=max_n, offset=offset, stride=stride
+        Universe(n), max_members=max_members, bound=max_n, offset=offset, stride=stride
     ):
         examined, flagged, found = check(NestContext(nest))
         count += examined
@@ -214,7 +220,7 @@ def random_family(rng: random.Random, universe: Universe, max_members: int = 4) 
     return SetFamily(universe, tuple(masks))
 
 
-def random_nest(rng: random.Random, universe: Universe, max_members: int = 4) -> Nest:
+def random_nest(rng: random.Random, universe: Universe, max_members: int | None = None) -> Nest:
     order = list(universe.elements())
     rng.shuffle(order)
     prefixes = [0]
@@ -222,13 +228,16 @@ def random_nest(rng: random.Random, universe: Universe, max_members: int = 4) ->
     for element in order:
         mask |= 1 << element
         prefixes.append(mask)
-    size = rng.randint(0, min(max_members, len(prefixes)))
+    # no cap: any number of the chain's n + 1 prefixes
+    cap = len(prefixes) if max_members is None else min(max_members, len(prefixes))
+    size = rng.randint(0, cap)
     return Nest(universe, tuple(rng.sample(prefixes, size)))
 
 
 # ---------------------------------------------------------------- replay --
 
 
+@_suite("replay", "re-run every canonical instance against its frozen verdicts")
 def _suite_replay(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     violations = []
     count = 0
@@ -258,8 +267,9 @@ def _check_core(ctx: NestContext) -> tuple[int, list, list]:
     return 1, flagged, []
 
 
+@_suite("core-algebra", "complement involution and the nest enumerator's contracts", max_n=4)
 def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    max_n = config.max_n or 4
+    max_n = config.max_n
     count, violations, _ = _sweep(config, _check_core)
     for n in range(1, max_n + 1):
         u = Universe(n)
@@ -317,14 +327,17 @@ def _fubini(n: int) -> int:
 # ------------------------------------------------------- generated orders --
 
 
+@_suite("generated-orders", "generated-order identities: product form, absorption, T0 forms, "
+        "star unions, transpose duality", max_n=3, iters=10_000)
 def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    family_bound = min(config.max_n or 3, 3)
-    iters = config.iters if config.iters is not None else 10_000
+    if config.max_n > 3:
+        # the exhaustive family sweep is 2^(2^n) families on n points
+        raise ValueError(f"max_n (--max-n) must be <= 3 for generated-orders, got {config.max_n}")
     rng = random.Random(config.seed)
     violations = []
     count = 0
 
-    for n in range(1, family_bound + 1):
+    for n in range(1, config.max_n + 1):
         u = Universe(n)
         for fam in enumerate_families(u):
             count += 1
@@ -391,7 +404,7 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
             violations.append(Violation("singletons:t1", {"universe": n}))
 
     # seeded randomized sweep over larger universes
-    for _ in range(iters):
+    for _ in range(config.iters):
         n = rng.randint(2, 6)
         u = Universe(n)
         fam = random_family(rng, u, max_members=4)
@@ -476,12 +489,13 @@ def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
     return 1, flagged, []
 
 
+@_suite("topology-engine", "subbase closure, order topologies, fixed-point families, join laws",
+        max_n=4, iters=300)
 def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    iters = config.iters if config.iters is not None else 300
     rng = random.Random(config.seed)
     count, violations, _ = _sweep(config, _check_topology)
     # join laws and interval topology on random nest pairs
-    for _ in range(iters):
+    for _ in range(config.iters):
         n = rng.randint(1, 4)
         u = Universe(n)
         t1 = topology_from_subbase(random_family(rng, u, 3))
@@ -619,20 +633,28 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
     return out
 
 
+@_suite("sup-conditions", "the sup-condition ladder, order-topology facts, dual pairs, and the "
+        "firing census", max_n=4)
 def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    max_n = config.max_n or 4
+    max_n = config.max_n
     count, violations, data = _sweep(config, _check_sup)
     onto, escape_t0, bare, pair_violations = [], [], [], []
     tagged = {"onto": onto, "escape_t0": escape_t0, "bare": bare, "pair": pair_violations}
     for tag, value in data:
         tagged[tag].append(value)
-    if sorted(onto) != [[[1], [[]]]]:
+
+    def swept(entries: list) -> list:
+        # the census entries a member cap leaves in the sweep
+        cap = config.max_members
+        return [e for e in entries if cap is None or len(e[1]) <= cap]
+
+    if sorted(onto) != swept([[[1], [[]]]]):
         violations.append(Violation(
             "census:onto-only-trivial", {"inventory": sorted(onto)}
         ))
     # on one point, T0 and the escape condition are both vacuous for the
     # empty nest, so the inventory has exactly the two one-point entries
-    if sorted(escape_t0) != [[[1], []], [[1], [[]]]]:
+    if sorted(escape_t0) != swept([[[1], []], [[1], [[]]]]):
         violations.append(Violation(
             "census:escape-t0-inventory", {"inventory": sorted(escape_t0)}
         ))
@@ -706,24 +728,15 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
     return 1, flagged, []
 
 
-# members per nest on four or more points when no cap is given
-INTERLOCKING_DEFAULT_CAP = 5
-
-
+@_suite("interlocking", "three-route equivalence of the interlocking property", max_n=4)
 def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    max_n = config.max_n or 4
-    if config.max_members is None:
-        cap, scope = INTERLOCKING_DEFAULT_CAP, "nests on four or more points are"
-        count, violations, _ = _sweep(
-            config, _check_interlocking, cap=lambda n: cap if n >= 4 else None
-        )
-    else:
-        cap, scope = config.max_members, "nests are"
-        count, violations, _ = _sweep(config, _check_interlocking, cap=lambda n: cap)
-    total = sum(count_nests(Universe(n)) for n in range(1, max_n + 1))
+    count, violations, _ = _sweep(config, _check_interlocking)
+    total = sum(count_nests(Universe(n)) for n in range(1, config.max_n + 1))
     notes = []
     if count < total:
-        notes.append(f"{scope} capped at {cap} members: checked {count} of {total} nests")
+        notes.append(
+            f"nests are capped at {config.max_members} members: checked {count} of {total} nests"
+        )
     return count, violations, notes
 
 
@@ -807,6 +820,7 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     return full + 1 + len(covers), flagged, []
 
 
+@_suite("bound-covers", "cover characterizations of reach and bound existence", max_n=4)
 def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     count, violations, _ = _sweep(config, _check_bounds)
     # the strict-bound form genuinely diverges from the dichotomy at the top
@@ -841,8 +855,9 @@ def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
 # ----------------------------------------------------- group compatibility --
 
 
+@_suite("group-compatibility", "translation premises, order compatibility, and continuity of "
+        "inversion/multiplication", iters=10_000)
 def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    iters = config.iters if config.iters is not None else 10_000
     rng = random.Random(config.seed)
     violations = []
     count = 0
@@ -884,7 +899,7 @@ def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
                 violations.extend(_continuity_checks(group, name, left, right, cross_check=cross))
 
     sampled = ["z3", "z4", "z2xz2", "s3"]
-    per_group = max(1, iters // len(sampled))
+    per_group = max(1, config.iters // len(sampled))
     for name in sampled:
         group = groups[name]
         for index in range(per_group):
@@ -944,6 +959,7 @@ def _continuity_checks(
 # ------------------------------------------------------------------- rays --
 
 
+@_suite("ray-classification", "ray decision table coherence and symbolic order cross-checks")
 def _suite_rays(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     violations = []
     count = 0
@@ -1086,49 +1102,7 @@ def _ray_payload(nest: RayNest, **extra) -> dict:
     return doc
 
 
-# ---------------------------------------------------------------- registry --
-
-
-SUITES: dict[str, Callable[[SuiteConfig], tuple[int, list[Violation], list[str]]]] = {
-    "replay": _suite_replay,
-    "core-algebra": _suite_core,
-    "generated-orders": _suite_generated_orders,
-    "topology-engine": _suite_topology,
-    "sup-conditions": _suite_sup_conditions,
-    "interlocking": _suite_interlocking,
-    "bound-covers": _suite_bounds,
-    "group-compatibility": _suite_groups,
-    "ray-classification": _suite_rays,
-}
-
-SUITE_SUMMARIES = {
-    "replay": "re-run every canonical instance against its frozen verdicts",
-    "core-algebra": "complement involution and the nest enumerator's contracts",
-    "generated-orders": "generated-order identities: product form, absorption, "
-                        "T0 forms, star unions, transpose duality",
-    "topology-engine": "subbase closure, order topologies, fixed-point families, "
-                       "join laws",
-    "sup-conditions": "the sup-condition ladder, order-topology facts, dual "
-                      "pairs, and the firing census",
-    "interlocking": "three-route equivalence of the interlocking property",
-    "bound-covers": "cover characterizations of reach and bound existence",
-    "group-compatibility": "translation premises, order compatibility, and "
-                           "continuity of inversion/multiplication",
-    "ray-classification": "ray decision table coherence and symbolic order "
-                          "cross-checks",
-}
-
-_SUITE_DEFAULTS: dict[str, dict] = {
-    "replay": {},
-    "core-algebra": {"max_n": 4},
-    "generated-orders": {"max_n": 3, "iters": 10_000},
-    "topology-engine": {"max_n": 4, "iters": 300},
-    "sup-conditions": {"max_n": 4},
-    "interlocking": {"max_n": 4},
-    "bound-covers": {"max_n": 4},
-    "group-compatibility": {"iters": 10_000},
-    "ray-classification": {},
-}
+# ------------------------------------------------------------------ runner --
 
 
 def suite_names() -> list[str]:
@@ -1138,13 +1112,16 @@ def suite_names() -> list[str]:
 def run_suite(name: str, config: SuiteConfig | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    config = config or SuiteConfig()
+    suite = SUITES[name]
+    given = {k: v for k, v in asdict(config or SuiteConfig()).items() if v is not None}
+    config = replace(suite.defaults, **given)
     started = time.perf_counter()
-    count, violations, notes = SUITES[name](config)
+    count, violations, notes = suite.run(config)
     elapsed = (time.perf_counter() - started) * 1000.0
     return SuiteReport(
         suite=name,
-        config=_config_document(config, _SUITE_DEFAULTS[name]),
+        # the worker count stays out: it must not influence the document
+        config={k: v for k, v in asdict(config).items() if v is not None and k != "workers"},
         instances=count,
         violations=sort_violations(violations),
         wall_ms=elapsed,

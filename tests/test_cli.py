@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from nestkit import cli
 from nestkit.cli import main
+from nestkit.groups import ContinuityReport
+from nestkit.instances import slugs
+from nestkit.search import SearchSpec, run_search
 from nestkit.serialize import canonical_json
 
 
@@ -196,6 +201,8 @@ def test_analyze_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit)
     ("generated-orders", "--iters", "-1"),
     ("interlocking", "--max-members", "-1"),
     ("sup-conditions", "--workers", "-1"),
+    # generated-orders used to record max_n=5 while sweeping three points
+    ("generated-orders", "--max-n", "5"),
 ])
 def test_check_rejects_an_out_of_range_config(tmp_path, capsys, suite, flag, value):
     out = tmp_path / "report.json"
@@ -204,3 +211,87 @@ def test_check_rejects_an_out_of_range_config(tmp_path, capsys, suite, flag, val
     assert code == 2
     assert flag in err and value in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # each used to exit 0: complete over 0 instances, an exhausted budget,
+    # and "empty range for randrange()"
+    (["--max-n", "-3"], "--max-n"),
+    (["--budget", "-5"], "--budget"),
+    (["--mode", "random", "--max-n", "0"], "--max-n"),
+    (["--max-members", "-1"], "--max-members"),
+])
+def test_search_rejects_an_out_of_range_spec(tmp_path, capsys, argv, flag):
+    out = tmp_path / "search.json"
+    code = main(["search", "--target", "sup-onto-nests", *argv, "--json", str(out)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_flags_left_unset_take_the_spec_defaults(tmp_path, capsys):
+    for target in ("sup-onto-nests", "translation-closed-nests"):
+        out = tmp_path / f"{target}.json"
+        assert main(["search", "--target", target, "--json", str(out)]) == 0
+        assert out.read_text() == run_search(SearchSpec(target)).to_json()
+
+
+def _stdout(argv, capsys) -> str:
+    capsys.readouterr()
+    main(argv)
+    return capsys.readouterr().out
+
+
+# sha256 of the stdout of `demo --id <slug>` and of the three --list commands
+DEMO_DIGESTS = {
+    "pair-dual-nests": "d6417581d4e83929bce7adc2dc6decfb6f5d49bf1cab7455e057a09185bc333e",
+    "pair-t0-nest": "1b4c86a71f893e6101f37d0d0bfac448ebdab3e0765f8d9413451a6b797e22b6",
+    "quad-dual-nests": "5f191cf4f7b1a69aa319c54090b1af80a53299cafb18468287250e945aa5d657",
+    "rays-closed-dense": "d798010390034424de2e1b11a2accdf17e4fa9209d75eb186f0406912ff60846",
+    "rays-closed-window": "726f9a23fada6e1f465f6ccb3720211377e4f86a423573e3489a5122cced8594",
+    "rays-integer-steps": "e817081624794acd56193d98c55fa0158277627a0acae6be6b3807356459c919",
+    "rays-open-dense": "7dc5f361448eabf2edca3b2c6ae3dbf585c899a6b9f3819f9146c0e20c349860",
+    "rays-open-window": "274c3bdb7c532980d0f193ec81bfac7928658b34c93fdeeb6ec17c226a9aaf22",
+    "rays-rational-carrier": "b14c50a226f0ebb79f1d3185ac0084a4e6c49cf8ae889c4a72c23d0851cd54f8",
+    "rays-scale-group": "42ec7148e0f1da6e4e79571344fc9cb554d066ef163c8d0a5c9c306418244f2e",
+    "rays-shift-group": "8b0a6a004d5901afaaacd3b7e2739eade0782bcc2ab6d1da4bbf9661eda81424",
+}
+LIST_DIGESTS = {
+    "check": "b2ec8bba0ef1dd32d202a3372409765eb33957c892dad450fe5f25ae3c4a3e32",
+    "search": "785f5f79ac2a17ea849dd795083f9c3e29869a96117ec009d9d68dd841070818",
+    "demo": "8cbeb33ea29ee71795a6dda272c5566fd5218877722214503609c5e002e82dd9",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("slug", sorted(DEMO_DIGESTS))
+def test_demo_output_keeps_its_bytes(slug, capsys):
+    assert sorted(DEMO_DIGESTS) == slugs()
+    assert _digest(_stdout(["demo", "--id", slug], capsys)) == DEMO_DIGESTS[slug]
+
+
+def test_list_outputs_keep_their_bytes(capsys):
+    for command, digest in LIST_DIGESTS.items():
+        assert _digest(_stdout([command, "--list"], capsys)) == digest, command
+
+
+def test_group_check_fails_when_the_conclusion_does(nest_file, tmp_path, monkeypatch, capsys):
+    trivial = tmp_path / "trivial.json"
+    trivial.write_text(canonical_json({
+        "universe": 3, "family": [[], [0, 1, 2]], "kind": "nest",
+    }), encoding="utf-8")
+    argv = ["group-check", "--group", "z3", "--nest", str(trivial), "--check", "translation"]
+    assert main(argv) == 0
+    # the trivial nest is translation-closed, so a failed conclusion is a violation
+    monkeypatch.setattr(cli, "order_compatible", lambda group, nest: False)
+    assert main(argv) == 1
+    monkeypatch.setattr(cli, "inversion_continuity",
+                        lambda group, left, right: ContinuityReport(True, False))
+    assert main(argv[:-1] + ["inversion"]) == 1
+    # without the premise the implication stands
+    monkeypatch.setattr(cli, "inversion_continuity",
+                        lambda group, left, right: ContinuityReport(False, False))
+    assert main(argv[:-1] + ["inversion"]) == 0

@@ -1,6 +1,9 @@
+import hashlib
+from itertools import islice
+
 import pytest
 
-from nestkit.search import SearchSpec, persist_witnesses, run_search, target_names
+from nestkit.search import TARGETS, SearchSpec, persist_witnesses, run_search, target_names
 from nestkit.serialize import load_instance
 
 
@@ -72,3 +75,70 @@ def test_unknown_target_and_bad_mode():
 def test_search_reports_deterministic():
     spec = SearchSpec("t0-without-escape", max_n=4, mode="random", budget=300, seed=11)
     assert run_search(spec).to_json() == run_search(spec).to_json()
+
+
+# sha256 of each target's canonical document at the default spec and in
+# random mode (seed 5, budget 300); a change to any byte must be deliberate
+SEARCH_DIGESTS = {
+    "escaping-sup-dual-pairs": (
+        "c8365cf6d58566213de3fb62c157a5e7d55388dd4209ff4d494c52ff1bedc299",
+        "47f9c17b5b125ee0be1d9f7b2506697da6a775a3533d638bd77e4cf574ccc202",
+    ),
+    "escaping-sup-nests": (
+        "5e033e4683ba3a11e0c797e6d1b3fa3f65c90eef9411be15eabaf89ff9040633",
+        "7e41bd9be72a2d1127ecbcbbb751b0198063b1b57e950912cfde46a2aa5bfe07",
+    ),
+    "interlocking-disagreements": (
+        "b9cae1e5cd172a4b42ad3608011b2545616b5c60dd85892d0427c3a368526b1c",
+        "e673658666857cf87e0b19f5fd72f1b4720e68938ac10091e26a895350c49079",
+    ),
+    "lots-hypothesis-pairs": (
+        "4c0e4454195964b9b0b5a16a66cb8c88e77f18d7b78b32228636447b87478450",
+        "0aeb9b409f0239280d4028fc24455004dc0a046169ea8d2f97fc540c4e8e2a0a",
+    ),
+    "sup-onto-nests": (
+        "285406b9c21cb8804f8f68841dc673be78a9f43bc1cf4b9858ba352e130c6f42",
+        "b8d913272b194e1f851dc68c9044a9d4ffb3ee721c9f3ba56068020794184527",
+    ),
+    "t0-without-escape": (
+        "c68a7be889b1268dbc24914d4bcbac3b4b4778d95549d205bed2f5a38f2d6dcf",
+        "a256f92a162c9b520169b1eedd4f7cf826f5e57eed642e7250b9b094b4df7eb4",
+    ),
+    "translation-closed-nests": (
+        "931709c7a2506b9cb344e12e3f12c74ad0568e54f1a79eeaaa58a41ce11c3a01",
+        "3603ceb45c08e2068a5ebd812fa6ed4a45b2ca2616411f6a2d60ca53e4556c5e",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(SEARCH_DIGESTS))
+def test_search_documents_keep_their_bytes(target):
+    assert sorted(SEARCH_DIGESTS) == target_names()
+    specs = (SearchSpec(target), SearchSpec(target, mode="random", seed=5, budget=300))
+    digests = tuple(
+        hashlib.sha256(run_search(spec).to_json().encode("utf-8")).hexdigest() for spec in specs
+    )
+    assert digests == SEARCH_DIGESTS[target]
+
+
+def test_random_mode_honours_a_cap_of_zero_members():
+    # a cap of 0 used to read as no cap and draw up to n + 1 members
+    spec = SearchSpec("sup-onto-nests", mode="random", max_members=0, seed=5)
+    nests, _ = TARGETS[spec.target].walk(spec)
+    assert all(nest.masks == () for nest in islice(nests, 200))
+
+
+def test_translation_closed_search_honours_a_cap_of_zero_members():
+    # a cap of 0 used to run the default cap of 3 (192 z4 nests) and record 0
+    report = run_search(SearchSpec("translation-closed-nests", max_members=0))
+    assert report.complete and report.examined == 1
+    assert report.config["max_members"] == 0
+    assert [w["instance"]["family"] for w in report.witnesses] == [[]]
+
+
+def test_translation_closed_search_records_the_cap_it_ran():
+    report = run_search(SearchSpec("translation-closed-nests"))
+    assert report.examined == 192
+    assert report.config["max_members"] == 3 and report.config["group"] == "z4"
+    # the nest targets read no group and record none
+    assert "group" not in run_search(SearchSpec("sup-onto-nests", max_n=2)).config

@@ -73,13 +73,11 @@ def test_worker_count_comes_from_the_config_only(monkeypatch):
 
 
 def test_interlocking_names_the_member_cap_when_it_skips_nests():
-    # on five points the default cap of 5 members leaves out the 120
-    # six-member chains; the note says so and counts against count_nests
-    capped = run_suite("interlocking", SuiteConfig(max_n=5))
-    assert capped.passed and capped.instances == 2412
-    assert capped.notes == (
-        "nests on four or more points are capped at 5 members: checked 2412 of 2532 nests",
-    )
+    # with no cap given, all 2532 nests on up to five points are checked,
+    # the 120 six-member chains included, and no note is needed
+    uncapped = run_suite("interlocking", SuiteConfig(max_n=5))
+    assert uncapped.passed and uncapped.instances == 2532
+    assert uncapped.notes == ()
     # nothing skipped, nothing said
     assert run_suite("interlocking", SuiteConfig(max_n=5, max_members=6)).notes == ()
     assert run_suite("interlocking", SuiteConfig()).notes == ()
