@@ -340,15 +340,31 @@ def member_union_of_smaller(nest: Nest, member_mask: int) -> int:
     return union
 
 
+def down_mask_by_members(masks: tuple[int, ...], region: int) -> int:
+    """The union of the members (given as masks) that do not contain the
+    region mask."""
+    reach = 0
+    for m in masks:
+        if region & ~m:
+            reach |= m
+    return reach
+
+
+def up_mask_by_complements(masks: tuple[int, ...], full: int, region: int) -> int:
+    """The union of the complements in ``full`` of the members (given as
+    masks) that meet the region mask."""
+    reach = 0
+    for m in masks:
+        if region & m:
+            reach |= m ^ full
+    return reach
+
+
 def down_set_by_members(nest: Nest, region: Subset) -> Subset:
     """Downward reach computed from the nest: the union of members that do
     not contain the region."""
     _check_same_universe(nest.universe, region.universe)
-    mask = 0
-    for m in nest.masks:
-        if region.mask & ~m:
-            mask |= m
-    return Subset(nest.universe, mask)
+    return Subset(nest.universe, down_mask_by_members(nest.masks, region.mask))
 
 
 def up_set_by_complements(nest: Nest, region: Subset) -> Subset:
@@ -356,11 +372,7 @@ def up_set_by_complements(nest: Nest, region: Subset) -> Subset:
     members meeting the region."""
     _check_same_universe(nest.universe, region.universe)
     full = nest.universe.full_mask
-    mask = 0
-    for m in nest.masks:
-        if region.mask & m:
-            mask |= m ^ full
-    return Subset(nest.universe, mask)
+    return Subset(nest.universe, up_mask_by_complements(nest.masks, full, region.mask))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,18 @@ region: the bound predicates delegate to a fresh context, and the reach
 covers compute that region's reach directly with ``down_set``/``up_set``
 instead of tabulating every region; both forms build the verdict in
 `_reach_cover`.
+
+Under both sit mask-in/mask-out kernels on an order's rows: the reach
+covers hold when the region's strict reach mask is the full mask, and
+``upper_bounds``/``lower_bounds`` give the bound masks of a region.  Sweeps
+call these on plain masks and build a `Subset` or `CoverWitness` only for a
+verdict or payload they read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .analysis import NestContext
 from .core import Nest, SetFamily, Subset, _check_same_universe
@@ -110,15 +117,7 @@ def has_upper_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
 def has_upper_bound_in(ctx: NestContext, region: Subset, strict: bool = True) -> bool:
     _check_same_universe(ctx.nest.universe, region.universe)
     rel = ctx.order if strict else ctx.preorder
-    bounds = region.universe.full_mask
-    remaining = region.mask
-    y = 0
-    while remaining:
-        if remaining & 1:
-            bounds &= rel.rows[y]
-        remaining >>= 1
-        y += 1
-    return bounds != 0
+    return upper_bounds(rel.rows, rel.universe.full_mask, region.mask) != 0
 
 
 def has_lower_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
@@ -129,23 +128,47 @@ def has_lower_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
 def has_lower_bound_in(ctx: NestContext, region: Subset, strict: bool = True) -> bool:
     _check_same_universe(ctx.nest.universe, region.universe)
     rel = ctx.order if strict else ctx.preorder
-    return any(
-        rel.rows[x] & region.mask == region.mask
-        for x in region.universe.elements()
-    )
+    return lower_bounds(rel.rows, region.mask) != 0
+
+
+def upper_bounds(rows: Sequence[int], full: int, region: int) -> int:
+    """The points x with y rel x for every y in the region mask, where
+    ``rows`` are the relation's rows: the intersection of the rows of the
+    region's elements (``full`` for the empty region).  Strict or reflexive
+    rows give the strict or the reflexive bounds."""
+    bounds = full
+    while region:
+        low = region & -region
+        bounds &= rows[low.bit_length() - 1]
+        region ^= low
+    return bounds
+
+
+def lower_bounds(rows: Sequence[int], region: int) -> int:
+    """The points x with x rel y for every y in the region mask: those whose
+    row contains the region."""
+    bounds = 0
+    bit = 1
+    for row in rows:
+        if row & region == region:
+            bounds |= bit
+        bit <<= 1
+    return bounds
 
 
 def covering_subfamilies(nest: Nest) -> list[tuple[int, ...]]:
     """All subfamilies whose union is the whole universe (exhaustive helper
-    for the cover characterizations; exponential in the nest size)."""
-    full = nest.universe.full_mask
-    out = []
+    for the cover characterizations; exponential in the nest size).
+
+    Subfamily ``pick`` holds member i when bit i of ``pick`` is set; the
+    unions of all picks are tabulated by doubling, one member at a time."""
     members = nest.masks
-    for pick in range(1 << len(members)):
-        union = 0
-        chosen = tuple(members[i] for i in range(len(members)) if pick >> i & 1)
-        for m in chosen:
-            union |= m
-        if union == full:
-            out.append(chosen)
-    return out
+    unions = [0]
+    for m in members:
+        unions += [union | m for union in unions]
+    full = nest.universe.full_mask
+    return [
+        tuple(m for i, m in enumerate(members) if pick >> i & 1)
+        for pick, union in enumerate(unions)
+        if union == full
+    ]

@@ -33,17 +33,17 @@ from .analysis import (
     member_union_of_smaller,
     nest_preorder,
     sup_conditions,
-    up_set_by_complements,
-    down_set_by_members,
+    up_mask_by_complements,
+    down_mask_by_members,
 )
 from .bounds import (
     covering_subfamilies,
     down_reach_covers,
     down_reach_covers_in,
-    has_lower_bound_in,
     has_upper_bound,
-    has_upper_bound_in,
+    lower_bounds,
     up_reach_covers_in,
+    upper_bounds,
 )
 from .core import (
     Nest,
@@ -54,6 +54,7 @@ from .core import (
     enumerate_families,
     enumerate_nests,
     family_complement,
+    indices_of,
     is_nest,
 )
 from .groups import (
@@ -107,14 +108,14 @@ from .reporting import SuiteReport, Violation, sort_violations
 from .serialize import family_to_dict, ray_to_dict
 from .topology import (
     Topology,
-    down_set,
+    down_mask,
     interval_topology,
     is_closed_in_family,
     join,
     lower_topology,
     point_up_set,
     topology_from_subbase,
-    up_set,
+    up_mask,
     upper_topology,
 )
 
@@ -461,30 +462,36 @@ def _order_checks(fam: SetFamily) -> list[Violation]:
 # -------------------------------------------------------- topology engine --
 
 
+_REACH_ROUTES = ("down-set:formula", "up-set:formula", "down-set:table", "up-set:table")
+
+
 def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
     """Brute-force reach per region is the oracle for the member formulas
     and for the reach tables the sweeps read."""
-    nest, order = ctx.nest, ctx.order
-    u = nest.universe
+    nest, rows = ctx.nest, ctx.order.rows
+    masks, full = nest.masks, nest.universe.full_mask
     up_table, down_table = ctx.up_reach, ctx.down_reach
     flagged = []
     formula = []
-    for mask in range(u.full_mask + 1):
-        region = Subset(u, mask)
-        by_complements = up_set_by_complements(nest, region)
-        if by_complements.mask == mask:
+    for mask in range(full + 1):
+        by_complements = up_mask_by_complements(masks, full, mask)
+        if by_complements == mask:
             formula.append(mask)
-        down = down_set(order, region)
-        up = up_set(order, region)
-        for pid, holds in (
-            ("down-set:formula", down_set_by_members(nest, region) == down),
-            ("up-set:formula", by_complements == up),
-            ("down-set:table", down_table[mask] == down.mask),
-            ("up-set:table", up_table[mask] == up.mask),
-        ):
-            if not holds:
-                flagged.append((pid, {"region": list(region.indices)}))
-    if ctx.alexandroff.masks != SetFamily(u, tuple(formula)).masks:
+        down = down_mask(rows, mask)
+        up = up_mask(rows, mask)
+        holds = (
+            down_mask_by_members(masks, mask) == down,
+            by_complements == up,
+            down_table[mask] == down,
+            up_table[mask] == up,
+        )
+        if not all(holds):
+            flagged += [
+                (pid, {"region": list(indices_of(mask))})
+                for pid, held in zip(_REACH_ROUTES, holds)
+                if not held
+            ]
+    if ctx.alexandroff.masks != SetFamily(nest.universe, tuple(formula)).masks:
         flagged.append(("alexandroff:nest-formula", {}))
     return 1, flagged, []
 
@@ -636,7 +643,7 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
 @_suite("sup-conditions", "the sup-condition ladder, order-topology facts, dual pairs, and the "
         "firing census", max_n=4)
 def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    max_n = config.max_n
+    max_n, cap = config.max_n, config.max_members
     count, violations, data = _sweep(config, _check_sup)
     onto, escape_t0, bare, pair_violations = [], [], [], []
     tagged = {"onto": onto, "escape_t0": escape_t0, "bare": bare, "pair": pair_violations}
@@ -645,7 +652,6 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
 
     def swept(entries: list) -> list:
         # the census entries a member cap leaves in the sweep
-        cap = config.max_members
         return [e for e in entries if cap is None or len(e[1]) <= cap]
 
     if sorted(onto) != swept([[[1], [[]]]]):
@@ -663,7 +669,10 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
     pair_bound = min(max_n, 3)
     for n in range(1, pair_bound + 1):
         u = Universe(n)
-        contexts = [NestContext(nest) for nest in enumerate_nests(u, bound=max_n)]
+        contexts = [
+            NestContext(nest)
+            for nest in enumerate_nests(u, max_members=cap, bound=max_n)
+        ]
         buckets: dict[tuple, list[Nest]] = {}
         for ctx in contexts:
             buckets.setdefault(ctx.order.rows, []).append(ctx.nest)
@@ -692,11 +701,16 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
         if co_singleton
         else "including shapes beyond single co-singleton members"
     )
+    if cap is None:
+        scope, pair_scope = "exhaustively", "exhaustively over all dual pairs"
+    else:
+        scope = f"only on nests of at most {cap} members"
+        pair_scope = f"only over the dual pairs of nests of at most {cap} members"
     notes = [
         "the onto condition (every point an escaping sup) fires only for the "
-        "empty-member nest on a one-point universe, verified exhaustively",
+        f"empty-member nest on a one-point universe, verified {scope}",
         "the paired escape condition on dual nests fires only for nests of "
-        "empty members, verified exhaustively over all dual pairs",
+        f"empty members, verified {pair_scope}",
         f"the bare escape condition also fires for {len(bare)} nests with a "
         f"nonempty member ({shape}); "
         "the order-topology facts hold on every one of them",
@@ -748,76 +762,91 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     instance each."""
     nest, t0 = ctx.nest, ctx.t0
     u = nest.universe
-    full = u.full_mask
+    masks, full = nest.masks, u.full_mask
+    rows = ctx.order.rows
+    pre_rows = ctx.preorder.rows if t0 else None
+    down_reach, up_reach = ctx.down_reach, ctx.up_reach
     flagged = []
     for mask in range(full + 1):
-        region = Subset(u, mask)
-        down = down_reach_covers_in(ctx, region)
-        up = up_reach_covers_in(ctx, region)
+        down = down_reach[mask] == full
+        up = up_reach[mask] == full
         failed = []
-        cover = 0
-        for m in nest.masks:
-            if mask & ~m:
-                cover |= m
-        if down.holds != (cover == full):
+        if down != (down_mask_by_members(masks, mask) == full):
             failed.append("down:cover-form")
-        if down.holds:
-            seen = down.witness_family
+        if down:
+            seen = down_reach_covers_in(ctx, Subset(u, mask)).witness_family
             if seen is None or any(mask & ~m == 0 for m in seen.masks):
                 failed.append("down:witness")
-        meeting = [m for m in nest.masks if mask & m]
         inter = full
-        for m in meeting:
-            inter &= m
-        if up.holds != (bool(meeting) and inter == 0):
+        meeting = False
+        for m in masks:
+            if mask & m:
+                inter &= m
+                meeting = True
+        if up != (meeting and inter == 0):
             failed.append("up:intersection-form")
-        if up.holds:
-            seen = up.witness_family
+        if up:
+            seen = up_reach_covers_in(ctx, Subset(u, mask)).witness_family
             if seen is None or any(mask & m == 0 for m in seen.masks):
                 failed.append("up:witness")
         if t0:
-            if down.holds != (not has_upper_bound_in(ctx, region, strict=False)):
+            if down != (upper_bounds(pre_rows, full, mask) == 0):
                 failed.append("down:bound-dichotomy")
-            if up.holds != (not has_lower_bound_in(ctx, region, strict=False)):
+            if up != (lower_bounds(pre_rows, mask) == 0):
                 failed.append("up:bound-dichotomy")
         if mask == 0:
-            if not has_upper_bound_in(ctx, region) or not has_lower_bound_in(ctx, region):
+            if not upper_bounds(rows, full, mask) or not lower_bounds(rows, mask):
                 failed.append("bounds:empty-region")
-        flagged += [(pid, {"region": list(region.indices)}) for pid in failed]
+        if failed:
+            flagged += [(pid, {"region": list(indices_of(mask))}) for pid in failed]
 
     # converse: a cover with no single member containing the region
     # forces full downward reach; and any cover of X is itself a
     # finite subcover for the region, which is the whole content of
     # the finite-subcover clause at this scale.  A subfamily of a nest
     # is a chain kept in canonical order, so its last member contains
-    # all the others and alone decides whether one contains the region
+    # all the others and alone decides whether one contains the region.
+    # Both premises need a point outside that member, so only those
+    # regions are visited (none when the member is X, as it is for
+    # every cover of a chain)
     covers = covering_subfamilies(nest)
     for chosen in covers:
         union = 0
         for m in chosen:
             union |= m
-        top = chosen[-1]
-        for mask in range(full + 1):
-            if mask & ~top:
-                if not down_reach_covers_in(ctx, Subset(u, mask), want_witness=False).holds:
-                    flagged.append(("down:cover-converse", {"region": mask, "cover": list(chosen)}))
+        for mask in _regions_not_inside(chosen[-1], full):
+            if down_reach[mask] != full:
+                flagged.append(("down:cover-converse", {"region": mask, "cover": list(chosen)}))
             if mask & ~union:
                 flagged.append((
                     "finite-subcover:reduction", {"region": mask, "cover": list(chosen)}
                 ))
 
     if t0:
-        pre = ctx.preorder
-        minimum = next((x for x in u.elements() if pre.rows[x] == full), None)
-        for mask in nest.masks:
-            member = Subset(u, mask)
-            if mask != full and not has_upper_bound_in(ctx, member):
+        minimum = next((x for x in u.elements() if pre_rows[x] == full), None)
+        for mask in masks:
+            if mask != full and not upper_bounds(rows, full, mask):
                 flagged.append(("member:strict-upper-bound", {"member": mask}))
             if mask and minimum is not None:
                 expect = not (mask >> minimum & 1)
-                if has_lower_bound_in(ctx, member) != expect:
+                if bool(lower_bounds(rows, mask)) != expect:
                     flagged.append(("member:lower-bound-minimum", {"member": mask}))
     return full + 1 + len(covers), flagged, []
+
+
+def _regions_not_inside(top: int, full: int):
+    """The masks in ``full`` with a point outside ``top``: each nonempty
+    part outside it joined with each part inside it."""
+    outside = full & ~top
+    part = outside
+    while part:
+        inner = top
+        while True:
+            yield part | inner
+            if not inner:
+                break
+            inner = (inner - 1) & top
+        part = (part - 1) & outside
 
 
 @_suite("bound-covers", "cover characterizations of reach and bound existence", max_n=4)

@@ -13,7 +13,9 @@ Convention notes, since the source material uses both:
   matching the definition "x is above A iff some y in A lies strictly below".
   ``up_reach_table`` tabulates the strict upward reach of every region of
   one order at once; sweeps read it, and ``up_set``/``down_set`` stay as the
-  region-at-a-time definition it is checked against.
+  region-at-a-time definition it is checked against.  Their mask forms
+  ``up_mask``/``down_mask`` take the order's rows and a region mask; the
+  sweeps call those, and the ``Subset`` forms wrap them at the boundary.
 
 Empty intersections close to X and empty unions to the empty set.
 """
@@ -110,28 +112,38 @@ def point_down_set(rel: Relation, x: int) -> Subset:
     return Subset(rel.universe, mask)
 
 
+def up_mask(rows: Sequence[int], region: int) -> int:
+    """Strict upward reach of a region mask: the union of the rows of its
+    elements, visiting set bits only."""
+    reach = 0
+    while region:
+        low = region & -region
+        reach |= rows[low.bit_length() - 1]
+        region ^= low
+    return reach
+
+
+def down_mask(rows: Sequence[int], region: int) -> int:
+    """Strict downward reach of a region mask: every x whose row meets it."""
+    reach = 0
+    bit = 1
+    for row in rows:
+        if row & region:
+            reach |= bit
+        bit <<= 1
+    return reach
+
+
 def up_set(rel: Relation, region: Subset) -> Subset:
     """Strict upward reach: all x such that some y in the region has y rel x."""
     _check_same_universe(rel.universe, region.universe)
-    mask = 0
-    remaining = region.mask
-    y = 0
-    while remaining:
-        if remaining & 1:
-            mask |= rel.rows[y]
-        remaining >>= 1
-        y += 1
-    return Subset(rel.universe, mask)
+    return Subset(rel.universe, up_mask(rel.rows, region.mask))
 
 
 def down_set(rel: Relation, region: Subset) -> Subset:
     """Strict downward reach: all x such that some y in the region has x rel y."""
     _check_same_universe(rel.universe, region.universe)
-    mask = 0
-    for x in rel.universe.elements():
-        if rel.rows[x] & region.mask:
-            mask |= 1 << x
-    return Subset(rel.universe, mask)
+    return Subset(rel.universe, down_mask(rel.rows, region.mask))
 
 
 def up_reach_table(rel: Relation) -> tuple[int, ...]:

@@ -102,6 +102,29 @@ def test_covering_subfamilies():
     assert covering_subfamilies(CHAIN) == []  # the chain never reaches x3
 
 
+def test_every_cover_of_a_nest_ends_in_the_universe():
+    # a nest's covering subfamily is a chain whose union is its last member,
+    # so that member is X: the bound-covers converse loop, which visits only
+    # the regions outside it, visits none, and its premise never fires
+    for n in (1, 2, 3, 4, 5):
+        u = Universe(n)
+        for nest in enumerate_nests(u, bound=5):
+            covers = covering_subfamilies(nest)
+            assert all(chosen[-1] == u.full_mask for chosen in covers)
+            if n <= 4:
+                # pick i holds member j when bit j of i is set
+                members = nest.masks
+                picks = [
+                    tuple(m for j, m in enumerate(members) if i >> j & 1)
+                    for i in range(1 << len(members))
+                ]
+                assert covers == [
+                    chosen for chosen in picks
+                    if sum(1 << x for x in range(n) if any(m >> x & 1 for m in chosen))
+                    == u.full_mask
+                ]
+
+
 def test_nest_forms_match_the_context_forms():
     # the public nest forms and the context forms sweeps use agree on every
     # nest and region up to four points, and the bound predicates match

@@ -1,5 +1,5 @@
-"""The row-level relation kernels and the value types under them, against
-definitions written over pairs and element sets."""
+"""The row-level relation kernels, the region kernels on masks and the value
+types under them, against definitions written over pairs and element sets."""
 
 import pickle
 import random
@@ -7,16 +7,45 @@ from itertools import product
 
 import pytest
 
-from nestkit.core import InstanceError, SetFamily, Subset, Universe, enumerate_families
+from nestkit.analysis import (
+    NestContext,
+    down_mask_by_members,
+    down_set_by_members,
+    up_mask_by_complements,
+    up_set_by_complements,
+)
+from nestkit.bounds import (
+    down_reach_covers,
+    down_reach_covers_in,
+    has_lower_bound,
+    has_lower_bound_in,
+    has_upper_bound,
+    has_upper_bound_in,
+    lower_bounds,
+    up_reach_covers,
+    up_reach_covers_in,
+    upper_bounds,
+)
+from nestkit.core import (
+    InstanceError,
+    Nest,
+    SetFamily,
+    Subset,
+    Universe,
+    enumerate_families,
+    enumerate_nests,
+)
 from nestkit.orders import (
     Relation,
     compose,
     generated_order,
     generated_order_via_rectangles,
     is_transitive,
+    reflexive_closure,
     t0_separates_via_rectangles,
     transpose,
 )
+from nestkit.topology import down_mask, down_set, up_mask, up_set
 
 
 def _pairs(rel):
@@ -153,3 +182,93 @@ def test_full_mask_is_stored_and_survives_pickling():
     assert repr(Universe(2)) == "Universe(size=2, labels=None)"
     with pytest.raises(TypeError):
         Universe(2, None, 3)
+
+
+def _mask(points):
+    return sum(1 << x for x in points)
+
+
+def _check_region_kernels(rel, masks, region):
+    """Every region kernel on one relation, one family (as masks) and one
+    region, against its definition over pairs and element sets."""
+    n = rel.universe.size
+    full = rel.universe.full_mask
+    pairs = _pairs(rel)
+    points = set(range(n))
+    inside = {y for y in points if region >> y & 1}
+    members = [{x for x in points if m >> x & 1} for m in masks]
+    rows = rel.rows
+    assert up_mask(rows, region) == _mask({x for y, x in pairs if y in inside})
+    assert down_mask(rows, region) == _mask({x for x, y in pairs if y in inside})
+    assert upper_bounds(rows, full, region) == _mask(
+        {x for x in points if all((y, x) in pairs for y in inside)}
+    )
+    assert lower_bounds(rows, region) == _mask(
+        {x for x in points if all((x, y) in pairs for y in inside)}
+    )
+    assert down_mask_by_members(masks, region) == _mask(
+        set().union(*(m for m in members if not inside <= m))
+    )
+    assert up_mask_by_complements(masks, full, region) == _mask(
+        set().union(*(points - m for m in members if inside & m))
+    )
+
+
+def test_region_kernels_match_the_definitions_on_every_small_nest():
+    seen = 0
+    for n in (1, 2, 3, 4):
+        u = Universe(n)
+        for nest in enumerate_nests(u):
+            ctx = NestContext(nest)
+            for mask in range(u.full_mask + 1):
+                region = Subset(u, mask)
+                # the strict order, and the reflexive one the bound
+                # dichotomy reads
+                for rel in (ctx.order, ctx.preorder):
+                    _check_region_kernels(rel, nest.masks, mask)
+                # the public forms wrap the kernels
+                assert up_set(ctx.order, region).mask == up_mask(ctx.order.rows, mask)
+                assert down_set(ctx.order, region).mask == down_mask(ctx.order.rows, mask)
+                assert down_set_by_members(nest, region).mask == down_mask_by_members(
+                    nest.masks, mask
+                )
+                assert up_set_by_complements(nest, region).mask == up_mask_by_complements(
+                    nest.masks, u.full_mask, mask
+                )
+                seen += 1
+    assert seen == 4 * 2 + 12 * 4 + 52 * 8 + 300 * 16
+
+
+def test_region_kernels_match_the_definitions_on_random_relations():
+    rng = random.Random(11)
+    for _ in range(400):
+        u = Universe(rng.randint(1, 6))
+        n = u.size
+        rel = Relation(u, tuple(rng.randrange(u.full_mask + 1) for _ in range(n)))
+        masks = tuple({rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 6))})
+        for region in range(u.full_mask + 1):
+            _check_region_kernels(rel, masks, region)
+        _check_region_kernels(reflexive_closure(rel), masks, rng.randrange(u.full_mask + 1))
+
+
+def test_public_region_forms_reject_a_region_from_another_universe():
+    u3, u4 = Universe(3), Universe(4)
+    nest = Nest.of(u3, [[0], [0, 1]])
+    ctx = NestContext(nest)
+    region = Subset.of(u4, [0])
+    for call in (
+        lambda: up_set(ctx.order, region),
+        lambda: down_set(ctx.order, region),
+        lambda: down_set_by_members(nest, region),
+        lambda: up_set_by_complements(nest, region),
+        lambda: down_reach_covers(nest, region),
+        lambda: up_reach_covers(nest, region),
+        lambda: down_reach_covers_in(ctx, region),
+        lambda: up_reach_covers_in(ctx, region),
+        lambda: has_upper_bound(nest, region),
+        lambda: has_lower_bound(nest, region, strict=False),
+        lambda: has_upper_bound_in(ctx, region, strict=False),
+        lambda: has_lower_bound_in(ctx, region),
+    ):
+        with pytest.raises(InstanceError, match="different universes"):
+            call()

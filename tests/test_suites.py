@@ -4,7 +4,7 @@ import json
 import pytest
 
 from nestkit import suites
-from nestkit.analysis import dual_pair
+from nestkit.analysis import NestContext, dual_pair
 from nestkit.core import Nest, Universe
 from nestkit.reporting import SuiteReport, Violation, sort_violations
 from nestkit.suites import SuiteConfig, run_suite, suite_names
@@ -25,6 +25,12 @@ FAST_DIGESTS = {
     "topology-engine": "3f8306de9acb31430841faaf0d0ad98eff3aa03642b9571a5c0a1185d2adb83a",
 }
 
+# the two region sweeps at max_n=5, the size the nest-sweep benchmark runs
+MAX_N5_DIGESTS = {
+    "bound-covers": "5c521ad4519860c40cd936bc30121653ec7eb4dd1f9c88b3aa0620c39daf23fd",
+    "topology-engine": "b76775a8c13a84f375543521cc491c152bad9b8e88b030bae3e01f5b13f9dd0a",
+}
+
 EXHAUSTIVE = ["core-algebra", "topology-engine", "sup-conditions", "interlocking", "bound-covers"]
 
 
@@ -37,6 +43,27 @@ def test_all_suites_pass_at_reduced_iterations():
         assert report.config["seed"] == FAST.seed
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == FAST_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("name", sorted(MAX_N5_DIGESTS))
+def test_region_sweeps_keep_their_bytes_at_five_points(name):
+    report = run_suite(name, SuiteConfig(max_n=5))
+    assert report.passed, report.summary()
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == MAX_N5_DIGESTS[name]
+
+
+def test_cover_converse_visits_every_region_outside_the_cover_top(monkeypatch):
+    # no cover of a nest leaves a point outside its last member, so hand the
+    # loop one that does: each region with a point outside it fires both the
+    # converse and the finite-subcover premises, and neither verdict holds
+    u = Universe(3)
+    monkeypatch.setattr(suites, "covering_subfamilies", lambda nest: [(0b010,)])
+    count, flagged, _ = suites._check_bounds(NestContext(Nest.of(u, [[1], [0, 1]])))
+    assert count == 8 + 1
+    for pid in ("down:cover-converse", "finite-subcover:reduction"):
+        regions = sorted(extra["region"] for p, extra in flagged if p == pid)
+        assert regions == [m for m in range(8) if m & 0b101]
 
 
 def test_unknown_suite():
