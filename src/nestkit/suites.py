@@ -806,16 +806,19 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     # the finite-subcover clause at this scale.  A subfamily of a nest
     # is a chain kept in canonical order, so its last member contains
     # all the others and alone decides whether one contains the region.
-    # Both premises need a point outside that member, so only those
-    # regions are visited (none when the member is X, as it is for
-    # every cover of a chain)
+    # Both premises need a point outside that member, so a cover whose
+    # last member is X, as every cover of a chain's is, has no region to
+    # visit
     covers = covering_subfamilies(nest)
     for chosen in covers:
+        top = chosen[-1]
+        if top == full:
+            continue
         union = 0
         for m in chosen:
             union |= m
-        for mask in _regions_not_inside(chosen[-1], full):
-            if down_reach[mask] != full:
+        for mask in range(full + 1):
+            if mask & ~top and down_reach[mask] != full:
                 flagged.append(("down:cover-converse", {"region": mask, "cover": list(chosen)}))
             if mask & ~union:
                 flagged.append((
@@ -832,21 +835,6 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
                 if bool(lower_bounds(rows, mask)) != expect:
                     flagged.append(("member:lower-bound-minimum", {"member": mask}))
     return full + 1 + len(covers), flagged, []
-
-
-def _regions_not_inside(top: int, full: int):
-    """The masks in ``full`` with a point outside ``top``: each nonempty
-    part outside it joined with each part inside it."""
-    outside = full & ~top
-    part = outside
-    while part:
-        inner = top
-        while True:
-            yield part | inner
-            if not inner:
-                break
-            inner = (inner - 1) & top
-        part = (part - 1) & outside
 
 
 @_suite("bound-covers", "cover characterizations of reach and bound existence", max_n=4)

@@ -104,8 +104,9 @@ def test_covering_subfamilies():
 
 def test_every_cover_of_a_nest_ends_in_the_universe():
     # a nest's covering subfamily is a chain whose union is its last member,
-    # so that member is X: the bound-covers converse loop, which visits only
-    # the regions outside it, visits none, and its premise never fires
+    # so that member is X: no region has a point outside it, the
+    # bound-covers converse loop skips every cover, and its premise never
+    # fires
     for n in (1, 2, 3, 4, 5):
         u = Universe(n)
         for nest in enumerate_nests(u, bound=5):
