@@ -371,6 +371,10 @@ def cmd_group_check(args) -> int:
             if not isinstance(loaded, SetFamily):
                 print("error: --right must hold a family instance", file=sys.stderr)
                 return USAGE_ERROR
+            if loaded.universe.size != group.order:
+                print("error: --right family universe does not match the group order",
+                      file=sys.stderr)
+                return USAGE_ERROR
             right = SetFamily(group.universe, loaded.masks)
         runner = inversion_continuity if args.check == "inversion" else multiplication_continuity
         report = runner(group, family, right)

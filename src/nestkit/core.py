@@ -193,7 +193,12 @@ class Nest(SetFamily):
 
 def is_nest(family: SetFamily) -> bool:
     """True iff every pair of members is inclusion-comparable."""
-    masks = canonical_masks(family.masks)
+    return is_chain(canonical_masks(family.masks))
+
+
+def is_chain(masks: tuple[int, ...]) -> bool:
+    """Mask form of `is_nest` for masks in canonical order: each one lies
+    inside the next."""
     return all(small & ~big == 0 for small, big in zip(masks, masks[1:]))
 
 

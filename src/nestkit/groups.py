@@ -80,6 +80,16 @@ class FiniteGroup:
     def universe(self) -> Universe:
         return Universe(self.order, self.labels)
 
+    @cached_property
+    def left_images(self) -> tuple[tuple[int, ...], ...]:
+        """Image bits of left translation: ``left_images[g][x] == 1 << g*x``."""
+        return tuple(tuple(1 << v for v in row) for row in self.table)
+
+    @cached_property
+    def right_images(self) -> tuple[tuple[int, ...], ...]:
+        """Image bits of right translation: ``right_images[g][x] == 1 << x*g``."""
+        return tuple(tuple(1 << row[g] for row in self.table) for g in range(self.order))
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -129,25 +139,50 @@ BUILTIN_GROUPS = {
 }
 
 
+def _require_order(group: FiniteGroup, universe: Universe, what: str) -> None:
+    # sizes, not universes: the built-in groups carry labels, and callers pass
+    # unlabelled universes of the right size
+    if universe.size != group.order:
+        raise InstanceError(
+            f"{what} lives on {universe.size} points but the group has order {group.order}"
+        )
+
+
+def image_mask(images: tuple[int, ...], mask: int) -> int:
+    """Image of a mask under a map given by its image bits (a row of
+    `FiniteGroup.left_images` or `right_images`)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def translate(group: FiniteGroup, g: int, subset: Subset, side: str) -> Subset:
     """Image of a subset under left (g*x) or right (x*g) translation."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    mask = 0
-    for x in group.universe.elements():
-        if subset.mask >> x & 1:
-            y = group.mul(g, x) if side == "left" else group.mul(x, g)
-            mask |= 1 << y
-    return Subset(group.universe, mask)
+    _require_order(group, subset.universe, "subset")
+    images = group.left_images if side == "left" else group.right_images
+    return Subset(group.universe, image_mask(images[g], subset.mask))
 
 
 def set_product(group: FiniteGroup, a_mask: int, b_mask: int) -> int:
+    """{a*b : a in A, b in B} for masks that fit the group."""
+    images = group.left_images
+    right = []
+    while b_mask:
+        low = b_mask & -b_mask
+        right.append(low.bit_length() - 1)
+        b_mask ^= low
     out = 0
-    for a in group.universe.elements():
-        if a_mask >> a & 1:
-            for b in group.universe.elements():
-                if b_mask >> b & 1:
-                    out |= 1 << group.mul(a, b)
+    while a_mask:
+        low = a_mask & -a_mask
+        row = images[low.bit_length() - 1]
+        for b in right:
+            out |= row[b]
+        a_mask ^= low
     return out
 
 
@@ -161,12 +196,11 @@ def set_inverse(group: FiniteGroup, mask: int) -> int:
 
 def translation_closed(group: FiniteGroup, family: SetFamily) -> bool:
     """Every left and right translate of every member stays in the family."""
+    _require_order(group, family.universe, "family")
     members = set(family.masks)
-    for g in group.universe.elements():
+    for left, right in zip(group.left_images, group.right_images):
         for m in family.masks:
-            left = translate(group, g, Subset(group.universe, m), "left").mask
-            right = translate(group, g, Subset(group.universe, m), "right").mask
-            if left not in members or right not in members:
+            if image_mask(left, m) not in members or image_mask(right, m) not in members:
                 return False
     return True
 
@@ -174,15 +208,17 @@ def translation_closed(group: FiniteGroup, family: SetFamily) -> bool:
 def order_compatible(group: FiniteGroup, nest: SetFamily) -> bool:
     """Is the generated order invariant, as a biconditional, under every left
     and right translation?"""
-    rel = generated_order(nest)
+    _require_order(group, nest.universe, "nest")
+    rows = generated_order(nest).rows
+    table = group.table
     n = group.order
     for a in range(n):
         for b in range(n):
-            v = rel.holds(a, b)
+            v = rows[a] >> b & 1
             for g in range(n):
-                if rel.holds(group.mul(a, g), group.mul(b, g)) != v:
+                if rows[table[a][g]] >> table[b][g] & 1 != v:
                     return False
-                if rel.holds(group.mul(g, a), group.mul(g, b)) != v:
+                if rows[table[g][a]] >> table[g][b] & 1 != v:
                     return False
     return True
 
@@ -194,6 +230,8 @@ class ContinuityReport:
 
 
 def subbase_topology(group: FiniteGroup, left: SetFamily, right: SetFamily) -> Topology:
+    _require_order(group, left.universe, "left family")
+    _require_order(group, right.universe, "right family")
     return topology_from_subbase(
         SetFamily.dedupe(group.universe, left.masks + right.masks)
     )
@@ -211,6 +249,8 @@ def inversion_continuity(
 
 
 def inversion_premise(group: FiniteGroup, left: SetFamily, right: SetFamily) -> bool:
+    _require_order(group, left.universe, "left family")
+    _require_order(group, right.universe, "right family")
     lmembers, rmembers = set(left.masks), set(right.masks)
     return all(set_inverse(group, m) in rmembers for m in left.masks) and all(
         set_inverse(group, m) in lmembers for m in right.masks
@@ -218,6 +258,7 @@ def inversion_premise(group: FiniteGroup, left: SetFamily, right: SetFamily) -> 
 
 
 def inversion_continuous(group: FiniteGroup, topo: Topology) -> bool:
+    _require_order(group, topo.universe, "topology")
     return is_continuous(group.inverse, topo, topo)
 
 
@@ -232,6 +273,7 @@ def multiplication_continuity(
 
 
 def multiplication_premise(group: FiniteGroup, family: SetFamily) -> bool:
+    _require_order(group, family.universe, "family")
     return _product_factorization(group, family)
 
 
@@ -245,14 +287,15 @@ def multiplication_continuous(group: FiniteGroup, topo: Topology) -> bool:
     `is_continuous` gives the same answer and the suites cross-check the two
     routes on the two- and three-element groups.
     """
+    _require_order(group, topo.universe, "topology")
     n = group.order
     opens_at = [
         [o for o in topo.opens if o >> x & 1] for x in range(n)
     ]
     for target in topo.opens:
-        for x in range(n):
-            for y in range(n):
-                if not target >> group.mul(x, y) & 1:
+        for x, images in enumerate(group.left_images):
+            for y, bit in enumerate(images):
+                if not target & bit:
                     continue
                 if not any(
                     set_product(group, u, v) & ~target == 0
@@ -268,6 +311,7 @@ def multiplication_continuous_via_product(
 ) -> bool:
     """Reference route through the explicit product topology; exponential in
     the group order, so only suitable for the smallest groups."""
+    _require_order(group, topo.universe, "topology")
     tprod = product_topology(topo, topo)
     n = group.order
     mapping = [group.mul(x, y) for x in range(n) for y in range(n)]
@@ -280,17 +324,18 @@ def multiplication_continuous_via_product(
 
 
 def _product_factorization(group: FiniteGroup, family: SetFamily) -> bool:
-    n = group.order
-    for target in family.masks:
-        for x in range(n):
-            for y in range(n):
-                if not target >> group.mul(x, y) & 1:
+    """Every product x*y inside a member T has member neighbourhoods U of x
+    and V of y with U*V inside T."""
+    masks = family.masks
+    products = [(fx, fy, set_product(group, fx, fy)) for fx in masks for fy in masks]
+    for target in masks:
+        for x, images in enumerate(group.left_images):
+            for y, bit in enumerate(images):
+                if not target & bit:
                     continue
                 if not any(
-                    fx >> x & 1 and fy >> y & 1
-                    and set_product(group, fx, fy) & ~target == 0
-                    for fx in family.masks
-                    for fy in family.masks
+                    fx >> x & 1 and fy >> y & 1 and product & ~target == 0
+                    for fx, fy, product in products
                 ):
                     return False
     return True
@@ -301,5 +346,6 @@ def nest_members_trivial(group: FiniteGroup, nest: Nest) -> bool:
     finite group can only contain the empty set and the whole group
     (translations preserve cardinality, and nest members have distinct
     cardinalities)."""
+    _require_order(group, nest.universe, "nest")
     full = group.universe.full_mask
     return all(m in (0, full) for m in nest.masks)

@@ -65,102 +65,92 @@ class Relation:
         return all(row >> x & 1 for x, row in enumerate(self.rows))
 
     def is_irreflexive(self) -> bool:
-        return not any(row >> x & 1 for x, row in enumerate(self.rows))
+        return irreflexive_rows(self.rows)
 
     def is_antisymmetric(self) -> bool:
-        # row x meets column x (the predecessors of x) at most in x itself
-        return all(
-            not row & col & ~(1 << x)
-            for x, (row, col) in enumerate(zip(self.rows, _columns(self.rows)))
-        )
+        return antisymmetric_rows(self.rows)
 
     def is_asymmetric(self) -> bool:
         return self.is_irreflexive() and self.is_antisymmetric()
 
     def is_total(self) -> bool:
-        full = self.universe.full_mask
-        return all(row | col == full for row, col in zip(self.rows, _columns(self.rows)))
+        return total_rows(self.rows, self.universe.full_mask)
 
     def render(self) -> str:
         names = self.universe.label
         return "{" + ", ".join(f"({names(x)},{names(y)})" for x, y in self.pairs()) + "}"
 
 
-def generated_order(family: SetFamily) -> Relation:
-    """Strict order generated by the family: x < y iff some member splits them."""
-    full = family.universe.full_mask
-    rows = [0] * family.universe.size
-    for member in family.masks:
+# ------------------------------------------------------------- row kernels --
+# Mask-in/mask-out forms of the order algebra.  ``masks`` are member masks,
+# ``rows`` one successor mask per element, ``full`` the universe's full mask.
+# They validate nothing: the public forms below check their arguments once and
+# wrap them, and the sweeps call them on masks they built themselves.
+
+
+def order_rows(masks: Iterable[int], size: int, full: int) -> tuple[int, ...]:
+    """Rows of the generated order: every point of a member reaches the
+    member's outside."""
+    rows = [0] * size
+    for member in masks:
         outside = member ^ full
         inside = member
         while inside:
             low = inside & -inside
             rows[low.bit_length() - 1] |= outside
             inside ^= low
-    return Relation(family.universe, tuple(rows))
+    return tuple(rows)
 
 
-def rectangle(universe: Universe, member_mask: int) -> Relation:
-    """The relation S x (X-S) for a single member S."""
-    outside = member_mask ^ universe.full_mask
-    rows = tuple(outside if member_mask >> x & 1 else 0 for x in universe.elements())
-    return Relation(universe, rows)
+def rectangle_rows(member: int, size: int, full: int) -> tuple[int, ...]:
+    """Rows of the rectangle S x (X-S) of the member S."""
+    outside = member ^ full
+    return tuple(outside if member >> x & 1 else 0 for x in range(size))
 
 
-def generated_order_via_rectangles(family: SetFamily) -> Relation:
-    """Same order as `generated_order`, built as a union of member rectangles."""
-    rows = [0] * family.universe.size
-    for member in family.masks:
-        for x, row in enumerate(rectangle(family.universe, member).rows):
+def order_rows_via_rectangles(masks: Iterable[int], size: int, full: int) -> tuple[int, ...]:
+    """Rows of the union of the members' rectangles; the same order as
+    `order_rows`, computed apart from it."""
+    rows = [0] * size
+    for member in masks:
+        for x, row in enumerate(rectangle_rows(member, size, full)):
             rows[x] |= row
-    return Relation(family.universe, tuple(rows))
+    return tuple(rows)
 
 
-def compose(a: Relation, b: Relation) -> Relation:
-    """Relational composition: (x,y) in a∘b iff x -b-> z -a-> y for some z."""
-    _check_same_universe(a.universe, b.universe)
-    rows = []
-    for mids in b.rows:
+def compose_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of a∘b: x reaches y iff x -b-> z -a-> y for some z."""
+    out = []
+    for mids in b:
         row = 0
         while mids:
             low = mids & -mids
-            row |= a.rows[low.bit_length() - 1]
+            row |= a[low.bit_length() - 1]
             mids ^= low
-        rows.append(row)
-    return Relation(a.universe, tuple(rows))
+        out.append(row)
+    return tuple(out)
 
 
-def relation_issubset(a: Relation, b: Relation) -> bool:
-    _check_same_universe(a.universe, b.universe)
-    return all(ra & ~rb == 0 for ra, rb in zip(a.rows, b.rows))
+def rows_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Every pair of a is a pair of b."""
+    return all(ra & ~rb == 0 for ra, rb in zip(a, b))
 
 
-def absorbs_rectangle_compositions(family: SetFamily) -> bool:
+def absorbs_rectangles(masks: tuple[int, ...], size: int, full: int) -> bool:
     """For every ordered member pair (S,T), some member's rectangle contains
-    [S x (X-S)] ∘ [T x (X-T)]."""
-    u = family.universe
-    rects = {m: rectangle(u, m) for m in family.masks}
-    for s in family.masks:
-        for t in family.masks:
-            composed = compose(rects[s], rects[t])
-            if not any(relation_issubset(composed, rects[r]) for r in family.masks):
+    the composition of the rectangles of S and T."""
+    rects = [rectangle_rows(m, size, full) for m in masks]
+    for s in rects:
+        for t in rects:
+            composed = compose_rows(s, t)
+            if not any(rows_within(composed, r) for r in rects):
                 return False
     return True
 
 
-def is_transitive(rel: Relation, mode: TransitivityMode = "standard") -> bool:
-    """Transitivity over all triples, or only over pairwise-distinct ones.
-
-    The two modes genuinely differ: {(a,b),(b,a)} is transitive over distinct
-    triples (there are none) but not in the standard sense, since a<b<a fails
-    to force a<a.
-    """
-    if mode not in ("standard", "distinct_triples"):
-        raise ValueError(f"unknown transitivity mode {mode!r}")
-    # every successor's successors are successors; over distinct triples x
-    # itself is exempt (y is already in succ, and y = x tests row x on itself)
-    distinct = mode == "distinct_triples"
-    rows = rel.rows
+def transitive_rows(rows: tuple[int, ...], distinct: bool) -> bool:
+    """Every successor's successors are successors; over distinct triples x
+    itself is exempt (y is already in succ, and y = x tests row x on itself)."""
     for x, succ in enumerate(rows):
         allowed = succ | 1 << x if distinct else succ
         mids = succ
@@ -172,13 +162,112 @@ def is_transitive(rel: Relation, mode: TransitivityMode = "standard") -> bool:
     return True
 
 
-def t0_separates(family: SetFamily) -> bool:
-    """Every distinct pair is split by some member, one way or the other."""
-    for x in family.universe.elements():
-        for y in range(x + 1, family.universe.size):
-            if not any((m >> x ^ m >> y) & 1 for m in family.masks):
+def irreflexive_rows(rows: tuple[int, ...]) -> bool:
+    return not any(row >> x & 1 for x, row in enumerate(rows))
+
+
+def antisymmetric_rows(rows: tuple[int, ...]) -> bool:
+    # row x meets column x (the predecessors of x) at most in x itself
+    return all(not row & col & ~(1 << x) for x, (row, col) in enumerate(zip(rows, columns(rows))))
+
+
+def total_rows(rows: tuple[int, ...], full: int) -> bool:
+    return all(row | col == full for row, col in zip(rows, columns(rows)))
+
+
+def linear_rows(rows: tuple[int, ...], full: int) -> bool:
+    """The reflexive closure is reflexive, antisymmetric, transitive and total."""
+    closure = tuple(row | 1 << x for x, row in enumerate(rows))
+    return (
+        antisymmetric_rows(closure)
+        and transitive_rows(closure, False)
+        and total_rows(closure, full)
+    )
+
+
+def t0_masks(masks: tuple[int, ...], size: int) -> bool:
+    """Direct form of T0: every distinct pair is split by some member."""
+    for x in range(size):
+        for y in range(x + 1, size):
+            for m in masks:
+                if (m >> x ^ m >> y) & 1:
+                    break
+            else:
                 return False
     return True
+
+
+def rectangle_t0_rows(rows: tuple[int, ...], full: int) -> bool:
+    """Rectangle form of T0 on the rows of a generated order: row x and
+    column x cover every y other than x."""
+    return all(row | col | 1 << x == full for x, (row, col) in enumerate(zip(rows, columns(rows))))
+
+
+def columns(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Column masks of a relation: entry y holds every x with x -> y."""
+    cols = [0] * len(rows)
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
+
+
+# ------------------------------------------------------------ public forms --
+
+
+def generated_order(family: SetFamily) -> Relation:
+    """Strict order generated by the family: x < y iff some member splits them."""
+    u = family.universe
+    return Relation(u, order_rows(family.masks, u.size, u.full_mask))
+
+
+def rectangle(universe: Universe, member_mask: int) -> Relation:
+    """The relation S x (X-S) for a single member S."""
+    return Relation(universe, rectangle_rows(member_mask, universe.size, universe.full_mask))
+
+
+def generated_order_via_rectangles(family: SetFamily) -> Relation:
+    """Same order as `generated_order`, built as a union of member rectangles."""
+    u = family.universe
+    return Relation(u, order_rows_via_rectangles(family.masks, u.size, u.full_mask))
+
+
+def compose(a: Relation, b: Relation) -> Relation:
+    """Relational composition: (x,y) in a∘b iff x -b-> z -a-> y for some z."""
+    _check_same_universe(a.universe, b.universe)
+    return Relation(a.universe, compose_rows(a.rows, b.rows))
+
+
+def relation_issubset(a: Relation, b: Relation) -> bool:
+    _check_same_universe(a.universe, b.universe)
+    return rows_within(a.rows, b.rows)
+
+
+def absorbs_rectangle_compositions(family: SetFamily) -> bool:
+    """For every ordered member pair (S,T), some member's rectangle contains
+    [S x (X-S)] ∘ [T x (X-T)]."""
+    u = family.universe
+    return absorbs_rectangles(family.masks, u.size, u.full_mask)
+
+
+def is_transitive(rel: Relation, mode: TransitivityMode = "standard") -> bool:
+    """Transitivity over all triples, or only over pairwise-distinct ones.
+
+    The two modes genuinely differ: {(a,b),(b,a)} is transitive over distinct
+    triples (there are none) but not in the standard sense, since a<b<a fails
+    to force a<a.
+    """
+    if mode not in ("standard", "distinct_triples"):
+        raise ValueError(f"unknown transitivity mode {mode!r}")
+    return transitive_rows(rel.rows, mode == "distinct_triples")
+
+
+def t0_separates(family: SetFamily) -> bool:
+    """Every distinct pair is split by some member, one way or the other."""
+    return t0_masks(family.masks, family.universe.size)
 
 
 def t1_separates(family: SetFamily) -> bool:
@@ -194,13 +283,8 @@ def t1_separates(family: SetFamily) -> bool:
 def t0_separates_via_rectangles(family: SetFamily) -> bool:
     """Rectangle form of T0: the off-diagonal is covered by the members'
     rectangles and their transposes."""
-    order = generated_order(family)
-    full = family.universe.full_mask
-    # row x of the order and of its transpose cover every y other than x
-    return all(
-        row | col | 1 << x == full
-        for x, (row, col) in enumerate(zip(order.rows, transpose(order).rows))
-    )
+    u = family.universe
+    return rectangle_t0_rows(order_rows(family.masks, u.size, u.full_mask), u.full_mask)
 
 
 def pairwise_union(f1: SetFamily, f2: SetFamily) -> SetFamily:
@@ -231,48 +315,45 @@ def reflexive_closure(rel: Relation) -> Relation:
 
 
 def transpose(rel: Relation) -> Relation:
-    return Relation(rel.universe, _columns(rel.rows))
-
-
-def _columns(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Column masks of a relation: entry y holds every x with x -> y."""
-    cols = [0] * len(rows)
-    for x, row in enumerate(rows):
-        bit = 1 << x
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return tuple(cols)
+    return Relation(rel.universe, columns(rel.rows))
 
 
 def is_linear_order(rel: Relation) -> bool:
     """The reflexive closure is a total order (reflexive, antisymmetric,
     transitive, total)."""
-    closure = reflexive_closure(rel)
-    return (
-        closure.is_antisymmetric()
-        and is_transitive(closure, "standard")
-        and closure.is_total()
-    )
+    return linear_rows(rel.rows, rel.universe.full_mask)
 
 
 __all__ = [
     "Relation",
     "TransitivityMode",
     "absorbs_rectangle_compositions",
+    "absorbs_rectangles",
+    "antisymmetric_rows",
+    "columns",
     "compose",
+    "compose_rows",
     "generated_order",
     "generated_order_via_rectangles",
+    "irreflexive_rows",
     "is_linear_order",
     "is_transitive",
+    "linear_rows",
+    "order_rows",
+    "order_rows_via_rectangles",
     "orders_equivalent",
     "pairwise_union",
     "rectangle",
+    "rectangle_rows",
+    "rectangle_t0_rows",
     "reflexive_closure",
     "relation_issubset",
+    "rows_within",
+    "t0_masks",
     "t0_separates",
     "t0_separates_via_rectangles",
     "t1_separates",
+    "total_rows",
+    "transitive_rows",
     "transpose",
 ]

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
 from .analysis import (
     DualPair,
@@ -50,11 +50,13 @@ from .core import (
     SetFamily,
     Subset,
     Universe,
+    canonical_masks,
     count_nests,
     enumerate_families,
     enumerate_nests,
     family_complement,
     indices_of,
+    is_chain,
     is_nest,
 )
 from .groups import (
@@ -75,18 +77,24 @@ from .instances import verify_all
 from .orders import (
     Relation,
     absorbs_rectangle_compositions,
-    compose,
+    absorbs_rectangles,
+    antisymmetric_rows,
+    columns,
+    compose_rows,
     generated_order,
-    generated_order_via_rectangles,
-    is_linear_order,
+    irreflexive_rows,
     is_transitive,
-    pairwise_union,
-    rectangle,
+    linear_rows,
+    order_rows,
+    order_rows_via_rectangles,
+    rectangle_rows,
+    rectangle_t0_rows,
     reflexive_closure,
-    relation_issubset,
+    rows_within,
+    t0_masks,
     t0_separates,
-    t0_separates_via_rectangles,
     t1_separates,
+    transitive_rows,
     transpose,
 )
 from .rays import (
@@ -217,8 +225,12 @@ def _sweep_shard(job: tuple) -> tuple[int, list[Violation], list]:
 
 
 def random_family(rng: random.Random, universe: Universe, max_members: int = 4) -> SetFamily:
-    masks = {rng.randrange(universe.full_mask + 1) for _ in range(rng.randint(0, max_members))}
-    return SetFamily(universe, tuple(masks))
+    return SetFamily(universe, tuple(_random_masks(rng, universe.full_mask, max_members)))
+
+
+def _random_masks(rng: random.Random, full: int, max_members: int) -> set[int]:
+    """The draws behind `random_family`: up to ``max_members`` masks, duplicates merged."""
+    return {rng.randrange(full + 1) for _ in range(rng.randint(0, max_members))}
 
 
 def random_nest(rng: random.Random, universe: Universe, max_members: int | None = None) -> Nest:
@@ -340,31 +352,31 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
 
     for n in range(1, config.max_n + 1):
         u = Universe(n)
-        for fam in enumerate_families(u):
+        full = u.full_mask
+        families = [fam.masks for fam in enumerate_families(u)]
+        for masks in families:
             count += 1
-            violations.extend(_order_checks(fam))
-        # star-union over all pairs of empty-set-containing families
-        with_empty = [(f, generated_order(f)) for f in enumerate_families(u) if 0 in f.masks]
-        for f1, order1 in with_empty:
-            for f2, order2 in with_empty:
+            violations.extend(_order_checks(masks, n, full))
+        # star-union over all pairs of empty-set-containing families, each
+        # family's rows tabulated once
+        with_empty = [(masks, order_rows(masks, n, full)) for masks in families if 0 in masks]
+        for left, rows1 in with_empty:
+            for right, rows2 in with_empty:
                 count += 1
-                merged = pairwise_union(f1, f2)
-                if generated_order(merged) != order1.union(order2):
-                    violations.append(Violation("star-union:order", {
-                        "universe": n, "left": family_to_dict(f1)["family"],
-                        "right": family_to_dict(f2)["family"],
-                    }))
+                merged = {a | b for a in left for b in right}
+                if order_rows(merged, n, full) != tuple(a | b for a, b in zip(rows1, rows2)):
+                    violations.append(_star_union_violation(n, left, right))
 
     # rectangle composition absorbs along inclusions (exhaustive subset pairs)
     for n in range(1, 5):
-        u = Universe(n)
-        for small in range(u.full_mask + 1):
-            for big in range(u.full_mask + 1):
+        full = (1 << n) - 1
+        rects = [rectangle_rows(m, n, full) for m in range(full + 1)]
+        for small in range(full + 1):
+            for big in range(full + 1):
                 if small & ~big:
                     continue
                 count += 1
-                composed = compose(rectangle(u, big), rectangle(u, small))
-                if not relation_issubset(composed, rectangle(u, big)):
+                if not rows_within(compose_rows(rects[big], rects[small]), rects[big]):
                     violations.append(Violation(
                         "rectangles:absorb", {"universe": n, "small": small, "big": big}
                     ))
@@ -407,56 +419,66 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
     # seeded randomized sweep over larger universes
     for _ in range(config.iters):
         n = rng.randint(2, 6)
-        u = Universe(n)
-        fam = random_family(rng, u, max_members=4)
+        full = (1 << n) - 1
+        masks = canonical_masks(_random_masks(rng, full, 4))
         count += 1
-        violations.extend(_order_checks(fam))
-        other = random_family(rng, u, max_members=3)
-        f1 = SetFamily.dedupe(u, fam.masks + (0,))
-        f2 = SetFamily.dedupe(u, other.masks + (0,))
-        merged = pairwise_union(f1, f2)
-        if generated_order(merged) != generated_order(f1).union(generated_order(f2)):
-            violations.append(Violation("star-union:order", {
-                "universe": n, "left": family_to_dict(f1)["family"],
-                "right": family_to_dict(f2)["family"],
-            }))
+        violations.extend(_order_checks(masks, n, full))
+        left = {0, *masks}
+        right = {0, *_random_masks(rng, full, 3)}
+        merged = {a | b for a in left for b in right}
+        rows1, rows2 = order_rows(left, n, full), order_rows(right, n, full)
+        if order_rows(merged, n, full) != tuple(a | b for a, b in zip(rows1, rows2)):
+            violations.append(_star_union_violation(n, left, right))
     return count, violations, []
 
 
-def _order_checks(fam: SetFamily) -> list[Violation]:
-    out = []
-    u = fam.universe
-    order = generated_order(fam)
-    if order != generated_order_via_rectangles(fam):
-        out.append(Violation("order:product-form", _nest_payload(fam)))
-    if t0_separates(fam) != t0_separates_via_rectangles(fam):
-        out.append(Violation("t0:rectangle-form", _nest_payload(fam)))
+def _star_union_violation(n: int, left: Iterable[int], right: Iterable[int]) -> Violation:
+    u = Universe(n)
+    return Violation("star-union:order", {
+        "universe": n,
+        "left": family_to_dict(SetFamily(u, tuple(left)))["family"],
+        "right": family_to_dict(SetFamily(u, tuple(right)))["family"],
+    })
+
+
+def _order_checks(masks: tuple[int, ...], size: int, full: int) -> list[Violation]:
+    """The order identities of one family, given by its canonical masks; the
+    family (or nest) is built only for the payload of a violation."""
+    flagged = []
+    order = order_rows(masks, size, full)
+    if order != order_rows_via_rectangles(masks, size, full):
+        flagged.append("order:product-form")
+    t0 = t0_masks(masks, size)
+    if t0 != rectangle_t0_rows(order, full):
+        flagged.append("t0:rectangle-form")
     # a nest has the family's masks, so this also decides nest:absorption
-    absorbs = absorbs_rectangle_compositions(fam)
-    if absorbs and not is_transitive(order, "standard"):
-        out.append(Violation("absorption:transitivity", _nest_payload(fam)))
+    absorbs = absorbs_rectangles(masks, size, full)
+    if absorbs and not transitive_rows(order, False):
+        flagged.append("absorption:transitivity")
     # generated orders are irreflexive by construction
-    if not order.is_irreflexive():
-        out.append(Violation("order:irreflexive", _nest_payload(fam)))
+    irreflexive = irreflexive_rows(order)
+    if not irreflexive:
+        flagged.append("order:irreflexive")
     # padding with the trivial members never changes the order
-    padded = SetFamily.dedupe(u, fam.masks + (0, u.full_mask))
-    if generated_order(padded) != order:
-        out.append(Violation("order:trivial-padding", _nest_payload(fam)))
-    if is_nest(fam):
-        nest = Nest(u, fam.masks)
-        if not absorbs:
-            out.append(Violation("nest:absorption", _nest_payload(nest)))
-        for mode in ("standard", "distinct_triples"):
-            if not is_transitive(order, mode):
-                out.append(Violation(f"nest:transitive-{mode}", _nest_payload(nest)))
-        if not order.is_asymmetric():
-            out.append(Violation("nest:asymmetric", _nest_payload(nest)))
-        if t0_separates(nest) and not is_linear_order(order):
-            out.append(Violation("nest:t0-linear", _nest_payload(nest)))
-        comp = family_complement(nest)
-        if generated_order(comp) != transpose(order):
-            out.append(Violation("complement:transpose", _nest_payload(nest)))
-    return out
+    if order_rows({0, full, *masks}, size, full) != order:
+        flagged.append("order:trivial-padding")
+    out = [Violation(pid, _nest_payload(SetFamily(Universe(size), masks))) for pid in flagged]
+    if not is_chain(masks):
+        return out
+    flagged = []
+    if not absorbs:
+        flagged.append("nest:absorption")
+    for mode in ("standard", "distinct_triples"):
+        if not transitive_rows(order, mode == "distinct_triples"):
+            flagged.append(f"nest:transitive-{mode}")
+    if not (irreflexive and antisymmetric_rows(order)):
+        flagged.append("nest:asymmetric")
+    if t0 and not linear_rows(order, full):
+        flagged.append("nest:t0-linear")
+    # the complements generate the transposed order
+    if order_rows([m ^ full for m in masks], size, full) != columns(order):
+        flagged.append("complement:transpose")
+    return out + [Violation(pid, _nest_payload(Nest(Universe(size), masks))) for pid in flagged]
 
 
 # -------------------------------------------------------- topology engine --

@@ -96,6 +96,27 @@ def test_group_check(nest_file, tmp_path, capsys):
     ]) == 2  # wrong universe size
 
 
+def test_group_check_checks_the_size_of_the_right_family(tmp_path, capsys):
+    nest4 = tmp_path / "nest4.json"
+    nest4.write_text(canonical_json({
+        "universe": 4, "family": [[0], [0, 1]], "kind": "nest",
+    }), encoding="utf-8")
+    fam2 = tmp_path / "fam2.json"
+    fam2.write_text(canonical_json({
+        "universe": 2, "family": [[0]], "kind": "family",
+    }), encoding="utf-8")
+    argv = ["group-check", "--group", "z4", "--nest", str(nest4), "--check", "inversion"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # a two-point family is as wrong behind --right as behind --nest
+    assert main(argv + ["--right", str(fam2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --right family universe does not match the group order" in captured.err
+    assert main(["group-check", "--group", "z4", "--nest", str(fam2), "--check", "inversion"]) == 2
+    assert "error: family universe does not match the group order" in capsys.readouterr().err
+
+
 def test_search_cli(tmp_path, capsys):
     out_dir = tmp_path / "witnesses"
     code = main([

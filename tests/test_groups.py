@@ -1,13 +1,16 @@
 import pytest
 
-from nestkit.core import InstanceError, Nest, SetFamily, Subset
+from nestkit.core import InstanceError, Nest, SetFamily, Subset, Universe
 from nestkit.groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
     inversion_continuity,
+    inversion_continuous,
+    inversion_premise,
     multiplication_continuity,
     multiplication_continuous,
     multiplication_continuous_via_product,
+    multiplication_premise,
     nest_members_trivial,
     order_compatible,
     set_inverse,
@@ -118,3 +121,65 @@ def test_continuity_routes_agree():
             assert multiplication_continuous(z2, topo) == (
                 multiplication_continuous_via_product(z2, topo)
             )
+
+
+# the group predicates compare sizes at their boundary: a universe of the
+# group's order passes whatever its labels, any other size raises
+
+def test_translate_checks_the_subset_size():
+    with pytest.raises(InstanceError, match="subset lives on 5 points"):
+        translate(Z4, 1, Subset.of(Universe(5), [4]), "left")
+    with pytest.raises(InstanceError, match="subset lives on 3 points"):
+        translate(Z4, 1, Subset.of(Universe(3), [0]), "right")
+    assert translate(Z4, 1, Subset.of(Universe(4), [3]), "left").indices == (0,)
+
+
+def test_translation_closed_checks_the_family_size():
+    with pytest.raises(InstanceError, match="family lives on 3 points"):
+        translation_closed(Z4, Nest.of(Universe(3), [[0]]))
+    assert translation_closed(Z4, Nest.of(Universe(4), [[], [0, 1, 2, 3]]))
+
+
+def test_order_compatible_checks_the_nest_size():
+    with pytest.raises(InstanceError, match="nest lives on 5 points"):
+        order_compatible(Z4, Nest.of(Universe(5), [[4]]))
+    with pytest.raises(InstanceError, match="nest lives on 3 points"):
+        order_compatible(Z4, Nest.of(Universe(3), [[0]]))
+    assert order_compatible(Z4, Nest.of(Universe(4), [[]]))
+
+
+def test_nest_members_trivial_checks_the_nest_size():
+    with pytest.raises(InstanceError, match="nest lives on 3 points"):
+        nest_members_trivial(Z4, Nest.of(Universe(3), [[], [0, 1, 2]]))
+
+
+def test_continuity_reports_check_both_family_sizes():
+    good = SetFamily.of(Universe(3), [[1]])
+    bad = SetFamily.of(Universe(2), [[1]])
+    for report in (inversion_continuity, multiplication_continuity):
+        with pytest.raises(InstanceError, match="lives on 2 points"):
+            report(Z3, good, bad)
+        with pytest.raises(InstanceError, match="lives on 2 points"):
+            report(Z3, bad, good)
+        report(Z3, good, good)
+
+
+def test_continuity_premises_check_the_family_sizes():
+    good = SetFamily.of(Universe(3), [[1]])
+    bad = SetFamily.of(Universe(4), [[3]])
+    with pytest.raises(InstanceError, match="right family lives on 4 points"):
+        inversion_premise(Z3, good, bad)
+    with pytest.raises(InstanceError, match="family lives on 4 points"):
+        multiplication_premise(Z3, bad)
+    with pytest.raises(InstanceError, match="left family lives on 4 points"):
+        subbase_topology(Z3, bad, good)
+
+
+def test_continuity_forms_check_the_topology_size():
+    z2 = BUILTIN_GROUPS["z2"]()
+    wrong = subbase_topology(Z3, SetFamily.of(Z3.universe, [[0]]), SetFamily.of(Z3.universe, []))
+    for form in (inversion_continuous, multiplication_continuous,
+                 multiplication_continuous_via_product):
+        with pytest.raises(InstanceError, match="topology lives on 3 points"):
+            form(z2, wrong)
+        assert form(Z3, wrong) in (True, False)

@@ -1,5 +1,6 @@
-"""The row-level relation kernels, the region kernels on masks and the value
-types under them, against definitions written over pairs and element sets."""
+"""The row-level relation kernels, the region kernels on masks, the group
+image tables and the value types under them, against definitions written
+over pairs, element sets and Cayley tables."""
 
 import pickle
 import random
@@ -35,14 +36,39 @@ from nestkit.core import (
     enumerate_families,
     enumerate_nests,
 )
+from nestkit.groups import (
+    BUILTIN_GROUPS,
+    multiplication_premise,
+    set_product,
+    translate,
+    translation_closed,
+)
 from nestkit.orders import (
     Relation,
+    absorbs_rectangle_compositions,
+    absorbs_rectangles,
+    antisymmetric_rows,
+    columns,
     compose,
+    compose_rows,
     generated_order,
     generated_order_via_rectangles,
+    irreflexive_rows,
+    is_linear_order,
     is_transitive,
+    linear_rows,
+    order_rows,
+    order_rows_via_rectangles,
+    rectangle,
+    rectangle_rows,
+    rectangle_t0_rows,
     reflexive_closure,
+    rows_within,
+    t0_masks,
+    t0_separates,
     t0_separates_via_rectangles,
+    total_rows,
+    transitive_rows,
     transpose,
 )
 from nestkit.topology import down_mask, down_set, up_mask, up_set
@@ -143,6 +169,186 @@ def test_generated_orders_match_the_definition_on_random_families():
         u = Universe(rng.randint(1, 6))
         masks = {rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 6))}
         _check_family(SetFamily(u, tuple(masks)))
+
+
+def _rows_pairs(rows):
+    return {(x, y) for x, row in enumerate(rows) for y in range(len(rows)) if row >> y & 1}
+
+
+def _linear(pairs, n):
+    closure = pairs | {(x, x) for x in range(n)}
+    return (
+        all((y, x) not in closure for x, y in closure if x != y)
+        and _transitive(closure, n, distinct=False)
+        and all((x, y) in closure or (y, x) in closure for x in range(n) for y in range(n))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
+    full = (1 << n) - 1
+    points = range(n)
+    relations = list(_all_relations(n))
+    partners = random.Random(n).sample(relations, min(len(relations), 16))
+    for rel in relations:
+        rows, pairs = rel.rows, _pairs(rel)
+        assert _rows_pairs(columns(rows)) == {(y, x) for x, y in pairs}
+        for distinct in (False, True):
+            assert transitive_rows(rows, distinct) == _transitive(pairs, n, distinct)
+        assert irreflexive_rows(rows) == all((x, x) not in pairs for x in points)
+        assert antisymmetric_rows(rows) == all((y, x) not in pairs for x, y in pairs if x != y)
+        assert total_rows(rows, full) == all(
+            (x, y) in pairs or (y, x) in pairs for x in points for y in points
+        )
+        assert linear_rows(rows, full) == _linear(pairs, n) == is_linear_order(rel)
+        for other in partners:
+            other_pairs = _pairs(other)
+            # compose_rows(a, b): x -b-> z -a-> y
+            assert _rows_pairs(compose_rows(rows, other.rows)) == {
+                (x, y) for x, z in other_pairs for w, y in pairs if z == w
+            }
+            assert rows_within(rows, other.rows) == (pairs <= other_pairs)
+
+
+def _rectangle_pairs(member, n):
+    return {(x, y) for x in range(n) for y in range(n) if member >> x & 1 and not member >> y & 1}
+
+
+def _check_order_kernels(fam):
+    """Every order kernel on one family, against the pair-set definitions and
+    against the public form that wraps it."""
+    u = fam.universe
+    n, full, masks = u.size, u.full_mask, fam.masks
+    want = _order_by_definition(fam)
+    rows = order_rows(masks, n, full)
+    assert _rows_pairs(rows) == want
+    assert _rows_pairs(order_rows_via_rectangles(masks, n, full)) == want
+    assert generated_order(fam).rows == rows
+    assert generated_order_via_rectangles(fam).rows == rows
+    rects = {m: _rectangle_pairs(m, n) for m in masks}
+    for m in masks:
+        assert _rows_pairs(rectangle_rows(m, n, full)) == rects[m]
+        assert rectangle(u, m).rows == rectangle_rows(m, n, full)
+    # [S x (X-S)] ∘ [T x (X-T)] lies inside some member's rectangle
+    absorbs = all(
+        any(
+            {(x, y) for x, z in rects[t] for w, y in rects[s] if z == w} <= rects[r]
+            for r in masks
+        )
+        for s in masks
+        for t in masks
+    )
+    assert absorbs_rectangles(masks, n, full) == absorbs == absorbs_rectangle_compositions(fam)
+    for distinct, mode in ((False, "standard"), (True, "distinct_triples")):
+        assert transitive_rows(rows, distinct) == _transitive(want, n, distinct)
+        assert is_transitive(generated_order(fam), mode) == transitive_rows(rows, distinct)
+    assert irreflexive_rows(rows)
+    assert antisymmetric_rows(rows) == all((y, x) not in want for x, y in want if x != y)
+    assert total_rows(rows, full) == all(
+        (x, y) in want or (y, x) in want for x in range(n) for y in range(n)
+    )
+    assert linear_rows(rows, full) == _linear(want, n) == is_linear_order(generated_order(fam))
+    split = all(
+        any((m >> x ^ m >> y) & 1 for m in masks)
+        for x in range(n) for y in range(x + 1, n)
+    )
+    assert t0_masks(masks, n) == split == t0_separates(fam)
+    assert rectangle_t0_rows(rows, full) == split == t0_separates_via_rectangles(fam)
+
+
+def test_order_kernels_match_the_definitions_on_every_small_family():
+    seen = 0
+    for n in (1, 2, 3):
+        for fam in enumerate_families(Universe(n)):
+            _check_order_kernels(fam)
+            seen += 1
+    assert seen == 4 + 16 + 256
+
+
+def test_order_kernels_match_the_definitions_on_random_families():
+    rng = random.Random(8)
+    for _ in range(2000):
+        u = Universe(rng.randint(1, 6))
+        masks = {rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 6))}
+        _check_order_kernels(SetFamily(u, tuple(masks)))
+
+
+def _points(mask):
+    return {x for x in range(mask.bit_length()) if mask >> x & 1}
+
+
+def _check_group_kernels(group, a, b):
+    """set_product, both translations and translation closure of one subset
+    pair, against the Cayley table."""
+    table, u = group.table, group.universe
+    assert set_product(group, a, b) == _mask({table[x][y] for x in _points(a) for y in _points(b)})
+    fam = SetFamily(u, tuple({a, b}))
+    closed = True
+    for g in range(group.order):
+        left = translate(group, g, Subset(u, a), "left").mask
+        right = translate(group, g, Subset(u, a), "right").mask
+        assert left == _mask({table[g][x] for x in _points(a)})
+        assert right == _mask({table[x][g] for x in _points(a)})
+        closed = closed and all(
+            _mask({table[g][x] for x in _points(m)}) in fam.masks
+            and _mask({table[x][g] for x in _points(m)}) in fam.masks
+            for m in fam.masks
+        )
+    assert translation_closed(group, fam) == closed
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "z2xz2", "s3"])
+def test_group_kernels_match_the_cayley_table_on_every_subset_pair(name):
+    group = BUILTIN_GROUPS[name]()
+    n = group.order
+    assert group.left_images == tuple(
+        tuple(1 << group.table[g][x] for x in range(n)) for g in range(n)
+    )
+    assert group.right_images == tuple(
+        tuple(1 << group.table[x][g] for x in range(n)) for g in range(n)
+    )
+    for a in range(1 << n):
+        for b in range(1 << n):
+            _check_group_kernels(group, a, b)
+
+
+def test_group_kernels_match_the_cayley_table_on_seeded_d4_pairs():
+    group = BUILTIN_GROUPS["d4"]()
+    rng = random.Random(4)
+    for _ in range(2000):
+        _check_group_kernels(group, rng.randrange(256), rng.randrange(256))
+
+
+def _factorizes(group, masks):
+    table = group.table
+    for target in masks:
+        for x in range(group.order):
+            for y in range(group.order):
+                if not target >> table[x][y] & 1:
+                    continue
+                if not any(
+                    fx >> x & 1 and fy >> y & 1
+                    and all(target >> table[p][q] & 1 for p in _points(fx) for q in _points(fy))
+                    for fx in masks
+                    for fy in masks
+                ):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "z2xz2", "s3"])
+def test_multiplication_premise_matches_the_cayley_table(name):
+    group = BUILTIN_GROUPS[name]()
+    u = group.universe
+    rng = random.Random(len(name))
+    families = [
+        SetFamily(u, tuple({rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 4))}))
+        for _ in range(300)
+    ]
+    if group.order <= 3:
+        families += list(enumerate_families(u))
+    for fam in families:
+        assert multiplication_premise(group, fam) == _factorizes(group, fam.masks)
 
 
 def test_range_checks_keep_their_exceptions_and_messages():

@@ -31,6 +31,15 @@ MAX_N5_DIGESTS = {
     "topology-engine": "b76775a8c13a84f375543521cc491c152bad9b8e88b030bae3e01f5b13f9dd0a",
 }
 
+# the two family-fuzz suites at their defaults (10,000 iterations), at the
+# default seed and at seed 1, the benchmark's default seed
+DEFAULT_DIGESTS = {
+    ("generated-orders", 20260808): "8b07a278d024c1e8d9ddce122d64e2e9b2f1e8cdea53ab30ad391d8f28f7cdf9",
+    ("generated-orders", 1): "a0ff12e52696a48d52fd25305f05cb98943ac80729ce5110a1d70d1e9d8f52fd",
+    ("group-compatibility", 20260808): "18af58db77695c99cdecb2250b78169a8ba9cc251964c081df0f51d11e672a3a",
+    ("group-compatibility", 1): "dd067a807a1ea96310c85772aafe3f037401bac3e8e8deba38e86de29c0c19ab",
+}
+
 EXHAUSTIVE = ["core-algebra", "topology-engine", "sup-conditions", "interlocking", "bound-covers"]
 
 
@@ -51,6 +60,15 @@ def test_region_sweeps_keep_their_bytes_at_five_points(name):
     assert report.passed, report.summary()
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
     assert digest == MAX_N5_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,seed", sorted(DEFAULT_DIGESTS))
+def test_family_sweeps_keep_their_bytes_at_their_defaults(name, seed):
+    report = run_suite(name, SuiteConfig(seed=seed, workers=1))
+    assert report.passed, report.summary()
+    assert report.config["iters"] == 10_000
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_DIGESTS[name, seed]
 
 
 def test_cover_converse_visits_every_region_outside_the_cover_top(monkeypatch):
