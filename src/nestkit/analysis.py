@@ -14,11 +14,13 @@ element; incomparable upper bounds yield "does not exist" with a reason,
 never an arbitrary pick.
 
 `NestContext` holds the values a sweep derives from one nest (its order and
-preorder, the complement nest and its order, member sups, both ladders, T0,
-the strict reach tables) and computes each at most once, on first use.  The
-public functions below take a nest and evaluate through a fresh context;
-sweeps build one context per nest and share it across all of that nest's
-properties.
+preorder, the complement nest's own context, member sups, both ladders, T0,
+the strict reach tables) and computes each at most once, on first use.  Each
+nest predicate below takes a nest or its context (`NestContext.of`), so there
+is one evaluation path whichever is passed: a sweep builds one context per
+nest and shares it across all of that nest's properties.  A predicate on
+single members or regions reads their reach from the `down_mask` kernel;
+only the sweeps read the reach tables over every region.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .orders import (
 from .topology import (
     Topology,
     alexandroff_family,
-    down_set,
+    down_mask,
     point_down_set,
     point_up_set,
     topology_from_subbase,
@@ -149,12 +151,19 @@ class NestContext:
     """Derived values of one nest, each computed at most once, on first use.
 
     A context belongs to a single nest and is dropped with it; nothing is
-    shared between nests.  The complement nest is the nest's dual, so
-    ``dual_sup_conditions`` is the ladder of the complement pair.
+    shared between nests.  ``dual`` is the context of the complement nest,
+    which is the nest's dual, so ``dual_sup_conditions`` is the ladder of the
+    complement pair.
     """
 
     def __init__(self, nest: Nest) -> None:
         self.nest = nest
+
+    @classmethod
+    def of(cls, nest: Nest | NestContext) -> NestContext:
+        """The given context, or a fresh one for the given nest: every public
+        nest predicate takes either."""
+        return nest if isinstance(nest, NestContext) else cls(nest)
 
     @cached_property
     def order(self) -> Relation:
@@ -165,16 +174,9 @@ class NestContext:
         return reflexive_closure(self.order)
 
     @cached_property
-    def complement(self) -> Nest:
-        return family_complement(self.nest)
-
-    @cached_property
-    def complement_order(self) -> Relation:
-        return generated_order(self.complement)
-
-    @cached_property
-    def complement_preorder(self) -> Relation:
-        return reflexive_closure(self.complement_order)
+    def dual(self) -> NestContext:
+        """The context of the complement nest."""
+        return NestContext(family_complement(self.nest))
 
     @cached_property
     def sups(self) -> dict[int, SupResult]:
@@ -186,7 +188,7 @@ class NestContext:
 
     @cached_property
     def dual_sup_conditions(self) -> SupConditions:
-        return _dual_ladder(self.complement, self.complement_preorder, self.preorder)
+        return _dual_ladder(self.dual.nest, self.dual.preorder, self.preorder)
 
     @cached_property
     def t0(self) -> bool:
@@ -203,25 +205,16 @@ class NestContext:
         return up_reach_table(transpose(self.order))
 
     @cached_property
-    def complement_down_reach(self) -> tuple[int, ...]:
-        """Strict downward reach of every region under the complement order."""
-        return up_reach_table(transpose(self.complement_order))
-
-    @cached_property
     def alexandroff(self) -> SetFamily:
         return alexandroff_family(self.order)
 
-    @cached_property
-    def complement_alexandroff(self) -> SetFamily:
-        return alexandroff_family(self.complement_order)
+
+def member_sups(nest: Nest | NestContext) -> dict[int, SupResult]:
+    return NestContext.of(nest).sups
 
 
-def member_sups(nest: Nest) -> dict[int, SupResult]:
-    return NestContext(nest).sups
-
-
-def sup_conditions(nest: Nest) -> SupConditions:
-    return NestContext(nest).sup_conditions
+def sup_conditions(nest: Nest | NestContext) -> SupConditions:
+    return NestContext.of(nest).sup_conditions
 
 
 @dataclass(frozen=True)
@@ -291,14 +284,11 @@ def is_interlocking(family: SetFamily) -> bool:
     return True
 
 
-def is_interlocking_via_alexandroff(nest: Nest) -> bool:
-    return is_interlocking_via_alexandroff_in(NestContext(nest))
-
-
-def is_interlocking_via_alexandroff_in(ctx: NestContext) -> bool:
+def is_interlocking_via_alexandroff(nest: Nest | NestContext) -> bool:
     """Alexandroff route: members closed for the nest's order must have their
     complements closed for the complement nest's order."""
-    alex, alex_c = ctx.alexandroff, ctx.complement_alexandroff
+    ctx = NestContext.of(nest)
+    alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
     full = ctx.nest.universe.full_mask
     for m in ctx.nest.masks:
         closed_here = alex.contains_mask(m ^ full)
@@ -307,17 +297,14 @@ def is_interlocking_via_alexandroff_in(ctx: NestContext) -> bool:
     return True
 
 
-def is_interlocking_via_lower_sets(nest: Nest) -> bool:
-    return is_interlocking_via_lower_sets_in(NestContext(nest))
-
-
-def is_interlocking_via_lower_sets_in(ctx: NestContext) -> bool:
+def is_interlocking_via_lower_sets(nest: Nest | NestContext) -> bool:
     """Lower-set route: if a member's complement is a lower set for the
     complement nest's order, the member is a lower set for the nest's order."""
-    down, down_c = ctx.down_reach, ctx.complement_down_reach
+    ctx = NestContext.of(nest)
+    rows, rows_c = ctx.order.rows, ctx.dual.order.rows
     full = ctx.nest.universe.full_mask
     for m in ctx.nest.masks:
-        if down_c[m ^ full] == m ^ full and down[m] != m:
+        if down_mask(rows_c, m ^ full) == m ^ full and down_mask(rows, m) != m:
             return False
     return True
 
@@ -360,21 +347,6 @@ def up_mask_by_complements(masks: tuple[int, ...], full: int, region: int) -> in
     return reach
 
 
-def down_set_by_members(nest: Nest, region: Subset) -> Subset:
-    """Downward reach computed from the nest: the union of members that do
-    not contain the region."""
-    _check_same_universe(nest.universe, region.universe)
-    return Subset(nest.universe, down_mask_by_members(nest.masks, region.mask))
-
-
-def up_set_by_complements(nest: Nest, region: Subset) -> Subset:
-    """Upward reach computed from the nest: the union of complements of
-    members meeting the region."""
-    _check_same_universe(nest.universe, region.universe)
-    full = nest.universe.full_mask
-    return Subset(nest.universe, up_mask_by_complements(nest.masks, full, region.mask))
-
-
 @dataclass(frozen=True)
 class MemberLowerSetReport:
     """Three views of "this member is a lower set".
@@ -390,32 +362,17 @@ class MemberLowerSetReport:
     no_greatest_element: bool
 
 
-def member_lower_set_report(nest: Nest, member: Subset) -> MemberLowerSetReport:
+def member_lower_set_report(nest: Nest | NestContext, member: Subset) -> MemberLowerSetReport:
+    ctx = NestContext.of(nest)
+    nest, mask = ctx.nest, member.mask
     _check_same_universe(nest.universe, member.universe)
-    if member.mask not in nest.masks:
+    if mask not in nest.masks:
         raise InstanceError("subset is not a member of the nest")
-    # one region: its reach directly, not a table over every region
-    ctx = NestContext(nest)
-    return _lower_set_report(ctx, member, down_set(ctx.order, member).mask)
-
-
-def member_lower_set_report_in(ctx: NestContext, member: Subset) -> MemberLowerSetReport:
-    """`member_lower_set_report` for a member of the context's nest."""
-    return _lower_set_report(ctx, member, ctx.down_reach[member.mask])
-
-
-def _lower_set_report(
-    ctx: NestContext, member: Subset, reach: int
-) -> MemberLowerSetReport:
-    """The report, given the member's strict downward reach."""
-    nest = ctx.nest
-    union_matches = member_union_of_smaller(nest, member.mask) == member.mask
-    lower = reach == member.mask
-    pre = ctx.preorder
+    union_matches = member_union_of_smaller(nest, mask) == mask
+    lower = down_mask(ctx.order.rows, mask) == mask
+    rows = ctx.preorder.rows
     greatest = any(
-        member.mask & ~pre.rows[g] == 0
-        for g in nest.universe.elements()
-        if member.mask >> g & 1
+        mask & ~rows[g] == 0 for g in nest.universe.elements() if mask >> g & 1
     )
     return MemberLowerSetReport(union_matches, lower, not greatest)
 

@@ -8,18 +8,12 @@ cover is returned as the constructive witness.  ``up_reach_covers`` is the
 mirror image, witnessed by the members meeting the region, whose
 intersection must then be empty.
 
-Each predicate has a context form (``*_in``) that reads the order, or for
-the reach covers the strict reach tables, from a `NestContext`, so a sweep
-over regions derives them once per nest.  The nest forms answer for one
-region: the bound predicates delegate to a fresh context, and the reach
-covers compute that region's reach directly with ``down_set``/``up_set``
-instead of tabulating every region; both forms build the verdict in
-`_reach_cover`.
-
-Under both sit mask-in/mask-out kernels on an order's rows: the reach
-covers hold when the region's strict reach mask is the full mask, and
-``upper_bounds``/``lower_bounds`` give the bound masks of a region.  Sweeps
-call these on plain masks and build a `Subset` or `CoverWitness` only for a
+Each predicate takes a nest or its `NestContext` and answers for one region.
+Under them sit mask-in/mask-out kernels on an order's rows: a reach cover
+holds when the region's strict reach (``down_mask``/``up_mask``) is the
+full mask, and ``upper_bounds``/``lower_bounds`` give the bound masks of a
+region.  Sweeps call these on plain masks, or read a nest's reach tables
+over every region, and build a `Subset` or `CoverWitness` only for a
 verdict or payload they read.
 """
 
@@ -30,8 +24,7 @@ from typing import Sequence
 
 from .analysis import NestContext
 from .core import Nest, SetFamily, Subset, _check_same_universe
-from .orders import generated_order
-from .topology import down_set, up_set
+from .topology import down_mask, up_mask
 
 
 @dataclass(frozen=True)
@@ -57,13 +50,18 @@ class CoverWitness:
 
 
 def _reach_cover(
-    nest: Nest, region: Subset, reach: int, upward: bool, want_witness: bool
+    nest: Nest | NestContext, region: Subset, upward: bool, want_witness: bool
 ) -> CoverWitness:
-    """The cover verdict for a region whose strict reach is ``reach``.
+    """The cover verdict for the region's strict reach, read from the
+    `up_mask`/`down_mask` kernel on the nest's order rows.
 
     The witness is the members not containing the region (downward) or the
     members meeting it (upward); the violating set is what the reach misses.
     """
+    ctx = NestContext.of(nest)
+    nest = ctx.nest
+    _check_same_universe(nest.universe, region.universe)
+    reach = (up_mask if upward else down_mask)(ctx.order.rows, region.mask)
     full = nest.universe.full_mask
     if reach != full:
         return CoverWitness(False, None, Subset(nest.universe, full ^ reach))
@@ -77,33 +75,21 @@ def _reach_cover(
     return CoverWitness(True, witness, None)
 
 
-def down_reach_covers(nest: Nest, region: Subset, want_witness: bool = True) -> CoverWitness:
+def down_reach_covers(
+    nest: Nest | NestContext, region: Subset, want_witness: bool = True
+) -> CoverWitness:
     """Does the strict downward reach of the region cover the universe?"""
-    reach = down_set(generated_order(nest), region).mask
-    return _reach_cover(nest, region, reach, False, want_witness)
+    return _reach_cover(nest, region, False, want_witness)
 
 
-def down_reach_covers_in(
-    ctx: NestContext, region: Subset, want_witness: bool = True
+def up_reach_covers(
+    nest: Nest | NestContext, region: Subset, want_witness: bool = True
 ) -> CoverWitness:
-    _check_same_universe(ctx.nest.universe, region.universe)
-    return _reach_cover(ctx.nest, region, ctx.down_reach[region.mask], False, want_witness)
-
-
-def up_reach_covers(nest: Nest, region: Subset, want_witness: bool = True) -> CoverWitness:
     """Does the strict upward reach of the region cover the universe?"""
-    reach = up_set(generated_order(nest), region).mask
-    return _reach_cover(nest, region, reach, True, want_witness)
+    return _reach_cover(nest, region, True, want_witness)
 
 
-def up_reach_covers_in(
-    ctx: NestContext, region: Subset, want_witness: bool = True
-) -> CoverWitness:
-    _check_same_universe(ctx.nest.universe, region.universe)
-    return _reach_cover(ctx.nest, region, ctx.up_reach[region.mask], True, want_witness)
-
-
-def has_upper_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
+def has_upper_bound(nest: Nest | NestContext, region: Subset, strict: bool = True) -> bool:
     """Is there an x with y < x (or y <= x) for every y in the region?
 
     The strict form is the primary predicate; a strict bound automatically
@@ -111,21 +97,15 @@ def has_upper_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
     downward-reach dichotomy on T0-separating nests (see the bound-covers
     suite for the divergence witnesses of the strict form).
     """
-    return has_upper_bound_in(NestContext(nest), region, strict)
-
-
-def has_upper_bound_in(ctx: NestContext, region: Subset, strict: bool = True) -> bool:
+    ctx = NestContext.of(nest)
     _check_same_universe(ctx.nest.universe, region.universe)
     rel = ctx.order if strict else ctx.preorder
     return upper_bounds(rel.rows, rel.universe.full_mask, region.mask) != 0
 
 
-def has_lower_bound(nest: Nest, region: Subset, strict: bool = True) -> bool:
+def has_lower_bound(nest: Nest | NestContext, region: Subset, strict: bool = True) -> bool:
     """Mirror of `has_upper_bound`: some x below every element of the region."""
-    return has_lower_bound_in(NestContext(nest), region, strict)
-
-
-def has_lower_bound_in(ctx: NestContext, region: Subset, strict: bool = True) -> bool:
+    ctx = NestContext.of(nest)
     _check_same_universe(ctx.nest.universe, region.universe)
     rel = ctx.order if strict else ctx.preorder
     return lower_bounds(rel.rows, region.mask) != 0

@@ -21,6 +21,7 @@ from functools import cache
 from pathlib import Path
 
 from .analysis import (
+    NestContext,
     complement_dual,
     dual_sup_conditions,
     is_interlocking,
@@ -30,7 +31,7 @@ from .analysis import (
     sup_conditions,
 )
 from .bounds import down_reach_covers, up_reach_covers
-from .core import InstanceError, SetFamily, Subset, as_nest, is_nest
+from .core import InstanceError, SetFamily, Subset, Universe, as_nest, is_nest
 from .groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
@@ -59,6 +60,12 @@ USAGE_ERROR = 2
 # subsets, co-singletons, a chain) take about 0.25 s, and each further point
 # costs three to four times more
 ANALYZE_UNIVERSE_BOUND = 10
+
+# bounds builds the generated order, one row of n bits per point; on the
+# densest order, a chain of n + 1 members, the order and both reach covers
+# take about 0.25 s at 2,048 points (rows of 0.5 MB), and each doubling costs
+# about five times more time and four times more memory
+BOUNDS_UNIVERSE_BOUND = 2048
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -231,11 +238,7 @@ def cmd_analyze(args) -> int:
 
 def analyze_family(family: SetFamily) -> dict:
     u = family.universe
-    if u.size > ANALYZE_UNIVERSE_BOUND:
-        raise InstanceError(
-            f"'universe' size {u.size} exceeds the analyze bound "
-            f"{ANALYZE_UNIVERSE_BOUND}"
-        )
+    _require_universe_within(u, ANALYZE_UNIVERSE_BOUND, "analyze")
     order = generated_order(family)
     document: dict = {
         "universe": u.size,
@@ -256,7 +259,8 @@ def analyze_family(family: SetFamily) -> dict:
     }
     if document["is_nest"]:
         nest = as_nest(family)
-        cond = sup_conditions(nest)
+        ctx = NestContext(nest)
+        cond = sup_conditions(ctx)
         pair = complement_dual(nest)
         dual_cond = dual_sup_conditions(pair)
         document["sup_conditions"] = {
@@ -269,17 +273,24 @@ def analyze_family(family: SetFamily) -> dict:
         }
         document["interlocking_routes"] = {
             "definition": is_interlocking(nest),
-            "alexandroff": is_interlocking_via_alexandroff(nest),
-            "lower_sets": is_interlocking_via_lower_sets(nest),
+            "alexandroff": is_interlocking_via_alexandroff(ctx),
+            "lower_sets": is_interlocking_via_lower_sets(ctx),
         }
         document["members"] = [
             {
                 "member": list(Subset(u, m).indices),
-                "lower_set": member_lower_set_report(nest, Subset(u, m)).is_lower_set,
+                "lower_set": member_lower_set_report(ctx, Subset(u, m)).is_lower_set,
             }
             for m in nest.masks
         ]
     return document
+
+
+def _require_universe_within(universe: Universe, bound: int, command: str) -> None:
+    if universe.size > bound:
+        raise InstanceError(
+            f"'universe' size {universe.size} exceeds the {command} bound {bound}"
+        )
 
 
 def render_analysis(document: dict) -> str:
@@ -318,18 +329,19 @@ def cmd_bounds(args) -> int:
     if not isinstance(instance, SetFamily) or not is_nest(instance):
         print("error: bounds expects a nest instance", file=sys.stderr)
         return USAGE_ERROR
-    nest = as_nest(instance)
+    _require_universe_within(instance.universe, BOUNDS_UNIVERSE_BOUND, "bounds")
+    ctx = NestContext(as_nest(instance))
     try:
         indices = [int(part) for part in args.subset.split(",") if part.strip() != ""]
     except ValueError:
         print(f"error: cannot parse subset {args.subset!r}", file=sys.stderr)
         return USAGE_ERROR
-    region = Subset.of(nest.universe, indices)
+    region = Subset.of(instance.universe, indices)
     document: dict = {"subset": list(region.indices)}
     if args.direction in ("down", "both"):
-        document["down"] = down_reach_covers(nest, region).to_dict()
+        document["down"] = down_reach_covers(ctx, region).to_dict()
     if args.direction in ("up", "both"):
-        document["up"] = up_reach_covers(nest, region).to_dict()
+        document["up"] = up_reach_covers(ctx, region).to_dict()
     for key in ("down", "up"):
         if key in document:
             print(f"{key}: {document[key]}")

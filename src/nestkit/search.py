@@ -20,8 +20,8 @@ from .analysis import (
     DualPair,
     NestContext,
     is_interlocking,
-    is_interlocking_via_alexandroff_in,
-    is_interlocking_via_lower_sets_in,
+    is_interlocking_via_alexandroff,
+    is_interlocking_via_lower_sets,
     lots_hypotheses,
     lots_report,
 )
@@ -142,15 +142,15 @@ def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
     if (
         ctx.sup_conditions.sups_escape
         and ctx.dual_sup_conditions.sups_escape
-        and any(ctx.nest.masks + ctx.complement.masks)
+        and any(ctx.nest.masks + ctx.dual.nest.masks)
     ):
-        return {"instance": family_to_dict(ctx.nest), "dual": family_to_dict(ctx.complement)}
+        return {"instance": family_to_dict(ctx.nest), "dual": family_to_dict(ctx.dual.nest)}
     return None
 
 
 @_on_points("lots-hypothesis-pairs", "dual pairs satisfying the orderability hypotheses")
 def _lots_pairs(ctx: NestContext) -> dict | None:
-    nest, comp = ctx.nest, ctx.complement
+    nest, comp = ctx.nest, ctx.dual.nest
     if any(lots_hypotheses(nest, comp, ctx.sup_conditions, ctx.dual_sup_conditions)):
         return {
             "instance": family_to_dict(nest),
@@ -165,8 +165,8 @@ def _lots_pairs(ctx: NestContext) -> dict | None:
 def _interlocking_disagreements(ctx: NestContext) -> dict | None:
     verdicts = (
         is_interlocking(ctx.nest),
-        is_interlocking_via_alexandroff_in(ctx),
-        is_interlocking_via_lower_sets_in(ctx),
+        is_interlocking_via_alexandroff(ctx),
+        is_interlocking_via_lower_sets(ctx),
     )
     if len(set(verdicts)) > 1:
         return {"instance": family_to_dict(ctx.nest), "verdicts": list(verdicts)}

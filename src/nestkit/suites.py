@@ -23,13 +23,12 @@ from .analysis import (
     dual_pair,
     dual_sup_conditions,
     is_interlocking,
-    is_interlocking_via_alexandroff_in,
-    is_interlocking_via_lower_sets_in,
+    is_interlocking_via_alexandroff,
+    is_interlocking_via_lower_sets,
     lots_hypotheses,
     lots_report,
     member_closed_by_intersections,
     member_lower_set_report,
-    member_lower_set_report_in,
     member_union_of_smaller,
     nest_preorder,
     sup_conditions,
@@ -39,10 +38,9 @@ from .analysis import (
 from .bounds import (
     covering_subfamilies,
     down_reach_covers,
-    down_reach_covers_in,
     has_upper_bound,
     lower_bounds,
-    up_reach_covers_in,
+    up_reach_covers,
     upper_bounds,
 )
 from .core import (
@@ -269,7 +267,7 @@ def _suite_replay(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
 
 
 def _check_core(ctx: NestContext) -> tuple[int, list, list]:
-    nest, comp = ctx.nest, ctx.complement
+    nest, comp = ctx.nest, ctx.dual.nest
     flagged = []
     if not is_nest(nest):
         flagged.append(("enumerate:not-a-nest", {}))
@@ -617,14 +615,14 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
 
     # member lower-set reports
     for mask in nest.masks:
-        report = member_lower_set_report_in(ctx, Subset(u, mask))
+        report = member_lower_set_report(ctx, Subset(u, mask))
         if report.union_of_smaller_matches != report.is_lower_set:
             flagged.append(("lower-set:routes-agree", {"member": mask}))
         if t0 and report.no_greatest_element != report.is_lower_set:
             flagged.append(("lower-set:t0-greatest", {"member": mask}))
 
     # dual pair with the complement nest
-    data += [("pair", found) for found in _dual_pair_checks(DualPair(nest, ctx.complement))]
+    data += [("pair", found) for found in _dual_pair_checks(DualPair(nest, ctx.dual.nest))]
     return 1, flagged, data
 
 
@@ -748,13 +746,13 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
     u = nest.universe
     flagged = []
     by_def = is_interlocking(nest)
-    by_alex = is_interlocking_via_alexandroff_in(ctx)
-    by_lower = is_interlocking_via_lower_sets_in(ctx)
+    by_alex = is_interlocking_via_alexandroff(ctx)
+    by_lower = is_interlocking_via_lower_sets(ctx)
     if not (by_def == by_alex == by_lower):
         flagged.append((
             "interlocking:triple", {"by_def": by_def, "by_alex": by_alex, "by_lower": by_lower}
         ))
-    alex, alex_c = ctx.alexandroff, ctx.complement_alexandroff
+    alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
     for mask in nest.masks:
         if member_closed_by_intersections(nest, mask) != is_closed_in_family(alex, Subset(u, mask)):
             flagged.append(("closed:intersection-form", {"member": mask}))
@@ -796,7 +794,7 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
         if down != (down_mask_by_members(masks, mask) == full):
             failed.append("down:cover-form")
         if down:
-            seen = down_reach_covers_in(ctx, Subset(u, mask)).witness_family
+            seen = down_reach_covers(ctx, Subset(u, mask)).witness_family
             if seen is None or any(mask & ~m == 0 for m in seen.masks):
                 failed.append("down:witness")
         inter = full
@@ -808,7 +806,7 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
         if up != (meeting and inter == 0):
             failed.append("up:intersection-form")
         if up:
-            seen = up_reach_covers_in(ctx, Subset(u, mask)).witness_family
+            seen = up_reach_covers(ctx, Subset(u, mask)).witness_family
             if seen is None or any(mask & m == 0 for m in seen.masks):
                 failed.append("up:witness")
         if t0:

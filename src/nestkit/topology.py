@@ -11,11 +11,12 @@ Convention notes, since the source material uses both:
   compute them;
 * set-level up/down sets (``up_set``/``down_set``) expect the strict order,
   matching the definition "x is above A iff some y in A lies strictly below".
+  One region's reach comes from the mask kernels ``up_mask``/``down_mask``
+  (the order's rows and a region mask), which every single-region predicate
+  reads; ``up_set``/``down_set`` wrap them at the ``Subset`` boundary.
   ``up_reach_table`` tabulates the strict upward reach of every region of
-  one order at once; sweeps read it, and ``up_set``/``down_set`` stay as the
-  region-at-a-time definition it is checked against.  Their mask forms
-  ``up_mask``/``down_mask`` take the order's rows and a region mask; the
-  sweeps call those, and the ``Subset`` forms wrap them at the boundary.
+  one order at once, for the sweeps over every region, and is checked
+  against the region-at-a-time kernels.
 
 Empty intersections close to X and empty unions to the empty set.
 """

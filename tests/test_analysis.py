@@ -9,16 +9,15 @@ from nestkit.analysis import (
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
-    is_interlocking_via_lower_sets_in,
     lots_hypotheses,
     lots_report,
     member_lower_set_report,
-    member_lower_set_report_in,
     member_sups,
     nest_preorder,
     sup_conditions,
     sup_of,
 )
+from nestkit.bounds import down_reach_covers, has_lower_bound, has_upper_bound, up_reach_covers
 from nestkit.core import (
     InstanceError,
     Nest,
@@ -155,40 +154,87 @@ def test_member_sups_map():
 
 
 def test_nest_context_matches_the_public_functions():
+    # every public nest predicate answers the same from a nest and from its
+    # context, and the context's values match the functions and definitions
+    # they stand for
     for n in (1, 2, 3, 4):
         u = Universe(n)
         for nest in enumerate_nests(u):
             ctx = NestContext(nest)
             pair = complement_dual(nest)
+            assert NestContext.of(ctx) is ctx
             assert ctx.order == generated_order(nest)
             assert ctx.preorder == reflexive_closure(generated_order(nest))
-            assert ctx.complement.masks == family_complement(nest).masks
-            assert ctx.complement_order == generated_order(pair.right)
-            assert ctx.sups == member_sups(nest)
-            assert ctx.sup_conditions == sup_conditions(nest)
+            assert ctx.dual.nest.masks == family_complement(nest).masks
+            assert ctx.dual.order == generated_order(pair.right)
+            assert ctx.sups == member_sups(nest) == member_sups(ctx)
+            assert ctx.sup_conditions == sup_conditions(nest) == sup_conditions(ctx)
             assert ctx.dual_sup_conditions == dual_sup_conditions(pair)
             assert ctx.t0 == t0_separates(nest)
+            by_def = is_interlocking(nest)
+            for route in (is_interlocking_via_alexandroff, is_interlocking_via_lower_sets):
+                assert route(nest) == route(ctx) == by_def
+
+            def below(x, y):
+                return any(m >> x & 1 and not m >> y & 1 for m in nest.masks)
+
             for mask in nest.masks:
                 member = Subset(u, mask)
-                assert member_lower_set_report_in(ctx, member) == member_lower_set_report(
-                    nest, member)
+                report = member_lower_set_report(nest, member)
+                assert member_lower_set_report(ctx, member) == report
+                # "lower set" against its element-set definition
+                inside = member.indices
+                lower = {x for x in u.elements() if any(below(x, y) for y in inside)}
+                assert report.is_lower_set == (lower == set(inside))
 
 
 def test_nest_context_reach_tables():
-    # the tables the context forms read, against region-at-a-time reach
+    # the tables the sweeps read, against region-at-a-time reach, also in
+    # the complement nest's own context
     for n in (1, 2, 3, 4):
         u = Universe(n)
         for nest in enumerate_nests(u):
             ctx = NestContext(nest)
+            complement_order = generated_order(family_complement(nest))
             for table, reach, rel in (
                 (ctx.up_reach, up_set, ctx.order),
                 (ctx.down_reach, down_set, ctx.order),
-                (ctx.complement_down_reach, down_set, ctx.complement_order),
+                (ctx.dual.down_reach, down_set, complement_order),
             ):
                 assert table == tuple(
                     reach(rel, Subset(u, m)).mask for m in range(u.full_mask + 1))
-            assert is_interlocking_via_lower_sets_in(ctx) == is_interlocking(nest)
+            assert is_interlocking_via_lower_sets(ctx) == is_interlocking(nest)
             assert is_interlocking_via_lower_sets(nest) == is_interlocking(nest)
+
+
+def test_single_nest_predicates_build_no_table(monkeypatch):
+    # a predicate on one nest reads its members' and regions' reach from the
+    # mask kernels; only the sweeps tabulate every region
+    from nestkit import analysis
+
+    nests = [nest for n in (1, 2, 3, 4) for nest in enumerate_nests(Universe(n))]
+
+    def answers() -> list:
+        out = []
+        for nest in nests:
+            u = nest.universe
+            out.append(is_interlocking_via_lower_sets(nest))
+            out += [member_lower_set_report(nest, Subset(u, m)) for m in nest.masks]
+            for mask in range(u.full_mask + 1):
+                region = Subset(u, mask)
+                out += [
+                    down_reach_covers(nest, region), up_reach_covers(nest, region),
+                    has_upper_bound(nest, region), has_lower_bound(nest, region, False),
+                ]
+        return out
+
+    want = answers()
+
+    def no_table(rel):
+        raise AssertionError("a single-nest predicate tabulated every region")
+
+    monkeypatch.setattr(analysis, "up_reach_table", no_table)
+    assert answers() == want
 
 
 def test_lots_hypotheses_agree_with_lots_report():
@@ -208,5 +254,5 @@ def test_lots_hypotheses_agree_with_lots_report():
             assert (report.sup_onto_pair, report.t0_escape_pair) == hypotheses
             ctx = NestContext(nest)
             assert lots_hypotheses(
-                nest, ctx.complement, ctx.sup_conditions, ctx.dual_sup_conditions
+                nest, ctx.dual.nest, ctx.sup_conditions, ctx.dual_sup_conditions
             ) == hypotheses

@@ -2,13 +2,9 @@ from nestkit.analysis import NestContext
 from nestkit.bounds import (
     covering_subfamilies,
     down_reach_covers,
-    down_reach_covers_in,
     has_lower_bound,
-    has_lower_bound_in,
     has_upper_bound,
-    has_upper_bound_in,
     up_reach_covers,
-    up_reach_covers_in,
 )
 from nestkit.core import Nest, Subset, Universe, enumerate_nests
 from nestkit.topology import down_set, up_set
@@ -127,9 +123,10 @@ def test_every_cover_of_a_nest_ends_in_the_universe():
 
 
 def test_nest_forms_match_the_context_forms():
-    # the public nest forms and the context forms sweeps use agree on every
-    # nest and region up to four points, and the bound predicates match
-    # their definition over "some member contains y but not x"
+    # every predicate answers the same from a nest and from the context
+    # sweeps pass, on every nest and region up to four points, and the bound
+    # predicates match their definition over "some member contains y but
+    # not x"
     for n in (1, 2, 3, 4):
         u = Universe(n)
         for nest in enumerate_nests(u):
@@ -142,15 +139,15 @@ def test_nest_forms_match_the_context_forms():
                 region = Subset(u, mask)
                 ys = region.indices
                 for want in (True, False):
-                    assert down_reach_covers(nest, region, want) == down_reach_covers_in(
+                    assert down_reach_covers(nest, region, want) == down_reach_covers(
                         ctx, region, want)
-                    assert up_reach_covers(nest, region, want) == up_reach_covers_in(
+                    assert up_reach_covers(nest, region, want) == up_reach_covers(
                         ctx, region, want)
                 for strict in (True, False):
                     upper = has_upper_bound(nest, region, strict)
                     lower = has_lower_bound(nest, region, strict)
-                    assert upper == has_upper_bound_in(ctx, region, strict)
-                    assert lower == has_lower_bound_in(ctx, region, strict)
+                    assert upper == has_upper_bound(ctx, region, strict)
+                    assert lower == has_lower_bound(ctx, region, strict)
                     assert upper == any(
                         all(below(y, x) or (not strict and y == x) for y in ys)
                         for x in u.elements()

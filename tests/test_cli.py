@@ -214,6 +214,26 @@ def test_analyze_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit)
         assert main(["analyze", "--input", str(at_bound)]) == 0
 
 
+def test_bounds_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit):
+    from nestkit.cli import BOUNDS_UNIVERSE_BOUND
+
+    # a universe this size still loads quickly; a billion points used to run
+    # out of memory building the generated order
+    path = _write(tmp_path, "big.json", {"universe": 100_000, "family": [[0]], "kind": "nest"})
+    with time_limit(5):
+        code = main(["bounds", "--input", str(path), "--subset", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'universe'" in err and str(BOUNDS_UNIVERSE_BOUND) in err
+    # the bound itself is still answered
+    at_bound = _write(tmp_path, "at-bound.json", {
+        "universe": BOUNDS_UNIVERSE_BOUND, "family": [[0], list(range(BOUNDS_UNIVERSE_BOUND))],
+        "kind": "nest",
+    })
+    with time_limit(20):
+        assert main(["bounds", "--input", str(at_bound), "--subset", "0"]) == 0
+
+
 @pytest.mark.parametrize("suite, flag, value", [
     # max_n=0 used to be recorded as 0 next to the 4-point instance count
     ("core-algebra", "--max-n", "0"),

@@ -11,20 +11,15 @@ import pytest
 from nestkit.analysis import (
     NestContext,
     down_mask_by_members,
-    down_set_by_members,
+    member_lower_set_report,
     up_mask_by_complements,
-    up_set_by_complements,
 )
 from nestkit.bounds import (
     down_reach_covers,
-    down_reach_covers_in,
     has_lower_bound,
-    has_lower_bound_in,
     has_upper_bound,
-    has_upper_bound_in,
     lower_bounds,
     up_reach_covers,
-    up_reach_covers_in,
     upper_bounds,
 )
 from nestkit.core import (
@@ -432,15 +427,20 @@ def test_region_kernels_match_the_definitions_on_every_small_nest():
                 # dichotomy reads
                 for rel in (ctx.order, ctx.preorder):
                     _check_region_kernels(rel, nest.masks, mask)
-                # the public forms wrap the kernels
-                assert up_set(ctx.order, region).mask == up_mask(ctx.order.rows, mask)
-                assert down_set(ctx.order, region).mask == down_mask(ctx.order.rows, mask)
-                assert down_set_by_members(nest, region).mask == down_mask_by_members(
-                    nest.masks, mask
-                )
-                assert up_set_by_complements(nest, region).mask == up_mask_by_complements(
-                    nest.masks, u.full_mask, mask
-                )
+                # the public forms wrap the kernels, from a nest and from
+                # its context alike
+                rows, full = ctx.order.rows, u.full_mask
+                assert up_set(ctx.order, region).mask == up_mask(rows, mask)
+                assert down_set(ctx.order, region).mask == down_mask(rows, mask)
+                for source in (nest, ctx):
+                    assert down_reach_covers(source, region).holds == (
+                        down_mask(rows, mask) == full)
+                    assert up_reach_covers(source, region).holds == (
+                        up_mask(rows, mask) == full)
+                    assert has_upper_bound(source, region) == (
+                        upper_bounds(rows, full, mask) != 0)
+                    assert has_lower_bound(source, region, strict=False) == (
+                        lower_bounds(ctx.preorder.rows, mask) != 0)
                 seen += 1
     assert seen == 4 * 2 + 12 * 4 + 52 * 8 + 300 * 16
 
@@ -465,16 +465,16 @@ def test_public_region_forms_reject_a_region_from_another_universe():
     for call in (
         lambda: up_set(ctx.order, region),
         lambda: down_set(ctx.order, region),
-        lambda: down_set_by_members(nest, region),
-        lambda: up_set_by_complements(nest, region),
         lambda: down_reach_covers(nest, region),
         lambda: up_reach_covers(nest, region),
-        lambda: down_reach_covers_in(ctx, region),
-        lambda: up_reach_covers_in(ctx, region),
+        lambda: down_reach_covers(ctx, region),
+        lambda: up_reach_covers(ctx, region),
         lambda: has_upper_bound(nest, region),
         lambda: has_lower_bound(nest, region, strict=False),
-        lambda: has_upper_bound_in(ctx, region, strict=False),
-        lambda: has_lower_bound_in(ctx, region),
+        lambda: has_upper_bound(ctx, region, strict=False),
+        lambda: has_lower_bound(ctx, region),
+        lambda: member_lower_set_report(nest, region),
+        lambda: member_lower_set_report(ctx, region),
     ):
         with pytest.raises(InstanceError, match="different universes"):
             call()
