@@ -11,7 +11,10 @@ reflexive closure of the nest's generated order:
 
 A supremum only exists when the set of upper bounds has a unique least
 element; incomparable upper bounds yield "does not exist" with a reason,
-never an arbitrary pick.
+never an arbitrary pick.  The kernel `sup_index` decides this on the rows
+of a reflexive order and a region mask, and answers with the supremum's
+element or a code (`NO_BOUND`, `NO_LEAST`); `sup_of` and `inf_of` wrap it
+at the `Relation` boundary, and the context's ladders read it directly.
 
 `NestContext` holds the values a sweep derives from one nest (its order and
 preorder, the complement nest's own context, member sups, both ladders, T0,
@@ -38,6 +41,7 @@ from .core import (
 )
 from .orders import (
     Relation,
+    columns,
     generated_order,
     is_linear_order,
     reflexive_closure,
@@ -61,6 +65,11 @@ REASON_NO_LOWER = "no_lower_bound"
 REASON_NO_GREATEST = "no_greatest_lower_bound"
 
 
+# `sup_index` codes for a region without a supremum
+NO_BOUND = -1
+NO_LEAST = -2
+
+
 @dataclass(frozen=True)
 class SupResult:
     exists: bool
@@ -72,41 +81,55 @@ class SupResult:
             raise InstanceError("element must be present exactly when it exists")
 
 
+def sup_index(rows: tuple[int, ...], full: int, region: int) -> int:
+    """Least upper bound of a region mask under a reflexive order given by
+    its rows: the element, or `NO_BOUND` when no point lies above the whole
+    region, or `NO_LEAST` when the upper bounds have no unique least one.
+    Validates nothing.
+
+    The supremum of the empty region is the least element of the whole
+    universe, when that is unique.
+    """
+    bounds = full
+    while region:
+        low = region & -region
+        bounds &= rows[low.bit_length() - 1]
+        region ^= low
+    if not bounds:
+        return NO_BOUND
+    least = NO_LEAST
+    candidates = bounds
+    while candidates:
+        low = candidates & -candidates
+        x = low.bit_length() - 1
+        if bounds & ~rows[x] == 0:
+            if least != NO_LEAST:
+                return NO_LEAST
+            least = x
+        candidates ^= low
+    return least
+
+
+def _result(index: int, no_bound: str = REASON_NO_BOUND,
+            no_least: str = REASON_NO_LEAST) -> SupResult:
+    if index >= 0:
+        return SupResult(True, index, REASON_OK)
+    return SupResult(False, None, no_bound if index == NO_BOUND else no_least)
+
+
 def sup_of(rel_reflexive: Relation, region_mask: int) -> SupResult:
     """Least upper bound of the region under the given reflexive order.
 
     The supremum of the empty region is the least element of the whole
     universe, when that is unique.
     """
-    rows = rel_reflexive.rows
-    bounds = rel_reflexive.universe.full_mask
-    remaining = region_mask
-    y = 0
-    while remaining:
-        if remaining & 1:
-            bounds &= rows[y]
-        remaining >>= 1
-        y += 1
-    if bounds == 0:
-        return SupResult(False, None, REASON_NO_BOUND)
-    least = [m for m in rel_reflexive.universe.elements()
-             if bounds >> m & 1 and bounds & ~rows[m] == 0]
-    if len(least) != 1:
-        return SupResult(False, None, REASON_NO_LEAST)
-    return SupResult(True, least[0], REASON_OK)
+    return _result(sup_index(rel_reflexive.rows, rel_reflexive.universe.full_mask, region_mask))
 
 
 def inf_of(rel_reflexive: Relation, region_mask: int) -> SupResult:
     """Greatest lower bound; dual of `sup_of` via the transposed order."""
-    result = sup_of(transpose(rel_reflexive), region_mask)
-    if result.exists:
-        return result
-    reason = REASON_NO_LOWER if result.reason == REASON_NO_BOUND else REASON_NO_GREATEST
-    return SupResult(False, None, reason)
-
-
-def nest_preorder(nest: SetFamily) -> Relation:
-    return reflexive_closure(generated_order(nest))
+    index = sup_index(columns(rel_reflexive.rows), rel_reflexive.universe.full_mask, region_mask)
+    return _result(index, REASON_NO_LOWER, REASON_NO_GREATEST)
 
 
 @dataclass(frozen=True)
@@ -116,35 +139,39 @@ class SupConditions:
     sups_onto: bool
 
 
-def _ladder(nest: SetFamily, sups: dict[int, SupResult]) -> SupConditions:
-    exist = all(r.exists for r in sups.values())
-    escape = exist and all(
-        not (m >> r.element & 1) for m, r in sups.items()
-    )
-    onto = escape and all(
-        any(r.element == x and not (m >> x & 1) for m, r in sups.items())
-        for x in nest.universe.elements()
-    )
-    return SupConditions(exist, escape, onto)
+def _ladder(sups: dict[int, int], full: int) -> SupConditions:
+    """The ladder from each member's `sup_index`: every sup exists, every
+    sup lies outside its member, and the escaping sups cover the universe."""
+    exist = all(s >= 0 for s in sups.values())
+    escape = exist and all(not m >> s & 1 for m, s in sups.items())
+    reached = 0
+    if escape:
+        for s in sups.values():
+            reached |= 1 << s
+    return SupConditions(exist, escape, escape and reached == full)
 
 
-def _dual_ladder(right: Nest, rel_right: Relation, rel_left: Relation) -> SupConditions:
-    """The ladder of the right nest of a dual pair, from the reflexive orders
-    of both sides.
+def _dual_ladder(
+    masks: tuple[int, ...], full: int, rows_right: tuple[int, ...], cols_left: tuple[int, ...]
+) -> SupConditions:
+    """The ladder of the right nest of a dual pair, from the rows of its own
+    reflexive order and the columns of the left nest's.
 
     Computed twice: as suprema under the right nest's own (reversed) order,
-    and as infima under the left nest's order.  The two routes must agree;
-    disagreement means the duality invariant was broken.
+    and as infima under the left nest's order (suprema under its columns).
+    The two routes must agree; disagreement means the duality invariant was
+    broken.
     """
-    by_sup = {m: sup_of(rel_right, m) for m in right.masks}
-    by_inf = {m: inf_of(rel_left, m) for m in right.masks}
-    for m in right.masks:
-        if (by_sup[m].exists, by_sup[m].element) != (by_inf[m].exists, by_inf[m].element):
+    sups = {}
+    for m in masks:
+        by_sup = sup_index(rows_right, full, m)
+        if by_sup != sup_index(cols_left, full, m):
             raise InstanceError(
                 "sup-under-reversed-order and inf routes disagree; dual-pair "
                 "invariant violated"
             )
-    return _ladder(right, by_sup)
+        sups[m] = by_sup
+    return _ladder(sups, full)
 
 
 class NestContext:
@@ -174,21 +201,32 @@ class NestContext:
         return reflexive_closure(self.order)
 
     @cached_property
+    def preorder_columns(self) -> tuple[int, ...]:
+        """Entry y holds every x at or below y: the down-sets of the points."""
+        return columns(self.preorder.rows)
+
+    @cached_property
     def dual(self) -> NestContext:
         """The context of the complement nest."""
         return NestContext(family_complement(self.nest))
 
     @cached_property
+    def sup_indices(self) -> dict[int, int]:
+        """Each member's `sup_index` under the preorder."""
+        rows, full = self.preorder.rows, self.nest.universe.full_mask
+        return {m: sup_index(rows, full, m) for m in self.nest.masks}
+
+    @cached_property
     def sups(self) -> dict[int, SupResult]:
-        return {m: sup_of(self.preorder, m) for m in self.nest.masks}
+        return {m: _result(s) for m, s in self.sup_indices.items()}
 
     @cached_property
     def sup_conditions(self) -> SupConditions:
-        return _ladder(self.nest, self.sups)
+        return _ladder(self.sup_indices, self.nest.universe.full_mask)
 
     @cached_property
     def dual_sup_conditions(self) -> SupConditions:
-        return _dual_ladder(self.dual.nest, self.dual.preorder, self.preorder)
+        return _pair_ladder(self, self.dual)
 
     @cached_property
     def t0(self) -> bool:
@@ -207,6 +245,14 @@ class NestContext:
     @cached_property
     def alexandroff(self) -> SetFamily:
         return alexandroff_family(self.order)
+
+
+def _pair_ladder(left: NestContext, right: NestContext) -> SupConditions:
+    """The ladder of ``right`` as the dual of ``left``, by both routes."""
+    return _dual_ladder(
+        right.nest.masks, right.nest.universe.full_mask,
+        right.preorder.rows, left.preorder_columns,
+    )
 
 
 def member_sups(nest: Nest | NestContext) -> dict[int, SupResult]:
@@ -257,7 +303,7 @@ def complement_dual(left: Nest) -> DualPair:
 def dual_sup_conditions(pair: DualPair) -> SupConditions:
     """The sup-condition ladder for the right nest of a dual pair, with the
     sup route cross-checked against infima under the left nest's order."""
-    return _dual_ladder(pair.right, nest_preorder(pair.right), nest_preorder(pair.left))
+    return _pair_ladder(NestContext(pair.left), NestContext(pair.right))
 
 
 def is_interlocking(family: SetFamily) -> bool:
@@ -352,7 +398,8 @@ class MemberLowerSetReport:
     """Three views of "this member is a lower set".
 
     ``union_of_smaller_matches`` and ``is_lower_set`` agree on every nest;
-    ``no_greatest_element`` is only promised to agree when the nest
+    ``no_greatest_element`` (no point of the member lies at or above all of
+    its points, under the preorder) is only promised to agree when the nest
     T0-separates the universe (the recorded two-nest counterexample shows the
     hypothesis is needed).
     """
@@ -370,9 +417,10 @@ def member_lower_set_report(nest: Nest | NestContext, member: Subset) -> MemberL
         raise InstanceError("subset is not a member of the nest")
     union_matches = member_union_of_smaller(nest, mask) == mask
     lower = down_mask(ctx.order.rows, mask) == mask
-    rows = ctx.preorder.rows
+    # a greatest point's column (its down-set) holds the whole member
+    below = ctx.preorder_columns
     greatest = any(
-        mask & ~rows[g] == 0 for g in nest.universe.elements() if mask >> g & 1
+        mask & ~below[g] == 0 for g in nest.universe.elements() if mask >> g & 1
     )
     return MemberLowerSetReport(union_matches, lower, not greatest)
 
@@ -410,10 +458,12 @@ class LotsReport:
 
 
 def lots_hypotheses(
-    left: Nest, right: Nest, cond: SupConditions, cond_dual: SupConditions
+    left: Nest | NestContext, right: Nest | NestContext,
+    cond: SupConditions, cond_dual: SupConditions,
 ) -> tuple[bool, bool]:
     """The orderability hypotheses of a dual pair, ``(sup_onto_pair,
-    t0_escape_pair)``, from the ladders of both sides.
+    t0_escape_pair)``, from the ladders of both sides; T0 is read from each
+    side's context, so a caller holding contexts derives nothing again.
 
     The one source of the hypotheses for `lots_report` and for every caller
     that tests them before asking for the conclusion.
@@ -422,20 +472,20 @@ def lots_hypotheses(
     t0_escape_pair = (
         cond.sups_escape
         and cond_dual.sups_escape
-        and t0_separates(left)
-        and t0_separates(right)
+        and NestContext.of(left).t0
+        and NestContext.of(right).t0
     )
     return sup_onto_pair, t0_escape_pair
 
 
 def lots_report(pair: DualPair) -> LotsReport:
-    left, right = pair.left, pair.right
+    left, right = NestContext(pair.left), NestContext(pair.right)
     sup_onto_pair, t0_escape_pair = lots_hypotheses(
-        left, right, sup_conditions(left), dual_sup_conditions(pair)
+        left, right, left.sup_conditions, _pair_ladder(left, right)
     )
-    rel = generated_order(left)
+    rel = left.order
     both = topology_from_subbase(
-        SetFamily.dedupe(left.universe, left.masks + right.masks)
+        SetFamily.dedupe(left.nest.universe, left.nest.masks + right.nest.masks)
     )
     return LotsReport(
         sup_onto_pair=sup_onto_pair,

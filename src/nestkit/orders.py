@@ -311,7 +311,7 @@ def orders_equivalent(f1: SetFamily, f2: SetFamily) -> bool:
 
 
 def reflexive_closure(rel: Relation) -> Relation:
-    return rel.union(Relation.diagonal(rel.universe))
+    return Relation(rel.universe, tuple(row | 1 << x for x, row in enumerate(rel.rows)))
 
 
 def transpose(rel: Relation) -> Relation:

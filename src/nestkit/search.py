@@ -150,8 +150,8 @@ def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
 
 @_on_points("lots-hypothesis-pairs", "dual pairs satisfying the orderability hypotheses")
 def _lots_pairs(ctx: NestContext) -> dict | None:
-    nest, comp = ctx.nest, ctx.dual.nest
-    if any(lots_hypotheses(nest, comp, ctx.sup_conditions, ctx.dual_sup_conditions)):
+    if any(lots_hypotheses(ctx, ctx.dual, ctx.sup_conditions, ctx.dual_sup_conditions)):
+        nest, comp = ctx.nest, ctx.dual.nest
         return {
             "instance": family_to_dict(nest),
             "dual": family_to_dict(comp),

@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 from .analysis import (
     DualPair,
     NestContext,
+    SupConditions,
     dual_pair,
     dual_sup_conditions,
     is_interlocking,
@@ -30,7 +31,6 @@ from .analysis import (
     member_closed_by_intersections,
     member_lower_set_report,
     member_union_of_smaller,
-    nest_preorder,
     sup_conditions,
     up_mask_by_complements,
     down_mask_by_members,
@@ -119,7 +119,6 @@ from .topology import (
     is_closed_in_family,
     join,
     lower_topology,
-    point_up_set,
     topology_from_subbase,
     up_mask,
     upper_topology,
@@ -146,16 +145,22 @@ class Suite:
     run: Callable[[SuiteConfig], tuple[int, list[Violation], list[str]]]
     summary: str
     defaults: SuiteConfig
+    # the config fields the suite reads besides the seed; only these are
+    # recorded in its document
+    reads: frozenset[str]
 
 
 SUITES: dict[str, Suite] = {}
 
 
-def _suite(name: str, summary: str, **defaults):
+def _suite(name: str, summary: str, sweep: bool = False, **defaults):
     """Register the decorated function as suite ``name``, run with the
-    ``defaults`` for the config fields its caller leaves unset."""
+    ``defaults`` for the config fields its caller leaves unset.  A suite
+    reads the fields it has defaults for, and a ``sweep`` over the nests
+    (`_sweep`) also reads ``max_members``."""
     def register(run):
-        SUITES[name] = Suite(run, summary, SuiteConfig(**defaults))
+        reads = frozenset(defaults) | ({"max_members"} if sweep else set())
+        SUITES[name] = Suite(run, summary, SuiteConfig(**defaults), reads)
         return run
     return register
 
@@ -278,7 +283,8 @@ def _check_core(ctx: NestContext) -> tuple[int, list, list]:
     return 1, flagged, []
 
 
-@_suite("core-algebra", "complement involution and the nest enumerator's contracts", max_n=4)
+@_suite("core-algebra", "complement involution and the nest enumerator's contracts",
+        sweep=True, max_n=4)
 def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n = config.max_n
     count, violations, _ = _sweep(config, _check_core)
@@ -517,7 +523,7 @@ def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
 
 
 @_suite("topology-engine", "subbase closure, order topologies, fixed-point families, join laws",
-        max_n=4, iters=300)
+        sweep=True, max_n=4, iters=300)
 def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     rng = random.Random(config.seed)
     count, violations, _ = _sweep(config, _check_topology)
@@ -568,7 +574,8 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
     """Ladder, sup and order-topology facts of one nest and of its pair with
     the complement nest.  The data are census entries, tagged by inventory,
     and the pair violations (which carry pair payloads), tagged "pair"."""
-    nest, pre, cond, t0 = ctx.nest, ctx.preorder, ctx.sup_conditions, ctx.t0
+    nest, cond, t0 = ctx.nest, ctx.sup_conditions, ctx.t0
+    rows, sups = ctx.preorder.rows, ctx.sup_indices
     u = nest.universe
     full = u.full_mask
     flagged = []
@@ -579,20 +586,19 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
     if cond.sups_onto and not t0:
         flagged.append(("ladder:onto-t0", {}))
 
-    for mask, result in ctx.sups.items():
-        if result.exists:
-            above = point_up_set(pre, result.element).mask
-            if (full ^ above) & ~mask:
-                flagged.append(("sup:member-contains-downward", {"member": mask}))
+    # the up-set of a sup is its preorder row
+    for mask, sup in sups.items():
+        if sup >= 0 and (full ^ rows[sup]) & ~mask:
+            flagged.append(("sup:member-contains-downward", {"member": mask}))
     if cond.sups_escape:
         t_nest = topology_from_subbase(nest)
-        t_lower = lower_topology(pre)
-        for mask, result in ctx.sups.items():
-            if mask != (full ^ point_up_set(pre, result.element).mask):
+        t_lower = lower_topology(ctx.preorder)
+        for mask, sup in sups.items():
+            if mask != full ^ rows[sup]:
                 flagged.append(("escape:member-equals-ray", {"member": mask}))
         if not all(t_lower.is_open(o) for o in t_nest.opens):
             flagged.append(("escape:nest-topology-in-lower", {}))
-    if cond.sups_onto and topology_from_subbase(nest) != lower_topology(pre):
+    if cond.sups_onto and topology_from_subbase(nest) != lower_topology(ctx.preorder):
         flagged.append(("onto:nest-topology-is-lower", {}))
 
     # census inventories; the bare-escape shape claim (a single
@@ -621,47 +627,64 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
         if t0 and report.no_greatest_element != report.is_lower_set:
             flagged.append(("lower-set:t0-greatest", {"member": mask}))
 
-    # dual pair with the complement nest
-    data += [("pair", found) for found in _dual_pair_checks(DualPair(nest, ctx.dual.nest))]
+    # dual pair with the complement nest, which the context already pairs
+    data += [
+        ("pair", found)
+        for found in _pair_checks(ctx, ctx.dual, cond, ctx.dual_sup_conditions)
+    ]
     return 1, flagged, data
 
 
 def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
-    """Premises first: the joint, interval and upper topologies and the
-    orderability report are built only for the pairs whose premise fires."""
+    """The pair checks on a validated dual pair: the entry point of the
+    sweep over all dual pairs."""
+    left = NestContext(pair.left)
+    return _pair_checks(
+        left, NestContext(pair.right), sup_conditions(left), dual_sup_conditions(pair)
+    )
+
+
+def _pair_checks(
+    left: NestContext, right: NestContext, cond: SupConditions, dcond: SupConditions
+) -> list[tuple[str, dict]]:
+    """The checks on the dual pair of two nests' contexts, given the ladders
+    of both sides.  Premises first: the joint, interval and upper topologies
+    and the orderability report are built only for the pairs whose premise
+    fires."""
     out = []
-    left, right = pair.left, pair.right
-    u = left.universe
-    cond = sup_conditions(left)
-    dcond = dual_sup_conditions(pair)
+    u = left.nest.universe
+    masks = left.nest.masks + right.nest.masks
 
     def payload() -> dict:
         return {
             "universe": u.size,
-            "left": family_to_dict(left)["family"],
-            "right": family_to_dict(right)["family"],
+            "left": family_to_dict(left.nest)["family"],
+            "right": family_to_dict(right.nest)["family"],
         }
 
     # the onto rungs imply the escape rungs, so the escape premise covers both
     if cond.sups_escape and dcond.sups_escape:
-        both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))
-        tin = interval_topology(nest_preorder(left))
+        both = topology_from_subbase(SetFamily.dedupe(u, masks))
+        tin = interval_topology(left.preorder)
         if not all(tin.is_open(o) for o in both.opens):
             out.append(("pair:escape-joint-in-interval", payload()))
-        if any(m for m in left.masks + right.masks):
+        if any(masks):
             out.append(("census:paired-escape-empty-members", payload()))
         if cond.sups_onto and dcond.sups_onto and both != tin:
             out.append(("pair:onto-joint-is-interval", payload()))
     if dcond.sups_onto:
-        if topology_from_subbase(right) != upper_topology(nest_preorder(left)):
+        if topology_from_subbase(right.nest) != upper_topology(left.preorder):
             out.append(("pair:dual-onto-upper", payload()))
-    if any(lots_hypotheses(left, right, cond, dcond)) and not lots_report(pair).is_lots:
+    if (
+        any(lots_hypotheses(left, right, cond, dcond))
+        and not lots_report(DualPair(left.nest, right.nest)).is_lots
+    ):
         out.append(("pair:lots-hypotheses", payload()))
     return out
 
 
 @_suite("sup-conditions", "the sup-condition ladder, order-topology facts, dual pairs, and the "
-        "firing census", max_n=4)
+        "firing census", sweep=True, max_n=4)
 def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n, cap = config.max_n, config.max_members
     count, violations, data = _sweep(config, _check_sup)
@@ -762,7 +785,8 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
     return 1, flagged, []
 
 
-@_suite("interlocking", "three-route equivalence of the interlocking property", max_n=4)
+@_suite("interlocking", "three-route equivalence of the interlocking property",
+        sweep=True, max_n=4)
 def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     count, violations, _ = _sweep(config, _check_interlocking)
     total = sum(count_nests(Universe(n)) for n in range(1, config.max_n + 1))
@@ -857,7 +881,8 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     return full + 1 + len(covers), flagged, []
 
 
-@_suite("bound-covers", "cover characterizations of reach and bound existence", max_n=4)
+@_suite("bound-covers", "cover characterizations of reach and bound existence",
+        sweep=True, max_n=4)
 def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     count, violations, _ = _sweep(config, _check_bounds)
     # the strict-bound form genuinely diverges from the dichotomy at the top
@@ -1157,8 +1182,12 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> SuiteReport:
     elapsed = (time.perf_counter() - started) * 1000.0
     return SuiteReport(
         suite=name,
-        # the worker count stays out: it must not influence the document
-        config={k: v for k, v in asdict(config).items() if v is not None and k != "workers"},
+        # the seed and the fields the suite reads; the worker count stays
+        # out: it must not influence the document
+        config={
+            k: v for k, v in asdict(config).items()
+            if v is not None and (k == "seed" or k in suite.reads)
+        },
         instances=count,
         violations=sort_violations(violations),
         wall_ms=elapsed,

@@ -13,7 +13,6 @@ from nestkit.analysis import (
     lots_report,
     member_lower_set_report,
     member_sups,
-    nest_preorder,
     sup_conditions,
     sup_of,
 )
@@ -42,29 +41,29 @@ PAIR_DUAL = Nest.of(Universe(2), [[1]])
 def test_sup_of_examples():
     u5 = Universe(5)
     nest = Nest.of(u5, [[0, 1], [0, 1, 2]])
-    rel = nest_preorder(nest)
+    rel = NestContext(nest).preorder
     result = sup_of(rel, mask_of([0, 1], 5))
     assert result.exists and result.element == 2
     # a member with an internal maximum has that maximum as its sup
     assert sup_of(rel, mask_of([0, 1, 2], 5)).element == 2
     # incomparable upper bounds leave no least one
     wide = Nest.of(u5, [[0, 1]])
-    blocked = sup_of(nest_preorder(wide), mask_of([0, 1], 5))
+    blocked = sup_of(NestContext(wide).preorder, mask_of([0, 1], 5))
     assert not blocked.exists and blocked.reason == "no_least_upper_bound"
     chain = Nest.of(U3, [[], [0], [0, 1]])
-    empty_sup = sup_of(nest_preorder(chain), 0)
+    empty_sup = sup_of(NestContext(chain).preorder, 0)
     assert empty_sup.exists and empty_sup.element == 0
     # no upper bound at all above the top of a chain with several maxima
-    quad_rel = nest_preorder(QUAD)
+    quad_rel = NestContext(QUAD).preorder
     nothing = sup_of(quad_rel, mask_of([2, 3], 4))
     assert not nothing.exists and nothing.reason == "no_upper_bound"
 
 
 def test_inf_of():
-    rel = nest_preorder(QUAD)
+    rel = NestContext(QUAD).preorder
     result = inf_of(rel, mask_of([2, 3], 4))
     assert not result.exists and result.reason == "no_greatest_lower_bound"
-    chain = nest_preorder(Nest.of(U3, [[], [0], [0, 1]]))
+    chain = NestContext(Nest.of(U3, [[], [0], [0, 1]])).preorder
     assert inf_of(chain, mask_of([1, 2], 3)).element == 1
     assert inf_of(chain, 0).element == 2  # greatest element bounds the empty set
 
@@ -133,6 +132,22 @@ def test_member_lower_set_report():
     assert not quad_report.is_lower_set and quad_report.no_greatest_element
     with pytest.raises(InstanceError):
         member_lower_set_report(chain, Subset.of(U3, [1]))
+
+
+def test_no_greatest_element_looks_for_a_point_above_the_member():
+    # 0 lies below both 1 and 2, which are incomparable: a least point but
+    # no greatest one
+    nest = Nest.of(U3, [[0], [0, 1, 2]])
+    assert member_lower_set_report(nest, Subset(U3, U3.full_mask)).no_greatest_element
+    for n in (1, 2, 3, 4):
+        u = Universe(n)
+        for nest in enumerate_nests(u):
+            pre = NestContext(nest).preorder
+            for mask in nest.masks:
+                inside = Subset(u, mask).indices
+                greatest = any(all(pre.holds(y, g) for y in inside) for g in inside)
+                report = member_lower_set_report(nest, Subset(u, mask))
+                assert report.no_greatest_element == (not greatest)
 
 
 def test_lots_report():

@@ -29,6 +29,16 @@ def test_check_pass_and_json(tmp_path, capsys):
     assert doc["status"] == "pass" and doc["violations"] == []
 
 
+def test_check_records_only_the_flags_its_suite_reads(tmp_path, capsys):
+    # replay reads neither --max-n nor --iters, so they leave no trace
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    assert main(["check", "--suite", "replay", "--json", str(plain)]) == 0
+    assert main([
+        "check", "--suite", "replay", "--max-n", "3", "--iters", "5", "--json", str(flagged),
+    ]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+
+
 def test_check_lists_and_errors(capsys):
     assert main(["check", "--list"]) == 0
     assert "interlocking" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""The row-level relation kernels, the region kernels on masks, the group
+"""The row-level relation kernels, the region and sup kernels on masks, the group
 image tables and the value types under them, against definitions written
 over pairs, element sets and Cayley tables."""
 
@@ -9,9 +9,15 @@ from itertools import product
 import pytest
 
 from nestkit.analysis import (
+    NO_BOUND,
+    NO_LEAST,
     NestContext,
+    _dual_ladder,
     down_mask_by_members,
+    inf_of,
     member_lower_set_report,
+    sup_index,
+    sup_of,
     up_mask_by_complements,
 )
 from nestkit.bounds import (
@@ -188,6 +194,7 @@ def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
     for rel in relations:
         rows, pairs = rel.rows, _pairs(rel)
         assert _rows_pairs(columns(rows)) == {(y, x) for x, y in pairs}
+        assert _pairs(reflexive_closure(rel)) == pairs | {(x, x) for x in points}
         for distinct in (False, True):
             assert transitive_rows(rows, distinct) == _transitive(pairs, n, distinct)
         assert irreflexive_rows(rows) == all((x, x) not in pairs for x in points)
@@ -478,3 +485,74 @@ def test_public_region_forms_reject_a_region_from_another_universe():
     ):
         with pytest.raises(InstanceError, match="different universes"):
             call()
+
+
+def _least_upper_bound(pairs, n, region):
+    """The least upper bound of a region by its definition, or the code
+    `sup_index` answers with."""
+    bounds = [x for x in range(n) if all((y, x) in pairs for y in region)]
+    if not bounds:
+        return NO_BOUND
+    least = [b for b in bounds if all((b, c) in pairs for c in bounds)]
+    return least[0] if len(least) == 1 else NO_LEAST
+
+
+def _check_sup_kernel(rel):
+    n, full = rel.universe.size, rel.universe.full_mask
+    pairs, flipped = _pairs(rel), {(y, x) for x, y in _pairs(rel)}
+    answers = set()
+    for mask in range(full + 1):
+        inside = {x for x in range(n) if mask >> x & 1}
+        want = _least_upper_bound(pairs, n, inside)
+        assert sup_index(rel.rows, full, mask) == want
+        answers.add(want)
+        # the wrappers: codes become reasons, infima are suprema upside down
+        result = sup_of(rel, mask)
+        assert (result.element if result.exists else None) == (want if want >= 0 else None)
+        assert result.reason == {NO_BOUND: "no_upper_bound", NO_LEAST: "no_least_upper_bound"}.get(
+            want, "ok")
+        glb = _least_upper_bound(flipped, n, inside)
+        result = inf_of(rel, mask)
+        assert (result.element if result.exists else None) == (glb if glb >= 0 else None)
+        assert result.reason == {
+            NO_BOUND: "no_lower_bound", NO_LEAST: "no_greatest_lower_bound"}.get(glb, "ok")
+    return answers
+
+
+def test_sup_kernel_matches_the_definition_on_every_small_nest():
+    # every region of every nest's preorder on at most four points; the
+    # non-T0 nests have incomparable minimal bounds, hence "no least"
+    codes_without_t0 = set()
+    for n in (1, 2, 3, 4):
+        for nest in enumerate_nests(Universe(n)):
+            ctx = NestContext(nest)
+            answers = _check_sup_kernel(ctx.preorder)
+            if not ctx.t0:
+                codes_without_t0 |= answers & {NO_BOUND, NO_LEAST}
+    assert codes_without_t0 == {NO_BOUND, NO_LEAST}
+
+
+def test_sup_kernel_matches_the_definition_on_random_preorders():
+    # reflexive relations with equivalent points: two least bounds that lie
+    # below each other are still not a unique least one
+    rng = random.Random(5)
+    codes = set()
+    for _ in range(300):
+        u = Universe(rng.randint(1, 5))
+        rel = reflexive_closure(
+            Relation(u, tuple(rng.randrange(u.full_mask + 1) for _ in range(u.size))))
+        codes |= _check_sup_kernel(rel)
+    assert {NO_BOUND, NO_LEAST} <= codes
+
+
+def test_dual_ladder_routes_must_agree():
+    # the sup route reads the right nest's rows, the inf route the left
+    # nest's columns; rows that are not their transpose break the pair
+    u = Universe(2)
+    ctx = NestContext(Nest.of(u, [[], [0]]))
+    right = ctx.dual
+    masks, full = right.nest.masks, u.full_mask
+    assert _dual_ladder(masks, full, right.preorder.rows, columns(ctx.preorder.rows)) == (
+        ctx.dual_sup_conditions)
+    with pytest.raises(InstanceError, match="routes disagree"):
+        _dual_ladder(masks, full, right.preorder.rows, ctx.preorder.rows)

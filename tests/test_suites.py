@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from nestkit import suites
+from nestkit import orders, suites
 from nestkit.analysis import NestContext, dual_pair
-from nestkit.core import Nest, Universe
+from nestkit.core import Nest, Universe, enumerate_nests
 from nestkit.reporting import SuiteReport, Violation, sort_violations
+from nestkit.serialize import canonical_json
 from nestkit.suites import SuiteConfig, run_suite, suite_names
 
 FAST = SuiteConfig(iters=300)
@@ -43,6 +44,20 @@ DEFAULT_DIGESTS = {
 EXHAUSTIVE = ["core-algebra", "topology-engine", "sup-conditions", "interlocking", "bound-covers"]
 
 
+# the config fields each suite reads besides the seed, so records
+READS = {
+    "bound-covers": {"max_n", "max_members"},
+    "core-algebra": {"max_n", "max_members"},
+    "generated-orders": {"max_n", "iters"},
+    "group-compatibility": {"iters"},
+    "interlocking": {"max_n", "max_members"},
+    "ray-classification": set(),
+    "replay": set(),
+    "sup-conditions": {"max_n", "max_members"},
+    "topology-engine": {"max_n", "iters", "max_members"},
+}
+
+
 def test_all_suites_pass_at_reduced_iterations():
     assert sorted(FAST_DIGESTS) == suite_names()
     for name in suite_names():
@@ -50,8 +65,22 @@ def test_all_suites_pass_at_reduced_iterations():
         assert report.passed, report.summary()
         assert report.instances > 0
         assert report.config["seed"] == FAST.seed
-        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        # FAST gives every suite 300 iterations; only a suite that reads
+        # them records them, and apart from that echo the document keeps
+        # the bytes it had when every given field was recorded
+        assert set(report.config) == {"seed", *READS[name]} - {"max_members"}, name
+        assert report.config.get("iters", FAST.iters) == FAST.iters
+        doc = report.to_document()
+        doc["config"]["iters"] = FAST.iters
+        digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
         assert digest == FAST_DIGESTS[name], name
+
+
+def test_documents_record_only_the_config_fields_their_suite_reads():
+    given = SuiteConfig(max_n=2, iters=0, max_members=3)
+    for name in suite_names():
+        config = run_suite(name, given).config
+        assert set(config) == {"seed", *READS[name]}, name
 
 
 @pytest.mark.parametrize("name", sorted(MAX_N5_DIGESTS))
@@ -192,6 +221,23 @@ def test_dual_pair_checks_build_interval_topology_only_under_the_premise(monkeyp
     two = Universe(2)
     assert suites._dual_pair_checks(dual_pair(Nest.of(two, [[0]]), Nest.of(two, [[1]]))) == []
     assert len(built) == 1
+
+
+def test_sup_checks_derive_each_order_once(monkeypatch):
+    # a nest's order and its complement's, and no more; only the pairs whose
+    # orderability hypotheses fire pay for a validated pair and its report
+    # (two orders each)
+    derived, reports = [], []
+    order_rows, lots_report = orders.order_rows, suites.lots_report
+    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append(1) or order_rows(*a))
+    monkeypatch.setattr(suites, "lots_report", lambda p: reports.append(p) or lots_report(p))
+    nests = 0
+    for n in range(1, 6):
+        for nest in enumerate_nests(Universe(n), bound=5):
+            suites._check_sup(NestContext(nest))
+            nests += 1
+    assert nests == 2532 and len(reports) == 1
+    assert len(derived) == 2 * nests + 4 * len(reports)
 
 
 def test_sup_census_holds_on_five_points():
