@@ -153,13 +153,13 @@ class Suite:
 SUITES: dict[str, Suite] = {}
 
 
-def _suite(name: str, summary: str, sweep: bool = False, **defaults):
+def _suite(name: str, summary: str, **defaults):
     """Register the decorated function as suite ``name``, run with the
     ``defaults`` for the config fields its caller leaves unset.  A suite
-    reads the fields it has defaults for, and a ``sweep`` over the nests
-    (`_sweep`) also reads ``max_members``."""
+    reads the fields it has defaults for (a sweep over the nests, `_sweep`,
+    lists ``max_members=None``)."""
     def register(run):
-        reads = frozenset(defaults) | ({"max_members"} if sweep else set())
+        reads = frozenset(defaults)
         SUITES[name] = Suite(run, summary, SuiteConfig(**defaults), reads)
         return run
     return register
@@ -284,7 +284,7 @@ def _check_core(ctx: NestContext) -> tuple[int, list, list]:
 
 
 @_suite("core-algebra", "complement involution and the nest enumerator's contracts",
-        sweep=True, max_n=4)
+        max_members=None, max_n=4)
 def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n = config.max_n
     count, violations, _ = _sweep(config, _check_core)
@@ -523,7 +523,7 @@ def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
 
 
 @_suite("topology-engine", "subbase closure, order topologies, fixed-point families, join laws",
-        sweep=True, max_n=4, iters=300)
+        max_members=None, max_n=4, iters=300)
 def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     rng = random.Random(config.seed)
     count, violations, _ = _sweep(config, _check_topology)
@@ -627,7 +627,12 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
         if t0 and report.no_greatest_element != report.is_lower_set:
             flagged.append(("lower-set:t0-greatest", {"member": mask}))
 
-    # dual pair with the complement nest, which the context already pairs
+    # dual pair with the complement nest, which the context already pairs:
+    # the complement's order must be the transpose of the nest's, or the
+    # pair checks have no dual pair to check
+    if ctx.dual.order.rows != columns(ctx.order.rows):
+        flagged.append(("pair:complement-dual", {}))
+        return 1, flagged, data
     data += [
         ("pair", found)
         for found in _pair_checks(ctx, ctx.dual, cond, ctx.dual_sup_conditions)
@@ -684,7 +689,7 @@ def _pair_checks(
 
 
 @_suite("sup-conditions", "the sup-condition ladder, order-topology facts, dual pairs, and the "
-        "firing census", sweep=True, max_n=4)
+        "firing census", max_members=None, max_n=4)
 def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n, cap = config.max_n, config.max_members
     count, violations, data = _sweep(config, _check_sup)
@@ -786,7 +791,7 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
 
 
 @_suite("interlocking", "three-route equivalence of the interlocking property",
-        sweep=True, max_n=4)
+        max_members=None, max_n=4)
 def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     count, violations, _ = _sweep(config, _check_interlocking)
     total = sum(count_nests(Universe(n)) for n in range(1, config.max_n + 1))
@@ -882,7 +887,7 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
 
 
 @_suite("bound-covers", "cover characterizations of reach and bound existence",
-        sweep=True, max_n=4)
+        max_members=None, max_n=4)
 def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     count, violations, _ = _sweep(config, _check_bounds)
     # the strict-bound form genuinely diverges from the dichotomy at the top

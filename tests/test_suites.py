@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from nestkit import orders, suites
+from nestkit import analysis, orders, suites
 from nestkit.analysis import NestContext, dual_pair
 from nestkit.core import Nest, Universe, enumerate_nests
 from nestkit.reporting import SuiteReport, Violation, sort_violations
@@ -238,6 +238,18 @@ def test_sup_checks_derive_each_order_once(monkeypatch):
             nests += 1
     assert nests == 2532 and len(reports) == 1
     assert len(derived) == 2 * nests + 4 * len(reports)
+
+
+def test_sup_checks_flag_a_complement_that_is_not_the_dual(monkeypatch):
+    # the sweep reads the complement's order from the context, so a
+    # complement whose order is not the transpose must be flagged, not paired
+    ctx = NestContext(Nest.of(Universe(2), [[0]]))
+    assert suites._check_sup(ctx) == (1, [], [])
+    ctx.dual = NestContext(ctx.nest)
+    assert suites._check_sup(ctx) == (1, [("pair:complement-dual", {})], [])
+    monkeypatch.setattr(analysis, "family_complement", lambda nest: nest)
+    report = run_suite("sup-conditions", SuiteConfig(max_n=3))
+    assert "pair:complement-dual" in {v.property_id for v in report.violations}
 
 
 def test_sup_census_holds_on_five_points():
