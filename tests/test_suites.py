@@ -26,9 +26,12 @@ FAST_DIGESTS = {
     "topology-engine": "3f8306de9acb31430841faaf0d0ad98eff3aa03642b9571a5c0a1185d2adb83a",
 }
 
-# the two region sweeps at max_n=5, the size the nest-sweep benchmark runs
+# the two region sweeps and sup-conditions at max_n=5, the size the
+# nest-sweep benchmark runs; at five points sup-conditions checks complement
+# pairs beyond the three points of its all-dual-pairs loop
 MAX_N5_DIGESTS = {
     "bound-covers": "5c521ad4519860c40cd936bc30121653ec7eb4dd1f9c88b3aa0620c39daf23fd",
+    "sup-conditions": "79b3786d0a3d42690a189bba915cd945a6b2ceae468388e1aff356e1fa2af71c",
     "topology-engine": "b76775a8c13a84f375543521cc491c152bad9b8e88b030bae3e01f5b13f9dd0a",
 }
 
