@@ -13,7 +13,6 @@ from .analysis import (
     SupConditions,
     SupResult,
     complement_dual,
-    dual_pair,
     dual_sup_conditions,
     inf_of,
     is_interlocking,

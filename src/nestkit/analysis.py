@@ -24,6 +24,13 @@ is one evaluation path whichever is passed: a sweep builds one context per
 nest and shares it across all of that nest's properties.  A predicate on
 single members or regions reads their reach from the `down_mask` kernel;
 only the sweeps read the reach tables over every region.
+
+`DualPair` is the one form of a dual pair, and holds the two sides'
+contexts.  It checks once that both sides are nests whose orders are mutual
+transposes, and caches the right nest's ladder by both routes.
+`complement_dual` pairs a context with its ``dual``; the sup sweep, the
+all-dual-pairs loop, the searches and ``analyze`` all take this one path,
+and `dual_sup_conditions`, `lots_hypotheses` and `lots_report` read the pair.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .core import (
     Subset,
     _check_same_universe,
     family_complement,
+    is_chain,
 )
 from .orders import (
     Relation,
@@ -179,8 +187,7 @@ class NestContext:
 
     A context belongs to a single nest and is dropped with it; nothing is
     shared between nests.  ``dual`` is the context of the complement nest,
-    which is the nest's dual, so ``dual_sup_conditions`` is the ladder of the
-    complement pair.
+    which is the nest's dual (`complement_dual` pairs the two).
     """
 
     def __init__(self, nest: Nest) -> None:
@@ -225,10 +232,6 @@ class NestContext:
         return _ladder(self.sup_indices, self.nest.universe.full_mask)
 
     @cached_property
-    def dual_sup_conditions(self) -> SupConditions:
-        return _pair_ladder(self, self.dual)
-
-    @cached_property
     def t0(self) -> bool:
         return t0_separates(self.nest)
 
@@ -247,14 +250,6 @@ class NestContext:
         return alexandroff_family(self.order)
 
 
-def _pair_ladder(left: NestContext, right: NestContext) -> SupConditions:
-    """The ladder of ``right`` as the dual of ``left``, by both routes."""
-    return _dual_ladder(
-        right.nest.masks, right.nest.universe.full_mask,
-        right.preorder.rows, left.preorder_columns,
-    )
-
-
 def member_sups(nest: Nest | NestContext) -> dict[int, SupResult]:
     return NestContext.of(nest).sups
 
@@ -263,47 +258,56 @@ def sup_conditions(nest: Nest | NestContext) -> SupConditions:
     return NestContext.of(nest).sup_conditions
 
 
-@dataclass(frozen=True)
 class DualPair:
-    """Two nests whose generated orders are mutual transposes.
+    """Two nests whose generated orders are mutual transposes, held as their
+    contexts.
 
-    Nothing here demands that either nest separates the universe; only the
-    order-reversal property is enforced.
+    Each side is a nest or its context (`NestContext.of`); a pair built from
+    contexts reads the orders they hold and derives none.  Both sides must be
+    nests with mutually transposed orders; nothing here demands that either
+    separates the universe.
     """
 
-    left: Nest
-    right: Nest
-
-    def __post_init__(self) -> None:
-        _check_same_universe(self.left.universe, self.right.universe)
-        lorder = generated_order(self.left)
-        rorder = generated_order(self.right)
-        flipped = transpose(rorder)
-        if lorder != flipped:
+    def __init__(self, left: Nest | NestContext, right: Nest | NestContext) -> None:
+        self.left, self.right = NestContext.of(left), NestContext.of(right)
+        for side, ctx in (("left", self.left), ("right", self.right)):
+            if not is_chain(ctx.nest.masks):
+                raise InstanceError(f"the {side} side of a dual pair is not a nest")
+        u = self.left.nest.universe
+        _check_same_universe(u, self.right.nest.universe)
+        rows, rows_right = self.left.order.rows, self.right.order.rows
+        if rows_right != columns(rows):
             witness = next(
                 (x, y)
-                for x in lorder.universe.elements()
-                for y in lorder.universe.elements()
-                if lorder.holds(x, y) != flipped.holds(x, y)
+                for x in u.elements()
+                for y in u.elements()
+                if (rows[x] >> y ^ rows_right[y] >> x) & 1
             )
             raise InstanceError(
                 f"nests are not dual: orders disagree at pair {witness}"
             )
 
+    @cached_property
+    def dual_sup_conditions(self) -> SupConditions:
+        """The ladder of the right nest, by both routes of `_dual_ladder`."""
+        right = self.right
+        return _dual_ladder(
+            right.nest.masks, right.nest.universe.full_mask,
+            right.preorder.rows, self.left.preorder_columns,
+        )
 
-def dual_pair(left: Nest, right: Nest) -> DualPair:
-    return DualPair(left, right)
 
-
-def complement_dual(left: Nest) -> DualPair:
-    """Pair a nest with its complement family, which is always its dual."""
-    return DualPair(left, family_complement(left))
+def complement_dual(nest: Nest | NestContext) -> DualPair:
+    """Pair a nest with its complement nest, which is always its dual; from a
+    context, the pair holds that context and its ``dual``."""
+    ctx = NestContext.of(nest)
+    return DualPair(ctx, ctx.dual)
 
 
 def dual_sup_conditions(pair: DualPair) -> SupConditions:
     """The sup-condition ladder for the right nest of a dual pair, with the
     sup route cross-checked against infima under the left nest's order."""
-    return _pair_ladder(NestContext(pair.left), NestContext(pair.right))
+    return pair.dual_sup_conditions
 
 
 def is_interlocking(family: SetFamily) -> bool:
@@ -457,32 +461,23 @@ class LotsReport:
         return self.order_linear and self.ray_topology_matches
 
 
-def lots_hypotheses(
-    left: Nest | NestContext, right: Nest | NestContext,
-    cond: SupConditions, cond_dual: SupConditions,
-) -> tuple[bool, bool]:
+def lots_hypotheses(pair: DualPair) -> tuple[bool, bool]:
     """The orderability hypotheses of a dual pair, ``(sup_onto_pair,
-    t0_escape_pair)``, from the ladders of both sides; T0 is read from each
-    side's context, so a caller holding contexts derives nothing again.
+    t0_escape_pair)``, from the ladders and T0 its two contexts hold.
 
     The one source of the hypotheses for `lots_report` and for every caller
     that tests them before asking for the conclusion.
     """
+    left, right = pair.left, pair.right
+    cond, cond_dual = left.sup_conditions, pair.dual_sup_conditions
     sup_onto_pair = cond.sups_onto and cond_dual.sups_onto
-    t0_escape_pair = (
-        cond.sups_escape
-        and cond_dual.sups_escape
-        and NestContext.of(left).t0
-        and NestContext.of(right).t0
-    )
+    t0_escape_pair = cond.sups_escape and cond_dual.sups_escape and left.t0 and right.t0
     return sup_onto_pair, t0_escape_pair
 
 
 def lots_report(pair: DualPair) -> LotsReport:
-    left, right = NestContext(pair.left), NestContext(pair.right)
-    sup_onto_pair, t0_escape_pair = lots_hypotheses(
-        left, right, left.sup_conditions, _pair_ladder(left, right)
-    )
+    sup_onto_pair, t0_escape_pair = lots_hypotheses(pair)
+    left, right = pair.left, pair.right
     rel = left.order
     both = topology_from_subbase(
         SetFamily.dedupe(left.nest.universe, left.nest.masks + right.nest.masks)

@@ -261,8 +261,7 @@ def analyze_family(family: SetFamily) -> dict:
         nest = as_nest(family)
         ctx = NestContext(nest)
         cond = sup_conditions(ctx)
-        pair = complement_dual(nest)
-        dual_cond = dual_sup_conditions(pair)
+        dual_cond = dual_sup_conditions(complement_dual(ctx))
         document["sup_conditions"] = {
             "sups_exist": cond.sups_exist,
             "sups_escape": cond.sups_escape,

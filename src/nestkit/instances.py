@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .analysis import (
-    dual_pair,
+    DualPair,
     dual_sup_conditions,
     lots_report,
     member_sups,
@@ -102,7 +102,7 @@ def _pair_duals() -> tuple[dict, str]:
     u = Universe(2)
     left = Nest.of(u, [[0]])
     right = Nest.of(u, [[1]])
-    pair = dual_pair(left, right)
+    pair = DualPair(left, right)
     pre = reflexive_closure(generated_order(left))
     tin = interval_topology(pre)
     both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))
@@ -136,7 +136,7 @@ def _quad_duals() -> tuple[dict, str]:
     u = Universe(4)
     left = Nest.of(u, [[0, 1], [0, 1, 2, 3]])
     right = Nest.of(u, [[2, 3], [0, 1, 2, 3]])
-    pair = dual_pair(left, right)
+    pair = DualPair(left, right)
     pre = reflexive_closure(generated_order(left))
     tin = interval_topology(pre)
     both = topology_from_subbase(SetFamily.dedupe(u, left.masks + right.masks))

@@ -17,8 +17,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .analysis import (
-    DualPair,
     NestContext,
+    complement_dual,
+    dual_sup_conditions,
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
@@ -141,7 +142,7 @@ def _escaping_sup(ctx: NestContext) -> dict | None:
 def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
     if (
         ctx.sup_conditions.sups_escape
-        and ctx.dual_sup_conditions.sups_escape
+        and dual_sup_conditions(complement_dual(ctx)).sups_escape
         and any(ctx.nest.masks + ctx.dual.nest.masks)
     ):
         return {"instance": family_to_dict(ctx.nest), "dual": family_to_dict(ctx.dual.nest)}
@@ -150,12 +151,15 @@ def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
 
 @_on_points("lots-hypothesis-pairs", "dual pairs satisfying the orderability hypotheses")
 def _lots_pairs(ctx: NestContext) -> dict | None:
-    if any(lots_hypotheses(ctx, ctx.dual, ctx.sup_conditions, ctx.dual_sup_conditions)):
-        nest, comp = ctx.nest, ctx.dual.nest
+    # both hypotheses need the nest's sups to escape
+    if not ctx.sup_conditions.sups_escape:
+        return None
+    pair = complement_dual(ctx)
+    if any(lots_hypotheses(pair)):
         return {
-            "instance": family_to_dict(nest),
-            "dual": family_to_dict(comp),
-            "is_lots": lots_report(DualPair(nest, comp)).is_lots,
+            "instance": family_to_dict(ctx.nest),
+            "dual": family_to_dict(ctx.dual.nest),
+            "is_lots": lots_report(pair).is_lots,
         }
     return None
 

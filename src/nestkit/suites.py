@@ -20,8 +20,7 @@ from typing import Callable, Iterable
 from .analysis import (
     DualPair,
     NestContext,
-    SupConditions,
-    dual_pair,
+    complement_dual,
     dual_sup_conditions,
     is_interlocking,
     is_interlocking_via_alexandroff,
@@ -44,6 +43,7 @@ from .bounds import (
     upper_bounds,
 )
 from .core import (
+    InstanceError,
     Nest,
     SetFamily,
     Subset,
@@ -93,7 +93,6 @@ from .orders import (
     t0_separates,
     t1_separates,
     transitive_rows,
-    transpose,
 )
 from .rays import (
     Carrier,
@@ -627,35 +626,24 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
         if t0 and report.no_greatest_element != report.is_lower_set:
             flagged.append(("lower-set:t0-greatest", {"member": mask}))
 
-    # dual pair with the complement nest, which the context already pairs:
-    # the complement's order must be the transpose of the nest's, or the
-    # pair checks have no dual pair to check
-    if ctx.dual.order.rows != columns(ctx.order.rows):
+    # the dual pair with the complement nest, which the context already
+    # holds: a complement whose order is not the transpose leaves no pair
+    try:
+        pair = complement_dual(ctx)
+    except InstanceError:
         flagged.append(("pair:complement-dual", {}))
         return 1, flagged, data
-    data += [
-        ("pair", found)
-        for found in _pair_checks(ctx, ctx.dual, cond, ctx.dual_sup_conditions)
-    ]
+    data += [("pair", found) for found in _dual_pair_checks(pair)]
     return 1, flagged, data
 
 
 def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
-    """The pair checks on a validated dual pair: the entry point of the
-    sweep over all dual pairs."""
-    left = NestContext(pair.left)
-    return _pair_checks(
-        left, NestContext(pair.right), sup_conditions(left), dual_sup_conditions(pair)
-    )
-
-
-def _pair_checks(
-    left: NestContext, right: NestContext, cond: SupConditions, dcond: SupConditions
-) -> list[tuple[str, dict]]:
-    """The checks on the dual pair of two nests' contexts, given the ladders
-    of both sides.  Premises first: the joint, interval and upper topologies
-    and the orderability report are built only for the pairs whose premise
-    fires."""
+    """The checks on one dual pair: the complement pair of every swept nest
+    and every pair of the all-dual-pairs loop.  Premises first: the joint,
+    interval and upper topologies and the orderability report are built only
+    for the pairs whose premise fires."""
+    left, right = pair.left, pair.right
+    cond, dcond = sup_conditions(left), dual_sup_conditions(pair)
     out = []
     u = left.nest.universe
     masks = left.nest.masks + right.nest.masks
@@ -680,10 +668,7 @@ def _pair_checks(
     if dcond.sups_onto:
         if topology_from_subbase(right.nest) != upper_topology(left.preorder):
             out.append(("pair:dual-onto-upper", payload()))
-    if (
-        any(lots_hypotheses(left, right, cond, dcond))
-        and not lots_report(DualPair(left.nest, right.nest)).is_lots
-    ):
+    if any(lots_hypotheses(pair)) and not lots_report(pair).is_lots:
         out.append(("pair:lots-hypotheses", payload()))
     return out
 
@@ -716,18 +701,17 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
     # all dual pairs (not just complements) at the smaller sizes
     pair_bound = min(max_n, 3)
     for n in range(1, pair_bound + 1):
-        u = Universe(n)
         contexts = [
             NestContext(nest)
-            for nest in enumerate_nests(u, max_members=cap, bound=max_n)
+            for nest in enumerate_nests(Universe(n), max_members=cap, bound=max_n)
         ]
-        buckets: dict[tuple, list[Nest]] = {}
+        buckets: dict[tuple, list[NestContext]] = {}
         for ctx in contexts:
-            buckets.setdefault(ctx.order.rows, []).append(ctx.nest)
+            buckets.setdefault(ctx.order.rows, []).append(ctx)
         for ctx in contexts:
-            for right in buckets.get(transpose(ctx.order).rows, []):
+            for right in buckets.get(columns(ctx.order.rows), []):
                 count += 1
-                pair_violations += _dual_pair_checks(dual_pair(ctx.nest, right))
+                pair_violations += _dual_pair_checks(DualPair(ctx, right))
     violations += [Violation(pid, inst) for pid, inst in pair_violations]
 
     # the recorded hypothesis-failure witness for the greatest-element test

@@ -1,9 +1,9 @@
 import pytest
 
 from nestkit.analysis import (
+    DualPair,
     NestContext,
     complement_dual,
-    dual_pair,
     dual_sup_conditions,
     inf_of,
     is_interlocking,
@@ -82,23 +82,55 @@ def test_sup_conditions():
 
 
 def test_dual_pair_validation():
-    dual_pair(PAIR, PAIR_DUAL)
-    dual_pair(QUAD, QUAD_DUAL)
+    DualPair(PAIR, PAIR_DUAL)
+    DualPair(QUAD, QUAD_DUAL)
     complement_dual(QUAD)
     with pytest.raises(InstanceError, match="not dual"):
-        dual_pair(PAIR, Nest.of(Universe(2), [[0]]))
+        DualPair(PAIR, Nest.of(Universe(2), [[0]]))
+
+
+def test_dual_pair_rejects_a_side_that_is_not_a_nest():
+    # two incomparable singletons: not a chain, on either side of the pair
+    family = SetFamily.of(U3, [[0], [1]])
+    complement = family_complement(family)
+    with pytest.raises(InstanceError, match="left side of a dual pair is not a nest"):
+        DualPair(family, complement)
+    with pytest.raises(InstanceError, match="left side of a dual pair is not a nest"):
+        complement_dual(family)
+    with pytest.raises(InstanceError, match="right side of a dual pair is not a nest"):
+        DualPair(Nest.of(U3, [[0]]), complement)
+
+
+def test_dual_pair_of_contexts_derives_no_order(monkeypatch):
+    # the pair reads the orders its contexts hold, also for its dual ladder
+    from nestkit import orders
+
+    derived = []
+    order_rows = orders.order_rows
+    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append(1) or order_rows(*a))
+    for n in (1, 2, 3):
+        for nest in enumerate_nests(Universe(n)):
+            ctx = NestContext(nest)
+            ctx.order, ctx.dual.order
+            before = len(derived)
+            pair = complement_dual(ctx)
+            assert pair.left is ctx and pair.right is ctx.dual
+            lots_hypotheses(pair)
+            assert DualPair(ctx, ctx.dual).dual_sup_conditions == pair.dual_sup_conditions
+            assert len(derived) == before
+    assert derived
 
 
 def test_dual_sup_conditions():
-    pair = dual_pair(PAIR, PAIR_DUAL)
+    pair = DualPair(PAIR, PAIR_DUAL)
     cond = dual_sup_conditions(pair)
     assert cond.sups_exist  # inf of {x2} is x2 itself
     assert not cond.sups_escape
-    quad = dual_pair(QUAD, QUAD_DUAL)
+    quad = DualPair(QUAD, QUAD_DUAL)
     assert not dual_sup_conditions(quad).sups_escape
     # a nest holding only the empty set is self-dual, and everything fires
     point = Nest.of(Universe(1), [[]])
-    trivial = dual_pair(point, point)
+    trivial = DualPair(point, point)
     assert dual_sup_conditions(trivial) == sup_conditions(point)
     assert sup_conditions(point).sups_onto
     # the complement pairing puts the whole set on the right, whose infimum
@@ -152,13 +184,13 @@ def test_no_greatest_element_looks_for_a_point_above_the_member():
 
 def test_lots_report():
     point = Nest.of(Universe(1), [[]])
-    report = lots_report(dual_pair(point, point))
+    report = lots_report(DualPair(point, point))
     assert report.sup_onto_pair and report.is_lots
-    quad = lots_report(dual_pair(QUAD, QUAD_DUAL))
+    quad = lots_report(DualPair(QUAD, QUAD_DUAL))
     assert not quad.hypotheses_hold
     assert quad.ray_topology_matches  # joint topology equals the open-ray one
     assert not quad.order_linear and not quad.is_lots
-    pair = lots_report(dual_pair(PAIR, PAIR_DUAL))
+    pair = lots_report(DualPair(PAIR, PAIR_DUAL))
     assert pair.is_lots and not pair.sup_onto_pair
 
 
@@ -181,10 +213,10 @@ def test_nest_context_matches_the_public_functions():
             assert ctx.order == generated_order(nest)
             assert ctx.preorder == reflexive_closure(generated_order(nest))
             assert ctx.dual.nest.masks == family_complement(nest).masks
-            assert ctx.dual.order == generated_order(pair.right)
+            assert ctx.dual.order == generated_order(pair.right.nest)
             assert ctx.sups == member_sups(nest) == member_sups(ctx)
             assert ctx.sup_conditions == sup_conditions(nest) == sup_conditions(ctx)
-            assert ctx.dual_sup_conditions == dual_sup_conditions(pair)
+            assert dual_sup_conditions(complement_dual(ctx)) == dual_sup_conditions(pair)
             assert ctx.t0 == t0_separates(nest)
             by_def = is_interlocking(nest)
             for route in (is_interlocking_via_alexandroff, is_interlocking_via_lower_sets):
@@ -257,17 +289,14 @@ def test_lots_hypotheses_agree_with_lots_report():
         for nest in enumerate_nests(Universe(n)):
             pair = complement_dual(nest)
             cond, dual = sup_conditions(nest), dual_sup_conditions(pair)
-            hypotheses = lots_hypotheses(nest, pair.right, cond, dual)
+            hypotheses = lots_hypotheses(pair)
             # the hypotheses as stated: onto on both sides, or T0 and escape
             # on both sides
             assert hypotheses == (
                 cond.sups_onto and dual.sups_onto,
-                t0_separates(nest) and t0_separates(pair.right)
+                t0_separates(nest) and t0_separates(pair.right.nest)
                 and cond.sups_escape and dual.sups_escape,
             )
             report = lots_report(pair)
             assert (report.sup_onto_pair, report.t0_escape_pair) == hypotheses
-            ctx = NestContext(nest)
-            assert lots_hypotheses(
-                nest, ctx.dual.nest, ctx.sup_conditions, ctx.dual_sup_conditions
-            ) == hypotheses
+            assert lots_hypotheses(complement_dual(NestContext(nest))) == hypotheses

@@ -13,6 +13,7 @@ from nestkit.analysis import (
     NO_LEAST,
     NestContext,
     _dual_ladder,
+    complement_dual,
     down_mask_by_members,
     inf_of,
     member_lower_set_report,
@@ -553,6 +554,6 @@ def test_dual_ladder_routes_must_agree():
     right = ctx.dual
     masks, full = right.nest.masks, u.full_mask
     assert _dual_ladder(masks, full, right.preorder.rows, columns(ctx.preorder.rows)) == (
-        ctx.dual_sup_conditions)
+        complement_dual(ctx).dual_sup_conditions)
     with pytest.raises(InstanceError, match="routes disagree"):
         _dual_ladder(masks, full, right.preorder.rows, ctx.preorder.rows)

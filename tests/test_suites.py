@@ -4,7 +4,7 @@ import json
 import pytest
 
 from nestkit import analysis, orders, suites
-from nestkit.analysis import NestContext, dual_pair
+from nestkit.analysis import DualPair, NestContext
 from nestkit.core import Nest, Universe, enumerate_nests
 from nestkit.reporting import SuiteReport, Violation, sort_violations
 from nestkit.serialize import canonical_json
@@ -218,18 +218,18 @@ def test_dual_pair_checks_build_interval_topology_only_under_the_premise(monkeyp
     # the one-point nest of the empty member is self-dual and its sups escape
     # (and are onto) on both sides, so the interval conclusions are evaluated
     point = Nest.of(Universe(1), [[]])
-    assert suites._dual_pair_checks(dual_pair(point, point)) == []
+    assert suites._dual_pair_checks(DualPair(point, point)) == []
     assert len(built) == 1
     # a two-point pair whose sups stay inside: no premise, no topology
     two = Universe(2)
-    assert suites._dual_pair_checks(dual_pair(Nest.of(two, [[0]]), Nest.of(two, [[1]]))) == []
+    assert suites._dual_pair_checks(DualPair(Nest.of(two, [[0]]), Nest.of(two, [[1]]))) == []
     assert len(built) == 1
 
 
 def test_sup_checks_derive_each_order_once(monkeypatch):
-    # a nest's order and its complement's, and no more; only the pairs whose
-    # orderability hypotheses fire pay for a validated pair and its report
-    # (two orders each)
+    # a nest's order and its complement's, and no more: the complement pair
+    # holds both contexts, so the pair whose orderability hypotheses fire
+    # builds its report without deriving an order again
     derived, reports = [], []
     order_rows, lots_report = orders.order_rows, suites.lots_report
     monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append(1) or order_rows(*a))
@@ -240,7 +240,24 @@ def test_sup_checks_derive_each_order_once(monkeypatch):
             suites._check_sup(NestContext(nest))
             nests += 1
     assert nests == 2532 and len(reports) == 1
-    assert len(derived) == 2 * nests + 4 * len(reports)
+    assert len(derived) == 2 * nests
+
+
+def test_sup_suite_derives_one_order_per_context(monkeypatch):
+    # two orders per swept nest, one per context of the all-dual-pairs loop
+    # (68 nests on at most three points) and one for the fixed witness; every
+    # pair, complement or not, goes through the one pair-check function
+    derived, checked = [], []
+    order_rows, checks = orders.order_rows, suites._dual_pair_checks
+    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append(1) or order_rows(*a))
+    monkeypatch.setattr(suites, "_dual_pair_checks", lambda p: checked.append(p) or checks(p))
+    report = run_suite("sup-conditions", SuiteConfig(max_n=4, workers=1))
+    assert report.passed, report.summary()
+    nests = sum(1 for n in range(1, 5) for _ in enumerate_nests(Universe(n)))
+    assert nests == 368
+    assert len(derived) == 2 * nests + 68 + 1 == 805
+    # each nest's complement pair, plus the 272 pairs of the loop
+    assert len(checked) == nests + 272 == report.instances
 
 
 def test_sup_checks_flag_a_complement_that_is_not_the_dual(monkeypatch):
