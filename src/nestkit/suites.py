@@ -733,16 +733,19 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
         if co_singleton
         else "including shapes beyond single co-singleton members"
     )
+    # all dual pairs up to pair_bound points, complement pairs up to max_n
     if cap is None:
-        scope, pair_scope = "exhaustively", "exhaustively over all dual pairs"
+        scope, pair_scope, swept = "exhaustively", "exhaustively over all dual pairs", "every nest"
     else:
         scope = f"only on nests of at most {cap} members"
         pair_scope = f"only over the dual pairs of nests of at most {cap} members"
+        swept = "each such nest"
     notes = [
         "the onto condition (every point an escaping sup) fires only for the "
         f"empty-member nest on a one-point universe, verified {scope}",
         "the paired escape condition on dual nests fires only for nests of "
-        f"empty members, verified {pair_scope}",
+        f"empty members, verified {pair_scope} on at most {pair_bound} points "
+        f"and over the complement pair of {swept} on at most {max_n} points",
         f"the bare escape condition also fires for {len(bare)} nests with a "
         f"nonempty member ({shape}); "
         "the order-topology facts hold on every one of them",

@@ -22,7 +22,7 @@ FAST_DIGESTS = {
     "interlocking": "488827c4b2224d1dbe7695a12149da15ee0b07898d6045a4b2e9b8982a69b050",
     "ray-classification": "51e966dff492d4dc2b4a19369377fcc67c5715b43afd78bd1d54ab8ffad43dee",
     "replay": "13ed6d6e27c36075c138ecb9b2d88ad449c032b61f147255cb007aaa4db9b68d",
-    "sup-conditions": "17c6bd5018c6f694b5f6125656e145f9c4de62cb6584a0a24a6d459e5ec003c0",
+    "sup-conditions": "b1b33c51159ada3436f3f6b8a4c30bbd089790ad4ca7e470b37ca49e71069498",
     "topology-engine": "3f8306de9acb31430841faaf0d0ad98eff3aa03642b9571a5c0a1185d2adb83a",
 }
 
@@ -31,7 +31,7 @@ FAST_DIGESTS = {
 # pairs beyond the three points of its all-dual-pairs loop
 MAX_N5_DIGESTS = {
     "bound-covers": "5c521ad4519860c40cd936bc30121653ec7eb4dd1f9c88b3aa0620c39daf23fd",
-    "sup-conditions": "79b3786d0a3d42690a189bba915cd945a6b2ceae468388e1aff356e1fa2af71c",
+    "sup-conditions": "5265bfad288d0c7db966f95f6f7bbd8003e249ce8b5708f8bd85888dc98433b0",
     "topology-engine": "b76775a8c13a84f375543521cc491c152bad9b8e88b030bae3e01f5b13f9dd0a",
 }
 
@@ -204,6 +204,20 @@ def test_census_notes_present():
     assert "one-point universe" in joined
     assert "empty members" in joined
     assert "co-singleton" in joined
+
+
+def test_paired_escape_note_names_both_pair_scopes():
+    # the all-dual-pairs loop stops at three points; beyond that only the
+    # complement pairs are checked, and the note names both scopes
+    note = run_suite("sup-conditions", SuiteConfig(max_n=4)).notes[1]
+    assert note.endswith(
+        "verified exhaustively over all dual pairs on at most 3 points and over "
+        "the complement pair of every nest on at most 4 points")
+    note = run_suite("sup-conditions", SuiteConfig(max_n=4, max_members=2)).notes[1]
+    assert note.endswith(
+        "verified only over the dual pairs of nests of at most 2 members on at "
+        "most 3 points and over the complement pair of each such nest on at "
+        "most 4 points")
 
 
 def test_dual_pair_checks_build_interval_topology_only_under_the_premise(monkeypatch):
