@@ -111,7 +111,7 @@ def test_dual_pair_of_contexts_derives_no_order(monkeypatch):
     for n in (1, 2, 3):
         for nest in enumerate_nests(Universe(n)):
             ctx = NestContext(nest)
-            ctx.order, ctx.dual.order
+            ctx.order, ctx.dual.order  # both derived before the pair is built
             before = len(derived)
             pair = complement_dual(ctx)
             assert pair.left is ctx and pair.right is ctx.dual
