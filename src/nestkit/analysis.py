@@ -18,12 +18,14 @@ at the `Relation` boundary, and the context's ladders read it directly.
 
 `NestContext` holds the values a sweep derives from one nest (its order and
 preorder, the complement nest's own context, member sups, both ladders, T0,
-the strict reach tables) and computes each at most once, on first use.  Each
-nest predicate below takes a nest or its context (`NestContext.of`), so there
-is one evaluation path whichever is passed: a sweep builds one context per
-nest and shares it across all of that nest's properties.  A predicate on
-single members or regions reads their reach from the `down_mask` kernel;
-only the sweeps read the reach tables over every region.
+the strict reach tables) and computes each at most once, on first use.  Its
+fields are `core.lazy` fields, which take no lock: after the first access a
+field is a plain attribute read.  Each nest predicate below takes a nest or
+its context (`NestContext.of`), so there is one evaluation path whichever is
+passed: a sweep builds one context per nest and shares it across all of that
+nest's properties.  A predicate on single members or regions reads their
+reach from the `down_mask` kernel; only the sweeps read the reach tables
+over every region.
 
 `DualPair` is the one form of a dual pair, and holds the two sides'
 contexts.  It checks once that both sides are nests whose orders are mutual
@@ -36,7 +38,6 @@ and `dual_sup_conditions`, `lots_hypotheses` and `lots_report` read the pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import (
     InstanceError,
@@ -46,6 +47,7 @@ from .core import (
     _check_same_universe,
     family_complement,
     is_chain,
+    lazy,
 )
 from .orders import (
     Relation,
@@ -187,7 +189,9 @@ class NestContext:
 
     A context belongs to a single nest and is dropped with it; nothing is
     shared between nests.  ``dual`` is the context of the complement nest,
-    which is the nest's dual (`complement_dual` pairs the two).
+    which is the nest's dual (`complement_dual` pairs the two).  A context is
+    never shared between threads (the suite workers are processes), so its
+    `lazy` fields need no lock.
     """
 
     def __init__(self, nest: Nest) -> None:
@@ -199,53 +203,53 @@ class NestContext:
         nest predicate takes either."""
         return nest if isinstance(nest, NestContext) else cls(nest)
 
-    @cached_property
+    @lazy
     def order(self) -> Relation:
         return generated_order(self.nest)
 
-    @cached_property
+    @lazy
     def preorder(self) -> Relation:
         return reflexive_closure(self.order)
 
-    @cached_property
+    @lazy
     def preorder_columns(self) -> tuple[int, ...]:
         """Entry y holds every x at or below y: the down-sets of the points."""
         return columns(self.preorder.rows)
 
-    @cached_property
+    @lazy
     def dual(self) -> NestContext:
         """The context of the complement nest."""
         return NestContext(family_complement(self.nest))
 
-    @cached_property
+    @lazy
     def sup_indices(self) -> dict[int, int]:
         """Each member's `sup_index` under the preorder."""
         rows, full = self.preorder.rows, self.nest.universe.full_mask
         return {m: sup_index(rows, full, m) for m in self.nest.masks}
 
-    @cached_property
+    @lazy
     def sups(self) -> dict[int, SupResult]:
         return {m: _result(s) for m, s in self.sup_indices.items()}
 
-    @cached_property
+    @lazy
     def sup_conditions(self) -> SupConditions:
         return _ladder(self.sup_indices, self.nest.universe.full_mask)
 
-    @cached_property
+    @lazy
     def t0(self) -> bool:
         return t0_separates(self.nest)
 
-    @cached_property
+    @lazy
     def up_reach(self) -> tuple[int, ...]:
         """Strict upward reach of every region under the order, by mask."""
         return up_reach_table(self.order)
 
-    @cached_property
+    @lazy
     def down_reach(self) -> tuple[int, ...]:
         """Strict downward reach of every region under the order, by mask."""
         return up_reach_table(transpose(self.order))
 
-    @cached_property
+    @lazy
     def alexandroff(self) -> SetFamily:
         return alexandroff_family(self.order)
 
@@ -287,7 +291,7 @@ class DualPair:
                 f"nests are not dual: orders disagree at pair {witness}"
             )
 
-    @cached_property
+    @lazy
     def dual_sup_conditions(self) -> SupConditions:
         """The ladder of the right nest, by both routes of `_dual_ladder`."""
         right = self.right

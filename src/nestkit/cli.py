@@ -198,6 +198,9 @@ def cmd_search(args) -> int:
         written = persist_witnesses(report, args.out)
         print(f"persisted {len(written)} witness files under {args.out}")
     _emit(report.to_json(), args.json)
+    if TARGETS[spec.target].expect_empty and report.witnesses:
+        print(f"error: target {spec.target} is expected empty", file=sys.stderr)
+        return 1
     return 0
 
 

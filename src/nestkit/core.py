@@ -3,14 +3,17 @@
 Subsets are value-semantic membership masks over a fixed universe, so
 equality is extensional, everything is hashable, and enumeration is cheap.
 Families are kept in a canonical order (cardinality, then mask) so that
-serialized instances and reports are byte-stable across runs.
+serialized instances and reports are byte-stable across runs.  A nest whose
+members arrive strictly nested in the given order (as `enumerate_nests` and
+`family_complement` build them) is already canonical, and is validated in
+one pass without sorting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 NEST_ENUMERATION_BOUND = 4
 FAMILY_ENUMERATION_BOUND = 3
@@ -18,6 +21,32 @@ FAMILY_ENUMERATION_BOUND = 3
 
 class InstanceError(ValueError):
     """A value violates a structural invariant of its type."""
+
+
+class lazy:
+    """A field computed on first access and stored in the instance's
+    ``__dict__``, so later reads are plain attribute lookups; on the class,
+    the descriptor itself.
+
+    The semantics of `functools.cached_property` from Python 3.12, without
+    the lock that descriptor takes on every first access under 3.10 and
+    3.11.  None is needed: an object carrying these fields (a nest context,
+    a topology, a group) is built and read by one thread, and the suite
+    workers are processes, so no two threads compute the same field.
+    """
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -182,6 +211,17 @@ class Nest(SetFamily):
     """A set family totally ordered by inclusion."""
 
     def __post_init__(self) -> None:
+        masks = tuple(self.masks)
+        object.__setattr__(self, "masks", masks)
+        if masks and 0 <= masks[-1] <= self.universe.full_mask:
+            for small, big in zip(masks, masks[1:]):
+                if small & ~big or small == big:
+                    break
+            else:
+                # strictly nested in the given order: each member has fewer
+                # points than the next, so the tuple is canonical and
+                # duplicate-free, and every member fits inside the last
+                return
         super().__post_init__()
         # canonical order sorts by cardinality, so a chain is nested in order
         for small, big in zip(self.masks, self.masks[1:]):
@@ -209,10 +249,11 @@ def as_nest(family: SetFamily) -> Nest:
 def family_complement(family: SetFamily) -> SetFamily:
     """The family of complements {X-L : L in the family}; nests stay nests."""
     full = family.universe.full_mask
-    complements = tuple(m ^ full for m in family.masks)
     if isinstance(family, Nest):
-        return Nest(family.universe, complements)
-    return SetFamily(family.universe, complements)
+        # complements reverse inclusion, so a chain's members read backwards
+        # complement to a chain in canonical order
+        return Nest(family.universe, tuple(m ^ full for m in reversed(family.masks)))
+    return SetFamily(family.universe, tuple(m ^ full for m in family.masks))
 
 
 def enumerate_nests(

@@ -8,9 +8,8 @@ sweeps exercise a non-abelian case as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import InstanceError, Nest, SetFamily, Subset, Universe
+from .core import InstanceError, Nest, SetFamily, Subset, Universe, lazy
 from .orders import generated_order
 from .topology import (
     Topology,
@@ -59,7 +58,7 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    @cached_property
+    @lazy
     def identity(self) -> int:
         n = self.order
         return next(
@@ -67,7 +66,7 @@ class FiniteGroup:
             if all(self.table[e][a] == a == self.table[a][e] for a in range(n))
         )
 
-    @cached_property
+    @lazy
     def inverse(self) -> tuple[int, ...]:
         e = self.identity
         n = self.order
@@ -76,16 +75,16 @@ class FiniteGroup:
             for a in range(n)
         )
 
-    @cached_property
+    @lazy
     def universe(self) -> Universe:
         return Universe(self.order, self.labels)
 
-    @cached_property
+    @lazy
     def left_images(self) -> tuple[tuple[int, ...], ...]:
         """Image bits of left translation: ``left_images[g][x] == 1 << g*x``."""
         return tuple(tuple(1 << v for v in row) for row in self.table)
 
-    @cached_property
+    @lazy
     def right_images(self) -> tuple[tuple[int, ...], ...]:
         """Image bits of right translation: ``right_images[g][x] == 1 << x*g``."""
         return tuple(tuple(1 << row[g] for row in self.table) for g in range(self.order))

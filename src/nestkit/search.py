@@ -67,6 +67,8 @@ class Target:
     # the spec fields this target sets when the caller leaves them None; a
     # field only a target reads (the group) is recorded only for that target
     defaults: dict = field(default_factory=dict)
+    # a witness of this target contradicts a checked theorem
+    expect_empty: bool = False
 
 
 @dataclass
@@ -114,11 +116,13 @@ def _nest_stream(spec: SearchSpec) -> Iterator[Nest]:
 TARGETS: dict[str, Target] = {}
 
 
-def _on_points(name: str, summary: str):
+def _on_points(name: str, summary: str, expect_empty: bool = False):
     """Register the decorated filter as target ``name``, walking the nests
     on 1..max_n points."""
     def register(keep: Filter) -> Filter:
-        TARGETS[name] = Target(summary, lambda spec: (_nest_stream(spec), keep))
+        TARGETS[name] = Target(
+            summary, lambda spec: (_nest_stream(spec), keep), expect_empty=expect_empty
+        )
         return keep
     return register
 
@@ -138,7 +142,7 @@ def _escaping_sup(ctx: NestContext) -> dict | None:
 
 
 @_on_points("escaping-sup-dual-pairs", "dual pairs with escaping sups on both sides "
-            "and a nonempty member (expected empty)")
+            "and a nonempty member (expected empty)", expect_empty=True)
 def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
     if (
         ctx.sup_conditions.sups_escape
@@ -165,7 +169,7 @@ def _lots_pairs(ctx: NestContext) -> dict | None:
 
 
 @_on_points("interlocking-disagreements", "nests where the three interlocking routes "
-            "disagree (expected empty)")
+            "disagree (expected empty)", expect_empty=True)
 def _interlocking_disagreements(ctx: NestContext) -> dict | None:
     verdicts = (
         is_interlocking(ctx.nest),

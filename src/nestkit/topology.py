@@ -24,7 +24,6 @@ Empty intersections close to X and empty unions to the empty set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -34,6 +33,7 @@ from .core import (
     Universe,
     _check_same_universe,
     canonical_masks,
+    lazy,
 )
 from .orders import Relation
 
@@ -59,7 +59,7 @@ class Topology:
                 if a & b not in members or a | b not in members:
                     raise InstanceError("open family is not closed under ∩/∪")
 
-    @cached_property
+    @lazy
     def _open_set(self) -> frozenset[int]:
         return frozenset(self.opens)
 

@@ -1,5 +1,11 @@
+import ast
+import pickle
+from pathlib import Path
+
 import pytest
 
+import nestkit
+from nestkit import orders
 from nestkit.analysis import (
     DualPair,
     NestContext,
@@ -25,10 +31,12 @@ from nestkit.core import (
     Universe,
     enumerate_nests,
     family_complement,
+    lazy,
     mask_of,
 )
+from nestkit.groups import BUILTIN_GROUPS, FiniteGroup
 from nestkit.orders import generated_order, reflexive_closure, t0_separates
-from nestkit.topology import down_set, up_set
+from nestkit.topology import Topology, down_set, topology_from_subbase, up_set
 
 U3 = Universe(3)
 U4 = Universe(4)
@@ -252,6 +260,61 @@ def test_nest_context_reach_tables():
                     reach(rel, Subset(u, m)).mask for m in range(u.full_mask + 1))
             assert is_interlocking_via_lower_sets(ctx) == is_interlocking(nest)
             assert is_interlocking_via_lower_sets(nest) == is_interlocking(nest)
+
+
+def _lazy_fields(cls) -> list[str]:
+    return [name for name, value in vars(cls).items() if isinstance(value, lazy)]
+
+
+def test_nest_context_fields_are_computed_once(monkeypatch):
+    calls = []
+    order_rows = orders.order_rows
+    monkeypatch.setattr(orders, "order_rows", lambda *a: calls.append(a) or order_rows(*a))
+    fields = _lazy_fields(NestContext)
+    assert fields == [
+        "order", "preorder", "preorder_columns", "dual", "sup_indices", "sups",
+        "sup_conditions", "t0", "up_reach", "down_reach", "alexandroff"]
+    # the class hands out the descriptor, with the method's docstring
+    assert isinstance(NestContext.preorder_columns, lazy)
+    assert NestContext.preorder_columns.__doc__.startswith("Entry y holds")
+    ctx = NestContext(QUAD)
+    sides = (ctx, ctx.dual)
+    first = [{name: getattr(side, name) for name in fields} for side in sides]
+    for _ in range(2):
+        for side, values in zip(sides, first):
+            assert all(getattr(side, name) is value for name, value in values.items())
+            assert all(vars(side)[name] is value for name, value in values.items())
+    # one order for the nest and one for its complement, however often read
+    assert len(calls) == 2
+
+
+def test_lazy_fields_survive_pickling():
+    assert _lazy_fields(FiniteGroup) == [
+        "identity", "inverse", "universe", "left_images", "right_images"]
+    assert _lazy_fields(Topology) == ["_open_set"]
+    values = [topology_from_subbase(SetFamily(U3, (0b001, 0b011)))]
+    values += [make() for make in BUILTIN_GROUPS.values()]
+    for value in values:
+        fresh = pickle.loads(pickle.dumps(value))
+        assert fresh == value and vars(fresh) == vars(value)
+        for name in _lazy_fields(type(value)):
+            getattr(value, name)
+        copy = pickle.loads(pickle.dumps(value))
+        # the computed fields travel with the instance, and a fresh copy
+        # computes the same values on demand
+        assert copy == value and vars(copy) == vars(value)
+        for name in _lazy_fields(type(value)):
+            assert getattr(fresh, name) == getattr(value, name)
+
+
+def test_no_module_imports_cached_property():
+    package = Path(nestkit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                assert "cached_property" not in [a.name for a in node.names], path.name
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "cached_property", path.name
 
 
 def test_single_nest_predicates_build_no_table(monkeypatch):

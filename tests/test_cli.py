@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from nestkit import cli
+from nestkit import cli, search
+from nestkit.analysis import is_interlocking
 from nestkit.cli import main
 from nestkit.groups import ContinuityReport
 from nestkit.instances import slugs
@@ -140,6 +141,18 @@ def test_search_cli(tmp_path, capsys):
     assert main(["search", "--list"]) == 0
     assert main(["search", "--target", "nope"]) == 2
     assert main(["search"]) == 2
+
+
+def test_search_exits_1_when_an_expected_empty_target_finds_a_witness(monkeypatch, capsys):
+    argv = ["search", "--target", "interlocking-disagreements", "--max-n", "2"]
+    assert main(argv) == 0
+    monkeypatch.setattr(search, "is_interlocking", lambda family: not is_interlocking(family))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "witness: " in captured.out
+    assert "error: target interlocking-disagreements is expected empty" in captured.err
+    # a target whose witnesses are the point of the search still exits 0
+    assert main(["search", "--target", "escaping-sup-nests", "--max-n", "2"]) == 0
 
 
 def _write(tmp_path, name, document):

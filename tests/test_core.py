@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from nestkit.core import (
@@ -7,6 +10,7 @@ from nestkit.core import (
     Subset,
     Universe,
     as_nest,
+    canonical_masks,
     count_nests,
     enumerate_families,
     enumerate_nests,
@@ -69,6 +73,93 @@ def test_family_complement():
     assert family_complement(family_complement(fam)).masks == fam.masks
     comp = family_complement(Nest.of(u3, [[0], [0, 1]]))
     assert isinstance(comp, Nest)
+    # a family that happens to be a chain still complements to a family
+    assert type(family_complement(SetFamily.of(u, [[0], [0, 1]]))) is SetFamily
+    # every small nest: the complements in canonical order, and an involution
+    for size in range(1, 5):
+        u = Universe(size)
+        for nest in enumerate_nests(u):
+            comp = family_complement(nest)
+            assert comp == Nest(u, canonical_masks(m ^ u.full_mask for m in nest.masks))
+            assert type(comp) is Nest and family_complement(comp) == nest
+
+
+def _sort_and_check(universe, masks):
+    """The nest validation by sorting: canonical order first, then range,
+    distinctness and inclusion, each reporting its first bad member."""
+    masks = canonical_masks(masks)
+    bad = [m for m in masks if not 0 <= m <= universe.full_mask]
+    if bad:
+        raise InstanceError(f"member mask {bad[0]:#x} does not fit the universe")
+    if len(set(masks)) != len(masks):
+        raise InstanceError("family members must be distinct")
+    for small, big in zip(masks, masks[1:]):
+        if small & ~big:
+            raise InstanceError(
+                f"members {small:#x} and {big:#x} are not inclusion-comparable"
+            )
+    return masks
+
+
+def _outcome(build, universe, masks):
+    try:
+        return build(universe, masks)
+    except InstanceError as exc:
+        return str(exc)
+
+
+def _random_masks(rng, size):
+    full = (1 << size) - 1
+    if rng.random() < 0.3:
+        return tuple(rng.randint(-3, full + 3) for _ in range(rng.randint(0, 7)))
+    mask = rng.randint(0, full)
+    chain = [mask]
+    while mask != full and rng.random() < 0.8:
+        outside = full & ~mask
+        mask |= outside & rng.randint(0, full) or outside & -outside
+        chain.append(mask)
+    spoil = rng.randint(0, 4)
+    if spoil == 1:
+        rng.shuffle(chain)
+    elif spoil == 2:
+        chain[rng.randrange(len(chain))] = rng.choice((-1, -2, full + 1, full + 2, -full - 1))
+    elif spoil == 3:
+        chain.insert(rng.randrange(len(chain) + 1), rng.randint(0, full))
+    return tuple(chain)
+
+
+def test_nest_validation_in_one_pass_matches_sort_and_check():
+    """A tuple strictly nested in the given order is kept as given; every
+    input yields the canonical masks or the error of the sorting path."""
+    cases = []
+    for size in (1, 2):
+        candidates = range(-2, (1 << size) + 2)
+        for length in range(4):
+            cases += [(size, masks) for masks in product(candidates, repeat=length)]
+    rng = random.Random(20261018)
+    cases += [(size, _random_masks(rng, size))
+              for size in (rng.randint(1, 6) for _ in range(2000))]
+    kept_as_given, errors = 0, set()
+    for size, masks in cases:
+        u = Universe(size)
+        want = _outcome(_sort_and_check, u, masks)
+        got = _outcome(lambda u, m: Nest(u, m).masks, u, masks)
+        assert got == want, (size, masks)
+        if isinstance(got, str):
+            errors.add(got.split()[0])
+        kept_as_given += got == masks
+    # both paths ran: about 900 chains in canonical order, and every reject
+    assert kept_as_given > 500
+    assert errors == {"member", "family", "members"}
+    # a list or a generator of masks validates as the tuple would
+    assert Nest(Universe(2), [1, 3]).masks == Nest(Universe(2), (m for m in (3, 1))).masks == (1, 3)
+
+
+def test_enumerated_nests_are_strictly_nested_in_canonical_order():
+    for size in range(1, 6):
+        for nest in enumerate_nests(Universe(size), bound=5):
+            assert nest.masks == canonical_masks(nest.masks)
+            assert all(a & ~b == 0 and a != b for a, b in zip(nest.masks, nest.masks[1:]))
 
 
 def test_enumerate_nests_counts():
