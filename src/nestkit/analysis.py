@@ -16,11 +16,14 @@ of a reflexive order and a region mask, and answers with the supremum's
 element or a code (`NO_BOUND`, `NO_LEAST`); `sup_of` and `inf_of` wrap it
 at the `Relation` boundary, and the context's ladders read it directly.
 
-`NestContext` holds the values a sweep derives from one nest (its order and
-preorder, the complement nest's own context, member sups, both ladders, T0,
-the strict reach tables) and computes each at most once, on first use.  Its
-fields are `core.lazy` fields, which take no lock: after the first access a
-field is a plain attribute read.  Each nest predicate below takes a nest or
+`NestContext` holds the values a sweep derives from one nest, at mask level
+only (the rows of its order and preorder, the complement nest's own context,
+member sups, both ladders, T0, the strict reach tables and the Alexandroff
+fixed points), and computes each at most once, on first use.  A `Relation`,
+`SetFamily` or `Subset` is built only at a public boundary: a predicate that
+takes a `Subset`, a wrapper such as `sup_of`, or a topology a premise needs.
+The fields are `core.lazy` fields, which take no lock: after the first
+access a field is a plain attribute read.  Each nest predicate below takes a nest or
 its context (`NestContext.of`), so there is one evaluation path whichever is
 passed: a sweep builds one context per nest and shares it across all of that
 nest's properties.  A predicate on single members or regions reads their
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import orders
 from .core import (
     InstanceError,
     Nest,
@@ -49,23 +53,15 @@ from .core import (
     is_chain,
     lazy,
 )
-from .orders import (
-    Relation,
-    columns,
-    generated_order,
-    is_linear_order,
-    reflexive_closure,
-    t0_separates,
-    transpose,
-)
+from .orders import Relation, columns, linear_rows, reflexive_rows, t0_separates
 from .topology import (
     Topology,
-    alexandroff_family,
     down_mask,
+    fixed_masks,
     point_down_set,
     point_up_set,
+    reach_table,
     topology_from_subbase,
-    up_reach_table,
 )
 
 REASON_OK = "ok"
@@ -204,17 +200,21 @@ class NestContext:
         return nest if isinstance(nest, NestContext) else cls(nest)
 
     @lazy
-    def order(self) -> Relation:
-        return generated_order(self.nest)
+    def order_rows(self) -> tuple[int, ...]:
+        """Rows of the nest's generated (strict) order."""
+        u = self.nest.universe
+        # through the module, where the derivation-count tests patch it
+        return orders.order_rows(self.nest.masks, u.size, u.full_mask)
 
     @lazy
-    def preorder(self) -> Relation:
-        return reflexive_closure(self.order)
+    def preorder_rows(self) -> tuple[int, ...]:
+        """Rows of the reflexive closure of the order."""
+        return reflexive_rows(self.order_rows)
 
     @lazy
     def preorder_columns(self) -> tuple[int, ...]:
         """Entry y holds every x at or below y: the down-sets of the points."""
-        return columns(self.preorder.rows)
+        return columns(self.preorder_rows)
 
     @lazy
     def dual(self) -> NestContext:
@@ -224,7 +224,7 @@ class NestContext:
     @lazy
     def sup_indices(self) -> dict[int, int]:
         """Each member's `sup_index` under the preorder."""
-        rows, full = self.preorder.rows, self.nest.universe.full_mask
+        rows, full = self.preorder_rows, self.nest.universe.full_mask
         return {m: sup_index(rows, full, m) for m in self.nest.masks}
 
     @lazy
@@ -242,16 +242,18 @@ class NestContext:
     @lazy
     def up_reach(self) -> tuple[int, ...]:
         """Strict upward reach of every region under the order, by mask."""
-        return up_reach_table(self.order)
+        return reach_table(self.order_rows)
 
     @lazy
     def down_reach(self) -> tuple[int, ...]:
         """Strict downward reach of every region under the order, by mask."""
-        return up_reach_table(transpose(self.order))
+        return reach_table(columns(self.order_rows))
 
     @lazy
-    def alexandroff(self) -> SetFamily:
-        return alexandroff_family(self.order)
+    def alexandroff_masks(self) -> frozenset[int]:
+        """The Alexandroff family of the order: every region equal to its
+        strict upward reach."""
+        return frozenset(fixed_masks(self.up_reach))
 
 
 def member_sups(nest: Nest | NestContext) -> dict[int, SupResult]:
@@ -267,9 +269,9 @@ class DualPair:
     contexts.
 
     Each side is a nest or its context (`NestContext.of`); a pair built from
-    contexts reads the orders they hold and derives none.  Both sides must be
-    nests with mutually transposed orders; nothing here demands that either
-    separates the universe.
+    contexts reads the order rows they hold and derives none.  Both sides
+    must be nests with mutually transposed orders; nothing here demands that
+    either separates the universe.
     """
 
     def __init__(self, left: Nest | NestContext, right: Nest | NestContext) -> None:
@@ -279,7 +281,7 @@ class DualPair:
                 raise InstanceError(f"the {side} side of a dual pair is not a nest")
         u = self.left.nest.universe
         _check_same_universe(u, self.right.nest.universe)
-        rows, rows_right = self.left.order.rows, self.right.order.rows
+        rows, rows_right = self.left.order_rows, self.right.order_rows
         if rows_right != columns(rows):
             witness = next(
                 (x, y)
@@ -297,7 +299,7 @@ class DualPair:
         right = self.right
         return _dual_ladder(
             right.nest.masks, right.nest.universe.full_mask,
-            right.preorder.rows, self.left.preorder_columns,
+            right.preorder_rows, self.left.preorder_columns,
         )
 
 
@@ -342,11 +344,10 @@ def is_interlocking_via_alexandroff(nest: Nest | NestContext) -> bool:
     """Alexandroff route: members closed for the nest's order must have their
     complements closed for the complement nest's order."""
     ctx = NestContext.of(nest)
-    alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
+    alex, alex_c = ctx.alexandroff_masks, ctx.dual.alexandroff_masks
     full = ctx.nest.universe.full_mask
     for m in ctx.nest.masks:
-        closed_here = alex.contains_mask(m ^ full)
-        if closed_here and not alex_c.contains_mask(m):
+        if m ^ full in alex and m not in alex_c:
             return False
     return True
 
@@ -355,7 +356,7 @@ def is_interlocking_via_lower_sets(nest: Nest | NestContext) -> bool:
     """Lower-set route: if a member's complement is a lower set for the
     complement nest's order, the member is a lower set for the nest's order."""
     ctx = NestContext.of(nest)
-    rows, rows_c = ctx.order.rows, ctx.dual.order.rows
+    rows, rows_c = ctx.order_rows, ctx.dual.order_rows
     full = ctx.nest.universe.full_mask
     for m in ctx.nest.masks:
         if down_mask(rows_c, m ^ full) == m ^ full and down_mask(rows, m) != m:
@@ -419,12 +420,18 @@ class MemberLowerSetReport:
 
 def member_lower_set_report(nest: Nest | NestContext, member: Subset) -> MemberLowerSetReport:
     ctx = NestContext.of(nest)
-    nest, mask = ctx.nest, member.mask
-    _check_same_universe(nest.universe, member.universe)
-    if mask not in nest.masks:
+    _check_same_universe(ctx.nest.universe, member.universe)
+    if member.mask not in ctx.nest.masks:
         raise InstanceError("subset is not a member of the nest")
+    return member_lower_set_masks(ctx, member.mask)
+
+
+def member_lower_set_masks(ctx: NestContext, mask: int) -> MemberLowerSetReport:
+    """`member_lower_set_report` on the mask of a member of the context's
+    nest, from the rows the context holds; checks nothing."""
+    nest = ctx.nest
     union_matches = member_union_of_smaller(nest, mask) == mask
-    lower = down_mask(ctx.order.rows, mask) == mask
+    lower = down_mask(ctx.order_rows, mask) == mask
     # a greatest point's column (its down-set) holds the whole member
     below = ctx.preorder_columns
     greatest = any(
@@ -482,13 +489,11 @@ def lots_hypotheses(pair: DualPair) -> tuple[bool, bool]:
 def lots_report(pair: DualPair) -> LotsReport:
     sup_onto_pair, t0_escape_pair = lots_hypotheses(pair)
     left, right = pair.left, pair.right
-    rel = left.order
-    both = topology_from_subbase(
-        SetFamily.dedupe(left.nest.universe, left.nest.masks + right.nest.masks)
-    )
+    u = left.nest.universe
+    both = topology_from_subbase(SetFamily.dedupe(u, left.nest.masks + right.nest.masks))
     return LotsReport(
         sup_onto_pair=sup_onto_pair,
         t0_escape_pair=t0_escape_pair,
-        order_linear=is_linear_order(rel),
-        ray_topology_matches=both == open_ray_topology(rel),
+        order_linear=linear_rows(left.order_rows, u.full_mask),
+        ray_topology_matches=both == open_ray_topology(Relation(u, left.order_rows)),
     )

@@ -61,7 +61,7 @@ def _reach_cover(
     ctx = NestContext.of(nest)
     nest = ctx.nest
     _check_same_universe(nest.universe, region.universe)
-    reach = (up_mask if upward else down_mask)(ctx.order.rows, region.mask)
+    reach = (up_mask if upward else down_mask)(ctx.order_rows, region.mask)
     full = nest.universe.full_mask
     if reach != full:
         return CoverWitness(False, None, Subset(nest.universe, full ^ reach))
@@ -99,16 +99,15 @@ def has_upper_bound(nest: Nest | NestContext, region: Subset, strict: bool = Tru
     """
     ctx = NestContext.of(nest)
     _check_same_universe(ctx.nest.universe, region.universe)
-    rel = ctx.order if strict else ctx.preorder
-    return upper_bounds(rel.rows, rel.universe.full_mask, region.mask) != 0
+    rows = ctx.order_rows if strict else ctx.preorder_rows
+    return upper_bounds(rows, ctx.nest.universe.full_mask, region.mask) != 0
 
 
 def has_lower_bound(nest: Nest | NestContext, region: Subset, strict: bool = True) -> bool:
     """Mirror of `has_upper_bound`: some x below every element of the region."""
     ctx = NestContext.of(nest)
     _check_same_universe(ctx.nest.universe, region.universe)
-    rel = ctx.order if strict else ctx.preorder
-    return lower_bounds(rel.rows, region.mask) != 0
+    return lower_bounds(ctx.order_rows if strict else ctx.preorder_rows, region.mask) != 0
 
 
 def upper_bounds(rows: Sequence[int], full: int, region: int) -> int:

@@ -175,9 +175,14 @@ def total_rows(rows: tuple[int, ...], full: int) -> bool:
     return all(row | col == full for row, col in zip(rows, columns(rows)))
 
 
+def reflexive_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of the reflexive closure: every element also reaches itself."""
+    return tuple(row | 1 << x for x, row in enumerate(rows))
+
+
 def linear_rows(rows: tuple[int, ...], full: int) -> bool:
     """The reflexive closure is reflexive, antisymmetric, transitive and total."""
-    closure = tuple(row | 1 << x for x, row in enumerate(rows))
+    closure = reflexive_rows(rows)
     return (
         antisymmetric_rows(closure)
         and transitive_rows(closure, False)
@@ -311,7 +316,7 @@ def orders_equivalent(f1: SetFamily, f2: SetFamily) -> bool:
 
 
 def reflexive_closure(rel: Relation) -> Relation:
-    return Relation(rel.universe, tuple(row | 1 << x for x, row in enumerate(rel.rows)))
+    return Relation(rel.universe, reflexive_rows(rel.rows))
 
 
 def transpose(rel: Relation) -> Relation:
@@ -347,6 +352,7 @@ __all__ = [
     "rectangle_rows",
     "rectangle_t0_rows",
     "reflexive_closure",
+    "reflexive_rows",
     "relation_issubset",
     "rows_within",
     "t0_masks",

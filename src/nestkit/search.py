@@ -64,11 +64,13 @@ Walk = Callable[[SearchSpec], tuple[Iterable[Nest], Filter]]
 class Target:
     summary: str
     walk: Walk
-    # the spec fields this target sets when the caller leaves them None; a
-    # field only a target reads (the group) is recorded only for that target
+    # the spec fields this target sets when the caller leaves them None
     defaults: dict = field(default_factory=dict)
     # a witness of this target contradicts a checked theorem
     expect_empty: bool = False
+    # the spec fields its walk never reads, left out of its document: the
+    # nests on 1..max_n points read no group, a group's nests no max_n
+    unread: tuple[str, ...] = ("group",)
 
 
 @dataclass
@@ -214,7 +216,7 @@ def _translation_closed(spec: SearchSpec) -> tuple[Iterator[Nest], Filter]:
 
 TARGETS["translation-closed-nests"] = Target(
     "nests closed under all group translations", _translation_closed,
-    {"group": "z4", "max_members": 3},
+    {"group": "z4", "max_members": 3}, unread=("max_n",),
 )
 
 
@@ -230,7 +232,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     target = TARGETS[spec.target]
     spec = replace(spec, **{k: v for k, v in target.defaults.items() if getattr(spec, k) is None})
     started = time.perf_counter()
-    config = {k: v for k, v in asdict(spec).items() if k != "group" or k in target.defaults}
+    config = {k: v for k, v in asdict(spec).items() if k not in target.unread}
     stream, keep = target.walk(spec)
     witnesses: list[dict] = []
     examined = 0

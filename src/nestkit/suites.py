@@ -28,6 +28,7 @@ from .analysis import (
     lots_hypotheses,
     lots_report,
     member_closed_by_intersections,
+    member_lower_set_masks,
     member_lower_set_report,
     member_union_of_smaller,
     sup_conditions,
@@ -115,7 +116,6 @@ from .topology import (
     Topology,
     down_mask,
     interval_topology,
-    is_closed_in_family,
     join,
     lower_topology,
     topology_from_subbase,
@@ -493,7 +493,7 @@ _REACH_ROUTES = ("down-set:formula", "up-set:formula", "down-set:table", "up-set
 def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
     """Brute-force reach per region is the oracle for the member formulas
     and for the reach tables the sweeps read."""
-    nest, rows = ctx.nest, ctx.order.rows
+    nest, rows = ctx.nest, ctx.order_rows
     masks, full = nest.masks, nest.universe.full_mask
     up_table, down_table = ctx.up_reach, ctx.down_reach
     flagged = []
@@ -516,7 +516,7 @@ def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
                 for pid, held in zip(_REACH_ROUTES, holds)
                 if not held
             ]
-    if ctx.alexandroff.masks != SetFamily(nest.universe, tuple(formula)).masks:
+    if ctx.alexandroff_masks != frozenset(formula):
         flagged.append(("alexandroff:nest-formula", {}))
     return 1, flagged, []
 
@@ -574,7 +574,7 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
     the complement nest.  The data are census entries, tagged by inventory,
     and the pair violations (which carry pair payloads), tagged "pair"."""
     nest, cond, t0 = ctx.nest, ctx.sup_conditions, ctx.t0
-    rows, sups = ctx.preorder.rows, ctx.sup_indices
+    rows, sups = ctx.preorder_rows, ctx.sup_indices
     u = nest.universe
     full = u.full_mask
     flagged = []
@@ -591,13 +591,13 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
             flagged.append(("sup:member-contains-downward", {"member": mask}))
     if cond.sups_escape:
         t_nest = topology_from_subbase(nest)
-        t_lower = lower_topology(ctx.preorder)
+        t_lower = lower_topology(Relation(u, rows))
         for mask, sup in sups.items():
             if mask != full ^ rows[sup]:
                 flagged.append(("escape:member-equals-ray", {"member": mask}))
         if not all(t_lower.is_open(o) for o in t_nest.opens):
             flagged.append(("escape:nest-topology-in-lower", {}))
-    if cond.sups_onto and topology_from_subbase(nest) != lower_topology(ctx.preorder):
+    if cond.sups_onto and topology_from_subbase(nest) != lower_topology(Relation(u, rows)):
         flagged.append(("onto:nest-topology-is-lower", {}))
 
     # census inventories; the bare-escape shape claim (a single
@@ -620,7 +620,7 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
 
     # member lower-set reports
     for mask in nest.masks:
-        report = member_lower_set_report(ctx, Subset(u, mask))
+        report = member_lower_set_masks(ctx, mask)
         if report.union_of_smaller_matches != report.is_lower_set:
             flagged.append(("lower-set:routes-agree", {"member": mask}))
         if t0 and report.no_greatest_element != report.is_lower_set:
@@ -658,7 +658,7 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
     # the onto rungs imply the escape rungs, so the escape premise covers both
     if cond.sups_escape and dcond.sups_escape:
         both = topology_from_subbase(SetFamily.dedupe(u, masks))
-        tin = interval_topology(left.preorder)
+        tin = interval_topology(Relation(u, left.preorder_rows))
         if not all(tin.is_open(o) for o in both.opens):
             out.append(("pair:escape-joint-in-interval", payload()))
         if any(masks):
@@ -666,7 +666,7 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
         if cond.sups_onto and dcond.sups_onto and both != tin:
             out.append(("pair:onto-joint-is-interval", payload()))
     if dcond.sups_onto:
-        if topology_from_subbase(right.nest) != upper_topology(left.preorder):
+        if topology_from_subbase(right.nest) != upper_topology(Relation(u, left.preorder_rows)):
             out.append(("pair:dual-onto-upper", payload()))
     if any(lots_hypotheses(pair)) and not lots_report(pair).is_lots:
         out.append(("pair:lots-hypotheses", payload()))
@@ -707,9 +707,9 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
         ]
         buckets: dict[tuple, list[NestContext]] = {}
         for ctx in contexts:
-            buckets.setdefault(ctx.order.rows, []).append(ctx)
+            buckets.setdefault(ctx.order_rows, []).append(ctx)
         for ctx in contexts:
-            for right in buckets.get(columns(ctx.order.rows), []):
+            for right in buckets.get(columns(ctx.order_rows), []):
                 count += 1
                 pair_violations += _dual_pair_checks(DualPair(ctx, right))
     violations += [Violation(pid, inst) for pid, inst in pair_violations]
@@ -758,7 +758,7 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
 
 def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
     nest = ctx.nest
-    u = nest.universe
+    full = nest.universe.full_mask
     flagged = []
     by_def = is_interlocking(nest)
     by_alex = is_interlocking_via_alexandroff(ctx)
@@ -767,12 +767,12 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
         flagged.append((
             "interlocking:triple", {"by_def": by_def, "by_alex": by_alex, "by_lower": by_lower}
         ))
-    alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
+    # a region is closed when its complement is in the Alexandroff family
+    alex, alex_c = ctx.alexandroff_masks, ctx.dual.alexandroff_masks
     for mask in nest.masks:
-        if member_closed_by_intersections(nest, mask) != is_closed_in_family(alex, Subset(u, mask)):
+        if member_closed_by_intersections(nest, mask) != (mask ^ full in alex):
             flagged.append(("closed:intersection-form", {"member": mask}))
-        complement_closed = is_closed_in_family(alex_c, Subset(u, mask ^ u.full_mask))
-        if (member_union_of_smaller(nest, mask) == mask) != complement_closed:
+        if (member_union_of_smaller(nest, mask) == mask) != (mask in alex_c):
             flagged.append(("closed:union-form", {"member": mask}))
     return 1, flagged, []
 
@@ -799,8 +799,8 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     nest, t0 = ctx.nest, ctx.t0
     u = nest.universe
     masks, full = nest.masks, u.full_mask
-    rows = ctx.order.rows
-    pre_rows = ctx.preorder.rows if t0 else None
+    rows = ctx.order_rows
+    pre_rows = ctx.preorder_rows if t0 else None
     down_reach, up_reach = ctx.down_reach, ctx.up_reach
     flagged = []
     for mask in range(full + 1):

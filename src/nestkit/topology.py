@@ -14,9 +14,10 @@ Convention notes, since the source material uses both:
   One region's reach comes from the mask kernels ``up_mask``/``down_mask``
   (the order's rows and a region mask), which every single-region predicate
   reads; ``up_set``/``down_set`` wrap them at the ``Subset`` boundary.
-  ``up_reach_table`` tabulates the strict upward reach of every region of
-  one order at once, for the sweeps over every region, and is checked
-  against the region-at-a-time kernels.
+  ``reach_table`` tabulates the strict upward reach of every region from
+  an order's rows at once, for the sweeps over every region, and is checked
+  against the region-at-a-time kernels; ``up_reach_table`` wraps it at the
+  ``Relation`` boundary.
 
 Empty intersections close to X and empty unions to the empty set.
 """
@@ -147,19 +148,32 @@ def down_set(rel: Relation, region: Subset) -> Subset:
     return Subset(rel.universe, down_mask(rel.rows, region.mask))
 
 
-def up_reach_table(rel: Relation) -> tuple[int, ...]:
-    """Strict upward reach of every region, indexed by region mask.
+def reach_table(rows: Sequence[int]) -> tuple[int, ...]:
+    """Strict upward reach of every region under the relation with the given
+    rows, indexed by region mask; validates nothing.
 
-    ``table[m] == up_set(rel, Subset(u, m)).mask`` for every mask.  Reach
-    distributes over unions, so a region whose highest element is x reaches
-    what the region without x reaches plus ``rel.rows[x]``: one pass that
-    doubles the table per element, with integer operations only.  Downward
-    reach is the table of ``transpose(rel)``.
+    ``table[m] == up_mask(rows, m)`` for every mask.  Reach distributes over
+    unions, so a region whose highest element is x reaches what the region
+    without x reaches plus ``rows[x]``: one pass that doubles the table per
+    element, with integer operations only.  Downward reach is the table of
+    the columns.
     """
     table = [0]
-    for row in rel.rows:
+    for row in rows:
         table += [reach | row for reach in table]
     return tuple(table)
+
+
+def fixed_masks(table: Sequence[int]) -> tuple[int, ...]:
+    """The masks a reach table maps to themselves, in mask order."""
+    return tuple(mask for mask, reach in enumerate(table) if reach == mask)
+
+
+def up_reach_table(rel: Relation) -> tuple[int, ...]:
+    """Strict upward reach of every region, indexed by region mask:
+    ``table[m] == up_set(rel, Subset(u, m)).mask`` (see `reach_table`).
+    Downward reach is the table of ``transpose(rel)``."""
+    return reach_table(rel.rows)
 
 
 def lower_topology(rel_reflexive: Relation) -> Topology:
@@ -197,9 +211,7 @@ def alexandroff_family(rel_strict: Relation) -> SetFamily:
     off `up_reach_table`.  It is closed under unions and intersections but
     need not contain X, so it is returned as a family, not a Topology.
     """
-    table = up_reach_table(rel_strict)
-    fixed = tuple(mask for mask, reach in enumerate(table) if reach == mask)
-    return SetFamily(rel_strict.universe, fixed)
+    return SetFamily(rel_strict.universe, fixed_masks(up_reach_table(rel_strict)))
 
 
 def is_closed(topology: Topology, subset: Subset) -> bool:

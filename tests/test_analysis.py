@@ -35,8 +35,8 @@ from nestkit.core import (
     mask_of,
 )
 from nestkit.groups import BUILTIN_GROUPS, FiniteGroup
-from nestkit.orders import generated_order, reflexive_closure, t0_separates
-from nestkit.topology import Topology, down_set, topology_from_subbase, up_set
+from nestkit.orders import Relation, generated_order, reflexive_closure, t0_separates
+from nestkit.topology import Topology, alexandroff_family, down_set, topology_from_subbase, up_set
 
 U3 = Universe(3)
 U4 = Universe(4)
@@ -46,32 +46,37 @@ PAIR = Nest.of(Universe(2), [[0]])
 PAIR_DUAL = Nest.of(Universe(2), [[1]])
 
 
+def _preorder(nest: Nest) -> Relation:
+    """The context's preorder rows, as a relation for the public sup forms."""
+    return Relation(nest.universe, NestContext(nest).preorder_rows)
+
+
 def test_sup_of_examples():
     u5 = Universe(5)
     nest = Nest.of(u5, [[0, 1], [0, 1, 2]])
-    rel = NestContext(nest).preorder
+    rel = _preorder(nest)
     result = sup_of(rel, mask_of([0, 1], 5))
     assert result.exists and result.element == 2
     # a member with an internal maximum has that maximum as its sup
     assert sup_of(rel, mask_of([0, 1, 2], 5)).element == 2
     # incomparable upper bounds leave no least one
     wide = Nest.of(u5, [[0, 1]])
-    blocked = sup_of(NestContext(wide).preorder, mask_of([0, 1], 5))
+    blocked = sup_of(_preorder(wide), mask_of([0, 1], 5))
     assert not blocked.exists and blocked.reason == "no_least_upper_bound"
     chain = Nest.of(U3, [[], [0], [0, 1]])
-    empty_sup = sup_of(NestContext(chain).preorder, 0)
+    empty_sup = sup_of(_preorder(chain), 0)
     assert empty_sup.exists and empty_sup.element == 0
     # no upper bound at all above the top of a chain with several maxima
-    quad_rel = NestContext(QUAD).preorder
+    quad_rel = _preorder(QUAD)
     nothing = sup_of(quad_rel, mask_of([2, 3], 4))
     assert not nothing.exists and nothing.reason == "no_upper_bound"
 
 
 def test_inf_of():
-    rel = NestContext(QUAD).preorder
+    rel = _preorder(QUAD)
     result = inf_of(rel, mask_of([2, 3], 4))
     assert not result.exists and result.reason == "no_greatest_lower_bound"
-    chain = NestContext(Nest.of(U3, [[], [0], [0, 1]])).preorder
+    chain = _preorder(Nest.of(U3, [[], [0], [0, 1]]))
     assert inf_of(chain, mask_of([1, 2], 3)).element == 1
     assert inf_of(chain, 0).element == 2  # greatest element bounds the empty set
 
@@ -119,7 +124,7 @@ def test_dual_pair_of_contexts_derives_no_order(monkeypatch):
     for n in (1, 2, 3):
         for nest in enumerate_nests(Universe(n)):
             ctx = NestContext(nest)
-            ctx.order, ctx.dual.order  # both derived before the pair is built
+            ctx.order_rows, ctx.dual.order_rows  # both derived before the pair is built
             before = len(derived)
             pair = complement_dual(ctx)
             assert pair.left is ctx and pair.right is ctx.dual
@@ -182,7 +187,7 @@ def test_no_greatest_element_looks_for_a_point_above_the_member():
     for n in (1, 2, 3, 4):
         u = Universe(n)
         for nest in enumerate_nests(u):
-            pre = NestContext(nest).preorder
+            pre = _preorder(nest)
             for mask in nest.masks:
                 inside = Subset(u, mask).indices
                 greatest = any(all(pre.holds(y, g) for y in inside) for g in inside)
@@ -218,10 +223,15 @@ def test_nest_context_matches_the_public_functions():
             ctx = NestContext(nest)
             pair = complement_dual(nest)
             assert NestContext.of(ctx) is ctx
-            assert ctx.order == generated_order(nest)
-            assert ctx.preorder == reflexive_closure(generated_order(nest))
             assert ctx.dual.nest.masks == family_complement(nest).masks
-            assert ctx.dual.order == generated_order(pair.right.nest)
+            # the context's rows and fixed points, on both sides, against
+            # the public routes
+            for side in (ctx, ctx.dual):
+                order = generated_order(side.nest)
+                assert side.order_rows == order.rows
+                assert side.preorder_rows == reflexive_closure(order).rows
+                assert side.alexandroff_masks == frozenset(alexandroff_family(order).masks)
+            assert ctx.dual.order_rows == generated_order(pair.right.nest).rows
             assert ctx.sups == member_sups(nest) == member_sups(ctx)
             assert ctx.sup_conditions == sup_conditions(nest) == sup_conditions(ctx)
             assert dual_sup_conditions(complement_dual(ctx)) == dual_sup_conditions(pair)
@@ -252,8 +262,8 @@ def test_nest_context_reach_tables():
             ctx = NestContext(nest)
             complement_order = generated_order(family_complement(nest))
             for table, reach, rel in (
-                (ctx.up_reach, up_set, ctx.order),
-                (ctx.down_reach, down_set, ctx.order),
+                (ctx.up_reach, up_set, Relation(u, ctx.order_rows)),
+                (ctx.down_reach, down_set, Relation(u, ctx.order_rows)),
                 (ctx.dual.down_reach, down_set, complement_order),
             ):
                 assert table == tuple(
@@ -272,8 +282,8 @@ def test_nest_context_fields_are_computed_once(monkeypatch):
     monkeypatch.setattr(orders, "order_rows", lambda *a: calls.append(a) or order_rows(*a))
     fields = _lazy_fields(NestContext)
     assert fields == [
-        "order", "preorder", "preorder_columns", "dual", "sup_indices", "sups",
-        "sup_conditions", "t0", "up_reach", "down_reach", "alexandroff"]
+        "order_rows", "preorder_rows", "preorder_columns", "dual", "sup_indices", "sups",
+        "sup_conditions", "t0", "up_reach", "down_reach", "alexandroff_masks"]
     # the class hands out the descriptor, with the method's docstring
     assert isinstance(NestContext.preorder_columns, lazy)
     assert NestContext.preorder_columns.__doc__.startswith("Entry y holds")
@@ -340,10 +350,10 @@ def test_single_nest_predicates_build_no_table(monkeypatch):
 
     want = answers()
 
-    def no_table(rel):
+    def no_table(rows):
         raise AssertionError("a single-nest predicate tabulated every region")
 
-    monkeypatch.setattr(analysis, "up_reach_table", no_table)
+    monkeypatch.setattr(analysis, "reach_table", no_table)
     assert answers() == want
 
 

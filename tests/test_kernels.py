@@ -429,17 +429,18 @@ def test_region_kernels_match_the_definitions_on_every_small_nest():
         u = Universe(n)
         for nest in enumerate_nests(u):
             ctx = NestContext(nest)
+            order = Relation(u, ctx.order_rows)
             for mask in range(u.full_mask + 1):
                 region = Subset(u, mask)
                 # the strict order, and the reflexive one the bound
                 # dichotomy reads
-                for rel in (ctx.order, ctx.preorder):
+                for rel in (order, Relation(u, ctx.preorder_rows)):
                     _check_region_kernels(rel, nest.masks, mask)
                 # the public forms wrap the kernels, from a nest and from
                 # its context alike
-                rows, full = ctx.order.rows, u.full_mask
-                assert up_set(ctx.order, region).mask == up_mask(rows, mask)
-                assert down_set(ctx.order, region).mask == down_mask(rows, mask)
+                rows, full = ctx.order_rows, u.full_mask
+                assert up_set(order, region).mask == up_mask(rows, mask)
+                assert down_set(order, region).mask == down_mask(rows, mask)
                 for source in (nest, ctx):
                     assert down_reach_covers(source, region).holds == (
                         down_mask(rows, mask) == full)
@@ -448,7 +449,7 @@ def test_region_kernels_match_the_definitions_on_every_small_nest():
                     assert has_upper_bound(source, region) == (
                         upper_bounds(rows, full, mask) != 0)
                     assert has_lower_bound(source, region, strict=False) == (
-                        lower_bounds(ctx.preorder.rows, mask) != 0)
+                        lower_bounds(ctx.preorder_rows, mask) != 0)
                 seen += 1
     assert seen == 4 * 2 + 12 * 4 + 52 * 8 + 300 * 16
 
@@ -471,8 +472,8 @@ def test_public_region_forms_reject_a_region_from_another_universe():
     ctx = NestContext(nest)
     region = Subset.of(u4, [0])
     for call in (
-        lambda: up_set(ctx.order, region),
-        lambda: down_set(ctx.order, region),
+        lambda: up_set(Relation(u3, ctx.order_rows), region),
+        lambda: down_set(Relation(u3, ctx.order_rows), region),
         lambda: down_reach_covers(nest, region),
         lambda: up_reach_covers(nest, region),
         lambda: down_reach_covers(ctx, region),
@@ -527,7 +528,7 @@ def test_sup_kernel_matches_the_definition_on_every_small_nest():
     for n in (1, 2, 3, 4):
         for nest in enumerate_nests(Universe(n)):
             ctx = NestContext(nest)
-            answers = _check_sup_kernel(ctx.preorder)
+            answers = _check_sup_kernel(Relation(nest.universe, ctx.preorder_rows))
             if not ctx.t0:
                 codes_without_t0 |= answers & {NO_BOUND, NO_LEAST}
     assert codes_without_t0 == {NO_BOUND, NO_LEAST}
@@ -553,7 +554,7 @@ def test_dual_ladder_routes_must_agree():
     ctx = NestContext(Nest.of(u, [[], [0]]))
     right = ctx.dual
     masks, full = right.nest.masks, u.full_mask
-    assert _dual_ladder(masks, full, right.preorder.rows, columns(ctx.preorder.rows)) == (
+    assert _dual_ladder(masks, full, right.preorder_rows, columns(ctx.preorder_rows)) == (
         complement_dual(ctx).dual_sup_conditions)
     with pytest.raises(InstanceError, match="routes disagree"):
-        _dual_ladder(masks, full, right.preorder.rows, ctx.preorder.rows)
+        _dual_ladder(masks, full, right.preorder_rows, ctx.preorder_rows)

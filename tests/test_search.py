@@ -105,8 +105,8 @@ SEARCH_DIGESTS = {
         "a256f92a162c9b520169b1eedd4f7cf826f5e57eed642e7250b9b094b4df7eb4",
     ),
     "translation-closed-nests": (
-        "931709c7a2506b9cb344e12e3f12c74ad0568e54f1a79eeaaa58a41ce11c3a01",
-        "3603ceb45c08e2068a5ebd812fa6ed4a45b2ca2616411f6a2d60ca53e4556c5e",
+        "d218132b8b9f311f3d3d56926065f110f7842174d0a39f3d085eca5c67f17a99",
+        "345acea9788300b2534099f815fb6b14776a85085bf7eafbb7f66586ef86b07e",
     ),
 }
 
@@ -142,3 +142,15 @@ def test_translation_closed_search_records_the_cap_it_ran():
     assert report.config["max_members"] == 3 and report.config["group"] == "z4"
     # the nest targets read no group and record none
     assert "group" not in run_search(SearchSpec("sup-onto-nests", max_n=2)).config
+
+
+def test_translation_closed_search_records_no_max_n():
+    # the walk covers the group's own points whatever max_n says, so the
+    # document must not depend on it; the targets on 1..max_n points record it
+    small, large = (
+        run_search(SearchSpec("translation-closed-nests", max_n=n)) for n in (2, 9)
+    )
+    assert small.examined == large.examined == 192
+    assert "max_n" not in small.config
+    assert small.to_json() == large.to_json()
+    assert run_search(SearchSpec("sup-onto-nests", max_n=2)).config["max_n"] == 2

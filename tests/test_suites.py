@@ -240,6 +240,34 @@ def test_dual_pair_checks_build_interval_topology_only_under_the_premise(monkeyp
     assert len(built) == 1
 
 
+def test_nest_sweeps_build_relations_only_in_premise_branches(monkeypatch):
+    # the per-nest path reads the context's rows; a Relation is built only
+    # where a public topology form takes one
+    built = []
+    validate = orders.Relation.__post_init__
+    monkeypatch.setattr(orders.Relation, "__post_init__", lambda rel: built.append(rel) or validate(rel))
+    config = SuiteConfig(max_n=4, workers=1)
+    for check in (suites._check_topology, suites._check_interlocking,
+                  suites._check_bounds, suites._check_core):
+        count, violations, _ = suites._sweep(config, check)
+        assert count >= 368 and not violations
+    assert built == []
+    # sup-conditions: only where the nest's sups escape (the lower topology,
+    # the pair's interval topology and its orderability report) or the
+    # dual's are onto (the upper topology)
+    fired = 0
+    for n in range(1, 5):
+        for nest in enumerate_nests(Universe(n)):
+            ctx = NestContext(nest)
+            before = len(built)
+            suites._check_sup(ctx)
+            if len(built) > before:
+                dual = analysis.complement_dual(ctx).dual_sup_conditions
+                assert ctx.sup_conditions.sups_escape or dual.sups_onto
+                fired += 1
+    assert fired
+
+
 def test_sup_checks_derive_each_order_once(monkeypatch):
     # a nest's order and its complement's, and no more: the complement pair
     # holds both contexts, so the pair whose orderability hypotheses fire
