@@ -3,6 +3,11 @@ nest-generated orders with the group operation.
 
 Built-in constructors cover the small abelian groups plus S3 and D4, so the
 sweeps exercise a non-abelian case as well.
+
+Continuity of multiplication is decided on minimal neighbourhoods, and the
+multiplication premise on pair masks (bit ``x*n + y`` for the pair (x, y),
+the layout of `topology.pair_index`); the route through the explicit product
+topology stays as the continuity oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .topology import (
     is_continuous,
     pair_index,
     product_topology,
+    rectangle_mask,
     topology_from_subbase,
 )
 
@@ -89,6 +95,23 @@ class FiniteGroup:
         """Image bits of right translation: ``right_images[g][x] == 1 << x*g``."""
         return tuple(tuple(1 << row[g] for row in self.table) for g in range(self.order))
 
+    @lazy
+    def inverse_images(self) -> tuple[int, ...]:
+        """Image bits of inversion: ``inverse_images[x] == 1 << x^-1``."""
+        return tuple(1 << a for a in self.inverse)
+
+    @lazy
+    def preimage_bits(self) -> tuple[int, ...]:
+        """Fibres of multiplication as pair masks in the layout of
+        `pair_index`: bit ``x*n + y`` of ``preimage_bits[t]`` is set when
+        x*y == t."""
+        n = self.order
+        bits = [0] * n
+        for x, row in enumerate(self.table):
+            for y, v in enumerate(row):
+                bits[v] |= 1 << x * n + y
+        return tuple(bits)
+
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -149,7 +172,9 @@ def _require_order(group: FiniteGroup, universe: Universe, what: str) -> None:
 
 def image_mask(images: tuple[int, ...], mask: int) -> int:
     """Image of a mask under a map given by its image bits (a row of
-    `FiniteGroup.left_images` or `right_images`)."""
+    `FiniteGroup.left_images` or `right_images`, or `inverse_images`); with
+    `preimage_bits` as the map, the pair mask of a set's preimage under
+    multiplication."""
     out = 0
     while mask:
         low = mask & -mask
@@ -186,11 +211,8 @@ def set_product(group: FiniteGroup, a_mask: int, b_mask: int) -> int:
 
 
 def set_inverse(group: FiniteGroup, mask: int) -> int:
-    out = 0
-    for a in group.universe.elements():
-        if mask >> a & 1:
-            out |= 1 << group.inverse[a]
-    return out
+    """{a^-1 : a in A} for a mask that fits the group."""
+    return image_mask(group.inverse_images, mask)
 
 
 def translation_closed(group: FiniteGroup, family: SetFamily) -> bool:
@@ -278,8 +300,12 @@ def multiplication_premise(group: FiniteGroup, family: SetFamily) -> bool:
 
 def multiplication_continuous(group: FiniteGroup, topo: Topology) -> bool:
     """Continuity of (x,y) -> x*y from the product topology, decided through
-    basic rectangles: the preimage of an open O is product-open iff every
-    point of it sits inside some open rectangle U x V with U*V inside O.
+    minimal rectangles: the preimage of an open O is product-open iff every
+    pair (x, y) in it sits inside some open rectangle U x V with U*V inside
+    O.  `set_product` is monotone and the minimal neighbourhood N(x) is the
+    least open containing x, so that holds for every open exactly when
+    N(x)*N(y) lies inside N(x*y) for every pair.  Each distinct
+    (N(x), N(y)) product is computed once per call.
 
     This never materializes the product topology, which is what keeps the
     sweeps over six-element groups tractable; `product_topology` plus
@@ -287,21 +313,16 @@ def multiplication_continuous(group: FiniteGroup, topo: Topology) -> bool:
     routes on the two- and three-element groups.
     """
     _require_order(group, topo.universe, "topology")
-    n = group.order
-    opens_at = [
-        [o for o in topo.opens if o >> x & 1] for x in range(n)
-    ]
-    for target in topo.opens:
-        for x, images in enumerate(group.left_images):
-            for y, bit in enumerate(images):
-                if not target & bit:
-                    continue
-                if not any(
-                    set_product(group, u, v) & ~target == 0
-                    for u in opens_at[x]
-                    for v in opens_at[y]
-                ):
-                    return False
+    hoods = topo.neighbourhoods
+    products: dict[tuple[int, int], int] = {}
+    for x, row in enumerate(group.table):
+        for y, xy in enumerate(row):
+            key = hoods[x], hoods[y]
+            product = products.get(key)
+            if product is None:
+                product = products[key] = set_product(group, *key)
+            if product & ~hoods[xy]:
+                return False
     return True
 
 
@@ -309,34 +330,44 @@ def multiplication_continuous_via_product(
     group: FiniteGroup, topo: Topology
 ) -> bool:
     """Reference route through the explicit product topology; exponential in
-    the group order, so only suitable for the smallest groups."""
+    the group order, so only suitable for the smallest groups.  It reads the
+    opens only, never the minimal neighbourhoods."""
     _require_order(group, topo.universe, "topology")
     tprod = product_topology(topo, topo)
     n = group.order
+    u = group.universe
     mapping = [group.mul(x, y) for x in range(n) for y in range(n)]
-    assert all(
-        mapping[pair_index(group.universe, group.universe, x, y)] == group.mul(x, y)
+    if any(
+        mapping[pair_index(u, u, x, y)] != group.mul(x, y)
         for x in range(n)
         for y in range(n)
-    )
+    ):
+        raise RuntimeError("the product pairs are not laid out as pair_index says")
     return is_continuous(mapping, tprod, topo)
 
 
 def _product_factorization(group: FiniteGroup, family: SetFamily) -> bool:
     """Every product x*y inside a member T has member neighbourhoods U of x
-    and V of y with U*V inside T."""
+    and V of y with U*V inside T.
+
+    Decided on pair masks (the layout of `pair_index`): U*V lies inside T
+    exactly when the rectangle U x V lies inside the preimage of T under
+    multiplication, so the premise holds iff every member's preimage is the
+    union of the member rectangles inside it.
+    """
     masks = family.masks
-    products = [(fx, fy, set_product(group, fx, fy)) for fx in masks for fy in masks]
+    # U x V is V times the rectangle U x {0}: the shifted copies of V do not
+    # overlap, so the product has no carries
+    columns = [rectangle_mask(a, 1, group.order) for a in masks]
+    rects = [b * column for column in columns for b in masks]
     for target in masks:
-        for x, images in enumerate(group.left_images):
-            for y, bit in enumerate(images):
-                if not target & bit:
-                    continue
-                if not any(
-                    fx >> x & 1 and fy >> y & 1 and product & ~target == 0
-                    for fx, fy, product in products
-                ):
-                    return False
+        pairs = image_mask(group.preimage_bits, target)
+        cover = 0
+        for rect in rects:
+            if rect & ~pairs == 0:
+                cover |= rect
+        if cover != pairs:
+            return False
     return True
 
 

@@ -300,8 +300,9 @@ def test_nest_context_fields_are_computed_once(monkeypatch):
 
 def test_lazy_fields_survive_pickling():
     assert _lazy_fields(FiniteGroup) == [
-        "identity", "inverse", "universe", "left_images", "right_images"]
-    assert _lazy_fields(Topology) == ["_open_set"]
+        "identity", "inverse", "universe", "left_images", "right_images",
+        "inverse_images", "preimage_bits"]
+    assert _lazy_fields(Topology) == ["_open_set", "neighbourhoods"]
     values = [topology_from_subbase(SetFamily(U3, (0b001, 0b011)))]
     values += [make() for make in BUILTIN_GROUPS.values()]
     for value in values:
@@ -325,6 +326,16 @@ def test_no_module_imports_cached_property():
                 assert "cached_property" not in [a.name for a in node.names], path.name
             if isinstance(node, ast.Attribute):
                 assert node.attr != "cached_property", path.name
+
+
+def test_no_module_uses_a_bare_assert():
+    # python -O strips assert statements, so a check the program relies on
+    # must raise explicitly
+    package = Path(nestkit.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts at lines {lines}"
 
 
 def test_single_nest_predicates_build_no_table(monkeypatch):

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from nestkit.core import InstanceError, Nest, SetFamily, Subset, Universe
@@ -19,6 +22,7 @@ from nestkit.groups import (
     translate,
     translation_closed,
 )
+from nestkit.topology import topology_from_subbase
 
 Z3 = FiniteGroup.cyclic(3)
 Z4 = FiniteGroup.cyclic(4)
@@ -83,6 +87,11 @@ def test_set_algebra():
     u = Z3.universe
     assert set_product(Z3, 0b011, 0b001) == 0b011
     assert set_inverse(Z3, 0b010) == 0b100  # 1^-1 = 2 in the 3-cycle
+    for make in BUILTIN_GROUPS.values():
+        group = make()
+        for mask in range(group.universe.full_mask + 1):
+            want = sum(1 << group.inverse[a] for a in range(group.order) if mask >> a & 1)
+            assert set_inverse(group, mask) == want
 
 
 def test_inversion_continuity():
@@ -121,6 +130,85 @@ def test_continuity_routes_agree():
             assert multiplication_continuous(z2, topo) == (
                 multiplication_continuous_via_product(z2, topo)
             )
+
+
+def _continuous_by_any_rectangle(group: FiniteGroup, topo) -> bool:
+    """The rectangle form of multiplication continuity over all opens: every
+    pair (x, y) with x*y in an open T sits inside some open rectangle U x V
+    with U*V inside T."""
+    n = group.order
+    opens_at = [[o for o in topo.opens if o >> x & 1] for x in range(n)]
+    return all(
+        any(set_product(group, u, v) & ~target == 0 for u in opens_at[x] for v in opens_at[y])
+        for target in topo.opens for x in range(n) for y in range(n)
+        if target >> group.mul(x, y) & 1
+    )
+
+
+def _factorizes_by_set_products(group: FiniteGroup, family: SetFamily) -> bool:
+    """The set-product form of the multiplication premise: every pair (x, y)
+    with x*y in a member T has members U of x and V of y with U*V inside T."""
+    n = group.order
+    masks = family.masks
+    products = [(a, b, set_product(group, a, b)) for a in masks for b in masks]
+    return all(
+        any(a >> x & 1 and b >> y & 1 and p & ~target == 0 for a, b, p in products)
+        for target in masks for x in range(n) for y in range(n)
+        if target >> group.mul(x, y) & 1
+    )
+
+
+def _coset_families(group: FiniteGroup) -> list[SetFamily]:
+    """The left cosets of each cyclic subgroup: group topologies and premise
+    hits where the subgroup is normal, misses where it is not."""
+    out = []
+    for g in range(group.order):
+        sub, x = 0, group.identity
+        while not sub >> x & 1:
+            sub |= 1 << x
+            x = group.mul(x, g)
+        cosets = (set_product(group, 1 << a, sub) for a in range(group.order))
+        out.append(SetFamily.dedupe(group.universe, cosets))
+    return out
+
+
+def test_minimal_rectangles_match_the_rectangle_routes():
+    # every subbase of at most three members on the groups of order at most
+    # four, against both rectangle routes; the product route's topology on
+    # s3 and d4 is too large, so seeded subbases there meet the rectangle
+    # form only
+    rng = random.Random(14)
+    for name in BUILTIN_GROUPS:
+        group = BUILTIN_GROUPS[name]()
+        u = group.universe
+        if group.order <= 4:
+            subbases = [SetFamily(u, masks) for k in range(4)
+                        for masks in combinations(range(u.full_mask + 1), k)]
+        else:
+            subbases = [SetFamily.dedupe(u, (rng.randrange(1 << group.order)
+                                             for _ in range(rng.randint(1, 3))))
+                        for _ in range(1000)]
+        topologies = {topology_from_subbase(f) for f in subbases + _coset_families(group)}
+        verdicts = [multiplication_continuous(group, topo) for topo in topologies]
+        assert True in verdicts and False in verdicts, name
+        assert verdicts == [_continuous_by_any_rectangle(group, topo) for topo in topologies]
+        if group.order <= 4:
+            assert verdicts == [
+                multiplication_continuous_via_product(group, topo) for topo in topologies]
+
+
+def test_pair_mask_premise_matches_set_products():
+    rng = random.Random(14)
+    for name, make in BUILTIN_GROUPS.items():
+        group = make()
+        u = group.universe
+        families = [SetFamily.dedupe(u, (rng.randrange(1 << group.order)
+                                         for _ in range(rng.randint(0, 4))))
+                    for _ in range(500)]
+        families += _coset_families(group)
+        verdicts = [multiplication_premise(group, family) for family in families]
+        assert True in verdicts and False in verdicts, name
+        assert verdicts == [_factorizes_by_set_products(group, family) for family in families]
 
 
 # the group predicates compare sizes at their boundary: a universe of the

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nestkit.core import (
@@ -16,7 +18,6 @@ from nestkit.topology import (
     down_set,
     interval_topology,
     is_closed,
-    is_closed_in_family,
     is_continuous,
     join,
     lower_topology,
@@ -44,6 +45,58 @@ def test_topology_invariants_enforced():
     with pytest.raises(InstanceError):
         Topology(U3, (0, 0b001, 0b010, 0b111))  # not closed under union
     Topology(U3, (0, 0b001, 0b011, 0b111))
+
+
+def test_topology_rejects_opens_outside_the_universe():
+    with pytest.raises(InstanceError, match="open mask 0x4 does not fit the universe"):
+        Topology(U2, (0, 3, 4, 7))
+    with pytest.raises(InstanceError, match="open mask -0x4 does not fit the universe"):
+        Topology(U2, (0, 3, -4, -1))
+
+
+def _closed_pairwise(opens: tuple[int, ...]) -> bool:
+    """The pairwise ∩/∪ closure test: the oracle of the neighbourhood
+    validation."""
+    members = set(opens)
+    return all(a & b in members and a | b in members for a in opens for b in opens)
+
+
+def _validation_agrees(universe: Universe, opens: set[int]) -> bool:
+    """Validation accepts exactly the pairwise-closed families, and on a
+    topology each neighbourhood is the smallest open containing its point."""
+    try:
+        topo = Topology(universe, tuple(opens))
+    except InstanceError as err:
+        return str(err) == "open family is not closed under ∩/∪" and not _closed_pairwise(
+            tuple(opens))
+    least = [min((o for o in opens if o >> x & 1), key=int.bit_count)
+             for x in universe.elements()]
+    return _closed_pairwise(tuple(opens)) and topo.neighbourhoods == tuple(least)
+
+
+def test_neighbourhood_validation_matches_pairwise_closure():
+    # every family holding the empty set and X on at most four points
+    for n in range(1, 5):
+        u = Universe(n)
+        inner = range(1, u.full_mask)
+        for pick in range(1 << len(inner)):
+            opens = {0, u.full_mask} | {m for i, m in enumerate(inner) if pick >> i & 1}
+            assert _validation_agrees(u, opens), (n, sorted(opens))
+    # seeded closed families on five to nine points, each with two
+    # perturbations: one non-trivial open dropped, one mask added
+    rng = random.Random(14)
+    for n in range(5, 10):
+        u = Universe(n)
+        for _ in range(800):
+            subbase = SetFamily.dedupe(u, (rng.randrange(1 << n) for _ in range(rng.randint(1, 5))))
+            opens = set(topology_from_subbase(subbase).opens)
+            assert _closed_pairwise(tuple(opens))
+            inner = sorted(opens - {0, u.full_mask})
+            families = [opens, opens | {rng.randrange(1 << n)}]
+            if inner:
+                families.append(opens - {rng.choice(inner)})
+            for family in families:
+                assert _validation_agrees(u, family), (n, sorted(family))
 
 
 def test_subbase_examples():
@@ -140,9 +193,6 @@ def test_is_closed():
     assert is_closed(topo, Subset(U4, U4.full_mask))
     assert is_closed(topo, Subset.of(U4, [2, 3]))
     assert not is_closed(topo, Subset.of(U4, [0]))
-    family = alexandroff_family(generated_order(QUAD))
-    assert is_closed_in_family(family, Subset(U4, U4.full_mask))
-    assert not is_closed_in_family(family, Subset.of(U4, [0, 1]))
 
 
 def test_product_and_continuity():
