@@ -12,9 +12,10 @@ reflexive closure of the nest's generated order:
 A supremum only exists when the set of upper bounds has a unique least
 element; incomparable upper bounds yield "does not exist" with a reason,
 never an arbitrary pick.  The kernel `sup_index` decides this on the rows
-of a reflexive order and a region mask, and answers with the supremum's
-element or a code (`NO_BOUND`, `NO_LEAST`); `sup_of` and `inf_of` wrap it
-at the `Relation` boundary, and the context's ladders read it directly.
+of a reflexive order and a region mask, starting from the region's upper
+bounds, and answers with the supremum's element or a code (`NO_BOUND`,
+`NO_LEAST`); `sup_of` and `inf_of` wrap it at the `Relation` boundary, and
+the context's ladders read it directly.
 
 `NestContext` holds the values a sweep derives from one nest, at mask level
 only (the rows of its order and preorder, the complement nest's own context,
@@ -27,8 +28,8 @@ access a field is a plain attribute read.  Each nest predicate below takes a nes
 its context (`NestContext.of`), so there is one evaluation path whichever is
 passed: a sweep builds one context per nest and shares it across all of that
 nest's properties.  A predicate on single members or regions reads their
-reach from the `down_mask` kernel; only the sweeps read the reach tables
-over every region.
+reach from a region kernel; only the sweeps read the reach tables over
+every region.
 
 `DualPair` is the one form of a dual pair, and holds the two sides'
 contexts.  It checks once that both sides are nests whose orders are mutual
@@ -58,10 +59,9 @@ from .topology import (
     Topology,
     down_mask,
     fixed_masks,
-    point_down_set,
-    point_up_set,
     reach_table,
     topology_from_subbase,
+    upper_bounds,
 )
 
 REASON_OK = "ok"
@@ -96,11 +96,7 @@ def sup_index(rows: tuple[int, ...], full: int, region: int) -> int:
     The supremum of the empty region is the least element of the whole
     universe, when that is unique.
     """
-    bounds = full
-    while region:
-        low = region & -region
-        bounds &= rows[low.bit_length() - 1]
-        region ^= low
+    bounds = upper_bounds(rows, full, region)
     if not bounds:
         return NO_BOUND
     least = NO_LEAST
@@ -323,21 +319,11 @@ def is_interlocking(family: SetFamily) -> bool:
     family (empty intersection = X), it must also equal the union of its
     strict subsets (empty union = empty set).
     """
-    full = family.universe.full_mask
-    for t in family.masks:
-        inter = full
-        for s in family.masks:
-            if s != t and t & ~s == 0:
-                inter &= s
-        if inter != t:
-            continue
-        union = 0
-        for s in family.masks:
-            if s != t and s & ~t == 0:
-                union |= s
-        if union != t:
-            return False
-    return True
+    return all(
+        member_union_of_smaller(family, t) == t
+        for t in family.masks
+        if member_closed_by_intersections(family, t)
+    )
 
 
 def is_interlocking_via_alexandroff(nest: Nest | NestContext) -> bool:
@@ -364,19 +350,20 @@ def is_interlocking_via_lower_sets(nest: Nest | NestContext) -> bool:
     return True
 
 
-def member_closed_by_intersections(nest: Nest, member_mask: int) -> bool:
-    """Nest-member closedness in the Alexandroff sense, via the member formula:
+def member_closed_by_intersections(family: SetFamily, member_mask: int) -> bool:
+    """Member closedness in the Alexandroff sense, via the member formula:
     the member equals the intersection of its strict member-supersets."""
-    inter = nest.universe.full_mask
-    for s in nest.masks:
+    inter = family.universe.full_mask
+    for s in family.masks:
         if s != member_mask and member_mask & ~s == 0:
             inter &= s
     return inter == member_mask
 
 
-def member_union_of_smaller(nest: Nest, member_mask: int) -> int:
+def member_union_of_smaller(family: SetFamily, member_mask: int) -> int:
+    """The union of the member's strict member-subsets."""
     union = 0
-    for s in nest.masks:
+    for s in family.masks:
         if s != member_mask and s & ~member_mask == 0:
             union |= s
     return union
@@ -442,10 +429,9 @@ def member_lower_set_masks(ctx: NestContext, mask: int) -> MemberLowerSetReport:
 
 def open_ray_topology(rel_strict: Relation) -> Topology:
     """Topology generated by the strict down-rays and up-rays of all points."""
-    u = rel_strict.universe
-    rays = [point_down_set(rel_strict, x).mask for x in u.elements()]
-    rays += [point_up_set(rel_strict, x).mask for x in u.elements()]
-    return topology_from_subbase(SetFamily.dedupe(u, rays))
+    rows = rel_strict.rows
+    # the down-ray of x is its column, the up-ray its row
+    return topology_from_subbase(SetFamily.dedupe(rel_strict.universe, rows + columns(rows)))
 
 
 @dataclass(frozen=True)
@@ -462,10 +448,6 @@ class LotsReport:
     t0_escape_pair: bool
     order_linear: bool
     ray_topology_matches: bool
-
-    @property
-    def hypotheses_hold(self) -> bool:
-        return self.sup_onto_pair or self.t0_escape_pair
 
     @property
     def is_lots(self) -> bool:

@@ -8,23 +8,21 @@ cover is returned as the constructive witness.  ``up_reach_covers`` is the
 mirror image, witnessed by the members meeting the region, whose
 intersection must then be empty.
 
-Each predicate takes a nest or its `NestContext` and answers for one region.
-Under them sit mask-in/mask-out kernels on an order's rows: a reach cover
-holds when the region's strict reach (``down_mask``/``up_mask``) is the
-full mask, and ``upper_bounds``/``lower_bounds`` give the bound masks of a
-region.  Sweeps call these on plain masks, or read a nest's reach tables
-over every region, and build a `Subset` or `CoverWitness` only for a
-verdict or payload they read.
+Each predicate takes a nest or its `NestContext` and answers for one region,
+from the region kernels of `topology` on the nest's order rows: a reach
+cover holds when the region's strict reach is the full mask.  Sweeps call
+the kernels on plain masks, or read a nest's reach tables over every region,
+and build a `Subset` or `CoverWitness` only for a verdict or payload they
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .analysis import NestContext
 from .core import Nest, SetFamily, Subset, _check_same_universe
-from .topology import down_mask, up_mask
+from .topology import down_mask, lower_bounds, reach_table, up_mask, upper_bounds
 
 
 @dataclass(frozen=True)
@@ -110,44 +108,16 @@ def has_lower_bound(nest: Nest | NestContext, region: Subset, strict: bool = Tru
     return lower_bounds(ctx.order_rows if strict else ctx.preorder_rows, region.mask) != 0
 
 
-def upper_bounds(rows: Sequence[int], full: int, region: int) -> int:
-    """The points x with y rel x for every y in the region mask, where
-    ``rows`` are the relation's rows: the intersection of the rows of the
-    region's elements (``full`` for the empty region).  Strict or reflexive
-    rows give the strict or the reflexive bounds."""
-    bounds = full
-    while region:
-        low = region & -region
-        bounds &= rows[low.bit_length() - 1]
-        region ^= low
-    return bounds
-
-
-def lower_bounds(rows: Sequence[int], region: int) -> int:
-    """The points x with x rel y for every y in the region mask: those whose
-    row contains the region."""
-    bounds = 0
-    bit = 1
-    for row in rows:
-        if row & region == region:
-            bounds |= bit
-        bit <<= 1
-    return bounds
-
-
 def covering_subfamilies(nest: Nest) -> list[tuple[int, ...]]:
     """All subfamilies whose union is the whole universe (exhaustive helper
     for the cover characterizations; exponential in the nest size).
 
-    Subfamily ``pick`` holds member i when bit i of ``pick`` is set; the
-    unions of all picks are tabulated by doubling, one member at a time."""
+    Subfamily ``pick`` holds member i when bit i of ``pick`` is set; its
+    union is entry ``pick`` of the reach table whose rows are the members."""
     members = nest.masks
-    unions = [0]
-    for m in members:
-        unions += [union | m for union in unions]
     full = nest.universe.full_mask
     return [
         tuple(m for i, m in enumerate(members) if pick >> i & 1)
-        for pick, union in enumerate(unions)
+        for pick, union in enumerate(reach_table(members))
         if union == full
     ]

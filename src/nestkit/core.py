@@ -85,10 +85,16 @@ def mask_of(indices: Iterable[int], size: int) -> int:
     """Pack element indices into a membership mask, validating the range."""
     mask = 0
     for i in indices:
-        if not 0 <= i < size:
-            raise InstanceError(f"element index {i} out of range for size {size}")
+        _check_index(i, size)
         mask |= 1 << i
     return mask
+
+
+def _check_index(index: int, size: int) -> None:
+    """Reject an element index outside a universe of ``size`` points, naming
+    it; a negative index would otherwise wrap around to the last points."""
+    if not 0 <= index < size:
+        raise InstanceError(f"element index {index} out of range for size {size}")
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
@@ -100,10 +106,6 @@ def indices_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ class Subset:
 
     @property
     def cardinality(self) -> int:
-        return popcount(self.mask)
+        return self.mask.bit_count()
 
     def contains(self, index: int) -> bool:
         return bool(self.mask >> index & 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InstanceError, Nest, SetFamily, Subset, Universe, lazy
+from .core import InstanceError, Nest, SetFamily, Subset, Universe, _check_index, lazy
 from .orders import generated_order
 from .topology import (
     Topology,
@@ -23,6 +23,7 @@ from .topology import (
     product_topology,
     rectangle_mask,
     topology_from_subbase,
+    up_mask,
 )
 
 
@@ -170,26 +171,15 @@ def _require_order(group: FiniteGroup, universe: Universe, what: str) -> None:
         )
 
 
-def image_mask(images: tuple[int, ...], mask: int) -> int:
-    """Image of a mask under a map given by its image bits (a row of
-    `FiniteGroup.left_images` or `right_images`, or `inverse_images`); with
-    `preimage_bits` as the map, the pair mask of a set's preimage under
-    multiplication."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= images[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def translate(group: FiniteGroup, g: int, subset: Subset, side: str) -> Subset:
     """Image of a subset under left (g*x) or right (x*g) translation."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _require_order(group, subset.universe, "subset")
+    _check_index(g, group.order)
     images = group.left_images if side == "left" else group.right_images
-    return Subset(group.universe, image_mask(images[g], subset.mask))
+    # a mask's image is the union of its points' image bits, read like reach
+    return Subset(group.universe, up_mask(images[g], subset.mask))
 
 
 def set_product(group: FiniteGroup, a_mask: int, b_mask: int) -> int:
@@ -212,7 +202,7 @@ def set_product(group: FiniteGroup, a_mask: int, b_mask: int) -> int:
 
 def set_inverse(group: FiniteGroup, mask: int) -> int:
     """{a^-1 : a in A} for a mask that fits the group."""
-    return image_mask(group.inverse_images, mask)
+    return up_mask(group.inverse_images, mask)
 
 
 def translation_closed(group: FiniteGroup, family: SetFamily) -> bool:
@@ -221,7 +211,7 @@ def translation_closed(group: FiniteGroup, family: SetFamily) -> bool:
     members = set(family.masks)
     for left, right in zip(group.left_images, group.right_images):
         for m in family.masks:
-            if image_mask(left, m) not in members or image_mask(right, m) not in members:
+            if up_mask(left, m) not in members or up_mask(right, m) not in members:
                 return False
     return True
 
@@ -361,7 +351,7 @@ def _product_factorization(group: FiniteGroup, family: SetFamily) -> bool:
     columns = [rectangle_mask(a, 1, group.order) for a in masks]
     rects = [b * column for column in columns for b in masks]
     for target in masks:
-        pairs = image_mask(group.preimage_bits, target)
+        pairs = up_mask(group.preimage_bits, target)
         cover = 0
         for rect in rects:
             if rect & ~pairs == 0:

@@ -276,13 +276,11 @@ def t0_separates(family: SetFamily) -> bool:
 
 
 def t1_separates(family: SetFamily) -> bool:
-    """Every distinct pair is split both ways."""
-    order = generated_order(family)
-    return all(
-        order.holds(x, y) and order.holds(y, x)
-        for x in family.universe.elements()
-        for y in range(x + 1, family.universe.size)
-    )
+    """Every distinct pair is split both ways: each point reaches every other
+    point under the generated order."""
+    u = family.universe
+    rows = order_rows(family.masks, u.size, u.full_mask)
+    return all(row | 1 << x == u.full_mask for x, row in enumerate(rows))
 
 
 def t0_separates_via_rectangles(family: SetFamily) -> bool:

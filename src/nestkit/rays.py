@@ -594,16 +594,6 @@ class GroupCompatReport:
     counterexample: tuple[Quadratic, Quadratic, Quadratic] | None = None
 
 
-def shift_closure_description(nest: RayNest) -> str:
-    """Which additive shifts map the endpoint set onto itself."""
-    kind = nest.endpoints.kind
-    if kind == "all_carrier":
-        return "all carrier elements"
-    if kind == "arithmetic_progression":
-        return "only 0 (the progression is one-sided)"
-    return "only 0"
-
-
 def group_compatibility(operation: str, nest: RayNest) -> GroupCompatReport:
     """Compatibility of the ray-generated order with addition or
     multiplication on the carrier, decided symbolically.

@@ -39,9 +39,7 @@ from .bounds import (
     covering_subfamilies,
     down_reach_covers,
     has_upper_bound,
-    lower_bounds,
     up_reach_covers,
-    upper_bounds,
 )
 from .core import (
     InstanceError,
@@ -117,9 +115,11 @@ from .topology import (
     down_mask,
     interval_topology,
     join,
+    lower_bounds,
     lower_topology,
     topology_from_subbase,
     up_mask,
+    upper_bounds,
     upper_topology,
 )
 
@@ -683,17 +683,17 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
     for tag, value in data:
         tagged[tag].append(value)
 
-    def swept(entries: list) -> list:
+    def within_cap(entries: list) -> list:
         # the census entries a member cap leaves in the sweep
         return [e for e in entries if cap is None or len(e[1]) <= cap]
 
-    if sorted(onto) != swept([[[1], [[]]]]):
+    if sorted(onto) != within_cap([[[1], [[]]]]):
         violations.append(Violation(
             "census:onto-only-trivial", {"inventory": sorted(onto)}
         ))
     # on one point, T0 and the escape condition are both vacuous for the
     # empty nest, so the inventory has exactly the two one-point entries
-    if sorted(escape_t0) != swept([[[1], []], [[1], [[]]]]):
+    if sorted(escape_t0) != within_cap([[[1], []], [[1], [[]]]]):
         violations.append(Violation(
             "census:escape-t0-inventory", {"inventory": sorted(escape_t0)}
         ))

@@ -14,13 +14,12 @@ Convention notes, since the source material uses both:
   compute them;
 * set-level up/down sets (``up_set``/``down_set``) expect the strict order,
   matching the definition "x is above A iff some y in A lies strictly below".
-  One region's reach comes from the mask kernels ``up_mask``/``down_mask``
-  (the order's rows and a region mask), which every single-region predicate
-  reads; ``up_set``/``down_set`` wrap them at the ``Subset`` boundary.
-  ``reach_table`` tabulates the strict upward reach of every region from
-  an order's rows at once, for the sweeps over every region, and is checked
-  against the region-at-a-time kernels; ``up_reach_table`` wraps it at the
-  ``Relation`` boundary.
+
+The region kernels take an order's rows and a region mask and validate
+nothing: strict reach (``up_mask``/``down_mask``), bounds
+(``upper_bounds``/``lower_bounds``), and ``reach_table``, the upward reach
+of every region at once.  The public forms wrap them at the ``Relation`` and
+``Subset`` boundary.
 
 Empty intersections close to X and empty unions to the empty set.
 """
@@ -35,11 +34,12 @@ from .core import (
     SetFamily,
     Subset,
     Universe,
+    _check_index,
     _check_same_universe,
     canonical_masks,
     lazy,
 )
-from .orders import Relation
+from .orders import Relation, columns
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,14 @@ def topology_from_subbase(family: SetFamily) -> Topology:
 
 def point_up_set(rel: Relation, x: int) -> Subset:
     """All y with x rel y; pass the reflexive order for the usual up-set of x."""
+    _check_index(x, rel.universe.size)
     return Subset(rel.universe, rel.rows[x])
 
 
 def point_down_set(rel: Relation, x: int) -> Subset:
     """All y with y rel x; pass the reflexive order for the usual down-set of x."""
-    mask = 0
-    for y in rel.universe.elements():
-        if rel.holds(y, x):
-            mask |= 1 << y
-    return Subset(rel.universe, mask)
+    _check_index(x, rel.universe.size)
+    return Subset(rel.universe, down_mask(rel.rows, 1 << x))
 
 
 def up_mask(rows: Sequence[int], region: int) -> int:
@@ -176,6 +174,31 @@ def down_set(rel: Relation, region: Subset) -> Subset:
     return Subset(rel.universe, down_mask(rel.rows, region.mask))
 
 
+def upper_bounds(rows: Sequence[int], full: int, region: int) -> int:
+    """The points x with y rel x for every y in the region mask: the
+    intersection of the rows of the region's elements (``full`` for the
+    empty region).  Strict or reflexive rows give the strict or the
+    reflexive bounds."""
+    bounds = full
+    while region:
+        low = region & -region
+        bounds &= rows[low.bit_length() - 1]
+        region ^= low
+    return bounds
+
+
+def lower_bounds(rows: Sequence[int], region: int) -> int:
+    """The points x with x rel y for every y in the region mask: those whose
+    row contains the region."""
+    bounds = 0
+    bit = 1
+    for row in rows:
+        if row & region == region:
+            bounds |= bit
+        bit <<= 1
+    return bounds
+
+
 def reach_table(rows: Sequence[int]) -> tuple[int, ...]:
     """Strict upward reach of every region under the relation with the given
     rows, indexed by region mask; validates nothing.
@@ -197,29 +220,22 @@ def fixed_masks(table: Sequence[int]) -> tuple[int, ...]:
     return tuple(mask for mask, reach in enumerate(table) if reach == mask)
 
 
-def up_reach_table(rel: Relation) -> tuple[int, ...]:
-    """Strict upward reach of every region, indexed by region mask:
-    ``table[m] == up_set(rel, Subset(u, m)).mask`` (see `reach_table`).
-    Downward reach is the table of ``transpose(rel)``."""
-    return reach_table(rel.rows)
+def _ray_topology(rel: Relation, rays: Sequence[int]) -> Topology:
+    """Topology generated by the complements of the given ray masks."""
+    u = rel.universe
+    return topology_from_subbase(SetFamily.dedupe(u, (ray ^ u.full_mask for ray in rays)))
 
 
 def lower_topology(rel_reflexive: Relation) -> Topology:
-    """Generated by the subbase {X - up(x)}; expects the reflexive order."""
-    u = rel_reflexive.universe
-    subbase = SetFamily.dedupe(
-        u, (point_up_set(rel_reflexive, x).mask ^ u.full_mask for x in u.elements())
-    )
-    return topology_from_subbase(subbase)
+    """Generated by the subbase {X - up(x)}: the complements of the rows;
+    expects the reflexive order."""
+    return _ray_topology(rel_reflexive, rel_reflexive.rows)
 
 
 def upper_topology(rel_reflexive: Relation) -> Topology:
-    """Generated by the subbase {X - down(x)}; expects the reflexive order."""
-    u = rel_reflexive.universe
-    subbase = SetFamily.dedupe(
-        u, (point_down_set(rel_reflexive, x).mask ^ u.full_mask for x in u.elements())
-    )
-    return topology_from_subbase(subbase)
+    """Generated by the subbase {X - down(x)}: the complements of the
+    columns; expects the reflexive order."""
+    return _ray_topology(rel_reflexive, columns(rel_reflexive.rows))
 
 
 def join(t1: Topology, t2: Topology) -> Topology:
@@ -229,17 +245,20 @@ def join(t1: Topology, t2: Topology) -> Topology:
 
 
 def interval_topology(rel_reflexive: Relation) -> Topology:
-    return join(upper_topology(rel_reflexive), lower_topology(rel_reflexive))
+    """The join of the upper and lower topologies, generated by the union of
+    their subbases."""
+    rows = rel_reflexive.rows
+    return _ray_topology(rel_reflexive, rows + columns(rows))
 
 
 def alexandroff_family(rel_strict: Relation) -> SetFamily:
     """All subsets equal to their strict upward reach.
 
     This is the fixed-point family of `up_set` under the strict order, read
-    off `up_reach_table`.  It is closed under unions and intersections but
+    off `reach_table`.  It is closed under unions and intersections but
     need not contain X, so it is returned as a family, not a Topology.
     """
-    return SetFamily(rel_strict.universe, fixed_masks(up_reach_table(rel_strict)))
+    return SetFamily(rel_strict.universe, fixed_masks(reach_table(rel_strict.rows)))
 
 
 def is_closed(topology: Topology, subset: Subset) -> bool:
@@ -280,14 +299,6 @@ def product_topology(t1: Topology, t2: Topology) -> Topology:
     return topology_from_subbase(SetFamily(u, tuple(rects)))
 
 
-def preimage(mapping: Sequence[int], domain: Universe, open_mask: int) -> int:
-    mask = 0
-    for x in domain.elements():
-        if open_mask >> mapping[x] & 1:
-            mask |= 1 << x
-    return mask
-
-
 def is_continuous(mapping: Sequence[int], tdom: Topology, tcod: Topology) -> bool:
     """Preimage of every open is open; the mapping must be total on the domain."""
     n = tdom.universe.size
@@ -295,6 +306,6 @@ def is_continuous(mapping: Sequence[int], tdom: Topology, tcod: Topology) -> boo
         raise ValueError(f"mapping must assign all {n} domain elements")
     if any(not 0 <= v < tcod.universe.size for v in mapping):
         raise ValueError("mapping hits elements outside the codomain universe")
-    return all(
-        tdom.is_open(preimage(mapping, tdom.universe, o)) for o in tcod.opens
-    )
+    # the preimage of an open is every x whose image bit meets it
+    images = [1 << v for v in mapping]
+    return all(tdom.is_open(down_mask(images, o)) for o in tcod.opens)

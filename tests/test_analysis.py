@@ -1,5 +1,6 @@
 import ast
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from nestkit.core import (
     SetFamily,
     Subset,
     Universe,
+    enumerate_families,
     enumerate_nests,
     family_complement,
     lazy,
@@ -164,6 +166,42 @@ def test_interlocking_routes_on_examples():
     assert is_interlocking(SetFamily.of(U3, [[0], [1]]))
 
 
+def _interlocking_by_double_loop(family):
+    """The definition with both member formulas written out inline."""
+    full = family.universe.full_mask
+    for t in family.masks:
+        inter = full
+        for s in family.masks:
+            if s != t and t & ~s == 0:
+                inter &= s
+        if inter != t:
+            continue
+        union = 0
+        for s in family.masks:
+            if s != t and s & ~t == 0:
+                union |= s
+        if union != t:
+            return False
+    return True
+
+
+def test_interlocking_definition_matches_the_double_loop():
+    families = [fam for n in (1, 2, 3) for fam in enumerate_families(Universe(n))]
+    rng = random.Random(7)
+    for n in range(4, 8):
+        u = Universe(n)
+        families += [
+            SetFamily.dedupe(u, (rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 7))))
+            for _ in range(400)
+        ]
+    verdicts = set()
+    for fam in families:
+        want = _interlocking_by_double_loop(fam)
+        assert is_interlocking(fam) == want
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
 def test_member_lower_set_report():
     chain = Nest.of(U3, [[], [0], [0, 1]])
     report = member_lower_set_report(chain, Subset.of(U3, [0, 1]))
@@ -200,7 +238,7 @@ def test_lots_report():
     report = lots_report(DualPair(point, point))
     assert report.sup_onto_pair and report.is_lots
     quad = lots_report(DualPair(QUAD, QUAD_DUAL))
-    assert not quad.hypotheses_hold
+    assert not quad.sup_onto_pair and not quad.t0_escape_pair
     assert quad.ray_topology_matches  # joint topology equals the open-ray one
     assert not quad.order_linear and not quad.is_lots
     pair = lots_report(DualPair(PAIR, PAIR_DUAL))

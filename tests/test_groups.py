@@ -67,6 +67,15 @@ def test_translate():
         translate(Z3, 1, s, "sideways")
 
 
+def test_translate_rejects_elements_outside_the_group():
+    # a negative element used to wrap around to the last one
+    s = Subset.of(Z3.universe, [0])
+    for g in (-1, -3, 3):
+        for side in ("left", "right"):
+            with pytest.raises(InstanceError, match=f"element index {g} out of range for size 3"):
+                translate(Z3, g, s, side)
+
+
 def test_translation_closed():
     u4 = Z4.universe
     assert not translation_closed(Z4, SetFamily.of(u4, [[0, 1]]))

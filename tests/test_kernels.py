@@ -25,9 +25,7 @@ from nestkit.bounds import (
     down_reach_covers,
     has_lower_bound,
     has_upper_bound,
-    lower_bounds,
     up_reach_covers,
-    upper_bounds,
 )
 from nestkit.core import (
     InstanceError,
@@ -73,7 +71,14 @@ from nestkit.orders import (
     transitive_rows,
     transpose,
 )
-from nestkit.topology import down_mask, down_set, up_mask, up_set
+from nestkit.topology import (
+    down_mask,
+    down_set,
+    lower_bounds,
+    up_mask,
+    up_set,
+    upper_bounds,
+)
 
 
 def _pairs(rel):

@@ -92,6 +92,27 @@ def test_separation_predicates():
     assert t1_separates(singles)
 
 
+def _t1_pairwise(family):
+    """T1 pair by pair on the generated `Relation`."""
+    order = generated_order(family)
+    n = family.universe.size
+    return all(
+        order.holds(x, y) and order.holds(y, x) for x in range(n) for y in range(x + 1, n)
+    )
+
+
+def test_t1_rows_form_matches_the_pairwise_form():
+    from nestkit.core import enumerate_families
+
+    verdicts = set()
+    for n in (1, 2, 3):
+        for fam in enumerate_families(Universe(n)):
+            want = _t1_pairwise(fam)
+            assert t1_separates(fam) == want
+            verdicts.add(want)
+    assert verdicts == {False, True}
+
+
 def test_t0_rectangle_form_agrees_everywhere():
     from nestkit.core import enumerate_families
 

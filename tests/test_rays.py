@@ -20,7 +20,6 @@ from nestkit.rays import (
     rational_between,
     separates,
     separation_witness,
-    shift_closure_description,
     sup_conditions,
 )
 
@@ -187,7 +186,6 @@ def test_group_compatibility():
     shifted = group_compatibility("add", naturals)
     assert not shifted.premise_translation_closed and not shifted.compatible
     assert "gap" in shifted.witness
-    assert "one-sided" in shift_closure_description(naturals)
     with pytest.raises(ValueError):
         group_compatibility("add", RayNest(UNIT, "open", EndpointSet.all_carrier()))
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nestkit.analysis import open_ray_topology
 from nestkit.core import (
     InstanceError,
     Nest,
@@ -24,9 +25,9 @@ from nestkit.topology import (
     point_down_set,
     point_up_set,
     product_topology,
+    reach_table,
     topology_from_subbase,
     up_set,
-    up_reach_table,
     upper_topology,
 )
 
@@ -116,6 +117,53 @@ def test_point_up_down_sets_reflexive_convention():
     assert point_up_set(isolated, 1).indices == (1,)
 
 
+def test_point_sets_reject_elements_outside_the_universe():
+    # a negative index used to wrap around to the last points
+    for rel in (QUAD_PRE, generated_order(QUAD)):
+        for x in (-1, -4, 4, 9):
+            for point_set in (point_up_set, point_down_set):
+                with pytest.raises(InstanceError, match=f"element index {x} out of range for size 4"):
+                    point_set(rel, x)
+
+
+def _point_down_set_by_holds(rel, x):
+    """The down-set of x from `Relation.holds`, one point at a time."""
+    u = rel.universe
+    return Subset(u, sum(1 << y for y in u.elements() if rel.holds(y, x)))
+
+
+def _order_topologies_by_point_sets(pre, order):
+    """The lower, upper, interval and open-ray topologies from one `Subset`
+    per point, the interval one as the join of the other two: the forms the
+    row and column subbases replace."""
+    u = pre.universe
+    full = u.full_mask
+    lower = topology_from_subbase(SetFamily.dedupe(
+        u, (point_up_set(pre, x).mask ^ full for x in u.elements())))
+    upper = topology_from_subbase(SetFamily.dedupe(
+        u, (_point_down_set_by_holds(pre, x).mask ^ full for x in u.elements())))
+    rays = [_point_down_set_by_holds(order, x).mask for x in u.elements()]
+    rays += [point_up_set(order, x).mask for x in u.elements()]
+    return lower, upper, join(upper, lower), topology_from_subbase(SetFamily.dedupe(u, rays))
+
+
+def test_order_topologies_match_the_point_set_forms():
+    seen = 0
+    for n in range(1, 6):
+        for nest in enumerate_nests(Universe(n), bound=5):
+            order = generated_order(nest)
+            pre = reflexive_closure(order)
+            for x in pre.universe.elements():
+                assert point_down_set(pre, x) == _point_down_set_by_holds(pre, x)
+                assert point_down_set(order, x) == _point_down_set_by_holds(order, x)
+            assert (
+                lower_topology(pre), upper_topology(pre), interval_topology(pre),
+                open_ray_topology(order),
+            ) == _order_topologies_by_point_sets(pre, order)
+            seen += 1
+    assert seen == 4 * (1 + 3 + 13 + 75 + 541)
+
+
 def test_strict_region_reach():
     order = generated_order(QUAD)
     assert up_set(order, Subset(U4, 0)).mask == 0
@@ -172,7 +220,7 @@ def _nest_and_family_orders():
 def test_reach_tables_match_up_set_and_down_set():
     for order in _nest_and_family_orders():
         u = order.universe
-        up, down = up_reach_table(order), up_reach_table(transpose(order))
+        up, down = reach_table(order.rows), reach_table(transpose(order).rows)
         assert len(up) == len(down) == u.full_mask + 1
         for mask in range(u.full_mask + 1):
             region = Subset(u, mask)
@@ -211,3 +259,27 @@ def test_product_and_continuity():
     assert is_continuous(second, prod, t)
     with pytest.raises(ValueError):
         is_continuous([0], t, t)
+
+
+def _preimage(mapping, domain, open_mask):
+    """The preimage of an open, one domain point at a time."""
+    return sum(1 << x for x in domain.elements() if open_mask >> mapping[x] & 1)
+
+
+def test_continuity_matches_the_preimage_loop():
+    # every mapping between seeded topologies on one to four points and one
+    # to three points
+    rng = random.Random(15)
+    verdicts = set()
+    for _ in range(60):
+        dom, cod = Universe(rng.randint(1, 4)), Universe(rng.randint(1, 3))
+        tdom = topology_from_subbase(SetFamily.dedupe(
+            dom, (rng.randrange(dom.full_mask + 1) for _ in range(rng.randint(0, 3)))))
+        tcod = topology_from_subbase(SetFamily.dedupe(
+            cod, (rng.randrange(cod.full_mask + 1) for _ in range(rng.randint(0, 3)))))
+        for code in range(cod.size ** dom.size):
+            mapping = [code // cod.size ** x % cod.size for x in dom.elements()]
+            want = all(tdom.is_open(_preimage(mapping, dom, o)) for o in tcod.opens)
+            assert is_continuous(mapping, tdom, tcod) == want
+            verdicts.add(want)
+    assert verdicts == {False, True}
