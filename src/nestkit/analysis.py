@@ -476,6 +476,6 @@ def lots_report(pair: DualPair) -> LotsReport:
     return LotsReport(
         sup_onto_pair=sup_onto_pair,
         t0_escape_pair=t0_escape_pair,
-        order_linear=linear_rows(left.order_rows, u.full_mask),
+        order_linear=linear_rows(left.order_rows, left.preorder_columns, u.full_mask),
         ray_topology_matches=both == open_ray_topology(Relation(u, left.order_rows)),
     )

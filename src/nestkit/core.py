@@ -145,10 +145,6 @@ class Subset:
         _check_same_universe(self.universe, other.universe)
         return Subset(self.universe, self.mask & other.mask)
 
-    def issubset(self, other: Subset) -> bool:
-        _check_same_universe(self.universe, other.universe)
-        return self.mask & ~other.mask == 0
-
     def render(self) -> str:
         if self.mask == 0:
             return "{}"
@@ -198,9 +194,6 @@ class SetFamily:
 
     def subsets(self) -> tuple[Subset, ...]:
         return tuple(Subset(self.universe, m) for m in self.masks)
-
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self.masks
 
     def render(self) -> str:
         if not self.masks:

@@ -3,6 +3,15 @@
 A family generates the strict relation  x < y  iff some member contains x
 but not y.  Relations are stored as one successor bitmask per element, which
 keeps the exhaustive sweeps fast at desk scale (|X| <= 64).
+
+Whether the members' rectangles S x (X-S) absorb their compositions (which
+makes the generated order transitive) is decided on member masks alone by
+`absorbs_rectangle_pairs`, through [S x (X-S)] ∘ [T x (X-T)] = T x (X-S).  The
+row form `absorbs_rectangles` composes the rectangles' rows instead; it is the
+body of the public `absorbs_rectangle_compositions` and the oracle that the
+generated-orders suite checks the mask form against.  Row kernels that read
+the columns of a relation take them as an argument, so a caller that needs
+them several times computes them once.
 """
 
 from __future__ import annotations
@@ -61,20 +70,11 @@ class Relation:
         _check_same_universe(self.universe, other.universe)
         return Relation(self.universe, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
-    def is_reflexive(self) -> bool:
-        return all(row >> x & 1 for x, row in enumerate(self.rows))
-
     def is_irreflexive(self) -> bool:
         return irreflexive_rows(self.rows)
 
     def is_antisymmetric(self) -> bool:
-        return antisymmetric_rows(self.rows)
-
-    def is_asymmetric(self) -> bool:
-        return self.is_irreflexive() and self.is_antisymmetric()
-
-    def is_total(self) -> bool:
-        return total_rows(self.rows, self.universe.full_mask)
+        return antisymmetric_rows(self.rows, columns(self.rows))
 
     def render(self) -> str:
         names = self.universe.label
@@ -138,13 +138,34 @@ def rows_within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 def absorbs_rectangles(masks: tuple[int, ...], size: int, full: int) -> bool:
     """For every ordered member pair (S,T), some member's rectangle contains
-    the composition of the rectangles of S and T."""
+    the composition of the rectangles of S and T.  Row form, composed and
+    compared pair by pair; the oracle for `absorbs_rectangle_pairs`."""
     rects = [rectangle_rows(m, size, full) for m in masks]
     for s in rects:
         for t in rects:
             composed = compose_rows(s, t)
             if not any(rows_within(composed, r) for r in rects):
                 return False
+    return True
+
+
+def absorbs_rectangle_pairs(masks: tuple[int, ...], full: int) -> bool:
+    """Mask form of `absorbs_rectangles`, one (S,T) pair of masks at a time.
+
+    [S x (X-S)] ∘ [T x (X-T)] is T x (X-S) when T ≠ ∅, S ≠ X and S ⊄ T, and
+    empty otherwise (it is inside any rectangle then); a nonempty T x (X-S)
+    lies inside R x (X-R) iff T ⊆ R ⊆ S.
+    """
+    for s in masks:
+        if s == full:
+            continue
+        for t in masks:
+            if t and s & ~t:
+                for r in masks:
+                    if not t & ~r and not r & ~s:
+                        break
+                else:
+                    return False
     return True
 
 
@@ -166,13 +187,13 @@ def irreflexive_rows(rows: tuple[int, ...]) -> bool:
     return not any(row >> x & 1 for x, row in enumerate(rows))
 
 
-def antisymmetric_rows(rows: tuple[int, ...]) -> bool:
+def antisymmetric_rows(rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
     # row x meets column x (the predecessors of x) at most in x itself
-    return all(not row & col & ~(1 << x) for x, (row, col) in enumerate(zip(rows, columns(rows))))
+    return all(not row & col & ~(1 << x) for x, (row, col) in enumerate(zip(rows, cols)))
 
 
-def total_rows(rows: tuple[int, ...], full: int) -> bool:
-    return all(row | col == full for row, col in zip(rows, columns(rows)))
+def total_rows(rows: tuple[int, ...], cols: tuple[int, ...], full: int) -> bool:
+    return all(row | col == full for row, col in zip(rows, cols))
 
 
 def reflexive_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -180,13 +201,15 @@ def reflexive_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row | 1 << x for x, row in enumerate(rows))
 
 
-def linear_rows(rows: tuple[int, ...], full: int) -> bool:
-    """The reflexive closure is reflexive, antisymmetric, transitive and total."""
-    closure = reflexive_rows(rows)
+def linear_rows(rows: tuple[int, ...], cols: tuple[int, ...], full: int) -> bool:
+    """The reflexive closure is reflexive, antisymmetric, transitive and total.
+    ``cols`` are the columns of ``rows``, with or without the diagonal: the
+    closure's columns add it."""
+    closure, closure_cols = reflexive_rows(rows), reflexive_rows(cols)
     return (
-        antisymmetric_rows(closure)
+        antisymmetric_rows(closure, closure_cols)
         and transitive_rows(closure, False)
-        and total_rows(closure, full)
+        and total_rows(closure, closure_cols, full)
     )
 
 
@@ -202,10 +225,10 @@ def t0_masks(masks: tuple[int, ...], size: int) -> bool:
     return True
 
 
-def rectangle_t0_rows(rows: tuple[int, ...], full: int) -> bool:
-    """Rectangle form of T0 on the rows of a generated order: row x and
-    column x cover every y other than x."""
-    return all(row | col | 1 << x == full for x, (row, col) in enumerate(zip(rows, columns(rows))))
+def rectangle_t0_rows(rows: tuple[int, ...], cols: tuple[int, ...], full: int) -> bool:
+    """Rectangle form of T0 on the rows and columns of a generated order:
+    row x and column x cover every y other than x."""
+    return all(row | col | 1 << x == full for x, (row, col) in enumerate(zip(rows, cols)))
 
 
 def columns(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -287,7 +310,8 @@ def t0_separates_via_rectangles(family: SetFamily) -> bool:
     """Rectangle form of T0: the off-diagonal is covered by the members'
     rectangles and their transposes."""
     u = family.universe
-    return rectangle_t0_rows(order_rows(family.masks, u.size, u.full_mask), u.full_mask)
+    rows = order_rows(family.masks, u.size, u.full_mask)
+    return rectangle_t0_rows(rows, columns(rows), u.full_mask)
 
 
 def pairwise_union(f1: SetFamily, f2: SetFamily) -> SetFamily:
@@ -324,13 +348,14 @@ def transpose(rel: Relation) -> Relation:
 def is_linear_order(rel: Relation) -> bool:
     """The reflexive closure is a total order (reflexive, antisymmetric,
     transitive, total)."""
-    return linear_rows(rel.rows, rel.universe.full_mask)
+    return linear_rows(rel.rows, columns(rel.rows), rel.universe.full_mask)
 
 
 __all__ = [
     "Relation",
     "TransitivityMode",
     "absorbs_rectangle_compositions",
+    "absorbs_rectangle_pairs",
     "absorbs_rectangles",
     "antisymmetric_rows",
     "columns",

@@ -56,8 +56,11 @@ class Quadratic:
     b: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        # arithmetic hands over Fractions already; coerce only the rest
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     @classmethod
     def rational(cls, value: int | str | Fraction) -> Quadratic:
@@ -72,18 +75,7 @@ class Quadratic:
         return self.b == 0
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 with 2 b^2; equality would force
-        # sqrt(2) rational, so it cannot occur here
-        if a > 0:
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if a * a < 2 * b * b else -1
+        return _sign(self.a, self.b)
 
     def __add__(self, other: Quadratic) -> Quadratic:
         return Quadratic(self.a + other.a, self.b + other.b)
@@ -125,6 +117,13 @@ class Quadratic:
     def __ge__(self, other: Quadratic) -> bool:
         return (self - other).sign() >= 0
 
+    def _integer_form(self) -> tuple[int, int, int]:
+        """Integers (A, B, d) with d > 0 and a + b*sqrt(2) = (A + B*sqrt(2)) / d,
+        over the least common denominator d."""
+        a, b = self.a, self.b
+        d = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
     def floor(self) -> int:
         """Greatest integer <= a + b*sqrt(2), in integer arithmetic only.
 
@@ -132,13 +131,8 @@ class Quadratic:
         integers A, B, and since A + floor(B*sqrt(2)) is an integer within 1
         of the numerator, the floor is (A + floor(B*sqrt(2))) // d.
         """
-        d = math.lcm(self.a.denominator, self.b.denominator)
-        big_a = self.a.numerator * (d // self.a.denominator)
-        big_b = self.b.numerator * (d // self.b.denominator)
-        # |B|*sqrt(2) = sqrt(2*B^2) is irrational unless B == 0
-        root = math.isqrt(2 * big_b * big_b)
-        b_floor = root if big_b >= 0 else -root - 1
-        return (big_a + b_floor) // d
+        big_a, big_b, d = self._integer_form()
+        return (big_a + _floor_sqrt2(big_b)) // d
 
     def render(self) -> str:
         if self.b == 0:
@@ -178,16 +172,45 @@ class Quadratic:
         return cls(*parts)
 
 
+def _sign(a: int | Fraction, b: int | Fraction) -> int:
+    """Sign of a + b*sqrt(2) for rational (or integer) a, b."""
+    if a == 0 and b == 0:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    # mixed signs: compare a^2 with 2 b^2; equality would force
+    # sqrt(2) rational, so it cannot occur here
+    if a > 0:
+        return 1 if a * a > 2 * b * b else -1
+    return 1 if a * a < 2 * b * b else -1
+
+
+def _floor_sqrt2(b: int) -> int:
+    """floor(b*sqrt(2)) for an integer b."""
+    # |b|*sqrt(2) = sqrt(2*b^2) is irrational unless b == 0
+    root = math.isqrt(2 * b * b)
+    return root if b >= 0 else -root - 1
+
+
 def rational_between(lo: Quadratic, hi: Quadratic) -> Fraction:
-    """Some rational strictly inside a nonempty open interval (dyadic search)."""
+    """Some rational strictly inside a nonempty open interval (dyadic search).
+
+    The first k with c = (floor(lo * 2^k) + 1) / 2^k < hi gives c.  Both ends
+    are taken once to their integer forms (A + B*sqrt(2)) / d, so each step
+    is integer arithmetic: floor(lo * 2^k) = (A 2^k + floor(B 2^k sqrt(2))) // d,
+    and c < hi = (C + D*sqrt(2)) / e iff (C 2^k - c 2^k e) + D 2^k sqrt(2) > 0.
+    """
     if not lo < hi:
         raise ValueError("interval is empty")
+    lo_a, lo_b, lo_d = lo._integer_form()
+    hi_a, hi_b, hi_d = hi._integer_form()
     k = 0
     while True:
-        scale = 1 << k
-        candidate = Fraction(lo.scaled(scale).floor() + 1, scale)
-        if Quadratic.rational(candidate) < hi:
-            return candidate
+        top = ((lo_a << k) + _floor_sqrt2(lo_b << k)) // lo_d + 1
+        if _sign((hi_a << k) - top * hi_d, hi_b << k) > 0:
+            return Fraction(top, 1 << k)
         k += 1
 
 
@@ -300,15 +323,6 @@ class RayNest:
     shape: Shape
     endpoints: EndpointSet
     orientation: Orientation = "lower"
-
-    def ray_contains(self, x: Quadratic, endpoint: Quadratic) -> bool:
-        """Membership of a carrier point in the ray with the given endpoint."""
-        if not self.carrier.contains(x):
-            raise InstanceError(f"{x.render()} lies outside the carrier window")
-        diff = (x - endpoint).sign()
-        if self.orientation == "lower":
-            return diff < 0 if self.shape == "open" else diff <= 0
-        return diff > 0 if self.shape == "open" else diff >= 0
 
 
 def dual(nest: RayNest) -> RayNest:

@@ -74,6 +74,7 @@ from .instances import verify_all
 from .orders import (
     Relation,
     absorbs_rectangle_compositions,
+    absorbs_rectangle_pairs,
     absorbs_rectangles,
     antisymmetric_rows,
     columns,
@@ -360,6 +361,11 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
         for masks in families:
             count += 1
             violations.extend(_order_checks(masks, n, full))
+            # the row form is the oracle for the mask form the checks use
+            if absorbs_rectangle_pairs(masks, full) != absorbs_rectangles(masks, n, full):
+                violations.append(Violation(
+                    "absorption:pair-form", _nest_payload(SetFamily(u, masks))
+                ))
         # star-union over all pairs of empty-set-containing families, each
         # family's rows tabulated once
         with_empty = [(masks, order_rows(masks, n, full)) for masks in families if 0 in masks]
@@ -449,13 +455,14 @@ def _order_checks(masks: tuple[int, ...], size: int, full: int) -> list[Violatio
     family (or nest) is built only for the payload of a violation."""
     flagged = []
     order = order_rows(masks, size, full)
+    cols = columns(order)
     if order != order_rows_via_rectangles(masks, size, full):
         flagged.append("order:product-form")
     t0 = t0_masks(masks, size)
-    if t0 != rectangle_t0_rows(order, full):
+    if t0 != rectangle_t0_rows(order, cols, full):
         flagged.append("t0:rectangle-form")
     # a nest has the family's masks, so this also decides nest:absorption
-    absorbs = absorbs_rectangles(masks, size, full)
+    absorbs = absorbs_rectangle_pairs(masks, full)
     if absorbs and not transitive_rows(order, False):
         flagged.append("absorption:transitivity")
     # generated orders are irreflexive by construction
@@ -474,12 +481,12 @@ def _order_checks(masks: tuple[int, ...], size: int, full: int) -> list[Violatio
     for mode in ("standard", "distinct_triples"):
         if not transitive_rows(order, mode == "distinct_triples"):
             flagged.append(f"nest:transitive-{mode}")
-    if not (irreflexive and antisymmetric_rows(order)):
+    if not (irreflexive and antisymmetric_rows(order, cols)):
         flagged.append("nest:asymmetric")
-    if t0 and not linear_rows(order, full):
+    if t0 and not linear_rows(order, cols, full):
         flagged.append("nest:t0-linear")
     # the complements generate the transposed order
-    if order_rows([m ^ full for m in masks], size, full) != columns(order):
+    if order_rows([m ^ full for m in masks], size, full) != cols:
         flagged.append("complement:transpose")
     return out + [Violation(pid, _nest_payload(Nest(Universe(size), masks))) for pid in flagged]
 

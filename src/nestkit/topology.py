@@ -261,11 +261,6 @@ def alexandroff_family(rel_strict: Relation) -> SetFamily:
     return SetFamily(rel_strict.universe, fixed_masks(reach_table(rel_strict.rows)))
 
 
-def is_closed(topology: Topology, subset: Subset) -> bool:
-    _check_same_universe(topology.universe, subset.universe)
-    return topology.is_open(subset.complement().mask)
-
-
 def product_universe(u1: Universe, u2: Universe) -> Universe:
     labels = tuple(
         f"({u1.label(x)},{u2.label(y)})"

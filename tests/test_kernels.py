@@ -46,6 +46,7 @@ from nestkit.groups import (
 from nestkit.orders import (
     Relation,
     absorbs_rectangle_compositions,
+    absorbs_rectangle_pairs,
     absorbs_rectangles,
     antisymmetric_rows,
     columns,
@@ -102,6 +103,18 @@ def _transitive(pairs, n, distinct):
     )
 
 
+def _is_reflexive(rel):
+    return all(row >> x & 1 for x, row in enumerate(rel.rows))
+
+
+def _is_asymmetric(rel):
+    return rel.is_irreflexive() and rel.is_antisymmetric()
+
+
+def _is_total(rel):
+    return total_rows(rel.rows, columns(rel.rows), rel.universe.full_mask)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_relation_predicates_match_pair_definitions(n):
     points = range(n)
@@ -113,13 +126,13 @@ def test_relation_predicates_match_pair_definitions(n):
         assert _pairs(transpose(rel)) == {(y, x) for x, y in pairs}
         assert is_transitive(rel, "standard") == _transitive(pairs, n, distinct=False)
         assert is_transitive(rel, "distinct_triples") == _transitive(pairs, n, distinct=True)
-        assert rel.is_reflexive() == all((x, x) in pairs for x in points)
+        assert _is_reflexive(rel) == all((x, x) in pairs for x in points)
         assert rel.is_irreflexive() == all((x, x) not in pairs for x in points)
         assert rel.is_antisymmetric() == all(
             (y, x) not in pairs for x, y in pairs if x != y
         )
-        assert rel.is_asymmetric() == all((y, x) not in pairs for x, y in pairs)
-        assert rel.is_total() == all(
+        assert _is_asymmetric(rel) == all((y, x) not in pairs for x, y in pairs)
+        assert _is_total(rel) == all(
             (x, y) in pairs or (y, x) in pairs for x in points for y in points
         )
 
@@ -199,16 +212,19 @@ def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
     partners = random.Random(n).sample(relations, min(len(relations), 16))
     for rel in relations:
         rows, pairs = rel.rows, _pairs(rel)
-        assert _rows_pairs(columns(rows)) == {(y, x) for x, y in pairs}
+        cols = columns(rows)
+        assert _rows_pairs(cols) == {(y, x) for x, y in pairs}
         assert _pairs(reflexive_closure(rel)) == pairs | {(x, x) for x in points}
         for distinct in (False, True):
             assert transitive_rows(rows, distinct) == _transitive(pairs, n, distinct)
         assert irreflexive_rows(rows) == all((x, x) not in pairs for x in points)
-        assert antisymmetric_rows(rows) == all((y, x) not in pairs for x, y in pairs if x != y)
-        assert total_rows(rows, full) == all(
+        assert antisymmetric_rows(rows, cols) == all(
+            (y, x) not in pairs for x, y in pairs if x != y
+        )
+        assert total_rows(rows, cols, full) == all(
             (x, y) in pairs or (y, x) in pairs for x in points for y in points
         )
-        assert linear_rows(rows, full) == _linear(pairs, n) == is_linear_order(rel)
+        assert linear_rows(rows, cols, full) == _linear(pairs, n) == is_linear_order(rel)
         for other in partners:
             other_pairs = _pairs(other)
             # compose_rows(a, b): x -b-> z -a-> y
@@ -229,6 +245,7 @@ def _check_order_kernels(fam):
     n, full, masks = u.size, u.full_mask, fam.masks
     want = _order_by_definition(fam)
     rows = order_rows(masks, n, full)
+    cols = columns(rows)
     assert _rows_pairs(rows) == want
     assert _rows_pairs(order_rows_via_rectangles(masks, n, full)) == want
     assert generated_order(fam).rows == rows
@@ -247,21 +264,23 @@ def _check_order_kernels(fam):
         for t in masks
     )
     assert absorbs_rectangles(masks, n, full) == absorbs == absorbs_rectangle_compositions(fam)
+    assert absorbs_rectangle_pairs(masks, full) == absorbs
     for distinct, mode in ((False, "standard"), (True, "distinct_triples")):
         assert transitive_rows(rows, distinct) == _transitive(want, n, distinct)
         assert is_transitive(generated_order(fam), mode) == transitive_rows(rows, distinct)
     assert irreflexive_rows(rows)
-    assert antisymmetric_rows(rows) == all((y, x) not in want for x, y in want if x != y)
-    assert total_rows(rows, full) == all(
+    assert antisymmetric_rows(rows, cols) == all((y, x) not in want for x, y in want if x != y)
+    assert total_rows(rows, cols, full) == all(
         (x, y) in want or (y, x) in want for x in range(n) for y in range(n)
     )
-    assert linear_rows(rows, full) == _linear(want, n) == is_linear_order(generated_order(fam))
+    assert linear_rows(rows, cols, full) == _linear(want, n)
+    assert linear_rows(rows, cols, full) == is_linear_order(generated_order(fam))
     split = all(
         any((m >> x ^ m >> y) & 1 for m in masks)
         for x in range(n) for y in range(x + 1, n)
     )
     assert t0_masks(masks, n) == split == t0_separates(fam)
-    assert rectangle_t0_rows(rows, full) == split == t0_separates_via_rectangles(fam)
+    assert rectangle_t0_rows(rows, cols, full) == split == t0_separates_via_rectangles(fam)
 
 
 def test_order_kernels_match_the_definitions_on_every_small_family():
@@ -279,6 +298,26 @@ def test_order_kernels_match_the_definitions_on_random_families():
         u = Universe(rng.randint(1, 6))
         masks = {rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 6))}
         _check_order_kernels(SetFamily(u, tuple(masks)))
+
+
+def test_absorption_pair_form_matches_the_row_form_on_seeded_families():
+    # chains on 4-6 points, half of them with one bit of one member flipped,
+    # so that both verdicts occur often
+    rng = random.Random(16)
+    verdicts = []
+    for _ in range(3000):
+        n = rng.randint(4, 6)
+        full = (1 << n) - 1
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(n + 1), rng.randint(1, 5)))
+        masks = [sum(1 << x for x in order[:cut]) for cut in cuts]
+        if rng.random() < 0.5:
+            masks[rng.randrange(len(masks))] ^= 1 << rng.randrange(n)
+        masks = tuple(sorted(set(masks)))
+        absorbs = absorbs_rectangle_pairs(masks, full)
+        assert absorbs == absorbs_rectangles(masks, n, full), masks
+        verdicts.append(absorbs)
+    assert 0.25 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def _points(mask):

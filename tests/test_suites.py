@@ -103,6 +103,16 @@ def test_family_sweeps_keep_their_bytes_at_their_defaults(name, seed):
     assert digest == DEFAULT_DIGESTS[name, seed]
 
 
+def test_generated_orders_checks_the_absorption_pair_form_against_the_row_form(monkeypatch):
+    # a pair form that absorbs everything disagrees with the row form on
+    # every family on at most three points that is not a nest
+    monkeypatch.setattr(suites, "absorbs_rectangle_pairs", lambda masks, full: True)
+    report = run_suite("generated-orders", SuiteConfig(iters=0))
+    fired = [v for v in report.violations if v.property_id == "absorption:pair-form"]
+    assert fired and not report.passed
+    assert report.instances == run_suite("generated-orders", SuiteConfig(iters=0)).instances
+
+
 def test_cover_converse_visits_every_region_outside_the_cover_top(monkeypatch):
     # no cover of a nest leaves a point outside its last member, so hand the
     # loop one that does: each region with a point outside it fires both the
