@@ -10,6 +10,11 @@ A ray nest is a family of lower rays (-inf, e) or (-inf, e] (or their upper
 mirrors), intersected with an open window, with the endpoint e drawn from a
 described endpoint set.  Such a family is a nest by construction.
 
+`Interval` is the one form of every interval here: the window
+(`Carrier.span`), the endpoints of the two dense kinds
+(`EndpointSet.dense_span`), the endpoint-free gaps behind the witnesses,
+and the order queries of `exists_endpoint_between`.
+
 The sup-condition ladder and T0-separation are decided by a closed-form
 table over (shape, endpoint-set kind, carrier) rather than by enumeration:
 
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple, get_args
 
 from .analysis import SupConditions
 from .core import InstanceError
@@ -46,6 +51,7 @@ from .core import InstanceError
 CarrierKind = Literal["Q", "Qsqrt2"]
 Shape = Literal["open", "closed"]
 Orientation = Literal["lower", "upper"]
+EndpointKind = Literal["all_carrier", "dense_interval", "arithmetic_progression", "finite_list"]
 
 
 @dataclass(frozen=True)
@@ -214,6 +220,58 @@ def rational_between(lo: Quadratic, hi: Quadratic) -> Fraction:
         k += 1
 
 
+class Interval(NamedTuple):
+    """Interval of the line with open or closed ends; ``None`` marks an
+    unbounded side.  A named tuple rather than a frozen dataclass: the
+    evaluator builds several per query, and a tuple builds and compares in
+    a fraction of the time."""
+
+    lo: Quadratic | None = None
+    hi: Quadratic | None = None
+    lo_open: bool = True
+    hi_open: bool = True
+
+    def contains(self, x: Quadratic) -> bool:
+        if self.lo is not None and not (self.lo < x if self.lo_open else self.lo <= x):
+            return False
+        return self.hi is None or (x < self.hi if self.hi_open else x <= self.hi)
+
+    def meet(self, other: Interval) -> Interval:
+        # the tighter bound on each side; on a tie it is open if either is
+        lo, hi, lo_open, hi_open = self
+        if other.lo is not None:
+            diff = 1 if lo is None else (other.lo - lo).sign()
+            if diff > 0 or (diff == 0 and other.lo_open):
+                lo, lo_open = other.lo, other.lo_open
+        if other.hi is not None:
+            diff = -1 if hi is None else (other.hi - hi).sign()
+            if diff < 0 or (diff == 0 and other.hi_open):
+                hi, hi_open = other.hi, other.hi_open
+        return Interval(lo, hi, lo_open, hi_open)
+
+    def within(self, other: Interval) -> bool:
+        return self.meet(other) == self
+
+    def has_point(self, carrier: Carrier) -> bool:
+        """Does the interval hold a point of the carrier's field?"""
+        if self.lo is None or self.hi is None:
+            return True
+        diff = (self.lo - self.hi).sign()
+        if diff != 0:
+            return diff < 0  # a dense field meets any interval with interior
+        return not self.lo_open and not self.hi_open and carrier.in_field(self.lo)
+
+    def point(self) -> Fraction:
+        """Some rational strictly inside; the interior must be nonempty."""
+        if self.lo is None and self.hi is None:
+            return Fraction(0)
+        if self.lo is None:
+            return rational_between(self.hi - Quadratic.rational(1), self.hi)
+        if self.hi is None:
+            return rational_between(self.lo, self.lo + Quadratic.rational(1))
+        return rational_between(self.lo, self.hi)
+
+
 @dataclass(frozen=True)
 class Window:
     """Open interval restricting the universe; either side may be unbounded."""
@@ -225,13 +283,6 @@ class Window:
         if self.lo is not None and self.hi is not None and not self.lo < self.hi:
             raise InstanceError("window bounds must satisfy lo < hi")
 
-    def contains(self, x: Quadratic) -> bool:
-        if self.lo is not None and not self.lo < x:
-            return False
-        if self.hi is not None and not x < self.hi:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class Carrier:
@@ -240,19 +291,16 @@ class Carrier:
     kind: CarrierKind
     window: Window | None = None
 
+    @property
+    def span(self) -> Interval:
+        """The window as an open interval; unbounded without a window."""
+        return Interval() if self.window is None else Interval(self.window.lo, self.window.hi)
+
     def in_field(self, x: Quadratic) -> bool:
         return x.is_rational if self.kind == "Q" else True
 
     def contains(self, x: Quadratic) -> bool:
-        if not self.in_field(x):
-            return False
-        return self.window is None or self.window.contains(x)
-
-    def window_lo(self) -> Quadratic | None:
-        return None if self.window is None else self.window.lo
-
-    def window_hi(self) -> Quadratic | None:
-        return None if self.window is None else self.window.hi
+        return self.in_field(x) and self.span.contains(x)
 
 
 @dataclass(frozen=True)
@@ -260,7 +308,7 @@ class EndpointSet:
     """Description of the ray endpoints; endpoints may lie in the order
     completion of the carrier (e.g. sqrt(2) over Q)."""
 
-    kind: Literal["all_carrier", "dense_interval", "arithmetic_progression", "finite_list"]
+    kind: EndpointKind
     lo: Quadratic | None = None
     hi: Quadratic | None = None
     include_lo: bool = True
@@ -270,6 +318,12 @@ class EndpointSet:
     points: tuple[Quadratic, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.kind not in get_args(EndpointKind):
+            raise InstanceError(f"unknown endpoint set kind {self.kind!r}")
+        for name in ("include_lo", "include_hi"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InstanceError(f"endpoint set {name!r} must be true or false, got {value!r}")
         if self.kind == "dense_interval":
             if self.lo is None or self.hi is None or not self.lo < self.hi:
                 raise InstanceError("dense interval needs lo < hi")
@@ -300,19 +354,14 @@ class EndpointSet:
     def finite(cls, points: Iterable[Quadratic]) -> EndpointSet:
         return cls("finite_list", points=tuple(points))
 
-    def contains(self, x: Quadratic, carrier: Carrier) -> bool:
+    def dense_span(self, carrier: Carrier) -> Interval | None:
+        """The interval whose carrier points are the endpoints, for the two
+        dense kinds; None for progressions and finite lists."""
         if self.kind == "all_carrier":
-            return carrier.contains(x)
+            return carrier.span
         if self.kind == "dense_interval":
-            if not carrier.in_field(x):
-                return False
-            above = x > self.lo if not self.include_lo else x >= self.lo
-            below = x < self.hi if not self.include_hi else x <= self.hi
-            return above and below
-        if self.kind == "arithmetic_progression":
-            k = (x - self.start) / self.step
-            return k.is_rational and k.a.denominator == 1 and k.a >= 0
-        return any((x - p).sign() == 0 for p in self.points)
+            return Interval(self.lo, self.hi, not self.include_lo, not self.include_hi)
+        return None
 
 
 @dataclass(frozen=True)
@@ -334,43 +383,24 @@ def dual(nest: RayNest) -> RayNest:
 def _endpoints_in_carrier_window(nest: RayNest) -> bool:
     carrier = nest.carrier
     eps = nest.endpoints
-    w_lo, w_hi = carrier.window_lo(), carrier.window_hi()
-    if eps.kind == "all_carrier":
-        return True
-    if eps.kind == "dense_interval":
-        # interval endpoints are carrier points of the interval by definition
-        if w_lo is not None:
-            if eps.include_lo and not w_lo < eps.lo:
-                return False
-            if not eps.include_lo and not w_lo <= eps.lo:
-                return False
-        if w_hi is not None:
-            if eps.include_hi and not eps.hi < w_hi:
-                return False
-            if not eps.include_hi and not eps.hi <= w_hi:
-                return False
-        return True
+    dense = eps.dense_span(carrier)
+    if dense is not None:
+        # the endpoints are the carrier points of the interval by definition
+        return dense.within(carrier.span)
     if eps.kind == "arithmetic_progression":
-        if w_hi is not None:
-            return False  # the progression is unbounded above
+        # the progression is unbounded above
         return (
-            carrier.in_field(eps.start)
+            carrier.span.hi is None
+            and carrier.contains(eps.start)
             and carrier.in_field(eps.step)
-            and (w_lo is None or w_lo < eps.start)
         )
     return all(carrier.contains(p) for p in eps.points)
 
 
 def _endpoints_cover_window(nest: RayNest) -> bool:
-    eps = nest.endpoints
-    w_lo, w_hi = nest.carrier.window_lo(), nest.carrier.window_hi()
-    if eps.kind == "all_carrier":
-        return True
-    if eps.kind == "dense_interval":
-        if w_lo is None or w_hi is None:
-            return False
-        return eps.lo <= w_lo and w_hi <= eps.hi
-    return False  # progressions and finite lists cannot cover a dense window
+    # progressions and finite lists cannot cover a dense window
+    dense = nest.endpoints.dense_span(nest.carrier)
+    return dense is not None and nest.carrier.span.within(dense)
 
 
 def separates(nest: RayNest) -> bool:
@@ -381,81 +411,37 @@ def separates(nest: RayNest) -> bool:
 def separation_witness(nest: RayNest) -> tuple[Fraction, Fraction] | None:
     """None when the nest T0-separates; otherwise a carrier pair x < y with
     no endpoint available between them."""
-    eps = nest.endpoints
-    if eps.kind == "all_carrier":
+    if _endpoints_cover_window(nest):
         return None
-    if eps.kind == "dense_interval" and _endpoints_cover_window(nest):
-        return None
-    gap_lo, gap_hi = _gap_interval(nest)
-    x = _point_in(gap_lo, gap_hi)
-    y = _point_in(Quadratic.rational(x), gap_hi)
+    gap = _gap_interval(nest)
+    x = gap.point()
+    y = Interval(Quadratic.rational(x), gap.hi).point()
     return (x, y)
 
 
-def _gap_interval(nest: RayNest) -> tuple[Quadratic | None, Quadratic | None]:
+def _gap_interval(nest: RayNest) -> Interval:
     """An open subinterval of the window free of endpoints (exists whenever
-    the density rule fails)."""
+    the density rule fails): the first of the endpoint set's gaps, in
+    increasing order, that meets the window."""
     eps = nest.endpoints
-    w_lo, w_hi = nest.carrier.window_lo(), nest.carrier.window_hi()
+    span = nest.carrier.span
     if eps.kind == "dense_interval":
-        if w_lo is None or w_lo < eps.lo:
-            return (w_lo, _min(eps.lo, w_hi))
-        return (_max(eps.hi, w_lo), w_hi)
-    if eps.kind == "arithmetic_progression":
-        below = (w_lo, _min(eps.start, w_hi))
-        if _nonempty(below):
-            return below
-        # window starts above the progression's start: use the first
-        # inter-endpoint gap meeting the window
-        k = ((w_lo - eps.start) / eps.step).floor()
-        lo = eps.start + eps.step.scaled(k)
-        hi = eps.start + eps.step.scaled(k + 1)
-        return (_max(lo, w_lo), _min(hi, w_hi))
-    if eps.kind == "finite_list":
-        if not eps.points:
-            return (w_lo, w_hi)
-        lowest = min(eps.points)
-        below = (w_lo, _min(lowest, w_hi))
-        if _nonempty(below):
-            return below
-        ordered = sorted(eps.points)
-        for small, big in zip(ordered, ordered[1:]):
-            gap = (_max(small, w_lo), _min(big, w_hi))
-            if _nonempty(gap):
-                return gap
-        return (_max(max(eps.points), w_lo), w_hi)
-    raise InstanceError("dense endpoint sets have no gap interval")
-
-
-def _min(a: Quadratic | None, b: Quadratic | None) -> Quadratic | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a < b else b
-
-
-def _max(a: Quadratic | None, b: Quadratic | None) -> Quadratic | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a > b else b
-
-
-def _nonempty(interval: tuple[Quadratic | None, Quadratic | None]) -> bool:
-    lo, hi = interval
-    return lo is None or hi is None or lo < hi
-
-
-def _point_in(lo: Quadratic | None, hi: Quadratic | None) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return rational_between(hi - Quadratic.rational(1), hi)
-    if hi is None:
-        return rational_between(lo, lo + Quadratic.rational(1))
-    return rational_between(lo, hi)
+        gaps = [Interval(hi=eps.lo), Interval(lo=eps.hi)]
+    elif eps.kind == "arithmetic_progression":
+        gaps = [Interval(hi=eps.start)]
+        if span.lo is not None and eps.start <= span.lo:
+            # the window starts at or above the progression's start: the
+            # inter-endpoint gap holding the window's lower end
+            k = ((span.lo - eps.start) / eps.step).floor()
+            gaps.append(
+                Interval(eps.start + eps.step.scaled(k), eps.start + eps.step.scaled(k + 1))
+            )
+    else:
+        ends = [None, *sorted(eps.points), None]
+        gaps = [Interval(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    return next(
+        gap for gap in (span.meet(g) for g in gaps) if gap.has_point(nest.carrier)
+    )
 
 
 def sup_conditions(nest: RayNest) -> SupConditions:
@@ -491,41 +477,6 @@ def order_matches_carrier(nest: RayNest) -> tuple[bool, str]:
     )
 
 
-def _bound_ok(e: Quadratic, bound: Quadratic | None, is_open: bool, side: str) -> bool:
-    if bound is None:
-        return True
-    diff = (e - bound).sign()
-    if side == "lo":
-        return diff > 0 if is_open else diff >= 0
-    return diff < 0 if is_open else diff <= 0
-
-
-def _in_interval(
-    e: Quadratic,
-    lo: Quadratic | None,
-    hi: Quadratic | None,
-    lo_open: bool,
-    hi_open: bool,
-) -> bool:
-    return _bound_ok(e, lo, lo_open, "lo") and _bound_ok(e, hi, hi_open, "hi")
-
-
-def _merge_bound(
-    a: Quadratic | None, a_open: bool, b: Quadratic | None, b_open: bool, side: str
-) -> tuple[Quadratic | None, bool]:
-    """Tighter of two interval bounds on the given side."""
-    if a is None:
-        return b, b_open
-    if b is None:
-        return a, a_open
-    diff = (a - b).sign()
-    if diff == 0:
-        return a, a_open or b_open
-    if side == "lo":
-        return (a, a_open) if diff > 0 else (b, b_open)
-    return (a, a_open) if diff < 0 else (b, b_open)
-
-
 def exists_endpoint_between(
     nest: RayNest,
     lo: Quadratic | None,
@@ -539,42 +490,18 @@ def exists_endpoint_between(
     an exact emptiness test, so it doubles as an independent check on the
     classification table's witnesses.
     """
+    query = Interval(lo, hi, lo_open, hi_open)
     eps = nest.endpoints
-    carrier = nest.carrier
     if eps.kind == "finite_list":
-        return any(_in_interval(p, lo, hi, lo_open, hi_open) for p in eps.points)
+        return any(query.contains(p) for p in eps.points)
     if eps.kind == "arithmetic_progression":
         if lo is None:
             candidates = [0, 1]
         else:
             base = ((lo - eps.start) / eps.step).floor()
             candidates = [max(0, base), max(0, base + 1)]
-        return any(
-            _in_interval(eps.start + eps.step.scaled(k), lo, hi, lo_open, hi_open)
-            for k in sorted(set(candidates))
-        )
-    if eps.kind == "dense_interval":
-        e_lo, e_lo_open = eps.lo, not eps.include_lo
-        e_hi, e_hi_open = eps.hi, not eps.include_hi
-        return _dense_overlap(
-            carrier, (lo, lo_open), (hi, hi_open), (e_lo, e_lo_open), (e_hi, e_hi_open)
-        )
-    # all_carrier: endpoints are the carrier points of the (open) window
-    w_lo, w_hi = carrier.window_lo(), carrier.window_hi()
-    return _dense_overlap(carrier, (lo, lo_open), (hi, hi_open), (w_lo, True), (w_hi, True))
-
-
-def _dense_overlap(carrier, lo1, hi1, lo2, hi2) -> bool:
-    lo, lo_open = _merge_bound(lo1[0], lo1[1], lo2[0], lo2[1], "lo")
-    hi, hi_open = _merge_bound(hi1[0], hi1[1], hi2[0], hi2[1], "hi")
-    if lo is None or hi is None:
-        return True
-    diff = (lo - hi).sign()
-    if diff < 0:
-        return True  # a dense field meets any open interval with interior
-    if diff > 0:
-        return False
-    return not lo_open and not hi_open and carrier.in_field(lo)
+        return any(query.contains(eps.start + eps.step.scaled(k)) for k in sorted(set(candidates)))
+    return query.meet(eps.dense_span(nest.carrier)).has_point(nest.carrier)
 
 
 def order_holds(nest: RayNest, x: Quadratic, y: Quadratic) -> bool:
@@ -651,16 +578,11 @@ def _additive_compatibility(nest: RayNest) -> GroupCompatReport:
     if endpoint is None:
         # no rays at all: the generated order is empty and trivially invariant
         return GroupCompatReport("add", True, True, None)
-    gap_lo, gap_hi = _gap_interval(nest)
-    width = (
-        Quadratic.rational(1)
-        if gap_lo is None or gap_hi is None
-        else gap_hi - gap_lo
-    )
-    quarter = width.scaled(Fraction(1, 4))
+    # over the full line the first gap is the ray below the lowest endpoint
+    anchor = _gap_interval(nest).hi - Quadratic.rational(1)
+    quarter = Quadratic.rational(Fraction(1, 4))
     x = Quadratic.rational(rational_between(endpoint - quarter, endpoint))
     y = Quadratic.rational(rational_between(endpoint, endpoint + quarter))
-    anchor = gap_lo if gap_lo is not None else gap_hi - Quadratic.rational(1)
     shift = Quadratic.rational(
         rational_between(anchor - x, anchor - x + quarter.scaled(Fraction(1, 2)))
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from nestkit.core import InstanceError
 from nestkit.rays import (
     Carrier,
     EndpointSet,
+    Interval,
     Quadratic,
     RayNest,
     Window,
@@ -165,6 +167,49 @@ def test_windows_and_carriers():
         Window(Q(1), Q(0))
 
 
+def test_endpoint_sets_reject_an_unknown_kind_and_non_boolean_flags():
+    with pytest.raises(InstanceError, match="kind"):
+        EndpointSet("bogus")
+    for flags, field in ((("false", False), "include_lo"), ((True, 1), "include_hi")):
+        with pytest.raises(InstanceError, match=field):
+            EndpointSet.dense_interval(Q(0), Q(1), *flags)
+    with pytest.raises(InstanceError, match="include_hi"):
+        EndpointSet("finite_list", include_hi=None)
+
+
+def _in_by_signs(interval, x):
+    """Membership by the definition: the sign of x - lo and of hi - x."""
+    above = interval.lo is None or (x - interval.lo).sign() > (0 if interval.lo_open else -1)
+    below = interval.hi is None or (interval.hi - x).sign() > (0 if interval.hi_open else -1)
+    return above and below
+
+
+def test_interval_laws_against_the_definition_on_a_quadratic_grid():
+    ends = [Q(0), R2() - Q(1), Q(Fraction(1, 2)), Q(1)]
+    # every end, a point past each side, and inside each gap between ends a
+    # rational one, which both carriers' fields hold
+    probes = ends + [Q(rational_between(a, b)) for a, b in zip(ends, ends[1:])] + [Q(-1), Q(2)]
+    sides = [(None, True)] + [(e, is_open) for e in ends for is_open in (True, False)]
+    intervals = [
+        Interval(lo, hi, lo_open, hi_open) for lo, lo_open in sides for hi, hi_open in sides
+    ]
+    members = {}
+    for a in intervals:
+        members[a] = frozenset(i for i, x in enumerate(probes) if _in_by_signs(a, x))
+        assert members[a] == {i for i, x in enumerate(probes) if a.contains(x)}
+        for carrier in (Carrier("Q"), LINE):
+            assert a.has_point(carrier) == any(carrier.in_field(probes[i]) for i in members[a])
+        interior = Interval(a.lo, a.hi)
+        if any(_in_by_signs(interior, x) for x in probes):
+            assert _in_by_signs(interior, Q(a.point()))
+    for a in intervals:
+        for b in intervals:
+            meet = a.meet(b)
+            assert {i for i, x in enumerate(probes) if meet.contains(x)} == members[a] & members[b]
+            if members[a]:
+                assert a.within(b) == (members[a] <= members[b])
+
+
 def test_sup_condition_table():
     half, one = Q(Fraction(1, 2)), Q(1)
     open_dense = RayNest(LINE, "open", EndpointSet.all_carrier())
@@ -286,3 +331,75 @@ def test_compatible_reports_carry_no_counterexample():
         report = group_compatibility(operation, RayNest(LINE, "open", eps))
         assert report.compatible and report.counterexample is None
         assert suites._counterexample_holds(RayNest(LINE, "open", eps), report)
+
+
+def _grid_nests():
+    """Nests beyond the suite's battery: half-bounded windows and windows with
+    irrational ends; every include combination of dense intervals; progressions
+    starting below, inside and above a window; finite lists with points outside
+    it."""
+    half, one, root = Q(Fraction(1, 2)), Q(1), R2()
+    windows = [
+        None,
+        Window(Q(0), one),
+        Window(None, one),
+        Window(half, None),
+        Window(Q(0), root),
+        Window(-root, half),
+    ]
+    endpoint_sets = [EndpointSet.all_carrier()]
+    for lo, hi in ((half, one), (-one, half), (Q(0), root)):
+        for include_lo in (True, False):
+            for include_hi in (True, False):
+                endpoint_sets.append(EndpointSet.dense_interval(lo, hi, include_lo, include_hi))
+    endpoint_sets += [
+        EndpointSet.progression(Q(-3), half),
+        EndpointSet.progression(-root, one),
+        EndpointSet.progression(Q(Fraction(1, 4)), Q(Fraction(1, 3))),
+        EndpointSet.progression(Q(2), one),
+        EndpointSet.finite([Q(-1), Q(Fraction(1, 3)), Q(2)]),
+        EndpointSet.finite([root, half, half]),
+        EndpointSet.finite([Q(5)]),
+        EndpointSet.finite([]),
+    ]
+    for kind in ("Q", "Qsqrt2"):
+        for window in windows:
+            for eps in endpoint_sets:
+                for shape in ("open", "closed"):
+                    for orientation in ("lower", "upper"):
+                        yield RayNest(Carrier(kind, window), shape, eps, orientation)
+
+
+def _grid_verdicts(rng):
+    """One line per verdict or witness on the grid, with order queries and
+    interval queries drawn from ``rng``."""
+    grid = [None] + [Q(Fraction(k, 4)) for k in range(-6, 9)] + [R2(), -R2(), R2(Fraction(1, 2))]
+    inside = {}
+    for nest in _grid_nests():
+        carrier = nest.carrier
+        if carrier not in inside:
+            inside[carrier] = [p for p in grid if p is not None and carrier.contains(p)]
+        yield repr((sup_conditions(nest), dual_sup_conditions(nest)))
+        yield repr((separation_witness(nest), order_matches_carrier(nest)))
+        if carrier.window is None:
+            for operation in ("add", "multiply"):
+                yield repr(group_compatibility(operation, nest))
+        for _ in range(3):
+            x, y = rng.choice(inside[carrier]), rng.choice(inside[carrier])
+            yield repr((x, y, order_holds(nest, x, y)))
+        for _ in range(3):
+            lo, hi = rng.choice(grid), rng.choice(grid)
+            lo_open, hi_open = rng.random() < 0.5, rng.random() < 0.5
+            found = exists_endpoint_between(nest, lo, hi, lo_open, hi_open)
+            yield repr((lo, hi, lo_open, hi_open, found))
+
+
+# sha256 of the grid's lines: a different value means some verdict or
+# witness changed
+GRID_DIGEST = "470240d4472226f13705db05f265c0209cbb6617d415a4d19ab18a6a68c8870d"
+
+
+def test_ray_verdicts_and_witnesses_are_pinned_beyond_the_suite_battery():
+    lines = list(_grid_verdicts(random.Random(20261019)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GRID_DIGEST

@@ -117,6 +117,7 @@ def test_unrecognized_document():
 
 _RAY = {"carrier": "Q", "window": None, "shape": "open", "orientation": "lower"}
 _ONE = {"a": [1, 1], "b": [0, 1]}
+_DENSE = {"kind": "dense_interval", "lo": {"a": [0, 1], "b": [0, 1]}, "hi": _ONE}
 
 
 @pytest.mark.parametrize("document, field", [
@@ -136,6 +137,9 @@ _ONE = {"a": [1, 1], "b": [0, 1]}
     ({**_RAY, "endpoints": {"kind": "finite_list", "points": [[1, 2]]}}, "point"),
     ({**_RAY, "endpoints": {"kind": "finite_list", "points": [{"a": [1, 0], "b": [0, 1]}]}},
      "denominator"),
+    ({**_RAY, "endpoints": {"kind": "bogus"}}, "kind"),
+    ({**_RAY, "endpoints": {**_DENSE, "include_lo": "false"}}, "include_lo"),
+    ({**_RAY, "endpoints": {**_DENSE, "include_hi": 0}}, "include_hi"),
 ])
 def test_malformed_documents_name_the_field(document, field):
     with pytest.raises(InstanceError, match=field):
