@@ -27,11 +27,11 @@ from .analysis import (
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
-    member_lower_set_report,
+    member_lower_set_masks,
     sup_conditions,
 )
 from .bounds import down_reach_covers, up_reach_covers
-from .core import InstanceError, SetFamily, Subset, Universe, as_nest, is_nest
+from .core import InstanceError, SetFamily, Subset, as_nest, indices_of, is_nest
 from .groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
@@ -60,12 +60,6 @@ USAGE_ERROR = 2
 # subsets, co-singletons, a chain) take about 0.25 s, and each further point
 # costs three to four times more
 ANALYZE_UNIVERSE_BOUND = 10
-
-# bounds builds the generated order, one row of n bits per point; on the
-# densest order, a chain of n + 1 members, the order and both reach covers
-# take about 0.25 s at 2,048 points (rows of 0.5 MB), and each doubling costs
-# about five times more time and four times more memory
-BOUNDS_UNIVERSE_BOUND = 2048
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -228,12 +222,18 @@ def cmd_demo(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _load_family(path: Path, flag: str, group: FiniteGroup | None = None) -> SetFamily:
+    """The family or nest document given as ``flag``; with a group, it must
+    live on the group's points."""
+    family = load_instance(path, SetFamily)
+    if group is not None and family.universe.size != group.order:
+        side = "" if flag == "--nest" else f"{flag} "
+        raise InstanceError(f"{side}family universe does not match the group order")
+    return family
+
+
 def cmd_analyze(args) -> int:
-    instance = load_instance(args.input)
-    if not isinstance(instance, SetFamily):
-        print("error: analyze expects a family or nest instance", file=sys.stderr)
-        return USAGE_ERROR
-    document = analyze_family(instance)
+    document = analyze_family(_load_family(args.input, "--input"))
     print(render_analysis(document))
     _emit(canonical_json(document), args.json)
     return 0
@@ -241,11 +241,14 @@ def cmd_analyze(args) -> int:
 
 def analyze_family(family: SetFamily) -> dict:
     u = family.universe
-    _require_universe_within(u, ANALYZE_UNIVERSE_BOUND, "analyze")
+    if u.size > ANALYZE_UNIVERSE_BOUND:
+        raise InstanceError(
+            f"'universe' size {u.size} exceeds the analyze bound {ANALYZE_UNIVERSE_BOUND}"
+        )
     order = generated_order(family)
     document: dict = {
         "universe": u.size,
-        "family": [list(Subset(u, m).indices) for m in family.masks],
+        "family": [list(indices_of(m)) for m in family.masks],
         "is_nest": is_nest(family),
         "t0_separates": t0_separates(family),
         "t1_separates": t1_separates(family),
@@ -274,25 +277,18 @@ def analyze_family(family: SetFamily) -> dict:
             "dual_sups_onto": dual_cond.sups_onto,
         }
         document["interlocking_routes"] = {
-            "definition": is_interlocking(nest),
+            "definition": document["interlocking"],
             "alexandroff": is_interlocking_via_alexandroff(ctx),
             "lower_sets": is_interlocking_via_lower_sets(ctx),
         }
         document["members"] = [
             {
-                "member": list(Subset(u, m).indices),
-                "lower_set": member_lower_set_report(ctx, Subset(u, m)).is_lower_set,
+                "member": list(indices_of(m)),
+                "lower_set": member_lower_set_masks(ctx, m).is_lower_set,
             }
             for m in nest.masks
         ]
     return document
-
-
-def _require_universe_within(universe: Universe, bound: int, command: str) -> None:
-    if universe.size > bound:
-        raise InstanceError(
-            f"'universe' size {universe.size} exceeds the {command} bound {bound}"
-        )
 
 
 def render_analysis(document: dict) -> str:
@@ -327,18 +323,13 @@ def render_analysis(document: dict) -> str:
 
 
 def cmd_bounds(args) -> int:
-    instance = load_instance(args.input)
-    if not isinstance(instance, SetFamily) or not is_nest(instance):
-        print("error: bounds expects a nest instance", file=sys.stderr)
-        return USAGE_ERROR
-    _require_universe_within(instance.universe, BOUNDS_UNIVERSE_BOUND, "bounds")
-    ctx = NestContext(as_nest(instance))
+    ctx = NestContext(as_nest(_load_family(args.input, "--input")))
     try:
         indices = [int(part) for part in args.subset.split(",") if part.strip() != ""]
     except ValueError:
         print(f"error: cannot parse subset {args.subset!r}", file=sys.stderr)
         return USAGE_ERROR
-    region = Subset.of(instance.universe, indices)
+    region = Subset.of(ctx.nest.universe, indices)
     document: dict = {"subset": list(region.indices)}
     if args.direction in ("down", "both"):
         document["down"] = down_reach_covers(ctx, region).to_dict()
@@ -354,22 +345,12 @@ def cmd_bounds(args) -> int:
 def _load_group(spec: str) -> FiniteGroup:
     if spec in BUILTIN_GROUPS:
         return BUILTIN_GROUPS[spec]()
-    loaded = load_instance(spec)
-    if not isinstance(loaded, FiniteGroup):
-        raise InstanceError(f"{spec} does not hold a group instance")
-    return loaded
+    return load_instance(spec, FiniteGroup)
 
 
 def cmd_group_check(args) -> int:
     group = _load_group(args.group)
-    family = load_instance(args.nest)
-    if not isinstance(family, SetFamily):
-        print("error: --nest must hold a family/nest instance", file=sys.stderr)
-        return USAGE_ERROR
-    if family.universe.size != group.order:
-        print("error: family universe does not match the group order", file=sys.stderr)
-        return USAGE_ERROR
-    family = SetFamily(group.universe, family.masks)
+    family = _load_family(args.nest, "--nest", group)
     document: dict = {"group_order": group.order, "check": args.check}
     if args.check == "translation":
         nest = as_nest(family)
@@ -379,17 +360,7 @@ def cmd_group_check(args) -> int:
         premise = document["translation_closed"] = translation_closed(group, nest)
         conclusion = document["order_compatible"] = order_compatible(group, nest)
     else:
-        right = family
-        if args.right is not None:
-            loaded = load_instance(args.right)
-            if not isinstance(loaded, SetFamily):
-                print("error: --right must hold a family instance", file=sys.stderr)
-                return USAGE_ERROR
-            if loaded.universe.size != group.order:
-                print("error: --right family universe does not match the group order",
-                      file=sys.stderr)
-                return USAGE_ERROR
-            right = SetFamily(group.universe, loaded.masks)
+        right = family if args.right is None else _load_family(args.right, "--right", group)
         runner = inversion_continuity if args.check == "inversion" else multiplication_continuity
         report = runner(group, family, right)
         premise = document["premise"] = report.premise

@@ -50,16 +50,8 @@ class FiniteGroup:
                         raise InstanceError(
                             f"operation is not associative at ({a},{b},{c})"
                         )
-        identities = [
-            e for e in range(n)
-            if all(table[e][a] == a == table[a][e] for a in range(n))
-        ]
-        if len(identities) != 1:
-            raise InstanceError("table has no (unique) identity element")
-        e = identities[0]
-        for a in range(n):
-            if not any(table[a][b] == e == table[b][a] for b in range(n)):
-                raise InstanceError(f"element {a} has no inverse")
+        # finding the identity and every inverse is what checks they exist
+        self.inverse
 
     @property
     def order(self) -> int:
@@ -67,20 +59,25 @@ class FiniteGroup:
 
     @lazy
     def identity(self) -> int:
-        n = self.order
-        return next(
+        n, table = self.order, self.table
+        identities = [
             e for e in range(n)
-            if all(self.table[e][a] == a == self.table[a][e] for a in range(n))
-        )
+            if all(table[e][a] == a == table[a][e] for a in range(n))
+        ]
+        if len(identities) != 1:
+            raise InstanceError("table has no (unique) identity element")
+        return identities[0]
 
     @lazy
     def inverse(self) -> tuple[int, ...]:
-        e = self.identity
-        n = self.order
-        return tuple(
-            next(b for b in range(n) if self.table[a][b] == e)
-            for a in range(n)
-        )
+        e, n, table = self.identity, self.order, self.table
+        inverse = []
+        for a in range(n):
+            b = next((b for b in range(n) if table[a][b] == e == table[b][a]), None)
+            if b is None:
+                raise InstanceError(f"element {a} has no inverse")
+            inverse.append(b)
+        return tuple(inverse)
 
     @lazy
     def universe(self) -> Universe:

@@ -111,17 +111,23 @@ class Quadratic:
         f = Fraction(factor)
         return Quadratic(self.a * f, self.b * f)
 
+    def _compare(self, other: Quadratic) -> int:
+        """The sign of self - other, without building the difference."""
+        if self.b == other.b:
+            return (self.a > other.a) - (self.a < other.a)
+        return _sign(self.a - other.a, self.b - other.b)
+
     def __lt__(self, other: Quadratic) -> bool:
-        return (self - other).sign() < 0
+        return self._compare(other) < 0
 
     def __le__(self, other: Quadratic) -> bool:
-        return (self - other).sign() <= 0
+        return self._compare(other) <= 0
 
     def __gt__(self, other: Quadratic) -> bool:
-        return (self - other).sign() > 0
+        return self._compare(other) > 0
 
     def __ge__(self, other: Quadratic) -> bool:
-        return (self - other).sign() >= 0
+        return self._compare(other) >= 0
 
     def _integer_form(self) -> tuple[int, int, int]:
         """Integers (A, B, d) with d > 0 and a + b*sqrt(2) = (A + B*sqrt(2)) / d,

@@ -7,8 +7,10 @@ Family/nest instances::
 ``kind`` is one of ``family``, ``nest`` or ``topology``; every loader checks
 the structural invariants of its kind and rejects duplicate members.
 Relations, groups and ray nests have their own documents (see the loaders
-below).  Dumps are canonical: members in family order, indices sorted, keys
-sorted, so identical objects serialize identically byte for byte.
+below).  A document past `UNIVERSE_BOUND` points or `GROUP_ORDER_BOUND`
+elements is rejected before anything of its size is built.  Dumps are
+canonical: members in family order, indices sorted, keys sorted, so
+identical objects serialize identically byte for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +24,19 @@ from .groups import FiniteGroup
 from .orders import Relation
 from .rays import Carrier, EndpointSet, Quadratic, RayNest, Window
 from .topology import Topology
+
+# the largest universe any command answers: `bounds` builds the generated
+# order, one row of n bits per point; on the densest order, a chain of n + 1
+# members, the order and both reach covers take about 0.25 s at 2,048 points
+# (rows of 0.5 MB), and each doubling costs about five times more time and
+# four times more memory
+UNIVERSE_BOUND = 2048
+
+# the largest group table any command answers: the table's associativity
+# check is cubic in the order; with the densest nest, a full chain, each of
+# the three group checks takes about 0.22 s per request at order 64,
+# interpreter start included, 0.4-0.5 s at 128 and 0.6-0.8 s at 160
+GROUP_ORDER_BOUND = 64
 
 
 def canonical_json(document: Any) -> str:
@@ -54,15 +69,15 @@ def _universe_from(data: dict) -> Universe:
     size = data.get("universe")
     if not _is_int(size):
         raise InstanceError("instance needs an integer 'universe' size")
+    if size > UNIVERSE_BOUND:
+        raise InstanceError(f"'universe' size {size} exceeds the loader bound {UNIVERSE_BOUND}")
     return Universe(size, _labels_from(data))
 
 
-def family_to_dict(family: SetFamily, kind: str | None = None) -> dict:
-    if kind is None:
-        kind = "nest" if isinstance(family, Nest) else "family"
+def family_to_dict(family: SetFamily) -> dict:
     out = _universe_fields(family.universe)
     out["family"] = [list(indices_of(m)) for m in family.masks]
-    out["kind"] = kind
+    out["kind"] = "nest" if isinstance(family, Nest) else "family"
     return out
 
 
@@ -133,6 +148,10 @@ def group_from_dict(data: dict) -> FiniteGroup:
         isinstance(row, list) and all(_is_int(v) for v in row) for row in table
     ):
         raise InstanceError("group needs a 'table' of integer rows")
+    if len(table) > GROUP_ORDER_BOUND:
+        raise InstanceError(
+            f"'table' of {len(table)} rows exceeds the loader bound {GROUP_ORDER_BOUND}"
+        )
     if data.get("order") not in (None, len(table)):
         raise InstanceError("group order and table size disagree")
     return FiniteGroup(tuple(tuple(row) for row in table), _labels_from(data))
@@ -254,12 +273,17 @@ def instance_from_dict(data: dict) -> SetFamily | Topology | Relation | FiniteGr
     raise InstanceError("unrecognized instance document")
 
 
-def load_instance(path: str | Path):
+def load_instance(path: str | Path, expect: type = object):
+    """The instance in the JSON file at ``path``; one that is not an
+    ``expect`` is an `InstanceError`."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
-    return instance_from_dict(data)
+    instance = instance_from_dict(data)
+    if not isinstance(instance, expect):
+        raise InstanceError(f"{path} holds a {type(instance).__name__}, not a {expect.__name__}")
+    return instance
 
 
 def dump_instance(obj, path: str | Path) -> None:

@@ -238,7 +238,7 @@ def test_analyze_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit)
 
 
 def test_bounds_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit):
-    from nestkit.cli import BOUNDS_UNIVERSE_BOUND
+    from nestkit.serialize import UNIVERSE_BOUND as BOUNDS_UNIVERSE_BOUND
 
     # a universe this size still loads quickly; a billion points used to run
     # out of memory building the generated order
@@ -255,6 +255,35 @@ def test_bounds_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit):
     })
     with time_limit(20):
         assert main(["bounds", "--input", str(at_bound), "--subset", "0"]) == 0
+
+
+@pytest.mark.parametrize("document", [
+    # each used to be built in full before any check ran: the relation took
+    # seconds and hundreds of MB, the family a mask of 10^9 bits
+    {"universe": 10**7, "pairs": []},
+    {"universe": 10**9, "family": [[0]], "kind": "family"},
+])
+def test_loader_rejects_a_universe_past_the_bound(tmp_path, capsys, time_limit, document):
+    from nestkit.serialize import UNIVERSE_BOUND
+
+    path = _write(tmp_path, "big.json", document)
+    with time_limit(5):
+        code, err = _analyze_error(path, capsys)
+    assert code == 2
+    assert "'universe'" in err and str(UNIVERSE_BOUND) in err
+
+
+def test_group_check_rejects_a_table_past_the_bound(tmp_path, capsys, nest_file):
+    from nestkit.serialize import GROUP_ORDER_BOUND
+
+    n = GROUP_ORDER_BOUND + 1
+    table = _write(tmp_path, "table.json", {
+        "order": n, "table": [[(a + b) % n for b in range(n)] for a in range(n)],
+    })
+    code = main(["group-check", "--group", str(table), "--nest", str(nest_file),
+                 "--check", "translation"])
+    assert code == 2
+    assert "'table'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite, flag, value", [

@@ -40,6 +40,12 @@ def test_quadratic_arithmetic_and_order():
     assert Q(1) < R2() < Q(2) < R2(2)
     assert R2() > Q(Fraction(7, 5))  # 1.4 < sqrt2
     assert R2() < Q(Fraction(3, 2))
+    # pairs with equal nonzero sqrt2 parts, then pairs with different ones
+    values = [Q(a) + R2(b) for a in (-1, Fraction(1, 2), 2) for b in (Fraction(-2, 3), 1)]
+    for y in values:
+        for x in values + [Q(2) + y, y - Q(Fraction(1, 3)), R2() + y]:
+            s = (x - y).sign()
+            assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
     assert (R2() / R2()).a == 1
     assert (Q(1) / (Q(1) + R2())).b == Fraction(1)  # 1/(1+√2) = -1+√2
     with pytest.raises(ZeroDivisionError):
