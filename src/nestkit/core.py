@@ -141,10 +141,6 @@ class Subset:
         _check_same_universe(self.universe, other.universe)
         return Subset(self.universe, self.mask | other.mask)
 
-    def intersection(self, other: Subset) -> Subset:
-        _check_same_universe(self.universe, other.universe)
-        return Subset(self.universe, self.mask & other.mask)
-
     def render(self) -> str:
         if self.mask == 0:
             return "{}"
@@ -191,9 +187,6 @@ class SetFamily:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.masks)
-
-    def subsets(self) -> tuple[Subset, ...]:
-        return tuple(Subset(self.universe, m) for m in self.masks)
 
     def render(self) -> str:
         if not self.masks:

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 from typing import Callable, Iterable
 
@@ -192,39 +192,39 @@ def _pmap(fn: Callable, jobs: list, workers: int) -> list:
 
 
 # A nest check returns how many instances it examined, the violations it
-# found as (property id, extras of the nest payload), and census data.
-NestCheck = Callable[[NestContext], tuple[int, list[tuple[str, dict]], list]]
+# found as (property id, extras of the nest payload), and the violations
+# that carry their own payload, as (property id, payload).
+NestCheck = Callable[[NestContext], tuple[int, list[tuple[str, dict]], list[tuple[str, dict]]]]
 
 
-def _sweep(config: SuiteConfig, check: NestCheck) -> tuple[int, list[Violation], list]:
+def _sweep(config: SuiteConfig, check: NestCheck) -> tuple[int, list[Violation]]:
     """Run a module-level ``check`` on every nest on n = 1..max_n points
     (at most ``max_members`` members), one stride shard per worker and size.
-    Returns the instance count, the violations and the checks' data."""
+    Returns the instance count and the violations."""
     workers = config.resolved_workers()
     jobs = [
         (check, n, offset, workers, config.max_n, config.max_members)
         for n in range(1, config.max_n + 1)
         for offset in range(workers)
     ]
-    count, violations, data = 0, [], []
-    for shard_count, shard_violations, shard_data in _pmap(_sweep_shard, jobs, workers):
+    count, violations = 0, []
+    for shard_count, shard_violations in _pmap(_sweep_shard, jobs, workers):
         count += shard_count
         violations += shard_violations
-        data += shard_data
-    return count, violations, data
+    return count, violations
 
 
-def _sweep_shard(job: tuple) -> tuple[int, list[Violation], list]:
+def _sweep_shard(job: tuple) -> tuple[int, list[Violation]]:
     check, n, offset, stride, max_n, max_members = job
-    count, violations, data = 0, [], []
+    count, violations = 0, []
     for nest in enumerate_nests(
         Universe(n), max_members=max_members, bound=max_n, offset=offset, stride=stride
     ):
-        examined, flagged, found = check(NestContext(nest))
+        examined, flagged, own = check(NestContext(nest))
         count += examined
         violations += [Violation(pid, _nest_payload(nest, **extra)) for pid, extra in flagged]
-        data += found
-    return count, violations, data
+        violations += [Violation(pid, payload) for pid, payload in own]
+    return count, violations
 
 
 def random_family(rng: random.Random, universe: Universe, max_members: int = 4) -> SetFamily:
@@ -287,7 +287,7 @@ def _check_core(ctx: NestContext) -> tuple[int, list, list]:
         max_members=None, max_n=4)
 def _suite_core(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n = config.max_n
-    count, violations, _ = _sweep(config, _check_core)
+    count, violations = _sweep(config, _check_core)
     for n in range(1, max_n + 1):
         u = Universe(n)
         # the whole stream once more: no duplicates, and its length
@@ -532,7 +532,7 @@ def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
         max_members=None, max_n=4, iters=300)
 def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     rng = random.Random(config.seed)
-    count, violations, _ = _sweep(config, _check_topology)
+    count, violations = _sweep(config, _check_topology)
     # join laws and interval topology on random nest pairs
     for _ in range(config.iters):
         n = rng.randint(1, 4)
@@ -577,13 +577,13 @@ def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str
 
 
 def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
-    """Ladder, sup and order-topology facts of one nest and of its pair with
-    the complement nest.  The data are census entries, tagged by inventory,
-    and the pair violations (which carry pair payloads), tagged "pair"."""
+    """Ladder, sup, order-topology and census facts of one nest, and the
+    checks on its pair with the complement nest, whose violations carry pair
+    payloads."""
     nest, cond, t0 = ctx.nest, ctx.sup_conditions, ctx.t0
     rows, sups = ctx.preorder_rows, ctx.sup_indices
     u = nest.universe
-    full = u.full_mask
+    masks, full = nest.masks, u.full_mask
     flagged = []
     if cond.sups_onto and not cond.sups_escape:
         flagged.append(("ladder:onto-escape", {}))
@@ -596,6 +596,8 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
     for mask, sup in sups.items():
         if sup >= 0 and (full ^ rows[sup]) & ~mask:
             flagged.append(("sup:member-contains-downward", {"member": mask}))
+    # the onto rungs imply the escape rungs, so one premise builds both
+    # topologies
     if cond.sups_escape:
         t_nest = topology_from_subbase(nest)
         t_lower = lower_topology(Relation(u, rows))
@@ -604,29 +606,26 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
                 flagged.append(("escape:member-equals-ray", {"member": mask}))
         if not all(t_lower.is_open(o) for o in t_nest.opens):
             flagged.append(("escape:nest-topology-in-lower", {}))
-    if cond.sups_onto and topology_from_subbase(nest) != lower_topology(Relation(u, rows)):
-        flagged.append(("onto:nest-topology-is-lower", {}))
+        if cond.sups_onto and t_nest != t_lower:
+            flagged.append(("onto:nest-topology-is-lower", {}))
 
-    # census inventories; the bare-escape shape claim (a single
-    # co-singleton nonempty member) is checked at every size swept
-    data = []
-    if cond.sups_onto:
-        data.append(("onto", [[u.size], family_to_dict(nest)["family"]]))
-    if cond.sups_escape and t0:
-        data.append(("escape_t0", [[u.size], family_to_dict(nest)["family"]]))
-    if cond.sups_escape and any(nest.masks):
-        data.append(("bare", [[u.size], family_to_dict(nest)["family"]]))
-        if t0:
-            flagged.append(("census:escape-t0-empty-members", {}))
-        nonempty = [m for m in nest.masks if m]
-        if not (
-            len(nonempty) == 1
-            and bin(nonempty[0] ^ full).count("1") == 1
-        ):
-            flagged.append(("census:bare-escape-form", {}))
+    # the census, decided per nest: onto fires only for {∅} on one point;
+    # escape with T0 only on one point, where both are vacuous for the empty
+    # nest; and escape past a nonempty member only for a single member of at
+    # least two points that misses exactly one point
+    one_point = u.size == 1
+    if cond.sups_onto != (one_point and masks == (0,)):
+        flagged.append(("census:onto-only-trivial", {}))
+    if (cond.sups_escape and t0) != (one_point and masks in ((), (0,))):
+        flagged.append(("census:escape-t0-inventory", {}))
+    bare = cond.sups_escape and any(masks)
+    if bare and t0:
+        flagged.append(("census:escape-t0-empty-members", {}))
+    if bare != (len(masks) == 1 and _co_singleton(masks[0], full) and masks[0].bit_count() > 1):
+        flagged.append(("census:bare-escape-form", {}))
 
     # member lower-set reports
-    for mask in nest.masks:
+    for mask in masks:
         report = member_lower_set_masks(ctx, mask)
         if report.union_of_smaller_matches != report.is_lower_set:
             flagged.append(("lower-set:routes-agree", {"member": mask}))
@@ -639,9 +638,13 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
         pair = complement_dual(ctx)
     except InstanceError:
         flagged.append(("pair:complement-dual", {}))
-        return 1, flagged, data
-    data += [("pair", found) for found in _dual_pair_checks(pair)]
-    return 1, flagged, data
+        return 1, flagged, []
+    return 1, flagged, _dual_pair_checks(pair)
+
+
+def _co_singleton(mask: int, full: int) -> bool:
+    """Whether the member misses exactly one point of X."""
+    return (full ^ mask).bit_count() == 1
 
 
 def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
@@ -684,26 +687,7 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
         "firing census", max_members=None, max_n=4)
 def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
     max_n, cap = config.max_n, config.max_members
-    count, violations, data = _sweep(config, _check_sup)
-    onto, escape_t0, bare, pair_violations = [], [], [], []
-    tagged = {"onto": onto, "escape_t0": escape_t0, "bare": bare, "pair": pair_violations}
-    for tag, value in data:
-        tagged[tag].append(value)
-
-    def within_cap(entries: list) -> list:
-        # the census entries a member cap leaves in the sweep
-        return [e for e in entries if cap is None or len(e[1]) <= cap]
-
-    if sorted(onto) != within_cap([[[1], [[]]]]):
-        violations.append(Violation(
-            "census:onto-only-trivial", {"inventory": sorted(onto)}
-        ))
-    # on one point, T0 and the escape condition are both vacuous for the
-    # empty nest, so the inventory has exactly the two one-point entries
-    if sorted(escape_t0) != within_cap([[[1], []], [[1], [[]]]]):
-        violations.append(Violation(
-            "census:escape-t0-inventory", {"inventory": sorted(escape_t0)}
-        ))
+    count, violations = _sweep(config, _check_sup)
 
     # all dual pairs (not just complements) at the smaller sizes
     pair_bound = min(max_n, 3)
@@ -718,8 +702,8 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
         for ctx in contexts:
             for right in buckets.get(columns(ctx.order_rows), []):
                 count += 1
-                pair_violations += _dual_pair_checks(DualPair(ctx, right))
-    violations += [Violation(pid, inst) for pid, inst in pair_violations]
+                found = _dual_pair_checks(DualPair(ctx, right))
+                violations += [Violation(pid, payload) for pid, payload in found]
 
     # the recorded hypothesis-failure witness for the greatest-element test
     u4 = Universe(4)
@@ -731,15 +715,9 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
             {"expected": "not lower yet no greatest element on the non-T0 quad nest"},
         ))
 
-    co_singleton = all(
-        len(entry[1]) == 1 and len(entry[1][0]) == entry[0][0] - 1
-        for entry in bare
-    )
-    shape = (
-        "single co-singleton members, none T0-separating"
-        if co_singleton
-        else "including shapes beyond single co-singleton members"
-    )
+    # the census check admits one bare-escape nest per point of each
+    # universe of three or more points: its single member misses that point
+    bare = 0 if cap == 0 else sum(range(3, max_n + 1))
     # all dual pairs up to pair_bound points, complement pairs up to max_n
     if cap is None:
         scope, pair_scope, swept = "exhaustively", "exhaustively over all dual pairs", "every nest"
@@ -753,8 +731,8 @@ def _suite_sup_conditions(config: SuiteConfig) -> tuple[int, list[Violation], li
         "the paired escape condition on dual nests fires only for nests of "
         f"empty members, verified {pair_scope} on at most {pair_bound} points "
         f"and over the complement pair of {swept} on at most {max_n} points",
-        f"the bare escape condition also fires for {len(bare)} nests with a "
-        f"nonempty member ({shape}); "
+        f"the bare escape condition also fires for {bare} nests with a "
+        "nonempty member (single co-singleton members, none T0-separating); "
         "the order-topology facts hold on every one of them",
     ]
     return count, violations, notes
@@ -787,7 +765,7 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
 @_suite("interlocking", "three-route equivalence of the interlocking property",
         max_members=None, max_n=4)
 def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    count, violations, _ = _sweep(config, _check_interlocking)
+    count, violations = _sweep(config, _check_interlocking)
     total = sum(count_nests(Universe(n)) for n in range(1, config.max_n + 1))
     notes = []
     if count < total:
@@ -816,6 +794,10 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
         failed = []
         if down != (down_mask_by_members(masks, mask) == full):
             failed.append("down:cover-form")
+        # a finite nest order has maximal and minimal elements, so no
+        # region's strict reach covers X either way
+        if down or up:
+            failed.append("reach:never-full")
         if down:
             seen = down_reach_covers(ctx, Subset(u, mask)).witness_family
             if seen is None or any(mask & ~m == 0 for m in seen.masks):
@@ -883,7 +865,7 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
 @_suite("bound-covers", "cover characterizations of reach and bound existence",
         max_members=None, max_n=4)
 def _suite_bounds(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]:
-    count, violations, _ = _sweep(config, _check_bounds)
+    count, violations = _sweep(config, _check_bounds)
     # the strict-bound form genuinely diverges from the dichotomy at the top
     u2 = Universe(2)
     nest2 = Nest.of(u2, [[0]])
@@ -953,7 +935,7 @@ def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
     # the rest; conclusion evaluated on premise hits
     for name, most, cross in (("z2", 4, True), ("z3", 2, False)):
         group = groups[name]
-        small = _families_up_to(group.universe, most)
+        small = [f for f in enumerate_families(group.universe) if len(f) <= most]
         for left in small:
             for right in small:
                 count += 1
@@ -980,14 +962,6 @@ def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
         "set and the whole group, as cardinality plus nest totality force",
     ]
     return count, violations, notes
-
-
-def _families_up_to(universe: Universe, max_members: int) -> list[SetFamily]:
-    out = []
-    subsets = range(universe.full_mask + 1)
-    for k in range(max_members + 1):
-        out.extend(SetFamily(universe, masks) for masks in combinations(subsets, k))
-    return out
 
 
 def _continuity_checks(

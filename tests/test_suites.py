@@ -1,13 +1,14 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from nestkit import analysis, orders, suites
 from nestkit.analysis import DualPair, NestContext
-from nestkit.core import Nest, Universe, enumerate_nests
+from nestkit.core import Nest, Universe, enumerate_nests, indices_of
 from nestkit.reporting import SuiteReport, Violation, sort_violations
-from nestkit.serialize import canonical_json
+from nestkit.serialize import canonical_json, family_to_dict
 from nestkit.suites import SuiteConfig, run_suite, suite_names
 
 FAST = SuiteConfig(iters=300)
@@ -259,7 +260,7 @@ def test_nest_sweeps_build_relations_only_in_premise_branches(monkeypatch):
     config = SuiteConfig(max_n=4, workers=1)
     for check in (suites._check_topology, suites._check_interlocking,
                   suites._check_bounds, suites._check_core):
-        count, violations, _ = suites._sweep(config, check)
+        count, violations = suites._sweep(config, check)
         assert count >= 368 and not violations
     assert built == []
     # sup-conditions: only where the nest's sups escape (the lower topology,
@@ -339,3 +340,98 @@ def test_core_algebra_checks_nest_counts_against_fubini(monkeypatch):
     broken = run_suite("core-algebra", SuiteConfig(max_n=3))
     assert [v.property_id for v in broken.violations] == ["enumerate:fubini-count"] * 3
     assert broken.instances == clean.instances
+
+
+def test_a_failing_report_lists_its_records_notes_and_overflow(monkeypatch):
+    # an absorbing pair form fails every family on at most three points that
+    # is not a nest: more violations than the summary prints
+    monkeypatch.setattr(suites, "absorbs_rectangle_pairs", lambda masks, full: True)
+    report = run_suite("generated-orders", SuiteConfig(iters=0))
+    doc = json.loads(report.to_json())
+    assert doc["status"] == "fail"
+    assert doc["violations"] == [
+        {"property": v.property_id, "instance": v.instance} for v in report.violations
+    ]
+    assert {"property": "absorption:pair-form",
+            "instance": {"kind": "family", "universe": 2, "family": [[0], [1]]}} in doc["violations"]
+    lines = report.summary().splitlines()
+    assert len(report.violations) > 20
+    assert sum(line.startswith("  FAIL ") for line in lines) == 20
+    assert lines[-1] == f"  ... and {len(report.violations) - 20} more"
+    # a failing suite with notes prints each one before its violations
+    monkeypatch.setattr(suites, "_co_singleton", lambda mask, full: False)
+    census = run_suite("sup-conditions", SuiteConfig(max_n=3))
+    lines = census.summary().splitlines()
+    assert lines[1:4] == [f"  note: {note}" for note in census.notes]
+    assert len(lines) == 4 + len(census.violations) == 4 + 3
+    assert json.loads(census.to_json())["notes"] == list(census.notes)
+
+
+def _broken_sup_sweep(max_n: int, breaks) -> list[Violation]:
+    # the sweep with a context broken by ``breaks`` before it is checked
+    def check(ctx):
+        breaks(ctx)
+        return suites._check_sup(ctx)
+
+    count, violations = suites._sweep(SuiteConfig(max_n=max_n, workers=1), check)
+    assert count == sum(1 for n in range(1, max_n + 1) for _ in enumerate_nests(Universe(n)))
+    return violations
+
+
+def test_census_checks_fire_on_the_nest_they_are_about(monkeypatch):
+    point = Nest.of(Universe(1), [[]])
+
+    def not_onto(ctx):
+        if ctx.nest == point:
+            ctx.sup_conditions = replace(ctx.sup_conditions, sups_onto=False)
+
+    assert _broken_sup_sweep(2, not_onto) == [
+        Violation("census:onto-only-trivial", family_to_dict(point))]
+
+    def empty_not_t0(ctx):
+        if ctx.nest == Nest(Universe(1), ()):
+            ctx.t0 = False
+
+    assert _broken_sup_sweep(2, empty_not_t0) == [
+        Violation("census:escape-t0-inventory", family_to_dict(Nest(Universe(1), ())))]
+
+    # no member passes as co-singleton: each bare-escape nest is flagged, and
+    # they are the single co-singleton members of at least two points
+    monkeypatch.setattr(suites, "_co_singleton", lambda mask, full: False)
+    fired = _broken_sup_sweep(4, lambda ctx: None)
+    assert {v.property_id for v in fired} == {"census:bare-escape-form"}
+    assert sorted(json.dumps(v.instance) for v in fired) == sorted(
+        json.dumps(family_to_dict(Nest(Universe(n), (((1 << n) - 1) ^ (1 << p),))))
+        for n in (3, 4) for p in range(n))
+    # every member passes: the converse flags the one-member nests of at
+    # least two points whose sups stay inside
+    monkeypatch.setattr(suites, "_co_singleton", lambda mask, full: True)
+    fired = _broken_sup_sweep(3, lambda ctx: None)
+    assert [v.instance for v in fired] == [
+        family_to_dict(Nest.of(Universe(n), [range(n)])) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2])
+def test_bare_escape_note_counts_the_nests_the_sweep_sees(cap):
+    # the note states the closed form; the sweep's own census is the oracle
+    for max_n in range(1, 6):
+        seen = sum(
+            1
+            for n in range(1, max_n + 1)
+            for nest in enumerate_nests(Universe(n), max_members=cap, bound=max_n)
+            if NestContext(nest).sup_conditions.sups_escape and any(nest.masks)
+        )
+        note = run_suite("sup-conditions", SuiteConfig(max_n=max_n, max_members=cap)).notes[2]
+        assert note.startswith(f"the bare escape condition also fires for {seen} nests "), max_n
+
+
+def test_bound_covers_flags_a_strict_reach_that_covers_x():
+    # finite nest orders have maximal and minimal elements, so a full reach
+    # table can only come from a broken context; each region is flagged once
+    u = Universe(3)
+    ctx = NestContext(Nest.of(u, [[1], [0, 1]]))
+    assert suites._check_bounds(ctx)[1] == []
+    ctx.down_reach = ctx.up_reach = (u.full_mask,) * (u.full_mask + 1)
+    _, flagged, _ = suites._check_bounds(ctx)
+    regions = [extra["region"] for pid, extra in flagged if pid == "reach:never-full"]
+    assert regions == [list(indices_of(m)) for m in range(u.full_mask + 1)]
