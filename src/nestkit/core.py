@@ -259,7 +259,8 @@ def enumerate_nests(
     of the global sequence so workers can split the space and any slice can be
     regenerated independently.  ``include_trivial`` controls whether the empty
     set and the whole universe may appear as members, and ``max_members``
-    caps the number of members (0 leaves only the empty nest).
+    caps the number of members (0 leaves only the empty nest).  The arguments
+    are checked at the call, so a bad one raises before any nest is drawn.
     """
     if universe.size > bound:
         raise ValueError(
@@ -272,41 +273,27 @@ def enumerate_nests(
     if not 0 <= offset < stride:
         raise ValueError(f"offset must lie in [0, stride) = [0, {stride}), got {offset}")
     candidates = _nest_candidates(universe, include_trivial)
-    chain: list[int] = []
+    cap = len(candidates) if max_members is None else max_members
     counter = 0
 
-    def emit() -> Nest | None:
+    def walk(chain: list[int], start: int) -> Iterator[Nest]:
+        # the chain, then its extensions by later candidates, which are
+        # distinct and in canonical order: containing the top is the test
         nonlocal counter
-        selected = counter % stride == offset
+        if counter % stride == offset:
+            yield Nest(universe, tuple(chain))
         counter += 1
-        return Nest(universe, tuple(chain)) if selected else None
-
-    def extend(start: int) -> Iterator[Nest]:
-        if max_members is not None and len(chain) >= max_members:
+        if len(chain) >= cap:
             return
+        top = chain[-1] if chain else 0
         for j in range(start, len(candidates)):
-            top = chain[-1]
             cand = candidates[j]
-            if top & ~cand == 0 and cand != top:
+            if top & ~cand == 0:
                 chain.append(cand)
-                nest = emit()
-                if nest is not None:
-                    yield nest
-                yield from extend(j + 1)
+                yield from walk(chain, j + 1)
                 chain.pop()
 
-    nest = emit()
-    if nest is not None:
-        yield nest
-    if max_members == 0:
-        return
-    for i in range(len(candidates)):
-        chain.append(candidates[i])
-        nest = emit()
-        if nest is not None:
-            yield nest
-        yield from extend(i + 1)
-        chain.pop()
+    return walk([], 0)
 
 
 def count_nests(

@@ -1,20 +1,22 @@
 """Targeted searches: collect witnesses where a property's hypotheses fire,
 or counterexamples where a checked implication would fail.
 
-Each target walks the instance space (exhaustively or by seeded sampling,
-within a budget), records every hit as a standard instance document, and
-reports whether the walk covered the whole space.  Persisted witnesses are
-ordinary instance files, so anything found can be re-fed to ``analyze``.
+Every target is a filter over nest contexts, and one walk feeds them all:
+the nests on 1..max_n points, or on a group's elements with unset fields
+taken from `GROUP_DEFAULTS`, exhaustively or by seeded sampling within a
+budget.  Each hit is recorded as a standard instance document, so anything
+found can be re-fed to ``analyze``, and the report says whether the walk
+covered the whole space.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .analysis import (
     NestContext,
@@ -27,19 +29,24 @@ from .analysis import (
     lots_report,
 )
 from .core import Nest, Universe, enumerate_nests
-from .groups import BUILTIN_GROUPS, nest_members_trivial, order_compatible, translation_closed
+from .groups import BUILTIN_GROUPS, FiniteGroup, nest_members_trivial, order_compatible, translation_closed
 from .reporting import CanonicalReport
 from .serialize import canonical_json, family_to_dict
 from .suites import random_nest, require_at_least
 
-# A search filter maps a nest's context to a witness note, or to None.
-Filter = Callable[[NestContext], dict | None]
+# A search filter maps a nest's context (after the group, for a target on a
+# group) to the fields of its witness other than the nest, or to None.
+Filter = Callable[..., dict | None]
+
+# the fields a target on a group takes when the caller leaves them None
+GROUP_DEFAULTS = {"group": "z4", "max_members": 3}
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One search run.  A field left None takes the target's default, if
-    it has one (`Target.defaults`)."""
+    """One search run.  A target on a group takes the fields left None from
+    `GROUP_DEFAULTS` and reads no ``max_n``; the other targets read no
+    ``group``."""
 
     target: str
     max_n: int = 4
@@ -55,22 +62,14 @@ class SearchSpec:
         require_at_least(self, max_n=1, budget=0, max_members=0)
 
 
-# A walk maps a run's spec to the nests it visits and the filter it keeps
-# witnesses with.
-Walk = Callable[[SearchSpec], tuple[Iterable[Nest], Filter]]
-
-
 @dataclass(frozen=True)
 class Target:
     summary: str
-    walk: Walk
-    # the spec fields this target sets when the caller leaves them None
-    defaults: dict = field(default_factory=dict)
+    keep: Filter
     # a witness of this target contradicts a checked theorem
     expect_empty: bool = False
-    # the spec fields its walk never reads, left out of its document: the
-    # nests on 1..max_n points read no group, a group's nests no max_n
-    unread: tuple[str, ...] = ("group",)
+    # walks the nests on a group's elements, and its filter takes the group
+    on_group: bool = False
 
 
 @dataclass
@@ -102,76 +101,67 @@ class SearchReport(CanonicalReport):
         )
 
 
-def _nest_stream(spec: SearchSpec) -> Iterator[Nest]:
+def _nests(spec: SearchSpec, group: FiniteGroup | None) -> Iterator[Nest]:
+    """The nests on 1..max_n points, or on the group's labelled elements."""
     if spec.mode == "exhaustive":
-        for n in range(1, spec.max_n + 1):
-            yield from enumerate_nests(
-                Universe(n), max_members=spec.max_members, bound=spec.max_n
-            )
+        bound = group.order if group else spec.max_n
+        for u in [group.universe] if group else map(Universe, range(1, bound + 1)):
+            yield from enumerate_nests(u, max_members=spec.max_members, bound=bound)
     else:
         rng = random.Random(spec.seed)
         while True:
-            n = rng.randint(1, spec.max_n)
-            yield random_nest(rng, Universe(n), spec.max_members)
+            u = group.universe if group else Universe(rng.randint(1, spec.max_n))
+            yield random_nest(rng, u, spec.max_members)
 
 
 TARGETS: dict[str, Target] = {}
 
 
-def _on_points(name: str, summary: str, expect_empty: bool = False):
-    """Register the decorated filter as target ``name``, walking the nests
-    on 1..max_n points."""
+def _target(name: str, summary: str, expect_empty: bool = False, on_group: bool = False):
+    """Register the decorated filter as target ``name``."""
     def register(keep: Filter) -> Filter:
-        TARGETS[name] = Target(
-            summary, lambda spec: (_nest_stream(spec), keep), expect_empty=expect_empty
-        )
+        TARGETS[name] = Target(summary, keep, expect_empty, on_group)
         return keep
     return register
 
 
-@_on_points("sup-onto-nests", "nests where every point is an escaping supremum")
+@_target("sup-onto-nests", "nests where every point is an escaping supremum")
 def _sup_onto(ctx: NestContext) -> dict | None:
-    if ctx.sup_conditions.sups_onto:
-        return {"instance": family_to_dict(ctx.nest)}
-    return None
+    return {} if ctx.sup_conditions.sups_onto else None
 
 
-@_on_points("escaping-sup-nests", "nests with nonempty members whose sups all escape")
+@_target("escaping-sup-nests", "nests with nonempty members whose sups all escape")
 def _escaping_sup(ctx: NestContext) -> dict | None:
     if ctx.sup_conditions.sups_escape and any(ctx.nest.masks):
-        return {"instance": family_to_dict(ctx.nest), "t0_separating": ctx.t0}
+        return {"t0_separating": ctx.t0}
     return None
 
 
-@_on_points("escaping-sup-dual-pairs", "dual pairs with escaping sups on both sides "
-            "and a nonempty member (expected empty)", expect_empty=True)
+@_target("escaping-sup-dual-pairs", "dual pairs with escaping sups on both sides "
+         "and a nonempty member (expected empty)", expect_empty=True)
 def _escaping_sup_pairs(ctx: NestContext) -> dict | None:
     if (
         ctx.sup_conditions.sups_escape
         and dual_sup_conditions(complement_dual(ctx)).sups_escape
         and any(ctx.nest.masks + ctx.dual.nest.masks)
     ):
-        return {"instance": family_to_dict(ctx.nest), "dual": family_to_dict(ctx.dual.nest)}
+        return {"dual": family_to_dict(ctx.dual.nest)}
     return None
 
 
-@_on_points("lots-hypothesis-pairs", "dual pairs satisfying the orderability hypotheses")
+@_target("lots-hypothesis-pairs", "dual pairs satisfying the orderability hypotheses")
 def _lots_pairs(ctx: NestContext) -> dict | None:
     # both hypotheses need the nest's sups to escape
     if not ctx.sup_conditions.sups_escape:
         return None
     pair = complement_dual(ctx)
     if any(lots_hypotheses(pair)):
-        return {
-            "instance": family_to_dict(ctx.nest),
-            "dual": family_to_dict(ctx.dual.nest),
-            "is_lots": lots_report(pair).is_lots,
-        }
+        return {"dual": family_to_dict(ctx.dual.nest), "is_lots": lots_report(pair).is_lots}
     return None
 
 
-@_on_points("interlocking-disagreements", "nests where the three interlocking routes "
-            "disagree (expected empty)", expect_empty=True)
+@_target("interlocking-disagreements", "nests where the three interlocking routes "
+         "disagree (expected empty)", expect_empty=True)
 def _interlocking_disagreements(ctx: NestContext) -> dict | None:
     verdicts = (
         is_interlocking(ctx.nest),
@@ -179,45 +169,24 @@ def _interlocking_disagreements(ctx: NestContext) -> dict | None:
         is_interlocking_via_lower_sets(ctx),
     )
     if len(set(verdicts)) > 1:
-        return {"instance": family_to_dict(ctx.nest), "verdicts": list(verdicts)}
+        return {"verdicts": list(verdicts)}
     return None
 
 
-@_on_points("t0-without-escape", "T0-separating nests whose sups do not escape")
+@_target("t0-without-escape", "T0-separating nests whose sups do not escape")
 def _t0_without_escape(ctx: NestContext) -> dict | None:
-    if ctx.t0 and not ctx.sup_conditions.sups_escape:
-        return {"instance": family_to_dict(ctx.nest)}
-    return None
+    return {} if ctx.t0 and not ctx.sup_conditions.sups_escape else None
 
 
-def _translation_closed(spec: SearchSpec) -> tuple[Iterator[Nest], Filter]:
-    """The nests on a group's elements, and the filter for translation
-    closure under that group."""
-    group = BUILTIN_GROUPS[spec.group]()
-    u = group.universe
-    if spec.mode == "exhaustive":
-        stream: Iterator[Nest] = enumerate_nests(u, max_members=spec.max_members, bound=u.size)
-    else:
-        rng = random.Random(spec.seed)
-        stream = (random_nest(rng, u, spec.max_members) for _ in repeat(None))
-
-    def keep(ctx: NestContext) -> dict | None:
-        if not translation_closed(group, ctx.nest):
-            return None
-        return {
-            "instance": family_to_dict(ctx.nest),
-            "group": spec.group,
-            "order_compatible": order_compatible(group, ctx.nest),
-            "members_trivial": nest_members_trivial(group, ctx.nest),
-        }
-
-    return stream, keep
-
-
-TARGETS["translation-closed-nests"] = Target(
-    "nests closed under all group translations", _translation_closed,
-    {"group": "z4", "max_members": 3}, unread=("max_n",),
-)
+@_target("translation-closed-nests", "nests closed under all group translations",
+         on_group=True)
+def _translation_closed(group: FiniteGroup, ctx: NestContext) -> dict | None:
+    if not translation_closed(group, ctx.nest):
+        return None
+    return {
+        "order_compatible": order_compatible(group, ctx.nest),
+        "members_trivial": nest_members_trivial(group, ctx.nest),
+    }
 
 
 def target_names() -> list[str]:
@@ -229,22 +198,26 @@ def run_search(spec: SearchSpec) -> SearchReport:
         raise KeyError(
             f"unknown search target {spec.target!r}; known: {', '.join(target_names())}"
         )
-    target = TARGETS[spec.target]
-    spec = replace(spec, **{k: v for k, v in target.defaults.items() if getattr(spec, k) is None})
     started = time.perf_counter()
-    config = {k: v for k, v in asdict(spec).items() if k not in target.unread}
-    stream, keep = target.walk(spec)
+    target = TARGETS[spec.target]
+    group, keep, fields = None, target.keep, {}
+    if target.on_group:
+        spec = replace(spec, **{k: v for k, v in GROUP_DEFAULTS.items() if getattr(spec, k) is None})
+        group = BUILTIN_GROUPS[spec.group]()
+        keep, fields = partial(keep, group), {"group": spec.group}
+    unread = "max_n" if target.on_group else "group"
+    config = {k: v for k, v in asdict(spec).items() if k != unread}
     witnesses: list[dict] = []
     examined = 0
     stream_exhausted = True
-    for nest in stream:
+    for nest in _nests(spec, group):
         if examined >= spec.budget:
             stream_exhausted = False
             break
         examined += 1
         note = keep(NestContext(nest))
         if note is not None:
-            witnesses.append(note)
+            witnesses.append({"instance": family_to_dict(nest), **fields, **note})
     return SearchReport(
         target=spec.target,
         config=config,

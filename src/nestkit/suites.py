@@ -611,16 +611,14 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
 
     # the census, decided per nest: onto fires only for {∅} on one point;
     # escape with T0 only on one point, where both are vacuous for the empty
-    # nest; and escape past a nonempty member only for a single member of at
-    # least two points that misses exactly one point
+    # nest and no member is nonempty; and escape past a nonempty member only
+    # for a single member of at least two points that misses exactly one point
     one_point = u.size == 1
     if cond.sups_onto != (one_point and masks == (0,)):
         flagged.append(("census:onto-only-trivial", {}))
     if (cond.sups_escape and t0) != (one_point and masks in ((), (0,))):
         flagged.append(("census:escape-t0-inventory", {}))
     bare = cond.sups_escape and any(masks)
-    if bare and t0:
-        flagged.append(("census:escape-t0-empty-members", {}))
     if bare != (len(masks) == 1 and _co_singleton(masks[0], full) and masks[0].bit_count() > 1):
         flagged.append(("census:bare-escape-form", {}))
 

@@ -240,6 +240,19 @@ def test_enumerate_rejects_bad_stride_offset_and_cap():
         count_nests(u, max_members=-1)
 
 
+def test_enumerate_nests_checks_its_arguments_at_the_call():
+    # each bad argument raises before the stream is iterated
+    u = Universe(3)
+    with pytest.raises(ValueError, match="bound"):
+        enumerate_nests(Universe(5))
+    with pytest.raises(ValueError, match="stride"):
+        enumerate_nests(u, stride=0)
+    with pytest.raises(ValueError, match="offset"):
+        enumerate_nests(u, offset=2, stride=2)
+    with pytest.raises(ValueError, match="max_members"):
+        enumerate_nests(u, max_members=-1)
+
+
 def _fubini(n: int) -> int:
     """Ordered set partitions (OEIS A000670): a(m) = sum_k C(m,k) a(m-k)."""
     from math import comb

@@ -3,8 +3,11 @@ from itertools import islice
 
 import pytest
 
-from nestkit.search import TARGETS, SearchSpec, persist_witnesses, run_search, target_names
-from nestkit.serialize import load_instance
+from nestkit import search
+from nestkit.core import count_nests
+from nestkit.groups import BUILTIN_GROUPS
+from nestkit.search import SearchSpec, persist_witnesses, run_search, target_names
+from nestkit.serialize import family_from_dict, load_instance
 
 
 def test_sup_onto_search_finds_only_the_trivial_nest():
@@ -124,7 +127,7 @@ def test_search_documents_keep_their_bytes(target):
 def test_random_mode_honours_a_cap_of_zero_members():
     # a cap of 0 used to read as no cap and draw up to n + 1 members
     spec = SearchSpec("sup-onto-nests", mode="random", max_members=0, seed=5)
-    nests, _ = TARGETS[spec.target].walk(spec)
+    nests = search._nests(spec, None)
     assert all(nest.masks == () for nest in islice(nests, 200))
 
 
@@ -154,3 +157,40 @@ def test_translation_closed_search_records_no_max_n():
     assert "max_n" not in small.config
     assert small.to_json() == large.to_json()
     assert run_search(SearchSpec("sup-onto-nests", max_n=2)).config["max_n"] == 2
+
+
+# a cap per built-in group that keeps its exhaustive walk small
+GROUP_CAPS = {"z2": None, "z3": None, "z4": 3, "z2xz2": 3, "s3": 3, "d4": 2}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CAPS))
+def test_translation_closed_search_walks_every_builtin_group(name):
+    assert sorted(GROUP_CAPS) == sorted(BUILTIN_GROUPS)
+    group = BUILTIN_GROUPS[name]()
+    report = run_search(SearchSpec("translation-closed-nests", group=name,
+                                   max_members=GROUP_CAPS[name]))
+    cap = report.config["max_members"]
+    assert cap == (3 if GROUP_CAPS[name] is None else GROUP_CAPS[name])
+    assert report.complete and report.examined == count_nests(group.universe, max_members=cap)
+    # the trivial nests are closed under every translation
+    assert report.witnesses
+    for witness in report.witnesses:
+        assert witness["group"] == name
+        assert family_from_dict(witness["instance"]).universe == group.universe
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CAPS))
+def test_random_group_walk_stays_on_the_group(name):
+    group = BUILTIN_GROUPS[name]()
+    for cap in (0, 1, 2):
+        spec = SearchSpec("translation-closed-nests", mode="random", group=name,
+                          max_members=cap, seed=5)
+        for nest in islice(search._nests(spec, group), 200):
+            assert nest.universe == group.universe and len(nest) <= cap
+    report = run_search(SearchSpec("translation-closed-nests", mode="random", group=name,
+                                   budget=100, seed=5))
+    assert report.examined == 100 and not report.complete
+    for witness in report.witnesses:
+        assert witness["group"] == name
+        instance = family_from_dict(witness["instance"])
+        assert instance.universe == group.universe and len(instance) <= 3

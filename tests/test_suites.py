@@ -411,6 +411,25 @@ def test_census_checks_fire_on_the_nest_they_are_about(monkeypatch):
         family_to_dict(Nest.of(Universe(n), [range(n)])) for n in (2, 3)]
 
 
+def test_escape_with_t0_past_a_nonempty_member_breaks_the_inventory():
+    # escape with T0 holds only on one point, where no member is nonempty, so
+    # the inventory check flags every escaping nest with a nonempty member
+    # once each one passes as T0
+    def force_t0(ctx):
+        ctx.t0 = True
+
+    flagged = [v.instance for v in _broken_sup_sweep(4, force_t0)
+               if v.property_id == "census:escape-t0-inventory"]
+    bare = [
+        family_to_dict(nest)
+        for n in range(1, 5)
+        for nest in enumerate_nests(Universe(n))
+        if NestContext(nest).sup_conditions.sups_escape and any(nest.masks)
+    ]
+    assert len(bare) == 7
+    assert all(doc in flagged for doc in bare)
+
+
 @pytest.mark.parametrize("cap", [None, 0, 1, 2])
 def test_bare_escape_note_counts_the_nests_the_sweep_sees(cap):
     # the note states the closed form; the sweep's own census is the oracle
