@@ -61,6 +61,12 @@ USAGE_ERROR = 2
 # costs three to four times more
 ANALYZE_UNIVERSE_BOUND = 10
 
+# the inversion and multiplication checks build the whole topology that the
+# two families generate, up to 2^n opens on a group of order n; at order 14
+# the discrete topology (singletons, or a chain with its complement chain)
+# takes about 0.25 s per request, and each further element about doubles it
+CONTINUITY_ORDER_BOUND = 14
+
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
@@ -360,6 +366,11 @@ def cmd_group_check(args) -> int:
         premise = document["translation_closed"] = translation_closed(group, nest)
         conclusion = document["order_compatible"] = order_compatible(group, nest)
     else:
+        if group.order > CONTINUITY_ORDER_BOUND:
+            raise InstanceError(
+                f"--group of order {group.order} exceeds the continuity bound "
+                f"{CONTINUITY_ORDER_BOUND}"
+            )
         right = family if args.right is None else _load_family(args.right, "--right", group)
         runner = inversion_continuity if args.check == "inversion" else multiplication_continuity
         report = runner(group, family, right)

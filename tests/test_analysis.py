@@ -40,6 +40,8 @@ from nestkit.groups import BUILTIN_GROUPS, FiniteGroup
 from nestkit.orders import Relation, generated_order, reflexive_closure, t0_separates
 from nestkit.topology import Topology, alexandroff_family, down_set, topology_from_subbase, up_set
 
+from reference import O, members
+
 U3 = Universe(3)
 U4 = Universe(4)
 QUAD = Nest.of(U4, [[0, 1], [0, 1, 2, 3]])
@@ -102,6 +104,9 @@ def test_dual_pair_validation():
     complement_dual(QUAD)
     with pytest.raises(InstanceError, match="not dual"):
         DualPair(PAIR, Nest.of(Universe(2), [[0]]))
+    # x1 < x2 holds on both sides; x1 < x3 holds on the left only
+    with pytest.raises(InstanceError, match=r"disagree at pair \(0, 2\)"):
+        DualPair(Nest.of(U3, [[0]]), Nest.of(U3, [[1]]))
 
 
 def test_dual_pair_rejects_a_side_that_is_not_a_nest():
@@ -166,25 +171,6 @@ def test_interlocking_routes_on_examples():
     assert is_interlocking(SetFamily.of(U3, [[0], [1]]))
 
 
-def _interlocking_by_double_loop(family):
-    """The definition with both member formulas written out inline."""
-    full = family.universe.full_mask
-    for t in family.masks:
-        inter = full
-        for s in family.masks:
-            if s != t and t & ~s == 0:
-                inter &= s
-        if inter != t:
-            continue
-        union = 0
-        for s in family.masks:
-            if s != t and s & ~t == 0:
-                union |= s
-        if union != t:
-            return False
-    return True
-
-
 def test_interlocking_definition_matches_the_double_loop():
     families = [fam for n in (1, 2, 3) for fam in enumerate_families(Universe(n))]
     rng = random.Random(7)
@@ -196,7 +182,7 @@ def test_interlocking_definition_matches_the_double_loop():
         ]
     verdicts = set()
     for fam in families:
-        want = _interlocking_by_double_loop(fam)
+        want = O.interlocking(members(fam), fam.universe.size)
         assert is_interlocking(fam) == want
         verdicts.add(want)
     assert verdicts == {False, True}

@@ -22,6 +22,7 @@ def test_down_reach_examples():
     assert result.witness_family is None
     # the uncovered remainder is everything not strictly below the region
     assert result.violating_member.indices == (2,)
+    assert result.to_dict() == {"holds": False, "witness_family": None, "violating_member": [2]}
     whole = down_reach_covers(FULL_CHAIN, Subset(U3, U3.full_mask))
     assert not whole.holds
     assert whole.violating_member.indices == (2,)  # only x3 escapes the reach
@@ -37,6 +38,28 @@ def test_up_reach_examples():
     lonely = up_reach_covers(Nest.of(U3, [[0]]), Subset.of(U3, [1]))
     assert not lonely.holds
     assert lonely.violating_member.mask == U3.full_mask
+
+
+def _full_reach_context(nest):
+    """A context of the nest whose order rows put every point below every
+    other: the covering branch no finite nest order reaches."""
+    ctx = NestContext(nest)
+    ctx.order_rows = (nest.universe.full_mask,) * nest.universe.size
+    return ctx
+
+
+def test_covering_witnesses_are_the_members_the_region_meets_or_escapes():
+    nest = Nest.of(U3, [[], [0], [0, 1], [0, 1, 2]])
+    ctx = _full_reach_context(nest)
+    for region in range(1, U3.full_mask + 1):
+        up = up_reach_covers(ctx, Subset(U3, region))
+        down = down_reach_covers(ctx, Subset(U3, region))
+        assert up.holds and down.holds
+        assert up.witness_family.masks == tuple(m for m in nest.masks if region & m)
+        assert down.witness_family.masks == tuple(m for m in nest.masks if region & ~m)
+    up = up_reach_covers(_full_reach_context(FULL_CHAIN), Subset.of(U3, [1]))
+    assert up.to_dict() == {
+        "holds": True, "witness_family": [[0, 1], [0, 1, 2]], "violating_member": None}
 
 
 def test_reach_never_covers_finite_universes():

@@ -286,6 +286,27 @@ def test_group_check_rejects_a_table_past_the_bound(tmp_path, capsys, nest_file)
     assert "'table'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["inversion", "multiplication"])
+def test_group_check_rejects_continuity_past_the_bound(tmp_path, capsys, time_limit, check):
+    # singletons generate the discrete topology, 2^n opens on n points
+    n = cli.CONTINUITY_ORDER_BOUND + 1
+    table = _write(tmp_path, "table.json", {
+        "order": n, "table": [[(a + b) % n for b in range(n)] for a in range(n)],
+    })
+    singles = _write(tmp_path, "singles.json", {
+        "universe": n, "family": [[x] for x in range(n)], "kind": "family",
+    })
+    argv = ["group-check", "--group", str(table)]
+    with time_limit(5):
+        code = main(argv + ["--nest", str(singles), "--check", check])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--group" in err and str(cli.CONTINUITY_ORDER_BOUND) in err
+    # translation reads no topology and keeps the loader's bound
+    point = _write(tmp_path, "point.json", {"universe": n, "family": [[0]], "kind": "nest"})
+    assert main(argv + ["--nest", str(point), "--check", "translation"]) == 0
+
+
 @pytest.mark.parametrize("suite, flag, value", [
     # max_n=0 used to be recorded as 0 next to the 4-point instance count
     ("core-algebra", "--max-n", "0"),

@@ -19,6 +19,8 @@ from nestkit.core import (
     is_nest,
 )
 
+from reference import O
+
 
 def test_universe_validation():
     assert Universe(3).full_mask == 0b111
@@ -253,22 +255,12 @@ def test_enumerate_nests_checks_its_arguments_at_the_call():
         enumerate_nests(u, max_members=-1)
 
 
-def _fubini(n: int) -> int:
-    """Ordered set partitions (OEIS A000670): a(m) = sum_k C(m,k) a(m-k)."""
-    from math import comb
-
-    a = [1]
-    for m in range(1, n + 1):
-        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
-    return a[n]
-
-
 def test_nest_count_is_four_times_fubini():
     # a nest on n points is an ordered partition of the points into its
     # successive differences, with the empty set and X each in or out
     expected = (4, 12, 52, 300, 2164, 18732, 189172)
     for size, want in zip(range(1, 8), expected):
-        assert 4 * _fubini(size) == want
+        assert 4 * O.fubini(size) == want
         assert count_nests(Universe(size)) == want
     for size in range(1, 6):
-        assert sum(1 for _ in enumerate_nests(Universe(size), bound=5)) == 4 * _fubini(size)
+        assert sum(1 for _ in enumerate_nests(Universe(size), bound=5)) == 4 * O.fubini(size)

@@ -24,6 +24,8 @@ from nestkit.groups import (
 )
 from nestkit.topology import topology_from_subbase
 
+from reference import O, members
+
 Z3 = FiniteGroup.cyclic(3)
 Z4 = FiniteGroup.cyclic(4)
 
@@ -144,26 +146,20 @@ def test_continuity_routes_agree():
 def _continuous_by_any_rectangle(group: FiniteGroup, topo) -> bool:
     """The rectangle form of multiplication continuity over all opens: every
     pair (x, y) with x*y in an open T sits inside some open rectangle U x V
-    with U*V inside T."""
-    n = group.order
+    with U*V inside T.  It stays beside `O.multiplication_continuous`, which
+    states the same over frozensets but takes some 200 times longer on the
+    topologies below (about 50 s against 0.2 s)."""
+    n, table = group.order, group.table
+
+    def product(a, b):
+        return sum({1 << table[x][y] for x in range(n) if a >> x & 1
+                    for y in range(n) if b >> y & 1})
+
     opens_at = [[o for o in topo.opens if o >> x & 1] for x in range(n)]
     return all(
-        any(set_product(group, u, v) & ~target == 0 for u in opens_at[x] for v in opens_at[y])
+        any(product(u, v) & ~target == 0 for u in opens_at[x] for v in opens_at[y])
         for target in topo.opens for x in range(n) for y in range(n)
-        if target >> group.mul(x, y) & 1
-    )
-
-
-def _factorizes_by_set_products(group: FiniteGroup, family: SetFamily) -> bool:
-    """The set-product form of the multiplication premise: every pair (x, y)
-    with x*y in a member T has members U of x and V of y with U*V inside T."""
-    n = group.order
-    masks = family.masks
-    products = [(a, b, set_product(group, a, b)) for a in masks for b in masks]
-    return all(
-        any(a >> x & 1 and b >> y & 1 and p & ~target == 0 for a, b, p in products)
-        for target in masks for x in range(n) for y in range(n)
-        if target >> group.mul(x, y) & 1
+        if target >> table[x][y] & 1
     )
 
 
@@ -217,7 +213,8 @@ def test_pair_mask_premise_matches_set_products():
         families += _coset_families(group)
         verdicts = [multiplication_premise(group, family) for family in families]
         assert True in verdicts and False in verdicts, name
-        assert verdicts == [_factorizes_by_set_products(group, family) for family in families]
+        assert verdicts == [O.multiplication_premise(group.table, members(family))
+                            for family in families]
 
 
 # the group predicates compare sizes at their boundary: a universe of the

@@ -81,10 +81,7 @@ from nestkit.topology import (
     upper_bounds,
 )
 
-
-def _pairs(rel):
-    n = rel.universe.size
-    return {(x, y) for x in range(n) for y in range(n) if rel.rows[x] >> y & 1}
+from reference import O, members, row_pairs
 
 
 def _all_relations(n):
@@ -121,9 +118,9 @@ def test_relation_predicates_match_pair_definitions(n):
     relations = list(_all_relations(n))
     assert len(relations) == 2 ** (n * n)
     for rel in relations:
-        pairs = _pairs(rel)
+        pairs = row_pairs(rel.rows)
         assert set(rel.pairs()) == pairs
-        assert _pairs(transpose(rel)) == {(y, x) for x, y in pairs}
+        assert row_pairs(transpose(rel).rows) == {(y, x) for x, y in pairs}
         assert is_transitive(rel, "standard") == _transitive(pairs, n, distinct=False)
         assert is_transitive(rel, "distinct_triples") == _transitive(pairs, n, distinct=True)
         assert _is_reflexive(rel) == all((x, x) in pairs for x in points)
@@ -144,34 +141,20 @@ def test_compose_matches_the_pair_definition(n):
     # seeded sample of 48 partners on either side
     partners = relations if n < 3 else random.Random(n).sample(relations, 48)
     for a in relations:
-        a_pairs = _pairs(a)
+        a_pairs = row_pairs(a.rows)
         for b in partners:
-            b_pairs = _pairs(b)
+            b_pairs = row_pairs(b.rows)
             for left, right, lp, rp in ((a, b, a_pairs, b_pairs), (b, a, b_pairs, a_pairs)):
                 want = {(x, y) for x, z in rp for w, y in lp if z == w}
-                assert _pairs(compose(left, right)) == want
-
-
-def _order_by_definition(fam):
-    n = fam.universe.size
-    return {
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if any(m >> x & 1 and not m >> y & 1 for m in fam.masks)
-    }
+                assert row_pairs(compose(left, right).rows) == want
 
 
 def _check_family(fam):
-    want = _order_by_definition(fam)
-    assert _pairs(generated_order(fam)) == want
-    assert _pairs(generated_order_via_rectangles(fam)) == want
     n = fam.universe.size
-    split = all(
-        any((m >> x ^ m >> y) & 1 for m in fam.masks)
-        for x in range(n) for y in range(x + 1, n)
-    )
-    assert t0_separates_via_rectangles(fam) == split
+    want = O.order(members(fam), n)
+    assert row_pairs(generated_order(fam).rows) == want
+    assert row_pairs(generated_order_via_rectangles(fam).rows) == want
+    assert t0_separates_via_rectangles(fam) == O.t0(members(fam), n)
 
 
 def test_generated_orders_match_the_definition_on_every_small_family():
@@ -191,19 +174,6 @@ def test_generated_orders_match_the_definition_on_random_families():
         _check_family(SetFamily(u, tuple(masks)))
 
 
-def _rows_pairs(rows):
-    return {(x, y) for x, row in enumerate(rows) for y in range(len(rows)) if row >> y & 1}
-
-
-def _linear(pairs, n):
-    closure = pairs | {(x, x) for x in range(n)}
-    return (
-        all((y, x) not in closure for x, y in closure if x != y)
-        and _transitive(closure, n, distinct=False)
-        and all((x, y) in closure or (y, x) in closure for x in range(n) for y in range(n))
-    )
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
     full = (1 << n) - 1
@@ -211,10 +181,10 @@ def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
     relations = list(_all_relations(n))
     partners = random.Random(n).sample(relations, min(len(relations), 16))
     for rel in relations:
-        rows, pairs = rel.rows, _pairs(rel)
+        rows, pairs = rel.rows, row_pairs(rel.rows)
         cols = columns(rows)
-        assert _rows_pairs(cols) == {(y, x) for x, y in pairs}
-        assert _pairs(reflexive_closure(rel)) == pairs | {(x, x) for x in points}
+        assert row_pairs(cols) == {(y, x) for x, y in pairs}
+        assert row_pairs(reflexive_closure(rel).rows) == pairs | {(x, x) for x in points}
         for distinct in (False, True):
             assert transitive_rows(rows, distinct) == _transitive(pairs, n, distinct)
         assert irreflexive_rows(rows) == all((x, x) not in pairs for x in points)
@@ -224,11 +194,11 @@ def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
         assert total_rows(rows, cols, full) == all(
             (x, y) in pairs or (y, x) in pairs for x in points for y in points
         )
-        assert linear_rows(rows, cols, full) == _linear(pairs, n) == is_linear_order(rel)
+        assert linear_rows(rows, cols, full) == O.is_linear(pairs, n) == is_linear_order(rel)
         for other in partners:
-            other_pairs = _pairs(other)
+            other_pairs = row_pairs(other.rows)
             # compose_rows(a, b): x -b-> z -a-> y
-            assert _rows_pairs(compose_rows(rows, other.rows)) == {
+            assert row_pairs(compose_rows(rows, other.rows)) == {
                 (x, y) for x, z in other_pairs for w, y in pairs if z == w
             }
             assert rows_within(rows, other.rows) == (pairs <= other_pairs)
@@ -243,16 +213,16 @@ def _check_order_kernels(fam):
     against the public form that wraps it."""
     u = fam.universe
     n, full, masks = u.size, u.full_mask, fam.masks
-    want = _order_by_definition(fam)
+    want = O.order(members(fam), n)
     rows = order_rows(masks, n, full)
     cols = columns(rows)
-    assert _rows_pairs(rows) == want
-    assert _rows_pairs(order_rows_via_rectangles(masks, n, full)) == want
+    assert row_pairs(rows) == want
+    assert row_pairs(order_rows_via_rectangles(masks, n, full)) == want
     assert generated_order(fam).rows == rows
     assert generated_order_via_rectangles(fam).rows == rows
     rects = {m: _rectangle_pairs(m, n) for m in masks}
     for m in masks:
-        assert _rows_pairs(rectangle_rows(m, n, full)) == rects[m]
+        assert row_pairs(rectangle_rows(m, n, full)) == rects[m]
         assert rectangle(u, m).rows == rectangle_rows(m, n, full)
     # [S x (X-S)] ∘ [T x (X-T)] lies inside some member's rectangle
     absorbs = all(
@@ -273,12 +243,9 @@ def _check_order_kernels(fam):
     assert total_rows(rows, cols, full) == all(
         (x, y) in want or (y, x) in want for x in range(n) for y in range(n)
     )
-    assert linear_rows(rows, cols, full) == _linear(want, n)
+    assert linear_rows(rows, cols, full) == O.is_linear(want, n)
     assert linear_rows(rows, cols, full) == is_linear_order(generated_order(fam))
-    split = all(
-        any((m >> x ^ m >> y) & 1 for m in masks)
-        for x in range(n) for y in range(x + 1, n)
-    )
+    split = O.t0(members(fam), n)
     assert t0_masks(masks, n) == split == t0_separates(fam)
     assert rectangle_t0_rows(rows, cols, full) == split == t0_separates_via_rectangles(fam)
 
@@ -366,23 +333,6 @@ def test_group_kernels_match_the_cayley_table_on_seeded_d4_pairs():
         _check_group_kernels(group, rng.randrange(256), rng.randrange(256))
 
 
-def _factorizes(group, masks):
-    table = group.table
-    for target in masks:
-        for x in range(group.order):
-            for y in range(group.order):
-                if not target >> table[x][y] & 1:
-                    continue
-                if not any(
-                    fx >> x & 1 and fy >> y & 1
-                    and all(target >> table[p][q] & 1 for p in _points(fx) for q in _points(fy))
-                    for fx in masks
-                    for fy in masks
-                ):
-                    return False
-    return True
-
-
 @pytest.mark.parametrize("name", ["z2", "z3", "z4", "z2xz2", "s3"])
 def test_multiplication_premise_matches_the_cayley_table(name):
     group = BUILTIN_GROUPS[name]()
@@ -395,7 +345,8 @@ def test_multiplication_premise_matches_the_cayley_table(name):
     if group.order <= 3:
         families += list(enumerate_families(u))
     for fam in families:
-        assert multiplication_premise(group, fam) == _factorizes(group, fam.masks)
+        assert multiplication_premise(group, fam) == O.multiplication_premise(
+            group.table, members(fam))
 
 
 def test_range_checks_keep_their_exceptions_and_messages():
@@ -446,10 +397,10 @@ def _check_region_kernels(rel, masks, region):
     region, against its definition over pairs and element sets."""
     n = rel.universe.size
     full = rel.universe.full_mask
-    pairs = _pairs(rel)
+    pairs = row_pairs(rel.rows)
     points = set(range(n))
     inside = {y for y in points if region >> y & 1}
-    members = [{x for x in points if m >> x & 1} for m in masks]
+    member_sets = [{x for x in points if m >> x & 1} for m in masks]
     rows = rel.rows
     assert up_mask(rows, region) == _mask({x for y, x in pairs if y in inside})
     assert down_mask(rows, region) == _mask({x for x, y in pairs if y in inside})
@@ -460,10 +411,10 @@ def _check_region_kernels(rel, masks, region):
         {x for x in points if all((x, y) in pairs for y in inside)}
     )
     assert down_mask_by_members(masks, region) == _mask(
-        set().union(*(m for m in members if not inside <= m))
+        set().union(*(m for m in member_sets if not inside <= m))
     )
     assert up_mask_by_complements(masks, full, region) == _mask(
-        set().union(*(points - m for m in members if inside & m))
+        set().union(*(points - m for m in member_sets if inside & m))
     )
 
 
@@ -545,7 +496,7 @@ def _least_upper_bound(pairs, n, region):
 
 def _check_sup_kernel(rel):
     n, full = rel.universe.size, rel.universe.full_mask
-    pairs, flipped = _pairs(rel), {(y, x) for x, y in _pairs(rel)}
+    pairs, flipped = row_pairs(rel.rows), {(y, x) for x, y in row_pairs(rel.rows)}
     answers = set()
     for mask in range(full + 1):
         inside = {x for x in range(n) if mask >> x & 1}

@@ -31,6 +31,8 @@ from nestkit.topology import (
     upper_topology,
 )
 
+from reference import O, members, row_pairs
+
 U2 = Universe(2)
 U3 = Universe(3)
 U4 = Universe(4)
@@ -41,8 +43,9 @@ PAIR_PRE = reflexive_closure(generated_order(PAIR))
 
 
 def test_topology_invariants_enforced():
-    with pytest.raises(InstanceError):
-        Topology(U2, (0,))  # missing the whole set
+    for opens in ((0,), (1, 3)):  # missing the whole set, then the empty set
+        with pytest.raises(InstanceError, match="contains the empty set and the universe"):
+            Topology(U2, opens)
     with pytest.raises(InstanceError):
         Topology(U3, (0, 0b001, 0b010, 0b111))  # not closed under union
     Topology(U3, (0, 0b001, 0b011, 0b111))
@@ -53,6 +56,9 @@ def test_topology_rejects_opens_outside_the_universe():
         Topology(U2, (0, 3, 4, 7))
     with pytest.raises(InstanceError, match="open mask -0x4 does not fit the universe"):
         Topology(U2, (0, 3, -4, -1))
+    # the universe's own mask is in range, so the open past it is the one named
+    with pytest.raises(InstanceError, match="open mask 0x7 does not fit the universe"):
+        Topology(U2, (0, 3, 7))
 
 
 def _closed_pairwise(opens: tuple[int, ...]) -> bool:
@@ -132,21 +138,6 @@ def _point_down_set_by_holds(rel, x):
     return Subset(u, sum(1 << y for y in u.elements() if rel.holds(y, x)))
 
 
-def _order_topologies_by_point_sets(pre, order):
-    """The lower, upper, interval and open-ray topologies from one `Subset`
-    per point, the interval one as the join of the other two: the forms the
-    row and column subbases replace."""
-    u = pre.universe
-    full = u.full_mask
-    lower = topology_from_subbase(SetFamily.dedupe(
-        u, (point_up_set(pre, x).mask ^ full for x in u.elements())))
-    upper = topology_from_subbase(SetFamily.dedupe(
-        u, (_point_down_set_by_holds(pre, x).mask ^ full for x in u.elements())))
-    rays = [_point_down_set_by_holds(order, x).mask for x in u.elements()]
-    rays += [point_up_set(order, x).mask for x in u.elements()]
-    return lower, upper, join(upper, lower), topology_from_subbase(SetFamily.dedupe(u, rays))
-
-
 def test_order_topologies_match_the_point_set_forms():
     seen = 0
     for n in range(1, 6):
@@ -156,10 +147,12 @@ def test_order_topologies_match_the_point_set_forms():
             for x in pre.universe.elements():
                 assert point_down_set(pre, x) == _point_down_set_by_holds(pre, x)
                 assert point_down_set(order, x) == _point_down_set_by_holds(order, x)
-            assert (
+            pairs = row_pairs(order.rows)
+            assert [set(members(t.as_family())) for t in (
                 lower_topology(pre), upper_topology(pre), interval_topology(pre),
                 open_ray_topology(order),
-            ) == _order_topologies_by_point_sets(pre, order)
+            )] == [O.lower_topology(pairs, n), O.upper_topology(pairs, n),
+                   O.interval_topology(pairs, n), O.ray_topology(pairs, n)]
             seen += 1
     assert seen == 4 * (1 + 3 + 13 + 75 + 541)
 
@@ -269,6 +262,9 @@ def test_product_and_continuity():
     assert is_continuous(second, prod, t)
     with pytest.raises(ValueError):
         is_continuous([0], t, t)
+    point = Topology(Universe(1), (0, 1))
+    with pytest.raises(ValueError, match="outside the codomain"):
+        is_continuous([1], point, point)
 
 
 def _preimage(mapping, domain, open_mask):
