@@ -153,8 +153,13 @@ def _check_same_universe(a: Universe, b: Universe) -> None:
 
 
 def canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Sort masks by (cardinality, mask value); the one canonical family order."""
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+    """Sort masks by (cardinality, mask value); the one canonical family order.
+
+    A sort by value, then a stable sort by cardinality: the same order as
+    the key ``(m.bit_count(), m)``, without a Python-level key call."""
+    out = sorted(masks)
+    out.sort(key=int.bit_count)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,17 @@ class SetFamily:
             raise InstanceError(f"member mask {bad:#x} does not fit the universe")
         if len(set(masks)) != len(masks):
             raise InstanceError("family members must be distinct")
+
+    @classmethod
+    def _drawn(cls, universe: Universe, masks: tuple[int, ...]) -> SetFamily:
+        """A family on masks the program drew itself, built without
+        `__post_init__`: the caller guarantees they lie in
+        ``[0, universe.full_mask]``, are distinct and are in canonical order,
+        so the range and duplicate checks could never fire."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "universe", universe)
+        object.__setattr__(family, "masks", masks)
+        return family
 
     @classmethod
     def of(cls, universe: Universe, members: Iterable[Iterable[int]]) -> SetFamily:
@@ -326,10 +342,9 @@ def _check_max_members(max_members: int | None) -> None:
         raise ValueError(f"max_members must be >= 0, got {max_members}")
 
 
-def _nest_candidates(universe: Universe, include_trivial: bool) -> list[int]:
+def _nest_candidates(universe: Universe, include_trivial: bool) -> tuple[int, ...]:
     full = universe.full_mask
-    masks = range(full + 1) if include_trivial else range(1, full)
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+    return canonical_masks(range(full + 1) if include_trivial else range(1, full))
 
 
 def enumerate_families(

@@ -228,12 +228,37 @@ def _sweep_shard(job: tuple) -> tuple[int, list[Violation]]:
 
 
 def random_family(rng: random.Random, universe: Universe, max_members: int = 4) -> SetFamily:
-    return SetFamily(universe, tuple(_random_masks(rng, universe.full_mask, max_members)))
+    """A seeded family of up to ``max_members`` members, drawn by
+    `_random_masks`.  The masks are in range and distinct by construction,
+    so the family is built in canonical order without re-validation."""
+    masks = canonical_masks(_random_masks(rng, universe.full_mask, max_members))
+    return SetFamily._drawn(universe, masks)
 
 
 def _random_masks(rng: random.Random, full: int, max_members: int) -> set[int]:
-    """The draws behind `random_family`: up to ``max_members`` masks, duplicates merged."""
-    return {rng.randrange(full + 1) for _ in range(rng.randint(0, max_members))}
+    """The draws behind `random_family`: up to ``max_members`` masks in
+    ``[0, full]``, duplicates merged.
+
+    Stream contract: the same set as
+    ``{rng.randrange(full + 1) for _ in range(rng.randint(0, max_members))}``,
+    leaving ``rng`` in the same state.  CPython draws ``randrange(n)`` as
+    ``k = n.bit_length()`` random bits, redrawn while the value is ``>= n``
+    (``randint(0, m)`` is ``randrange(m + 1)``); this does the same with
+    ``getrandbits`` directly, without the argument checks of each call.
+    """
+    getrandbits = rng.getrandbits
+    k = (max_members + 1).bit_length()
+    count = getrandbits(k)
+    while count > max_members:
+        count = getrandbits(k)
+    k = (full + 1).bit_length()
+    masks = set()
+    for _ in range(count):
+        mask = getrandbits(k)
+        while mask > full:
+            mask = getrandbits(k)
+        masks.add(mask)
+    return masks
 
 
 def random_nest(rng: random.Random, universe: Universe, max_members: int | None = None) -> Nest:
@@ -425,15 +450,21 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
         if not t1_separates(singles):
             violations.append(Violation("singletons:t1", {"universe": n}))
 
-    # seeded randomized sweep over larger universes
+    # seeded randomized sweep over larger universes: a draw on at most max_n
+    # points is counted but not checked, since the exhaustive loop above ran
+    # the order checks on its family and the star union on its pair
     for _ in range(config.iters):
         n = rng.randint(2, 6)
         full = (1 << n) - 1
-        masks = canonical_masks(_random_masks(rng, full, 4))
+        masks = _random_masks(rng, full, 4)
+        right = _random_masks(rng, full, 3)
         count += 1
+        if n <= config.max_n:
+            continue
+        masks = canonical_masks(masks)
         violations.extend(_order_checks(masks, n, full))
         left = {0, *masks}
-        right = {0, *_random_masks(rng, full, 3)}
+        right.add(0)
         merged = {a | b for a in left for b in right}
         rows1, rows2 = order_rows(left, n, full), order_rows(right, n, full)
         if order_rows(merged, n, full) != tuple(a | b for a, b in zip(rows1, rows2)):

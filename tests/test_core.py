@@ -163,6 +163,14 @@ def test_nest_validation_in_one_pass_matches_sort_and_check():
     assert Nest(Universe(2), [1, 3]).masks == Nest(Universe(2), (m for m in (3, 1))).masks == (1, 3)
 
 
+def test_canonical_masks_order_by_cardinality_then_value():
+    rng = random.Random(11)
+    for _ in range(2000):
+        masks = [rng.randint(0, 255) for _ in range(rng.randint(0, 12))]
+        expected = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+        assert canonical_masks(masks) == canonical_masks(iter(masks)) == expected, masks
+
+
 def test_enumerated_nests_are_strictly_nested_in_canonical_order():
     for size in range(1, 6):
         for nest in enumerate_nests(Universe(size), bound=5):

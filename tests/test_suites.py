@@ -1,12 +1,15 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
 from nestkit import analysis, orders, suites
 from nestkit.analysis import DualPair, NestContext
-from nestkit.core import Nest, Universe, enumerate_nests, indices_of
+from nestkit.core import (
+    Nest, SetFamily, Universe, canonical_masks, enumerate_families, enumerate_nests, indices_of,
+)
 from nestkit.reporting import SuiteReport, Violation, sort_violations
 from nestkit.serialize import canonical_json, family_to_dict
 from nestkit.suites import SuiteConfig, run_suite, suite_names
@@ -112,6 +115,92 @@ def test_generated_orders_checks_the_absorption_pair_form_against_the_row_form(m
     fired = [v for v in report.violations if v.property_id == "absorption:pair-form"]
     assert fired and not report.passed
     assert report.instances == run_suite("generated-orders", SuiteConfig(iters=0)).instances
+
+
+def test_random_masks_consume_the_stream_of_the_stdlib_draws():
+    # the stdlib expression is the oracle: the same set, and the generator
+    # left in the same state, so every seeded document keeps its bytes
+    for seed in range(200):
+        oracle, sampler = random.Random(seed), random.Random(seed)
+        for size in range(1, 9):
+            full = (1 << size) - 1
+            for cap in range(5):
+                expected = {oracle.randrange(full + 1) for _ in range(oracle.randint(0, cap))}
+                assert suites._random_masks(sampler, full, cap) == expected, (seed, size, cap)
+                assert sampler.getstate() == oracle.getstate(), (seed, size, cap)
+
+
+def test_random_family_is_the_validated_family_of_its_draws():
+    u = Universe(4)
+    drawn, oracle = random.Random(3), random.Random(3)
+    for _ in range(500):
+        family = suites.random_family(drawn, u, 4)
+        assert family == SetFamily(u, tuple(suites._random_masks(oracle, u.full_mask, 4)))
+        assert family.masks == canonical_masks(family.masks)
+
+
+def _record_generated_orders(monkeypatch, max_n: int, iters: int) -> list[tuple]:
+    """Run generated-orders, logging each `_order_checks` call as
+    ("check", size, masks) and each draw as ("draw", size, cap, masks)."""
+    events = []
+    order_checks, random_masks = suites._order_checks, suites._random_masks
+
+    def record_check(masks, size, full):
+        events.append(("check", size, masks))
+        return order_checks(masks, size, full)
+
+    def record_draw(rng, full, cap):
+        masks = random_masks(rng, full, cap)
+        events.append(("draw", full.bit_length(), cap, frozenset(masks)))
+        return masks
+
+    monkeypatch.setattr(suites, "_order_checks", record_check)
+    monkeypatch.setattr(suites, "_random_masks", record_draw)
+    report = run_suite("generated-orders", SuiteConfig(max_n=max_n, iters=iters))
+    assert report.passed, report.summary()
+    return events
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3])
+def test_generated_orders_checks_each_small_family_once(monkeypatch, max_n):
+    # the random loop counts a draw on at most max_n points but checks it
+    # only when the exhaustive loop has not: every family there, and every
+    # pair of families containing the empty set for the star union
+    events = _record_generated_orders(monkeypatch, max_n, 600)
+    first = next(i for i, event in enumerate(events) if event[0] == "draw")
+    exhaustive = {(size, masks) for _, size, masks in events[:first]}
+    assert exhaustive == {
+        (n, family.masks) for n in range(1, max_n + 1) for family in enumerate_families(Universe(n))
+    }
+    draws = [event for event in events[first:] if event[0] == "draw"]
+    lefts = [(size, canonical_masks(masks)) for _, size, cap, masks in draws[0::2]]
+    rights = [(size, canonical_masks({0, *masks})) for _, size, cap, masks in draws[1::2]]
+    assert {cap for _, _, cap, _ in draws[0::2]} == {4}
+    assert {cap for _, _, cap, _ in draws[1::2]} == {3}
+    assert {size for size, _ in lefts} == {2, 3, 4, 5, 6}
+    for (size, left), right in zip(lefts, rights):
+        if size <= max_n:
+            assert (size, left) in exhaustive
+            assert (size, canonical_masks({0, *left})) in exhaustive and right in exhaustive
+    checked = [event[1:] for event in events[first:] if event[0] == "check"]
+    assert checked == [(size, masks) for size, masks in lefts if size > max_n]
+
+
+def test_generated_orders_reports_a_flagged_small_family_once(monkeypatch):
+    # the random loop draws the family {{x1}} on two points about once in a
+    # hundred draws; the exhaustive loop alone checks it, so the report names
+    # it once
+    order_checks = suites._order_checks
+
+    def flag(masks, size, full):
+        flagged = order_checks(masks, size, full)
+        if (size, masks) == (2, (0b01,)):
+            flagged.append(Violation("order:product-form", {"universe": 2, "family": [[0]]}))
+        return flagged
+
+    monkeypatch.setattr(suites, "_order_checks", flag)
+    report = run_suite("generated-orders", SuiteConfig(max_n=3, iters=2_000))
+    assert [v.property_id for v in report.violations] == ["order:product-form"]
 
 
 def test_cover_converse_visits_every_region_outside_the_cover_top(monkeypatch):
