@@ -56,6 +56,7 @@ from .core import (
 )
 from .orders import Relation, columns, linear_rows, reflexive_rows, t0_separates
 from .topology import (
+    Regions,
     Topology,
     down_mask,
     fixed_masks,
@@ -369,23 +370,24 @@ def member_union_of_smaller(family: SetFamily, member_mask: int) -> int:
     return union
 
 
-def down_mask_by_members(masks: tuple[int, ...], region: int) -> int:
-    """The union of the members (given as masks) that do not contain the
-    region mask."""
+def down_mask_by_members(regions: Regions, masks: tuple[int, ...]) -> int:
+    """For every region at once, packed in the layout of ``regions``: the
+    union of the members (given as masks) that do not contain the region."""
+    ones, inside = regions.ones, regions.inside
     reach = 0
     for m in masks:
-        if region & ~m:
-            reach |= m
+        reach |= (ones ^ inside[m]) * m
     return reach
 
 
-def up_mask_by_complements(masks: tuple[int, ...], full: int, region: int) -> int:
-    """The union of the complements in ``full`` of the members (given as
-    masks) that meet the region mask."""
+def up_mask_by_complements(regions: Regions, masks: tuple[int, ...]) -> int:
+    """For every region at once, packed in the layout of ``regions``: the
+    union of the complements of the members (given as masks) that meet the
+    region."""
+    full = regions.full
     reach = 0
     for m in masks:
-        if region & m:
-            reach |= m ^ full
+        reach |= regions.meets(m) * (m ^ full)
     return reach
 
 

@@ -113,11 +113,12 @@ def covering_subfamilies(nest: Nest) -> list[tuple[int, ...]]:
     for the cover characterizations; exponential in the nest size).
 
     Subfamily ``pick`` holds member i when bit i of ``pick`` is set; its
-    union is entry ``pick`` of the reach table whose rows are the members."""
+    union is entry ``pick`` of the reach table whose rows are the members.
+    The subfamilies are built in the same order, by doubling: those with
+    member i are those without it, each with member i appended."""
     members = nest.masks
     full = nest.universe.full_mask
-    return [
-        tuple(m for i, m in enumerate(members) if pick >> i & 1)
-        for pick, union in enumerate(reach_table(members))
-        if union == full
-    ]
+    picks: list[tuple[int, ...]] = [()]
+    for m in members:
+        picks += [pick + (m,) for pick in picks]
+    return [pick for pick, union in zip(picks, reach_table(members)) if union == full]

@@ -4,16 +4,20 @@ Subsets are value-semantic membership masks over a fixed universe, so
 equality is extensional, everything is hashable, and enumeration is cheap.
 Families are kept in a canonical order (cardinality, then mask) so that
 serialized instances and reports are byte-stable across runs.  A nest whose
-members arrive strictly nested in the given order (as `enumerate_nests` and
-`family_complement` build them) is already canonical, and is validated in
-one pass without sorting.
+members arrive strictly nested in the given order is already canonical, and
+is validated in one pass without sorting; `enumerate_nests` and
+`family_complement` build their nests that way by construction, so they
+skip the validation (`SetFamily._drawn`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .topology import Regions
 
 NEST_ENUMERATION_BOUND = 4
 FAMILY_ENUMERATION_BOUND = 3
@@ -71,6 +75,14 @@ class Universe:
                 )
             if len(set(labels)) != len(labels):
                 raise InstanceError("labels must be distinct")
+
+    @lazy
+    def regions(self) -> Regions:
+        """The packed layout of every region of the universe
+        (`topology.Regions`), built on first use."""
+        from .topology import Regions
+
+        return Regions(self.size)
 
     def label(self, index: int) -> str:
         if self.labels is not None:
@@ -181,10 +193,11 @@ class SetFamily:
 
     @classmethod
     def _drawn(cls, universe: Universe, masks: tuple[int, ...]) -> SetFamily:
-        """A family on masks the program drew itself, built without
+        """A family (or nest) on masks the program built itself, without
         `__post_init__`: the caller guarantees they lie in
         ``[0, universe.full_mask]``, are distinct and are in canonical order,
-        so the range and duplicate checks could never fire."""
+        and, for a nest, that each lies inside the next, so no check of the
+        validation could fire."""
         family = object.__new__(cls)
         object.__setattr__(family, "universe", universe)
         object.__setattr__(family, "masks", masks)
@@ -255,8 +268,8 @@ def family_complement(family: SetFamily) -> SetFamily:
     full = family.universe.full_mask
     if isinstance(family, Nest):
         # complements reverse inclusion, so a chain's members read backwards
-        # complement to a chain in canonical order
-        return Nest(family.universe, tuple(m ^ full for m in reversed(family.masks)))
+        # complement to a strictly nested chain in canonical order
+        return Nest._drawn(family.universe, tuple(m ^ full for m in reversed(family.masks)))
     return SetFamily(family.universe, tuple(m ^ full for m in family.masks))
 
 
@@ -291,13 +304,15 @@ def enumerate_nests(
     candidates = _nest_candidates(universe, include_trivial)
     cap = len(candidates) if max_members is None else max_members
     counter = 0
+    drawn = Nest._drawn
 
     def walk(chain: list[int], start: int) -> Iterator[Nest]:
         # the chain, then its extensions by later candidates, which are
-        # distinct and in canonical order: containing the top is the test
+        # distinct and in canonical order: containing the top is the test,
+        # so the chain is strictly nested and canonical as it stands
         nonlocal counter
         if counter % stride == offset:
-            yield Nest(universe, tuple(chain))
+            yield drawn(universe, tuple(chain))
         counter += 1
         if len(chain) >= cap:
             return

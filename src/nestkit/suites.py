@@ -112,14 +112,14 @@ from .rays import (
 from .reporting import SuiteReport, Violation, sort_violations
 from .serialize import family_to_dict, ray_to_dict
 from .topology import (
+    Regions,
     Topology,
-    down_mask,
+    fixed_masks,
     interval_topology,
     join,
     lower_bounds,
     lower_topology,
     topology_from_subbase,
-    up_mask,
     upper_bounds,
     upper_topology,
 )
@@ -530,33 +530,43 @@ _REACH_ROUTES = ("down-set:formula", "up-set:formula", "down-set:table", "up-set
 
 def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
     """Brute-force reach per region is the oracle for the member formulas
-    and for the reach tables the sweeps read."""
+    and for the reach tables the sweeps read; every route is evaluated for
+    all regions at once, in the packed layout of the universe."""
     nest, rows = ctx.nest, ctx.order_rows
-    masks, full = nest.masks, nest.universe.full_mask
-    up_table, down_table = ctx.up_reach, ctx.down_reach
+    masks, regions = nest.masks, nest.universe.regions
+    down, up = regions.down_mask(rows), regions.up_mask(rows)
+    by_complements = up_mask_by_complements(regions, masks)
+    # each route's differences from the brute-force reach, in id order
+    routes = (
+        down_mask_by_members(regions, masks) ^ down,
+        by_complements ^ up,
+        regions.pack(ctx.down_reach) ^ down,
+        regions.pack(ctx.up_reach) ^ up,
+    )
     flagged = []
-    formula = []
-    for mask in range(full + 1):
-        by_complements = up_mask_by_complements(masks, full, mask)
-        if by_complements == mask:
-            formula.append(mask)
-        down = down_mask(rows, mask)
-        up = up_mask(rows, mask)
-        holds = (
-            down_mask_by_members(masks, mask) == down,
-            by_complements == up,
-            down_table[mask] == down,
-            up_table[mask] == up,
+    if any(routes):
+        flagged = _flag_regions(
+            regions, [(pid, regions.nonzero(diff)) for pid, diff in zip(_REACH_ROUTES, routes)]
         )
-        if not all(holds):
-            flagged += [
-                (pid, {"region": list(indices_of(mask))})
-                for pid, held in zip(_REACH_ROUTES, holds)
-                if not held
-            ]
-    if ctx.alexandroff_masks != frozenset(formula):
+    if ctx.alexandroff_masks != frozenset(fixed_masks(regions.unpack(by_complements))):
         flagged.append(("alexandroff:nest-formula", {}))
     return 1, flagged, []
+
+
+def _flag_regions(regions: Regions, failures: list[tuple[str, int]]) -> list[tuple[str, dict]]:
+    """One region payload per set field of each failure indicator: region by
+    region in ascending order, and at each region the ids in the order
+    given."""
+    union = 0
+    for _, failed in failures:
+        union |= failed
+    width = regions.width
+    return [
+        (pid, {"region": list(indices_of(mask))})
+        for mask in regions.masks_of(union)
+        for pid, failed in failures
+        if failed >> mask * width & 1
+    ]
 
 
 @_suite("topology-engine", "subbase closure, order topologies, fixed-point families, join laws",
@@ -809,50 +819,55 @@ def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list
 
 def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     """Every region of one nest, then every covering subfamily: one
-    instance each."""
+    instance each.  Each route is evaluated for all regions at once, in the
+    packed layout of the universe, as an indicator of the regions where it
+    holds."""
     nest, t0 = ctx.nest, ctx.t0
     u = nest.universe
     masks, full = nest.masks, u.full_mask
     rows = ctx.order_rows
     pre_rows = ctx.preorder_rows if t0 else None
-    down_reach, up_reach = ctx.down_reach, ctx.up_reach
-    flagged = []
-    for mask in range(full + 1):
-        down = down_reach[mask] == full
-        up = up_reach[mask] == full
-        failed = []
-        if down != (down_mask_by_members(masks, mask) == full):
-            failed.append("down:cover-form")
-        # a finite nest order has maximal and minimal elements, so no
-        # region's strict reach covers X either way
-        if down or up:
-            failed.append("reach:never-full")
-        if down:
-            seen = down_reach_covers(ctx, Subset(u, mask)).witness_family
-            if seen is None or any(mask & ~m == 0 for m in seen.masks):
-                failed.append("down:witness")
-        inter = full
-        meeting = False
-        for m in masks:
-            if mask & m:
-                inter &= m
-                meeting = True
-        if up != (meeting and inter == 0):
-            failed.append("up:intersection-form")
-        if up:
-            seen = up_reach_covers(ctx, Subset(u, mask)).witness_family
-            if seen is None or any(mask & m == 0 for m in seen.masks):
-                failed.append("up:witness")
-        if t0:
-            if down != (upper_bounds(pre_rows, full, mask) == 0):
-                failed.append("down:bound-dichotomy")
-            if up != (lower_bounds(pre_rows, mask) == 0):
-                failed.append("up:bound-dichotomy")
-        if mask == 0:
-            if not upper_bounds(rows, full, mask) or not lower_bounds(rows, mask):
-                failed.append("bounds:empty-region")
-        if failed:
-            flagged += [(pid, {"region": list(indices_of(mask))}) for pid in failed]
+    down_reach = ctx.down_reach
+    regions = u.regions
+    ones, nonzero, width = regions.ones, regions.nonzero, regions.width
+    fulls = regions.fill(full)
+    down = ones ^ nonzero(regions.pack(down_reach) ^ fulls)
+    up = ones ^ nonzero(regions.pack(ctx.up_reach) ^ fulls)
+    # the members meeting each region, and what their intersection misses
+    meeting = missed = 0
+    for m in masks:
+        meets = regions.meets(m)
+        meeting |= meets
+        missed |= meets * (full ^ m)
+    # a finite nest order has maximal and minimal elements, so no region's
+    # strict reach covers X either way; the witnesses are built only for the
+    # regions whose reach does
+    down_witness = up_witness = 0
+    for mask in regions.masks_of(down):
+        seen = down_reach_covers(ctx, Subset(u, mask)).witness_family
+        if seen is None or any(mask & ~m == 0 for m in seen.masks):
+            down_witness |= 1 << mask * width
+    for mask in regions.masks_of(up):
+        seen = up_reach_covers(ctx, Subset(u, mask)).witness_family
+        if seen is None or any(mask & m == 0 for m in seen.masks):
+            up_witness |= 1 << mask * width
+    down_bound = up_bound = 0
+    if t0:
+        down_bound = down ^ ones ^ nonzero(regions.upper_bounds(pre_rows))
+        up_bound = up ^ ones ^ nonzero(regions.lower_bounds(pre_rows))
+    # the empty region is field 0
+    empty = int(not upper_bounds(rows, full, 0) or not lower_bounds(rows, 0))
+    # a form fails where its verdict differs from the reach table's
+    flagged = _flag_regions(regions, [
+        ("down:cover-form", down ^ ones ^ nonzero(down_mask_by_members(regions, masks) ^ fulls)),
+        ("reach:never-full", down | up),
+        ("down:witness", down_witness),
+        ("up:intersection-form", up ^ (meeting & (ones ^ nonzero(missed ^ fulls)))),
+        ("up:witness", up_witness),
+        ("down:bound-dichotomy", down_bound),
+        ("up:bound-dichotomy", up_bound),
+        ("bounds:empty-region", empty),
+    ])
 
     # converse: a cover with no single member containing the region
     # forces full downward reach; and any cover of X is itself a

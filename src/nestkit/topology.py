@@ -21,11 +21,26 @@ nothing: strict reach (``up_mask``/``down_mask``), bounds
 of every region at once.  The public forms wrap them at the ``Relation`` and
 ``Subset`` boundary.
 
+`Regions` lifts the region kernels to every region of an n-point universe
+at once.  One Python integer, a *packed* value, holds one w-bit field per
+region mask R, at bits ``R*w`` to ``R*w + w - 1``; w is the smallest of 8,
+16, 32 and 64 above n, so a field holds any mask with one spare bit on top.
+The only per-size data is ``inside[m]``, the indicator with a 1 in every
+field R with ``R & ~m == 0``.  A kernel's loop body ``if cond(R): acc |= v``
+becomes ``acc |= IND * v``, with ``IND`` an indicator of the condition:
+its fields are 0 or 1 and ``v < 2**n``, so no field carries into the next.
+A comparison over every region is one integer equality; `Regions.nonzero`
+and `Regions.masks_of` find the regions where one fails.  A layout lives on
+its `Universe` (``Universe.regions``), so a sweep shard builds it once per
+universe size.
+
 Empty intersections close to X and empty unions to the empty set.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -213,6 +228,102 @@ def reach_table(rows: Sequence[int]) -> tuple[int, ...]:
     for row in rows:
         table += [reach | row for reach in table]
     return tuple(table)
+
+
+class Regions:
+    """The packed layout of every region of an n-point universe, with the
+    region kernels lifted to it.
+
+    Every table and row given to it holds masks of the universe: each entry
+    lies in ``[0, 2**n)``.  Each lifted kernel evaluates the definition of
+    its region-at-a-time form, field by field.
+    """
+
+    def __init__(self, size: int) -> None:
+        width = next((w for w in (8, 16, 32, 64) if w > size), None)
+        if width is None:
+            raise ValueError(f"no packed field width holds masks of {size} points")
+        self.size, self.width = size, width
+        self.full = full = (1 << size) - 1
+        self._code = next(c for c in "BHILQ" if array(c).itemsize * 8 == width)
+        inside = [1]
+        for b in range(size):
+            inside += [s | s << (width << b) for s in inside]
+        self.inside = tuple(inside)
+        # one 1 in every field, and the value that pushes a nonzero field's
+        # top bit up
+        self.ones = ones = inside[full]
+        self._top_minus_one = ones * ((1 << width - 1) - 1)
+
+    def fill(self, value: int) -> int:
+        """``value`` in every field."""
+        return self.ones * value
+
+    def pack(self, table: Sequence[int]) -> int:
+        """Field R holds ``table[R]``, for a table with one entry per region."""
+        fields = array(self._code, table)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return int.from_bytes(fields.tobytes(), "little")
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        """The table `pack` packs: entry R is field R."""
+        fields = array(self._code, packed.to_bytes(self.width << self.size >> 3, "little"))
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return tuple(fields)
+
+    def nonzero(self, packed: int) -> int:
+        """The indicator of the nonzero fields.  Each field is below
+        ``2**(w-1)``, so adding ``2**(w-1) - 1`` sets its top bit exactly
+        when it is nonzero, and carries into no other field."""
+        return ((packed + self._top_minus_one) >> self.width - 1) & self.ones
+
+    def masks_of(self, indicator: int) -> list[int]:
+        """The region masks whose field of the indicator is set, ascending."""
+        shift = self.width.bit_length() - 1
+        out = []
+        while indicator:
+            low = indicator & -indicator
+            out.append(low.bit_length() - 1 >> shift)
+            indicator ^= low
+        return out
+
+    def meets(self, mask: int) -> int:
+        """The indicator of the regions that meet the mask: those not inside
+        its complement."""
+        return self.ones ^ self.inside[self.full & ~mask]
+
+    def up_mask(self, rows: Sequence[int]) -> int:
+        """`up_mask` of every region: the rows of the points it holds."""
+        reach = 0
+        for y, row in enumerate(rows):
+            reach |= self.meets(1 << y) * row
+        return reach
+
+    def down_mask(self, rows: Sequence[int]) -> int:
+        """`down_mask` of every region: each x whose row meets it."""
+        reach = 0
+        for x, row in enumerate(rows):
+            reach |= self.meets(row) << x
+        return reach
+
+    def upper_bounds(self, rows: Sequence[int]) -> int:
+        """`upper_bounds` of every region: ``full`` less the points missing
+        from the row of a point it holds."""
+        full = self.full
+        missed = 0
+        for y, row in enumerate(rows):
+            missed |= self.meets(1 << y) * (full ^ row)
+        return self.fill(full) ^ missed
+
+    def lower_bounds(self, rows: Sequence[int]) -> int:
+        """`lower_bounds` of every region: each x whose row contains it."""
+        full = self.full
+        bounds = 0
+        for x, row in enumerate(rows):
+            bounds |= self.inside[row & full] << x
+        return bounds
 
 
 def fixed_masks(table: Sequence[int]) -> tuple[int, ...]:

@@ -1,3 +1,5 @@
+import random
+
 from nestkit.analysis import NestContext
 from nestkit.bounds import (
     covering_subfamilies,
@@ -7,7 +9,8 @@ from nestkit.bounds import (
     up_reach_covers,
 )
 from nestkit.core import Nest, Subset, Universe, enumerate_nests
-from nestkit.topology import down_set, up_set
+from nestkit.suites import random_nest
+from nestkit.topology import down_set, reach_table, up_set
 from nestkit.orders import generated_order
 
 U2 = Universe(2)
@@ -142,6 +145,22 @@ def test_every_cover_of_a_nest_ends_in_the_universe():
                 chosen for chosen in picks
                 if sum(1 << x for x in range(n) if any(m >> x & 1 for m in chosen))
                 == u.full_mask
+            ]
+
+
+def test_covering_subfamilies_match_the_bit_picks_on_larger_nests():
+    # the doubling builds pick i as the members at the set bits of i, in
+    # pick order, up to the nine-member chains on eight points
+    rng = random.Random(5)
+    for n in (6, 7, 8):
+        u = Universe(n)
+        for _ in range(20):
+            nest = random_nest(rng, u)
+            members = nest.masks
+            assert covering_subfamilies(nest) == [
+                tuple(m for j, m in enumerate(members) if i >> j & 1)
+                for i, union in enumerate(reach_table(members))
+                if union == u.full_mask
             ]
 
 

@@ -178,6 +178,28 @@ def test_enumerated_nests_are_strictly_nested_in_canonical_order():
             assert all(a & ~b == 0 and a != b for a, b in zip(nest.masks, nest.masks[1:]))
 
 
+def test_enumerated_and_complement_nests_pass_the_validation_they_skip():
+    # the enumerator and the complement build their nests without
+    # validation; each must be the nest validation builds from its members
+    # in any order, in the same canonical order
+    for size in range(1, 7):
+        u = Universe(size)
+        for include_trivial, cap, stride in product(
+            (True, False), (None, 0, 1, 2, 3), (1, 2, 3)
+        ):
+            seen = 0
+            for offset in range(stride):
+                for nest in enumerate_nests(
+                    u, include_trivial, cap, bound=6, offset=offset, stride=stride
+                ):
+                    comp = family_complement(nest)
+                    for built in (nest, comp):
+                        assert type(built) is Nest and built.universe is u
+                        assert Nest(u, built.masks[::-1]) == built
+                    seen += 1
+            assert seen == count_nests(u, include_trivial, cap)
+
+
 def test_enumerate_nests_counts():
     # one-element universe: {}, the empty-set nest, both, the whole-set nest
     names = [n.masks for n in enumerate_nests(Universe(1))]

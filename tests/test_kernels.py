@@ -72,7 +72,9 @@ from nestkit.orders import (
     transitive_rows,
     transpose,
 )
+from nestkit.suites import random_nest
 from nestkit.topology import (
+    Regions,
     down_mask,
     down_set,
     lower_bounds,
@@ -410,10 +412,13 @@ def _check_region_kernels(rel, masks, region):
     assert lower_bounds(rows, region) == _mask(
         {x for x in points if all((x, y) in pairs for y in inside)}
     )
-    assert down_mask_by_members(masks, region) == _mask(
+    # the member formulas exist only for every region at once: read this
+    # region's field
+    regions = rel.universe.regions
+    assert regions.unpack(down_mask_by_members(regions, masks))[region] == _mask(
         set().union(*(m for m in member_sets if not inside <= m))
     )
-    assert up_mask_by_complements(masks, full, region) == _mask(
+    assert regions.unpack(up_mask_by_complements(regions, masks))[region] == _mask(
         set().union(*(points - m for m in member_sets if inside & m))
     )
 
@@ -459,6 +464,79 @@ def test_region_kernels_match_the_definitions_on_random_relations():
         for region in range(u.full_mask + 1):
             _check_region_kernels(rel, masks, region)
         _check_region_kernels(reflexive_closure(rel), masks, rng.randrange(u.full_mask + 1))
+
+
+def _check_lifted_kernels(nest):
+    """Every lifted form on one nest against its region-at-a-time kernel or
+    definition, field by field."""
+    u = nest.universe
+    regions, full, masks = u.regions, u.full_mask, nest.masks
+    everywhere = range(full + 1)
+    ctx = NestContext(nest)
+    for rows in (ctx.order_rows, ctx.preorder_rows):
+        assert regions.unpack(regions.up_mask(rows)) == tuple(
+            up_mask(rows, r) for r in everywhere)
+        assert regions.unpack(regions.down_mask(rows)) == tuple(
+            down_mask(rows, r) for r in everywhere)
+        assert regions.unpack(regions.upper_bounds(rows)) == tuple(
+            upper_bounds(rows, full, r) for r in everywhere)
+        assert regions.unpack(regions.lower_bounds(rows)) == tuple(
+            lower_bounds(rows, r) for r in everywhere)
+    assert regions.unpack(down_mask_by_members(regions, masks)) == tuple(
+        _mask(x for x in range(u.size) if any(r & ~m and m >> x & 1 for m in masks))
+        for r in everywhere)
+    assert regions.unpack(up_mask_by_complements(regions, masks)) == tuple(
+        _mask(x for x in range(u.size) if any(r & m and not m >> x & 1 for m in masks))
+        for r in everywhere)
+    assert regions.pack(ctx.up_reach) == regions.up_mask(ctx.order_rows)
+    for m in masks:
+        assert regions.unpack(regions.meets(m)) == tuple(int(r & m != 0) for r in everywhere)
+
+
+def _check_layout(regions):
+    """The packed layout of one size against its definition: fields of the
+    smallest width above n, the inside indicators, and the decoders."""
+    n, full = regions.size, regions.full
+    assert regions.width == min(w for w in (8, 16, 32, 64) if w > n)
+    everywhere = range(full + 1)
+    assert len(regions.inside) == full + 1
+    for m in everywhere:
+        indicator = regions.inside[m]
+        assert regions.unpack(indicator) == tuple(int(r & ~m == 0) for r in everywhere)
+        assert regions.masks_of(indicator) == [r for r in everywhere if r & ~m == 0]
+    assert regions.ones == regions.pack([1] * (full + 1)) == regions.fill(1)
+    rng = random.Random(n)
+    for _ in range(20):
+        table = tuple(rng.choice((0, rng.randrange(full + 1))) for _ in everywhere)
+        packed = regions.pack(table)
+        assert regions.unpack(packed) == table
+        assert packed == sum(v << r * regions.width for r, v in enumerate(table))
+        assert regions.unpack(regions.nonzero(packed)) == tuple(int(v != 0) for v in table)
+        assert regions.masks_of(regions.nonzero(packed)) == [r for r, v in enumerate(table) if v]
+
+
+def test_lifted_kernels_match_the_region_kernels_on_every_small_nest():
+    seen = 0
+    for n in range(1, 6):
+        u = Universe(n)
+        _check_layout(u.regions)
+        for nest in enumerate_nests(u, bound=5):
+            _check_lifted_kernels(nest)
+            seen += 1
+    assert seen == 4 * (1 + 3 + 13 + 75 + 541)
+
+
+def test_lifted_kernels_match_the_region_kernels_on_random_larger_nests():
+    # the field width goes from 8 to 16 bits at eight points
+    rng = random.Random(24)
+    for n in range(6, 11):
+        u = Universe(n)
+        assert u.regions is u.regions
+        _check_layout(u.regions)
+        for _ in range(3):
+            _check_lifted_kernels(random_nest(rng, u))
+    with pytest.raises(ValueError, match="width"):
+        Regions(64)
 
 
 def test_public_region_forms_reject_a_region_from_another_universe():

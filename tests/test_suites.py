@@ -543,3 +543,47 @@ def test_bound_covers_flags_a_strict_reach_that_covers_x():
     _, flagged, _ = suites._check_bounds(ctx)
     regions = [extra["region"] for pid, extra in flagged if pid == "reach:never-full"]
     assert regions == [list(indices_of(m)) for m in range(u.full_mask + 1)]
+
+
+def _corrupted_context():
+    """A three-point nest's context with both reach tables corrupted at
+    chosen regions, T0 forced and two order rows perturbed."""
+    u = Universe(3)
+    ctx = NestContext(Nest.of(u, [[1], [0, 1]]))
+    assert ctx.order_rows == (0b100, 0b101, 0b000)
+    up, down = list(ctx.up_reach), list(ctx.down_reach)
+    up[0b011] ^= 0b100
+    up[0b100] = u.full_mask
+    up[0b110] = 0b110
+    down[0b110] = u.full_mask
+    down[0b001] ^= 0b010
+    ctx.up_reach, ctx.down_reach = tuple(up), tuple(down)
+    ctx.t0 = True
+    ctx.order_rows = (0b000, 0b101, 0b001)
+    return ctx
+
+
+def test_failing_region_checks_keep_their_payloads():
+    # region by region in ascending mask order, and at each region the ids
+    # in the order the check lists them
+    def at(mask, *pids):
+        return [(pid, {"region": list(indices_of(mask))}) for pid in pids]
+
+    down_f, up_f, down_t, up_t = (
+        "down-set:formula", "up-set:formula", "down-set:table", "up-set:table")
+    assert suites._check_topology(_corrupted_context()) == (1, [
+        *at(0b001, down_f, up_f, down_t, up_t),
+        *at(0b011, down_f, down_t, up_t),
+        *at(0b100, down_f, up_f, down_t, up_t),
+        *at(0b101, down_f, up_f, down_t, up_t),
+        *at(0b110, down_f, down_t, up_t),
+        *at(0b111, down_f, down_t),
+        ("alexandroff:nest-formula", {}),
+    ], [])
+    assert suites._check_bounds(_corrupted_context()) == (8, [
+        *at(0b100, "reach:never-full", "up:intersection-form", "up:witness",
+            "up:bound-dichotomy"),
+        *at(0b110, "down:cover-form", "reach:never-full", "down:witness",
+            "down:bound-dichotomy"),
+        ("member:strict-upper-bound", {"member": 0b011}),
+    ], [])
