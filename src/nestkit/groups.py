@@ -53,7 +53,7 @@ class FiniteGroup:
         # finding the identity and every inverse is what checks they exist
         self.inverse
 
-    @property
+    @lazy
     def order(self) -> int:
         return len(self.table)
 
@@ -282,7 +282,7 @@ def multiplication_continuity(
 
 def multiplication_premise(group: FiniteGroup, family: SetFamily) -> bool:
     _require_order(group, family.universe, "family")
-    return _product_factorization(group, family)
+    return _product_factorization(group, family.masks)
 
 
 def multiplication_continuous(group: FiniteGroup, topo: Topology) -> bool:
@@ -333,16 +333,16 @@ def multiplication_continuous_via_product(
     return is_continuous(mapping, tprod, topo)
 
 
-def _product_factorization(group: FiniteGroup, family: SetFamily) -> bool:
-    """Every product x*y inside a member T has member neighbourhoods U of x
-    and V of y with U*V inside T.
+def _product_factorization(group: FiniteGroup, masks: tuple[int, ...]) -> bool:
+    """Every product x*y inside a member T of the family with the given
+    masks has member neighbourhoods U of x and V of y with U*V inside T;
+    validates nothing.
 
     Decided on pair masks (the layout of `pair_index`): U*V lies inside T
     exactly when the rectangle U x V lies inside the preimage of T under
     multiplication, so the premise holds iff every member's preimage is the
     union of the member rectangles inside it.
     """
-    masks = family.masks
     # U x V is V times the rectangle U x {0}: the shifted copies of V do not
     # overlap, so the product has no carries
     columns = [rectangle_mask(a, 1, group.order) for a in masks]

@@ -59,14 +59,14 @@ from .core import (
 from .groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
+    _product_factorization,
     inversion_continuity,
     inversion_continuous,
-    inversion_premise,
     multiplication_continuous,
     multiplication_continuous_via_product,
-    multiplication_premise,
     nest_members_trivial,
     order_compatible,
+    set_inverse,
     subbase_topology,
     translation_closed,
 )
@@ -119,6 +119,7 @@ from .topology import (
     join,
     lower_bounds,
     lower_topology,
+    reach_table,
     topology_from_subbase,
     upper_bounds,
     upper_topology,
@@ -391,15 +392,18 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
                 violations.append(Violation(
                     "absorption:pair-form", _nest_payload(SetFamily(u, masks))
                 ))
-        # star-union over all pairs of empty-set-containing families, each
-        # family's rows tabulated once
-        with_empty = [(masks, order_rows(masks, n, full)) for masks in families if 0 in masks]
-        for left, rows1 in with_empty:
-            for right, rows2 in with_empty:
-                count += 1
-                merged = {a | b for a in left for b in right}
-                if order_rows(merged, n, full) != tuple(a | b for a, b in zip(rows1, rows2)):
-                    violations.append(_star_union_violation(n, left, right))
+        # star-union over all pairs of empty-set-containing families.  The
+        # list is indexed by pick bits (see `_star_table`), so those are the
+        # odd indices.  Each family's order is computed once and packed one
+        # row per byte, so the union of two orders is one OR
+        orders = [int.from_bytes(bytes(order_rows(masks, n, full)), "little") for masks in families]
+        with_empty = range(1, len(families), 2)
+        count += len(with_empty) ** 2
+        for left in with_empty:
+            star, order = _star_table(families[left], full), orders[left]
+            for right in with_empty:
+                if orders[star[right]] != order | orders[right]:
+                    violations.append(_star_union_violation(n, families[left], families[right]))
 
     # rectangle composition absorbs along inclusions (exhaustive subset pairs)
     for n in range(1, 5):
@@ -470,6 +474,18 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
         if order_rows(merged, n, full) != tuple(a | b for a, b in zip(rows1, rows2)):
             violations.append(_star_union_violation(n, left, right))
     return count, violations, []
+
+
+def _star_table(left: tuple[int, ...], full: int) -> tuple[int, ...]:
+    """The star family {a | b : a in left, b in R} of the family ``left``
+    and every family R on the universe of ``full``, in pick bits: bit s of a
+    family's picks is set when subset s is a member, and the picks of R
+    index the table, as `enumerate_families` counts.
+
+    Entry b of the rows holds the picks of {a | b : a in left}; the star
+    family is the union of the rows of R's members, so it is the reach of
+    R under those rows, which `reach_table` gives for every R at once."""
+    return reach_table([sum({1 << (a | b) for a in left}) for b in range(full + 1)])
 
 
 def _star_union_violation(n: int, left: Iterable[int], right: Iterable[int]) -> Violation:
@@ -976,25 +992,27 @@ def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
 
     # inversion and multiplication continuity: exhaustive on the smallest
     # groups (every family on z2, up to two members on z3), seeded random on
-    # the rest; conclusion evaluated on premise hits
-    for name, most, cross in (("z2", 4, True), ("z3", 2, False)):
-        group = groups[name]
-        small = [f for f in enumerate_families(group.universe) if len(f) <= most]
-        for left in small:
-            for right in small:
-                count += 1
-                violations.extend(_continuity_checks(group, name, left, right, cross_check=cross))
-
+    # the rest; conclusion evaluated on premise hits.  A group's loops share
+    # one table of its families' premises, dropped when they end
+    exhaustive = {"z2": (4, True), "z3": (2, False)}
     sampled = ["z3", "z4", "z2xz2", "s3"]
     per_group = max(1, config.iters // len(sampled))
-    for name in sampled:
-        group = groups[name]
-        for index in range(per_group):
-            count += 1
-            left = random_family(rng, group.universe, 3)
-            right = random_family(rng, group.universe, 3)
-            cross = name == "z3" and index % 50 == 0
-            violations.extend(_continuity_checks(group, name, left, right, cross_check=cross))
+    for name, group in groups.items():
+        premises = _PremiseTable(group)
+        if name in exhaustive:
+            most, cross = exhaustive[name]
+            small = [f for f in enumerate_families(group.universe) if len(f) <= most]
+            for left in small:
+                for right in small:
+                    count += 1
+                    violations.extend(_continuity_checks(premises, name, left, right, cross))
+        if name in sampled:
+            for index in range(per_group):
+                count += 1
+                left = random_family(rng, group.universe, 3)
+                right = random_family(rng, group.universe, 3)
+                cross = name == "z3" and index % 50 == 0
+                violations.extend(_continuity_checks(premises, name, left, right, cross))
 
     example = inversion_continuity(z3, SetFamily.of(z3.universe, [[1]]), SetFamily.of(z3.universe, [[2]]))
     count += 1
@@ -1008,10 +1026,40 @@ def _suite_groups(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
     return count, violations, notes
 
 
+class _PremiseTable(dict):
+    """The continuity premises of one group's families, each family's
+    computed on its first lookup: ``table[masks]`` is ``(inverse,
+    multiplies)`` for the family with those canonical masks, where
+    ``inverse`` is the canonical masks of its members' elementwise inverses
+    and ``multiplies`` its multiplication premise.  The groups are built-ins
+    and the families fit them, so the kernels run without validation.
+    """
+
+    def __init__(self, group: FiniteGroup) -> None:
+        super().__init__()
+        self.group = group
+
+    def __missing__(self, masks: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+        group = self.group
+        inverse = canonical_masks(set_inverse(group, m) for m in masks)
+        value = self[masks] = inverse, _product_factorization(group, masks)
+        return value
+
+    def inversion(self, left: SetFamily, right: SetFamily) -> bool:
+        """`inversion_premise`: each family's inverses lie in the other.
+        Inversion is an involution, so that holds exactly when the left
+        family's inverse is the right family."""
+        return self[left.masks][0] == right.masks
+
+    def multiplication(self, left: SetFamily, right: SetFamily) -> bool:
+        """`multiplication_premise` of both families."""
+        return self[left.masks][1] and self[right.masks][1]
+
+
 def _continuity_checks(
-    group: FiniteGroup, name: str, left: SetFamily, right: SetFamily, cross_check: bool
+    premises: _PremiseTable, name: str, left: SetFamily, right: SetFamily, cross_check: bool
 ) -> list[Violation]:
-    out = []
+    group, out = premises.group, []
 
     def payload() -> dict:
         return {
@@ -1020,8 +1068,8 @@ def _continuity_checks(
             "right": family_to_dict(right)["family"],
         }
 
-    inv_premise = inversion_premise(group, left, right)
-    mul_premise = multiplication_premise(group, left) and multiplication_premise(group, right)
+    inv_premise = premises.inversion(left, right)
+    mul_premise = premises.multiplication(left, right)
     topo = None
     if inv_premise or mul_premise or cross_check:
         topo = subbase_topology(group, left, right)

@@ -324,7 +324,7 @@ def test_nest_context_fields_are_computed_once(monkeypatch):
 
 def test_lazy_fields_survive_pickling():
     assert _lazy_fields(FiniteGroup) == [
-        "identity", "inverse", "universe", "left_images", "right_images",
+        "order", "identity", "inverse", "universe", "left_images", "right_images",
         "inverse_images", "preimage_bits"]
     assert _lazy_fields(Topology) == ["_open_set", "neighbourhoods"]
     values = [topology_from_subbase(SetFamily(U3, (0b001, 0b011)))]

@@ -10,6 +10,15 @@ from nestkit.analysis import DualPair, NestContext
 from nestkit.core import (
     Nest, SetFamily, Universe, canonical_masks, enumerate_families, enumerate_nests, indices_of,
 )
+from nestkit.groups import (
+    BUILTIN_GROUPS,
+    inversion_continuous,
+    inversion_premise,
+    multiplication_continuous,
+    multiplication_continuous_via_product,
+    multiplication_premise,
+    subbase_topology,
+)
 from nestkit.reporting import SuiteReport, Violation, sort_violations
 from nestkit.serialize import canonical_json, family_to_dict
 from nestkit.suites import SuiteConfig, run_suite, suite_names
@@ -40,12 +49,16 @@ MAX_N5_DIGESTS = {
 }
 
 # the two family-fuzz suites at their defaults (10,000 iterations), at the
-# default seed and at seed 1, the benchmark's default seed
+# default seed, at seed 1 (the benchmark's default seed), and at seeds 7 and 99
 DEFAULT_DIGESTS = {
     ("generated-orders", 20260808): "8b07a278d024c1e8d9ddce122d64e2e9b2f1e8cdea53ab30ad391d8f28f7cdf9",
     ("generated-orders", 1): "a0ff12e52696a48d52fd25305f05cb98943ac80729ce5110a1d70d1e9d8f52fd",
+    ("generated-orders", 7): "12696de013ff8372f2933bb703ae9b860a36637518dcca5f502d07aec6f4060b",
+    ("generated-orders", 99): "efdb8ef455d47c8cc51bca9dab0f99b705c715ae56f31f1432b8e53c8f190dfa",
     ("group-compatibility", 20260808): "18af58db77695c99cdecb2250b78169a8ba9cc251964c081df0f51d11e672a3a",
     ("group-compatibility", 1): "dd067a807a1ea96310c85772aafe3f037401bac3e8e8deba38e86de29c0c19ab",
+    ("group-compatibility", 7): "e0dcb2ddef374e4dfe651849b60e61db74c6c7c6d0647f94c39c935d52b3fbd1",
+    ("group-compatibility", 99): "8e57cbf1f800266a64eba946918f69615bc5a98429342618bf763975de491c41",
 }
 
 EXHAUSTIVE = ["core-algebra", "topology-engine", "sup-conditions", "interlocking", "bound-covers"]
@@ -201,6 +214,137 @@ def test_generated_orders_reports_a_flagged_small_family_once(monkeypatch):
     monkeypatch.setattr(suites, "_order_checks", flag)
     report = run_suite("generated-orders", SuiteConfig(max_n=3, iters=2_000))
     assert [v.property_id for v in report.violations] == ["order:product-form"]
+
+
+def _picks(masks) -> int:
+    return sum(1 << m for m in masks)
+
+
+def test_star_table_is_the_star_family_of_every_pair_with_the_empty_set():
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        families = [family.masks for family in enumerate_families(Universe(n))]
+        # the enumeration order is the pick order the table is indexed by
+        assert [_picks(masks) for masks in families] == list(range(len(families)))
+        with_empty = [masks for masks in families if 0 in masks]
+        for left in with_empty:
+            star = suites._star_table(left, full)
+            for right in with_empty:
+                assert star[_picks(right)] == _picks({a | b for a in left for b in right})
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_star_union_violations_match_a_pairwise_loop_on_a_corrupted_order(monkeypatch, size):
+    # the family {{}, {x0}, {x1}, {x0, x1}} is the star family of many pairs
+    # and an operand of others; flip a pair of its order and every pair that
+    # reads it must be flagged as the pairwise definition flags it
+    order_rows = orders.order_rows
+
+    def corrupted(masks, n, full):
+        rows = order_rows(masks, n, full)
+        if (n, frozenset(masks)) == (size, frozenset({0b00, 0b01, 0b10, 0b11})):
+            rows = (rows[0] ^ 0b001, *rows[1:])
+        return rows
+
+    want = []
+    for n in (1, 2, 3):
+        u, full = Universe(n), (1 << n) - 1
+        with_empty = [family.masks for family in enumerate_families(u) if 0 in family.masks]
+        for left in with_empty:
+            for right in with_empty:
+                merged = {a | b for a in left for b in right}
+                rows = tuple(a | b for a, b in zip(corrupted(left, n, full), corrupted(right, n, full)))
+                if corrupted(merged, n, full) != rows:
+                    want.append(Violation("star-union:order", {
+                        "universe": n,
+                        "left": family_to_dict(SetFamily(u, left))["family"],
+                        "right": family_to_dict(SetFamily(u, right))["family"],
+                    }))
+    monkeypatch.setattr(suites, "order_rows", corrupted)
+    # the report in the order the suite found its violations
+    monkeypatch.setattr(suites, "sort_violations", tuple)
+    report = run_suite("generated-orders", SuiteConfig(max_n=3, iters=0))
+    assert want
+    assert [v for v in report.violations if v.property_id == "star-union:order"] == want
+
+
+def _continuity_pairs(seed: int, per_group: int) -> list[tuple]:
+    """(group name, left, right, cross-check) for every pair of the
+    exhaustive z2 and z3 sets, then ``per_group`` seeded pairs on each
+    sampled group, drawn and cross-checked as group-compatibility does."""
+    pairs = []
+    for name, most in (("z2", 4), ("z3", 2)):
+        u = BUILTIN_GROUPS[name]().universe
+        small = [family for family in enumerate_families(u) if len(family) <= most]
+        pairs += [(name, left, right, name == "z2") for left in small for right in small]
+    rng = random.Random(seed)
+    for name in ("z3", "z4", "z2xz2", "s3"):
+        u = BUILTIN_GROUPS[name]().universe
+        for index in range(per_group):
+            left = suites.random_family(rng, u, 3)
+            right = suites.random_family(rng, u, 3)
+            pairs.append((name, left, right, name == "z3" and index % 50 == 0))
+    return pairs
+
+
+def test_premise_table_matches_the_public_premises(monkeypatch):
+    factorization, computed = suites._product_factorization, []
+
+    def counted(group, masks):
+        computed.append(masks)
+        return factorization(group, masks)
+
+    monkeypatch.setattr(suites, "_product_factorization", counted)
+    pairs, tables, fired = _continuity_pairs(5, 500), {}, set()
+    for name, left, right, _ in pairs:
+        group = BUILTIN_GROUPS[name]()
+        premises = tables.setdefault(name, suites._PremiseTable(group))
+        inversion = premises.inversion(left, right)
+        multiplication = premises.multiplication(left, right)
+        assert inversion == inversion_premise(group, left, right), (name, left, right)
+        assert multiplication == (
+            multiplication_premise(group, left) and multiplication_premise(group, right)
+        ), (name, left, right)
+        fired.update((premise, name) for premise, held in (
+            ("inversion", inversion), ("multiplication", multiplication)) if held)
+    # both premises hold somewhere on every group, and each family's are
+    # computed once however often it is drawn
+    assert fired == {(p, name) for p in ("inversion", "multiplication") for name in tables}
+    assert len(computed) == sum(len(table) for table in tables.values())
+    assert len(computed) < len(pairs)
+
+
+def test_a_flipped_premise_yields_the_violations_of_a_per_pair_recomputation(monkeypatch):
+    # the one-member family {{0}} on z3 misses the multiplication premise;
+    # claiming it makes the pairs whose topology multiplication leaves
+    # discontinuous fire, exactly as recomputing both premises per pair does
+    factorization = suites._product_factorization
+
+    def flipped(group, masks):
+        return factorization(group, masks) != (group.order == 3 and masks == (0b001,))
+
+    iters = 400
+    want = []
+    for name, left, right, cross in _continuity_pairs(11, iters // 4):
+        group = BUILTIN_GROUPS[name]()
+        payload = {
+            "group": name,
+            "left": family_to_dict(left)["family"],
+            "right": family_to_dict(right)["family"],
+        }
+        topo = subbase_topology(group, left, right)
+        if inversion_premise(group, left, right) and not inversion_continuous(group, topo):
+            want.append(Violation("group:inversion-implication", payload))
+        multiplication = flipped(group, left.masks) and flipped(group, right.masks)
+        if multiplication and not multiplication_continuous(group, topo):
+            want.append(Violation("group:multiplication-implication", payload))
+        if cross and multiplication_continuous(group, topo) != multiplication_continuous_via_product(group, topo):
+            want.append(Violation("group:continuity-routes", payload))
+    monkeypatch.setattr(suites, "_product_factorization", flipped)
+    monkeypatch.setattr(suites, "sort_violations", tuple)
+    report = run_suite("group-compatibility", SuiteConfig(seed=11, iters=iters))
+    assert [v.property_id for v in want] == ["group:multiplication-implication"] * len(want)
+    assert want and list(report.violations) == want
 
 
 def test_cover_converse_visits_every_region_outside_the_cover_top(monkeypatch):
