@@ -109,8 +109,8 @@ def has_lower_bound(nest: Nest | NestContext, region: Subset, strict: bool = Tru
 
 
 def covering_subfamilies(nest: Nest) -> list[tuple[int, ...]]:
-    """All subfamilies whose union is the whole universe (exhaustive helper
-    for the cover characterizations; exponential in the nest size).
+    """All subfamilies whose union is the universe, by brute force (exponential
+    in the nest size): the oracle of bound-covers' closed-form cover count.
 
     Subfamily ``pick`` holds member i when bit i of ``pick`` is set; its
     union is entry ``pick`` of the reach table whose rows are the members.

@@ -36,7 +36,6 @@ from .analysis import (
     down_mask_by_members,
 )
 from .bounds import (
-    covering_subfamilies,
     down_reach_covers,
     has_upper_bound,
     up_reach_covers,
@@ -837,17 +836,18 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     """Every region of one nest, then every covering subfamily: one
     instance each.  Each route is evaluated for all regions at once, in the
     packed layout of the universe, as an indicator of the regions where it
-    holds."""
+    holds.  The covers are only counted, in closed form, with
+    `bounds.covering_subfamilies` as the oracle: every cover of a chain
+    ends in X, so no cover leaves a point outside its top member."""
     nest, t0 = ctx.nest, ctx.t0
     u = nest.universe
     masks, full = nest.masks, u.full_mask
     rows = ctx.order_rows
     pre_rows = ctx.preorder_rows if t0 else None
-    down_reach = ctx.down_reach
     regions = u.regions
     ones, nonzero, width = regions.ones, regions.nonzero, regions.width
     fulls = regions.fill(full)
-    down = ones ^ nonzero(regions.pack(down_reach) ^ fulls)
+    down = ones ^ nonzero(regions.pack(ctx.down_reach) ^ fulls)
     up = ones ^ nonzero(regions.pack(ctx.up_reach) ^ fulls)
     # the members meeting each region, and what their intersection misses
     meeting = missed = 0
@@ -885,31 +885,6 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
         ("bounds:empty-region", empty),
     ])
 
-    # converse: a cover with no single member containing the region
-    # forces full downward reach; and any cover of X is itself a
-    # finite subcover for the region, which is the whole content of
-    # the finite-subcover clause at this scale.  A subfamily of a nest
-    # is a chain kept in canonical order, so its last member contains
-    # all the others and alone decides whether one contains the region.
-    # Both premises need a point outside that member, so a cover whose
-    # last member is X, as every cover of a chain's is, has no region to
-    # visit
-    covers = covering_subfamilies(nest)
-    for chosen in covers:
-        top = chosen[-1]
-        if top == full:
-            continue
-        union = 0
-        for m in chosen:
-            union |= m
-        for mask in range(full + 1):
-            if mask & ~top and down_reach[mask] != full:
-                flagged.append(("down:cover-converse", {"region": mask, "cover": list(chosen)}))
-            if mask & ~union:
-                flagged.append((
-                    "finite-subcover:reduction", {"region": mask, "cover": list(chosen)}
-                ))
-
     if t0:
         minimum = next((x for x in u.elements() if pre_rows[x] == full), None)
         for mask in masks:
@@ -919,7 +894,8 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
                 expect = not (mask >> minimum & 1)
                 if bool(lower_bounds(rows, mask)) != expect:
                     flagged.append(("member:lower-bound-minimum", {"member": mask}))
-    return full + 1 + len(covers), flagged, []
+    # one cover for each choice of the members below X, none without X
+    return full + 1 + (1 << len(masks) - 1 if full in masks else 0), flagged, []
 
 
 @_suite("bound-covers", "cover characterizations of reach and bound existence",

@@ -9,7 +9,7 @@ from nestkit.bounds import (
     up_reach_covers,
 )
 from nestkit.core import Nest, Subset, Universe, enumerate_nests
-from nestkit.suites import random_nest
+from nestkit.suites import SuiteConfig, _check_bounds, random_nest, run_suite
 from nestkit.topology import down_set, reach_table, up_set
 from nestkit.orders import generated_order
 
@@ -126,9 +126,9 @@ def test_covering_subfamilies():
 
 def test_every_cover_of_a_nest_ends_in_the_universe():
     # a nest's covering subfamily is a chain whose union is its last member,
-    # so that member is X: no region has a point outside it, the
-    # bound-covers converse loop skips every cover, and its premise never
-    # fires
+    # so that member is X: no region has a point outside it, which is why
+    # bound-covers counts the covers in closed form and checks no region
+    # against them
     for n in (1, 2, 3, 4, 5):
         u = Universe(n)
         for nest in enumerate_nests(u, bound=5):
@@ -201,8 +201,9 @@ def test_nest_forms_match_the_context_forms():
 
 
 def test_converse_premise_reads_the_last_chosen_member():
-    # the bound-covers suite decides "no chosen member contains the region"
-    # from the last member of the chosen chain alone
+    # "no chosen member contains the region" is decided by the last member
+    # of the chosen chain alone, since a subfamily of a nest is a chain kept
+    # in canonical order
     for n in (1, 2, 3, 4):
         u = Universe(n)
         for nest in enumerate_nests(u):
@@ -210,3 +211,36 @@ def test_converse_premise_reads_the_last_chosen_member():
                 for mask in range(u.full_mask + 1):
                     by_scan = not any(mask & ~m == 0 for m in chosen)
                     assert bool(mask & ~chosen[-1]) == by_scan
+
+
+def test_bound_covers_counts_the_covers_in_closed_form():
+    # bound-covers counts each nest's 2^n regions plus its covers, the
+    # covers in closed form: 2^(k-1) for k members with X among them, none
+    # otherwise.  covering_subfamilies builds them all and is the oracle
+    def covers_counted(nest):
+        return _check_bounds(NestContext(nest))[0] - (1 << nest.universe.size)
+
+    for n in range(1, 7):
+        u = Universe(n)
+        for cap in (None, 0, 1, 2, 3):
+            for nest in enumerate_nests(u, max_members=cap, bound=6):
+                assert covers_counted(nest) == len(covering_subfamilies(nest))
+    rng = random.Random(26)
+    for n in (7, 8):
+        u = Universe(n)
+        for _ in range(20):
+            nest = random_nest(rng, u)
+            assert covers_counted(nest) == len(covering_subfamilies(nest))
+    # the suite's instance count over the swept nests, at every cap
+    for max_n in range(1, 6):
+        for cap in (None, 0, 1, 2):
+            report = run_suite("bound-covers", SuiteConfig(max_n=max_n, max_members=cap))
+            assert report.instances == sum(
+                (1 << n) + len(covering_subfamilies(nest))
+                for n in range(1, max_n + 1)
+                for nest in enumerate_nests(Universe(n), max_members=cap, bound=max_n)
+            )
+    # a nest without X has no cover; with X added it has one per choice of
+    # the members below X, and neither flags anything
+    assert _check_bounds(NestContext(Nest.of(U3, [[1], [0, 1]]))) == (8, [], [])
+    assert _check_bounds(NestContext(Nest.of(U3, [[1], [0, 1], [0, 1, 2]]))) == (12, [], [])

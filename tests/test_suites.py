@@ -347,19 +347,6 @@ def test_a_flipped_premise_yields_the_violations_of_a_per_pair_recomputation(mon
     assert want and list(report.violations) == want
 
 
-def test_cover_converse_visits_every_region_outside_the_cover_top(monkeypatch):
-    # no cover of a nest leaves a point outside its last member, so hand the
-    # loop one that does: each region with a point outside it fires both the
-    # converse and the finite-subcover premises, and neither verdict holds
-    u = Universe(3)
-    monkeypatch.setattr(suites, "covering_subfamilies", lambda nest: [(0b010,)])
-    count, flagged, _ = suites._check_bounds(NestContext(Nest.of(u, [[1], [0, 1]])))
-    assert count == 8 + 1
-    for pid in ("down:cover-converse", "finite-subcover:reduction"):
-        regions = sorted(extra["region"] for p, extra in flagged if p == pid)
-        assert regions == [m for m in range(8) if m & 0b101]
-
-
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
