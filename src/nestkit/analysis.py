@@ -15,21 +15,30 @@ never an arbitrary pick.  The kernel `sup_index` decides this on the rows
 of a reflexive order and a region mask, starting from the region's upper
 bounds, and answers with the supremum's element or a code (`NO_BOUND`,
 `NO_LEAST`); `sup_of` and `inf_of` wrap it at the `Relation` boundary, and
-the context's ladders read it directly.
+both routes of the dual ladder read it.
+
+A nest's generated order is the strict weak order of its blocks
+(`Nest.blocks`): x < y iff x's block comes before y's.  So a context reads
+T0 (every block has at most one point) and each member's sup (fixed by the
+member's top block and the next one) off the blocks in O(k).  The kernels
+stay as their oracles in the sweeps: `orders.t0_masks` in core-algebra and
+`sup_index` in sup-conditions, on every nest swept.
 
 `NestContext` holds the values a sweep derives from one nest, at mask level
 only (the rows of its order and preorder, the complement nest's own context,
-member sups, both ladders, T0, the strict reach tables and the Alexandroff
-fixed points), and computes each at most once, on first use.  A `Relation`,
+member sups, both ladders, T0, and, packed in the layout of
+`topology.Regions`, the strict reach tables and the Alexandroff fixed
+points), and computes each at most once, on first use.  A `Relation`,
 `SetFamily` or `Subset` is built only at a public boundary: a predicate that
 takes a `Subset`, a wrapper such as `sup_of`, or a topology a premise needs.
 The fields are `core.lazy` fields, which take no lock: after the first
-access a field is a plain attribute read.  Each nest predicate below takes a nest or
-its context (`NestContext.of`), so there is one evaluation path whichever is
-passed: a sweep builds one context per nest and shares it across all of that
-nest's properties.  A predicate on single members or regions reads their
-reach from a region kernel; only the sweeps read the reach tables over
-every region.
+access a field is a plain attribute read.  Each nest predicate below takes
+a nest or its context (`NestContext.of`), so there is one evaluation path
+whichever is passed: a sweep builds one context per nest and shares it
+across all of that nest's properties.  The sup sweep reads the member
+lower-set views of all members at once (`member_lower_set_views`).  A
+predicate on single members or regions reads their reach from a region
+kernel; only the sweeps read the reach tables over every region.
 
 `DualPair` is the one form of a dual pair, and holds the two sides'
 contexts.  It checks once that both sides are nests whose orders are mutual
@@ -54,13 +63,11 @@ from .core import (
     is_chain,
     lazy,
 )
-from .orders import Relation, columns, linear_rows, reflexive_rows, t0_separates
+from .orders import Relation, columns, linear_rows, reflexive_rows
 from .topology import (
     Regions,
     Topology,
     down_mask,
-    fixed_masks,
-    reach_table,
     topology_from_subbase,
     upper_bounds,
 )
@@ -145,13 +152,14 @@ class SupConditions:
 def _ladder(sups: dict[int, int], full: int) -> SupConditions:
     """The ladder from each member's `sup_index`: every sup exists, every
     sup lies outside its member, and the escaping sups cover the universe."""
-    exist = all(s >= 0 for s in sups.values())
-    escape = exist and all(not m >> s & 1 for m, s in sups.items())
-    reached = 0
-    if escape:
-        for s in sups.values():
-            reached |= 1 << s
-    return SupConditions(exist, escape, escape and reached == full)
+    escape, reached = True, 0
+    for m, s in sups.items():
+        if s < 0:
+            return SupConditions(False, False, False)
+        if m >> s & 1:
+            escape = False
+        reached |= 1 << s
+    return SupConditions(True, escape, escape and reached == full)
 
 
 def _dual_ladder(
@@ -220,9 +228,30 @@ class NestContext:
 
     @lazy
     def sup_indices(self) -> dict[int, int]:
-        """Each member's `sup_index` under the preorder."""
-        rows, full = self.preorder_rows, self.nest.universe.full_mask
-        return {m: sup_index(rows, full, m) for m in self.nest.masks}
+        """Each member's `sup_index` under the preorder, read off the nest's
+        blocks in O(k).
+
+        The upper bounds of a member are the points outside it, plus the
+        point of its top block when that block holds one point alone; that
+        point, then, is below the rest and is the sup.  Otherwise the sup is
+        the least point outside the member: the point of the next block,
+        when it holds one.  The next block is empty only above X (no upper
+        bound), and a block of two or more points has no least one.
+        """
+        nest = self.nest
+        blocks, sups = nest.blocks, {}
+        for i, m in enumerate(nest.masks):
+            top = blocks[i]
+            if not top or top & (top - 1):
+                # no greatest point inside: the least one outside, if any
+                top = blocks[i + 1]
+            if not top:
+                sups[m] = NO_BOUND
+            elif top & (top - 1):
+                sups[m] = NO_LEAST
+            else:
+                sups[m] = top.bit_length() - 1
+        return sups
 
     @lazy
     def sups(self) -> dict[int, SupResult]:
@@ -234,23 +263,31 @@ class NestContext:
 
     @lazy
     def t0(self) -> bool:
-        return t0_separates(self.nest)
+        """Whether the nest T0-separates the universe: two points are split
+        by no member exactly when they share a block, so T0 holds iff every
+        block has at most one point, that is iff n of the blocks, which
+        partition the n points, are nonempty."""
+        blocks = self.nest.blocks
+        return len(blocks) - blocks.count(0) == self.nest.universe.size
 
     @lazy
-    def up_reach(self) -> tuple[int, ...]:
-        """Strict upward reach of every region under the order, by mask."""
-        return reach_table(self.order_rows)
+    def up_reach(self) -> int:
+        """Strict upward reach of every region under the order: the reach
+        table, packed in the layout of the universe (`Regions.reach_table`)."""
+        return self.nest.universe.regions.reach_table(self.order_rows)
 
     @lazy
-    def down_reach(self) -> tuple[int, ...]:
-        """Strict downward reach of every region under the order, by mask."""
-        return reach_table(columns(self.order_rows))
+    def down_reach(self) -> int:
+        """Strict downward reach of every region under the order: the
+        packed reach table of the columns."""
+        return self.nest.universe.regions.reach_table(columns(self.order_rows))
 
     @lazy
-    def alexandroff_masks(self) -> frozenset[int]:
-        """The Alexandroff family of the order: every region equal to its
-        strict upward reach."""
-        return frozenset(fixed_masks(self.up_reach))
+    def alexandroff(self) -> int:
+        """The Alexandroff family of the order, as an indicator in the
+        packed layout of the universe: field R is 1 when region R equals
+        its strict upward reach in ``up_reach``."""
+        return self.nest.universe.regions.fixed(self.up_reach)
 
 
 def member_sups(nest: Nest | NestContext) -> dict[int, SupResult]:
@@ -331,10 +368,11 @@ def is_interlocking_via_alexandroff(nest: Nest | NestContext) -> bool:
     """Alexandroff route: members closed for the nest's order must have their
     complements closed for the complement nest's order."""
     ctx = NestContext.of(nest)
-    alex, alex_c = ctx.alexandroff_masks, ctx.dual.alexandroff_masks
-    full = ctx.nest.universe.full_mask
+    alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
+    u = ctx.nest.universe
+    full, width = u.full_mask, u.regions.width
     for m in ctx.nest.masks:
-        if m ^ full in alex and m not in alex_c:
+        if alex >> (m ^ full) * width & 1 and not alex_c >> m * width & 1:
             return False
     return True
 
@@ -427,6 +465,40 @@ def member_lower_set_masks(ctx: NestContext, mask: int) -> MemberLowerSetReport:
         mask & ~below[g] == 0 for g in nest.universe.elements() if mask >> g & 1
     )
     return MemberLowerSetReport(union_matches, lower, not greatest)
+
+
+def member_lower_set_views(ctx: NestContext) -> tuple[int, int, int]:
+    """The three views of `member_lower_set_masks` for every member of the
+    context's nest at once, as member indicators, bit i for the i-th member
+    in the nest's order: ``(union_of_smaller_matches, is_lower_set,
+    no_greatest_element)``.
+
+    One walk up the chain.  Each member is the one below it plus its block,
+    so its strict down-reach grows by the block's columns and its upper
+    bounds under the preorder shrink by the block's rows; the union of its
+    smaller members is the member below it, ∅ for the first.  A greatest
+    point is an upper bound inside the member.
+    """
+    nest = ctx.nest
+    cols, rows = ctx.preorder_columns, ctx.preorder_rows
+    below = down = matches = lower = greatest = 0
+    bounds = nest.universe.full_mask
+    for i, (mask, block) in enumerate(zip(nest.masks, nest.blocks)):
+        while block:
+            low = block & -block
+            y = low.bit_length() - 1
+            # the preorder's column of y holds y itself; the strict one not
+            down |= cols[y] ^ low
+            bounds &= rows[y]
+            block ^= low
+        if below == mask:
+            matches |= 1 << i
+        if down == mask:
+            lower |= 1 << i
+        if bounds & mask:
+            greatest |= 1 << i
+        below = mask
+    return matches, lower, greatest ^ ((1 << len(nest.masks)) - 1)
 
 
 def open_ray_topology(rel_strict: Relation) -> Topology:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import xor
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -199,8 +200,9 @@ class SetFamily:
         and, for a nest, that each lies inside the next, so no check of the
         validation could fire."""
         family = object.__new__(cls)
-        object.__setattr__(family, "universe", universe)
-        object.__setattr__(family, "masks", masks)
+        # the frozen fields, set as `object.__setattr__` would set them
+        fields = family.__dict__
+        fields["universe"], fields["masks"] = universe, masks
         return family
 
     @classmethod
@@ -246,6 +248,19 @@ class Nest(SetFamily):
                 raise InstanceError(
                     f"members {small:#x} and {big:#x} are not inclusion-comparable"
                 )
+
+    @lazy
+    def blocks(self) -> tuple[int, ...]:
+        """The ordered partition of X that the chain M_1 ⊂ … ⊂ M_k cuts:
+        M_1, then each M_i − M_{i−1}, then X − M_k, as masks.
+
+        Only the outer two can be empty: the first exactly when ∅ is a
+        member, the last exactly when X is.  The generated order is the
+        strict weak order of the blocks: x < y iff x's block comes before
+        y's, so each point's row is the union of the blocks after its own.
+        """
+        masks = self.masks
+        return tuple(map(xor, masks + (self.universe.full_mask,), (0,) + masks))
 
 
 def is_nest(family: SetFamily) -> bool:
@@ -301,30 +316,42 @@ def enumerate_nests(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if not 0 <= offset < stride:
         raise ValueError(f"offset must lie in [0, stride) = [0, {stride}), got {offset}")
-    candidates = _nest_candidates(universe, include_trivial)
+    candidates, above = _nest_extensions(universe.size, include_trivial)
     cap = len(candidates) if max_members is None else max_members
-    counter = 0
     drawn = Nest._drawn
 
-    def walk(chain: list[int], start: int) -> Iterator[Nest]:
-        # the chain, then its extensions by later candidates, which are
-        # distinct and in canonical order: containing the top is the test,
-        # so the chain is strictly nested and canonical as it stands
-        nonlocal counter
-        if counter % stride == offset:
-            yield drawn(universe, tuple(chain))
-        counter += 1
-        if len(chain) >= cap:
-            return
-        top = chain[-1] if chain else 0
-        for j in range(start, len(candidates)):
-            cand = candidates[j]
-            if top & ~cand == 0:
-                chain.append(cand)
-                yield from walk(chain, j + 1)
-                chain.pop()
+    def walk() -> Iterator[Nest]:
+        # depth first with an explicit stack of chains still to visit, each
+        # with the index of its top candidate (-1, the last entry of
+        # ``above``, for the empty chain): a chain is yielded, then its
+        # extensions are pushed in reverse, so they pop in candidate order
+        # and the stream is the preorder of the chain tree
+        stack = [((), -1)]
+        pop, push = stack.pop, stack.extend
+        counter = 0
+        while stack:
+            chain, top = pop()
+            if counter % stride == offset:
+                yield drawn(universe, chain)
+            counter += 1
+            if len(chain) < cap:
+                push([(chain + (candidates[j],), j) for j in above[top]])
 
-    return walk([], 0)
+    return walk()
+
+
+@lru_cache(maxsize=None)
+def _nest_extensions(size: int, include_trivial: bool) -> tuple[tuple[int, ...], tuple]:
+    """The nest candidates of a universe of ``size`` points, in canonical
+    order, and for each the indices of the later candidates containing it,
+    descending; a last entry lists every index, descending, for the empty
+    chain.  Containing the top is the test, so a chain extended by these
+    stays strictly nested and canonical."""
+    candidates = _nest_candidates((1 << size) - 1, include_trivial)
+    last = len(candidates) - 1
+    above = [tuple(j for j in range(last, i, -1) if not cand & ~candidates[j])
+             for i, cand in enumerate(candidates)]
+    return candidates, (*above, tuple(range(last, -1, -1)))
 
 
 def count_nests(
@@ -334,7 +361,7 @@ def count_nests(
 ) -> int:
     """Number of nests `enumerate_nests` yields, via an independent recursion."""
     _check_max_members(max_members)
-    candidates = _nest_candidates(universe, include_trivial)
+    candidates = _nest_candidates(universe.full_mask, include_trivial)
     cap = len(candidates) if max_members is None else max_members
 
     @lru_cache(maxsize=None)
@@ -357,8 +384,7 @@ def _check_max_members(max_members: int | None) -> None:
         raise ValueError(f"max_members must be >= 0, got {max_members}")
 
 
-def _nest_candidates(universe: Universe, include_trivial: bool) -> tuple[int, ...]:
-    full = universe.full_mask
+def _nest_candidates(full: int, include_trivial: bool) -> tuple[int, ...]:
     return canonical_masks(range(full + 1) if include_trivial else range(1, full))
 
 

@@ -4,9 +4,9 @@ or counterexamples where a checked implication would fail.
 Every target is a filter over nest contexts, and each `run_search` call
 walks the stream once for its one target: the nests on 1..max_n points, or
 on a group's elements with unset fields taken from `GROUP_DEFAULTS`,
-exhaustively or by seeded sampling within a budget.  Each hit is recorded as a standard instance document, so anything
-found can be re-fed to ``analyze``, and the report says whether the walk
-covered the whole space.
+exhaustively or by seeded sampling within a budget.  Each hit is recorded
+as a standard instance document, so anything found can be re-fed to
+``analyze``, and the report says whether the walk covered the whole space.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ from .analysis import (
     lots_hypotheses,
     lots_report,
     member_closed_by_intersections,
-    member_lower_set_masks,
     member_lower_set_report,
+    member_lower_set_views,
     member_union_of_smaller,
     sup_conditions,
+    sup_index,
     up_mask_by_complements,
     down_mask_by_members,
 )
@@ -113,7 +114,6 @@ from .serialize import family_to_dict, ray_to_dict
 from .topology import (
     Regions,
     Topology,
-    fixed_masks,
     interval_topology,
     join,
     lower_bounds,
@@ -297,10 +297,14 @@ def _suite_replay(config: SuiteConfig) -> tuple[int, list[Violation], list[str]]
 
 
 def _check_core(ctx: NestContext) -> tuple[int, list, list]:
+    """The enumerator's nest, its complement, and the T0 verdict the
+    context reads off the blocks, against the direct form `t0_masks`."""
     nest, comp = ctx.nest, ctx.dual.nest
     flagged = []
     if not is_nest(nest):
         flagged.append(("enumerate:not-a-nest", {}))
+    if ctx.t0 != t0_masks(nest.masks, nest.universe.size):
+        flagged.append(("t0:block-form", {}))
     if family_complement(comp).masks != nest.masks:
         flagged.append(("complement:involution", {}))
     if not is_nest(comp):
@@ -555,15 +559,15 @@ def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
     routes = (
         down_mask_by_members(regions, masks) ^ down,
         by_complements ^ up,
-        regions.pack(ctx.down_reach) ^ down,
-        regions.pack(ctx.up_reach) ^ up,
+        ctx.down_reach ^ down,
+        ctx.up_reach ^ up,
     )
     flagged = []
     if any(routes):
         flagged = _flag_regions(
             regions, [(pid, regions.nonzero(diff)) for pid, diff in zip(_REACH_ROUTES, routes)]
         )
-    if ctx.alexandroff_masks != frozenset(fixed_masks(regions.unpack(by_complements))):
+    if ctx.alexandroff != regions.fixed(by_complements):
         flagged.append(("alexandroff:nest-formula", {}))
     return 1, flagged, []
 
@@ -648,8 +652,11 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
     if cond.sups_onto and not t0:
         flagged.append(("ladder:onto-t0", {}))
 
+    # the sups read off the blocks, against the kernel on the preorder rows;
     # the up-set of a sup is its preorder row
     for mask, sup in sups.items():
+        if sup != sup_index(rows, full, mask):
+            flagged.append(("sup:block-form", {"member": mask}))
         if sup >= 0 and (full ^ rows[sup]) & ~mask:
             flagged.append(("sup:member-contains-downward", {"member": mask}))
     # the onto rungs imply the escape rungs, so one premise builds both
@@ -678,13 +685,15 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
     if bare != (len(masks) == 1 and _co_singleton(masks[0], full) and masks[0].bit_count() > 1):
         flagged.append(("census:bare-escape-form", {}))
 
-    # member lower-set reports
-    for mask in masks:
-        report = member_lower_set_masks(ctx, mask)
-        if report.union_of_smaller_matches != report.is_lower_set:
-            flagged.append(("lower-set:routes-agree", {"member": mask}))
-        if t0 and report.no_greatest_element != report.is_lower_set:
-            flagged.append(("lower-set:t0-greatest", {"member": mask}))
+    # member lower-set views, as member indicators: where they disagree
+    matches, lower, no_greatest = member_lower_set_views(ctx)
+    split, greatest_split = matches ^ lower, (no_greatest ^ lower if t0 else 0)
+    if split | greatest_split:
+        for i, mask in enumerate(masks):
+            if split >> i & 1:
+                flagged.append(("lower-set:routes-agree", {"member": mask}))
+            if greatest_split >> i & 1:
+                flagged.append(("lower-set:t0-greatest", {"member": mask}))
 
     # the dual pair with the complement nest, which the context already
     # holds: a complement whose order is not the transpose leaves no pair
@@ -806,12 +815,14 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
         flagged.append((
             "interlocking:triple", {"by_def": by_def, "by_alex": by_alex, "by_lower": by_lower}
         ))
-    # a region is closed when its complement is in the Alexandroff family
-    alex, alex_c = ctx.alexandroff_masks, ctx.dual.alexandroff_masks
+    # a region is closed when its complement is in the Alexandroff family,
+    # whose indicators hold one bit per region
+    alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
+    width = nest.universe.regions.width
     for mask in nest.masks:
-        if member_closed_by_intersections(nest, mask) != (mask ^ full in alex):
+        if member_closed_by_intersections(nest, mask) != bool(alex >> (mask ^ full) * width & 1):
             flagged.append(("closed:intersection-form", {"member": mask}))
-        if (member_union_of_smaller(nest, mask) == mask) != (mask in alex_c):
+        if (member_union_of_smaller(nest, mask) == mask) != bool(alex_c >> mask * width & 1):
             flagged.append(("closed:union-form", {"member": mask}))
     return 1, flagged, []
 
@@ -847,8 +858,8 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     regions = u.regions
     ones, nonzero, width = regions.ones, regions.nonzero, regions.width
     fulls = regions.fill(full)
-    down = ones ^ nonzero(regions.pack(ctx.down_reach) ^ fulls)
-    up = ones ^ nonzero(regions.pack(ctx.up_reach) ^ fulls)
+    down = ones ^ nonzero(ctx.down_reach ^ fulls)
+    up = ones ^ nonzero(ctx.up_reach ^ fulls)
     # the members meeting each region, and what their intersection misses
     meeting = missed = 0
     for m in masks:

@@ -25,14 +25,17 @@ of every region at once.  The public forms wrap them at the ``Relation`` and
 at once.  One Python integer, a *packed* value, holds one w-bit field per
 region mask R, at bits ``R*w`` to ``R*w + w - 1``; w is the smallest of 8,
 16, 32 and 64 above n, so a field holds any mask with one spare bit on top.
-The only per-size data is ``inside[m]``, the indicator with a 1 in every
-field R with ``R & ~m == 0``.  A kernel's loop body ``if cond(R): acc |= v``
-becomes ``acc |= IND * v``, with ``IND`` an indicator of the condition:
-its fields are 0 or 1 and ``v < 2**n``, so no field carries into the next.
+The per-size data are ``inside[m]``, the indicator with a 1 in every
+field R with ``R & ~m == 0``, and ``identity``, with R in field R.  A
+kernel's loop body ``if cond(R): acc |= v`` becomes ``acc |= IND * v``,
+with ``IND`` an indicator of the condition: its fields are 0 or 1 and
+``v < 2**n``, so no field carries into the next.
 A comparison over every region is one integer equality; `Regions.nonzero`
-and `Regions.masks_of` find the regions where one fails.  A layout lives on
-its `Universe` (``Universe.regions``), so a sweep shard builds it once per
-universe size.
+and `Regions.masks_of` find the regions where one fails.
+`Regions.reach_table` builds the reach table in this layout by the same
+doubling as `reach_table`, and `Regions.fixed` reads its fixed points as an
+indicator.  A layout lives on its `Universe` (``Universe.regions``), so a
+sweep shard builds it once per universe size.
 
 Empty intersections close to X and empty unions to the empty set.
 """
@@ -254,6 +257,8 @@ class Regions:
         # top bit up
         self.ones = ones = inside[full]
         self._top_minus_one = ones * ((1 << width - 1) - 1)
+        # field R holds R
+        self.identity = self.pack(range(full + 1))
 
     def fill(self, value: int) -> int:
         """``value`` in every field."""
@@ -279,6 +284,11 @@ class Regions:
         when it is nonzero, and carries into no other field."""
         return ((packed + self._top_minus_one) >> self.width - 1) & self.ones
 
+    def fixed(self, packed: int) -> int:
+        """The indicator of the regions a packed table maps to themselves:
+        `fixed_masks` of every region at once."""
+        return self.ones ^ self.nonzero(packed ^ self.identity)
+
     def masks_of(self, indicator: int) -> list[int]:
         """The region masks whose field of the indicator is set, ascending."""
         shift = self.width.bit_length() - 1
@@ -293,6 +303,17 @@ class Regions:
         """The indicator of the regions that meet the mask: those not inside
         its complement."""
         return self.ones ^ self.inside[self.full & ~mask]
+
+    def reach_table(self, rows: Sequence[int]) -> int:
+        """`reach_table` in the packed layout, by the same doubling: once
+        the fields below 2**x hold their reach, field R | 2**x of them
+        holds field R's reach plus ``rows[x]``.  One shifted copy per
+        element, where `up_mask` is the brute-force form."""
+        inside, width = self.inside, self.width
+        packed = 0
+        for x, row in enumerate(rows):
+            packed |= (packed | inside[(1 << x) - 1] * row) << (width << x)
+        return packed
 
     def up_mask(self, rows: Sequence[int]) -> int:
         """`up_mask` of every region: the rows of the points it holds."""

@@ -38,7 +38,8 @@ from nestkit.core import (
 )
 from nestkit.groups import BUILTIN_GROUPS, FiniteGroup
 from nestkit.orders import Relation, generated_order, reflexive_closure, t0_separates
-from nestkit.topology import Topology, alexandroff_family, down_set, topology_from_subbase, up_set
+from nestkit.topology import (
+    Regions, Topology, alexandroff_family, down_set, topology_from_subbase, up_set)
 
 from reference import O, members
 
@@ -254,7 +255,8 @@ def test_nest_context_matches_the_public_functions():
                 order = generated_order(side.nest)
                 assert side.order_rows == order.rows
                 assert side.preorder_rows == reflexive_closure(order).rows
-                assert side.alexandroff_masks == frozenset(alexandroff_family(order).masks)
+                regions = side.nest.universe.regions
+                assert regions.masks_of(side.alexandroff) == list(alexandroff_family(order).masks)
             assert ctx.dual.order_rows == generated_order(pair.right.nest).rows
             assert ctx.sups == member_sups(nest) == member_sups(ctx)
             assert ctx.sup_conditions == sup_conditions(nest) == sup_conditions(ctx)
@@ -290,7 +292,7 @@ def test_nest_context_reach_tables():
                 (ctx.down_reach, down_set, Relation(u, ctx.order_rows)),
                 (ctx.dual.down_reach, down_set, complement_order),
             ):
-                assert table == tuple(
+                assert u.regions.unpack(table) == tuple(
                     reach(rel, Subset(u, m)).mask for m in range(u.full_mask + 1))
             assert is_interlocking_via_lower_sets(ctx) == is_interlocking(nest)
             assert is_interlocking_via_lower_sets(nest) == is_interlocking(nest)
@@ -307,7 +309,7 @@ def test_nest_context_fields_are_computed_once(monkeypatch):
     fields = _lazy_fields(NestContext)
     assert fields == [
         "order_rows", "preorder_rows", "preorder_columns", "dual", "sup_indices", "sups",
-        "sup_conditions", "t0", "up_reach", "down_reach", "alexandroff_masks"]
+        "sup_conditions", "t0", "up_reach", "down_reach", "alexandroff"]
     # the class hands out the descriptor, with the method's docstring
     assert isinstance(NestContext.preorder_columns, lazy)
     assert NestContext.preorder_columns.__doc__.startswith("Entry y holds")
@@ -365,8 +367,6 @@ def test_no_module_uses_a_bare_assert():
 def test_single_nest_predicates_build_no_table(monkeypatch):
     # a predicate on one nest reads its members' and regions' reach from the
     # mask kernels; only the sweeps tabulate every region
-    from nestkit import analysis
-
     nests = [nest for n in (1, 2, 3, 4) for nest in enumerate_nests(Universe(n))]
 
     def answers() -> list:
@@ -385,10 +385,10 @@ def test_single_nest_predicates_build_no_table(monkeypatch):
 
     want = answers()
 
-    def no_table(rows):
+    def no_table(regions, rows):
         raise AssertionError("a single-nest predicate tabulated every region")
 
-    monkeypatch.setattr(analysis, "reach_table", no_table)
+    monkeypatch.setattr(Regions, "reach_table", no_table)
     assert answers() == want
 
 

@@ -18,6 +18,7 @@ from nestkit.core import (
     family_complement,
     is_nest,
 )
+from nestkit.suites import random_nest
 
 from reference import O
 
@@ -283,6 +284,61 @@ def test_enumerate_nests_checks_its_arguments_at_the_call():
         enumerate_nests(u, offset=2, stride=2)
     with pytest.raises(ValueError, match="max_members"):
         enumerate_nests(u, max_members=-1)
+
+
+def _recursive_nests(n, include_trivial, cap):
+    """The stream `enumerate_nests` promises, by recursion: each chain, then
+    its extensions by every later candidate that contains its top."""
+    full = (1 << n) - 1
+    candidates = sorted(range(full + 1) if include_trivial else range(1, full),
+                        key=lambda m: (m.bit_count(), m))
+    cap = len(candidates) if cap is None else cap
+    out = []
+
+    def walk(chain, start):
+        out.append(tuple(chain))
+        if len(chain) < cap:
+            top = chain[-1] if chain else 0
+            for j in range(start, len(candidates)):
+                if top & ~candidates[j] == 0:
+                    walk(chain + [candidates[j]], j + 1)
+
+    walk([], 0)
+    return out
+
+
+def test_flat_enumerator_yields_the_recursive_stream_and_its_shards():
+    for n in range(1, 7):
+        u = Universe(n)
+        for include_trivial in (True, False):
+            for cap in (None, 0, 1, 2, 3):
+                want = _recursive_nests(n, include_trivial, cap)
+                for stride in (1, 2, 3):
+                    for offset in range(stride):
+                        got = list(enumerate_nests(
+                            u, include_trivial, cap, bound=6, offset=offset, stride=stride))
+                        assert [nest.masks for nest in got] == want[offset::stride]
+                        assert all(type(nest) is Nest and nest.universe is u for nest in got)
+
+
+def test_nest_blocks_partition_the_universe_in_member_order():
+    # block i is M_i - M_(i-1) (M_0 = ∅), the last is X - M_k, and only the
+    # outer two may be empty: the first when ∅ is a member, the last when X is
+    rng = random.Random(27)
+    nests = [nest for n in range(1, 7) for nest in enumerate_nests(Universe(n), bound=6)]
+    nests += [random_nest(rng, Universe(n)) for n in range(7, 13) for _ in range(30)]
+    for nest in nests:
+        masks, full, blocks = nest.masks, nest.universe.full_mask, nest.blocks
+        assert nest.blocks is blocks
+        assert blocks == tuple(
+            m & ~below for m, below in zip(masks + (full,), (0,) + masks))
+        union = 0
+        for block in blocks:
+            assert block & union == 0
+            union |= block
+        assert union == full
+        assert [i for i, b in enumerate(blocks) if not b] == (
+            [0] * (0 in masks) + [len(masks)] * (full in masks))
 
 
 def test_nest_count_is_four_times_fubini():

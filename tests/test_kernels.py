@@ -17,6 +17,7 @@ from nestkit.analysis import (
     down_mask_by_members,
     inf_of,
     member_lower_set_report,
+    member_lower_set_views,
     sup_index,
     sup_of,
     up_mask_by_complements,
@@ -77,7 +78,9 @@ from nestkit.topology import (
     Regions,
     down_mask,
     down_set,
+    fixed_masks,
     lower_bounds,
+    reach_table,
     up_mask,
     up_set,
     upper_bounds,
@@ -474,6 +477,7 @@ def _check_lifted_kernels(nest):
     everywhere = range(full + 1)
     ctx = NestContext(nest)
     for rows in (ctx.order_rows, ctx.preorder_rows):
+        assert regions.reach_table(rows) == regions.pack(reach_table(rows))
         assert regions.unpack(regions.up_mask(rows)) == tuple(
             up_mask(rows, r) for r in everywhere)
         assert regions.unpack(regions.down_mask(rows)) == tuple(
@@ -488,7 +492,7 @@ def _check_lifted_kernels(nest):
     assert regions.unpack(up_mask_by_complements(regions, masks)) == tuple(
         _mask(x for x in range(u.size) if any(r & m and not m >> x & 1 for m in masks))
         for r in everywhere)
-    assert regions.pack(ctx.up_reach) == regions.up_mask(ctx.order_rows)
+    assert ctx.up_reach == regions.up_mask(ctx.order_rows)
     for m in masks:
         assert regions.unpack(regions.meets(m)) == tuple(int(r & m != 0) for r in everywhere)
 
@@ -631,3 +635,65 @@ def test_dual_ladder_routes_must_agree():
         complement_dual(ctx).dual_sup_conditions)
     with pytest.raises(InstanceError, match="routes disagree"):
         _dual_ladder(masks, full, right.preorder_rows, ctx.preorder_rows)
+
+
+# ------------------------------------------------------------ block forms --
+
+
+def _block_form_nests():
+    """Every nest on at most seven points, uncapped and capped at 0-3
+    members, then seeded random nests on 8-12 points, where the packed
+    field width goes from 8 to 16 bits."""
+    for n in range(1, 8):
+        u = Universe(n)
+        for cap in (None, 0, 1, 2, 3):
+            yield from enumerate_nests(u, max_members=cap, bound=7)
+    rng = random.Random(27)
+    for n in range(8, 13):
+        u = Universe(n)
+        for _ in range(30):
+            yield random_nest(rng, u)
+
+
+def test_context_t0_and_sups_read_off_the_blocks_match_their_kernels():
+    # the context reads T0 and each member's sup off the nest's blocks; the
+    # direct T0 form and the sup kernel on the preorder rows are the oracles
+    t0_seen, codes = set(), set()
+    for nest in _block_form_nests():
+        ctx, n, full = NestContext(nest), nest.universe.size, nest.universe.full_mask
+        assert ctx.t0 == t0_masks(nest.masks, n)
+        rows = ctx.preorder_rows
+        assert ctx.sup_indices == {m: sup_index(rows, full, m) for m in nest.masks}
+        t0_seen.add((n > 7, ctx.t0))
+        codes |= set(ctx.sup_indices.values()) & {NO_BOUND, NO_LEAST}
+    assert t0_seen >= {(False, False), (False, True), (True, False)}
+    assert codes == {NO_BOUND, NO_LEAST}
+
+
+def test_packed_alexandroff_family_is_the_fixed_points_of_the_reach_table():
+    for nest in _block_form_nests():
+        ctx = NestContext(nest)
+        assert nest.universe.regions.masks_of(ctx.alexandroff) == list(
+            fixed_masks(reach_table(ctx.order_rows)))
+
+
+def test_member_lower_set_views_match_the_report_of_each_member():
+    # the views of every member at once, bit i for the i-th member, against
+    # the per-member report
+    for n in range(1, 7):
+        u = Universe(n)
+        for nest in enumerate_nests(u, bound=6):
+            views = member_lower_set_views(NestContext(nest))
+            want = [0, 0, 0]
+            for i, mask in enumerate(nest.masks):
+                report = member_lower_set_report(nest, Subset(u, mask))
+                fields = (report.union_of_smaller_matches, report.is_lower_set,
+                          report.no_greatest_element)
+                for j, holds in enumerate(fields):
+                    want[j] |= holds << i
+            assert views == tuple(want)
+    # the recorded non-T0 witness: {x1,x2} is no lower set, yet has no
+    # greatest point; nor has X, whose top block is {x3,x4}
+    u4 = Universe(4)
+    assert member_lower_set_views(NestContext(Nest.of(u4, [[0, 1], [0, 1, 2, 3]]))) == (
+        0b00, 0b00, 0b11)

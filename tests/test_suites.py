@@ -670,7 +670,7 @@ def test_bound_covers_flags_a_strict_reach_that_covers_x():
     u = Universe(3)
     ctx = NestContext(Nest.of(u, [[1], [0, 1]]))
     assert suites._check_bounds(ctx)[1] == []
-    ctx.down_reach = ctx.up_reach = (u.full_mask,) * (u.full_mask + 1)
+    ctx.down_reach = ctx.up_reach = u.regions.fill(u.full_mask)
     _, flagged, _ = suites._check_bounds(ctx)
     regions = [extra["region"] for pid, extra in flagged if pid == "reach:never-full"]
     assert regions == [list(indices_of(m)) for m in range(u.full_mask + 1)]
@@ -682,13 +682,14 @@ def _corrupted_context():
     u = Universe(3)
     ctx = NestContext(Nest.of(u, [[1], [0, 1]]))
     assert ctx.order_rows == (0b100, 0b101, 0b000)
-    up, down = list(ctx.up_reach), list(ctx.down_reach)
+    regions = u.regions
+    up, down = list(regions.unpack(ctx.up_reach)), list(regions.unpack(ctx.down_reach))
     up[0b011] ^= 0b100
     up[0b100] = u.full_mask
     up[0b110] = 0b110
     down[0b110] = u.full_mask
     down[0b001] ^= 0b010
-    ctx.up_reach, ctx.down_reach = tuple(up), tuple(down)
+    ctx.up_reach, ctx.down_reach = regions.pack(up), regions.pack(down)
     ctx.t0 = True
     ctx.order_rows = (0b000, 0b101, 0b001)
     return ctx
