@@ -366,7 +366,11 @@ def is_interlocking(family: SetFamily) -> bool:
 
 def is_interlocking_via_alexandroff(nest: Nest | NestContext) -> bool:
     """Alexandroff route: members closed for the nest's order must have their
-    complements closed for the complement nest's order."""
+    complements closed for the complement nest's order.
+
+    On a finite nest the strict fixed-point family is {∅} on both sides (a
+    nonempty region's minimal points miss its strict upward reach), so the
+    route reduces to "X is not a member"; a test pins both facts."""
     ctx = NestContext.of(nest)
     alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
     u = ctx.nest.universe

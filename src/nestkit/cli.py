@@ -57,14 +57,17 @@ USAGE_ERROR = 2
 
 # analyze tabulates every region of the universe and builds five topologies
 # of up to 2^n opens; at 10 points the densest documents measured (all
-# subsets, co-singletons, a chain) take about 0.25 s, and each further point
-# costs three to four times more
+# subsets, co-singletons, a chain) take 0.18-0.24 s per request with
+# interpreter start, of which the request itself is 0.002-0.055 s (all
+# subsets the most), and each further point costs the request two to four
+# times more
 ANALYZE_UNIVERSE_BOUND = 10
 
 # the inversion and multiplication checks build the whole topology that the
 # two families generate, up to 2^n opens on a group of order n; at order 14
 # the discrete topology (singletons, or a chain with its complement chain)
-# takes about 0.25 s per request, and each further element about doubles it
+# takes 0.16-0.22 s per request with interpreter start, of which the request
+# itself is 0.02-0.04 s, and each further element about doubles the request
 CONTINUITY_ORDER_BOUND = 14
 
 

@@ -85,10 +85,33 @@ class Universe:
 
         return Regions(self.size)
 
-    def label(self, index: int) -> str:
+    @lazy
+    def names(self) -> tuple[str, ...]:
+        """Every element's display name in index order: its label, or
+        ``x1``, ``x2``, … without labels; built on first use."""
         if self.labels is not None:
-            return self.labels[index]
-        return f"x{index + 1}"
+            return self.labels
+        return tuple(f"x{i}" for i in range(1, self.size + 1))
+
+    def label(self, index: int) -> str:
+        return self.names[index]
+
+    def render_mask(self, mask: int) -> str:
+        """The subset of a mask's points, ``{a,b}``, or ``{}``, visiting set
+        bits only: the one subset renderer, which `Subset`, `SetFamily` and
+        `topology.Topology` share (`orders.Relation` reads the same
+        `names`).  It trusts the mask, validated when its owner was built."""
+        names, parts = self.names, []
+        while mask:
+            low = mask & -mask
+            parts.append(names[low.bit_length() - 1])
+            mask ^= low
+        return "{" + ",".join(parts) + "}"
+
+    def render_masks(self, masks: Iterable[int]) -> str:
+        """A roster of subsets, ``{{a}, {a,b}}``, in the given order, or
+        ``{}`` for none."""
+        return "{" + ", ".join(map(self.render_mask, masks)) + "}"
 
     def elements(self) -> range:
         return range(self.size)
@@ -111,13 +134,12 @@ def _check_index(index: int, size: int) -> None:
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
+    """The indices of a mask's set bits, ascending, visiting set bits only."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -155,9 +177,8 @@ class Subset:
         return Subset(self.universe, self.mask | other.mask)
 
     def render(self) -> str:
-        if self.mask == 0:
-            return "{}"
-        return "{" + ",".join(self.universe.label(i) for i in self.indices) + "}"
+        """``{a,b}``, or ``{}`` for the empty subset (`Universe.render_mask`)."""
+        return self.universe.render_mask(self.mask)
 
 
 def _check_same_universe(a: Universe, b: Universe) -> None:
@@ -220,10 +241,9 @@ class SetFamily:
         return iter(self.masks)
 
     def render(self) -> str:
-        if not self.masks:
-            return "{}"
-        inner = ", ".join(Subset(self.universe, m).render() for m in self.masks)
-        return "{" + inner + "}"
+        """The members in family order, ``{{a}, {a,b}}``, or ``{}`` for the
+        empty family (`Universe.render_masks`)."""
+        return self.universe.render_masks(self.masks)
 
 
 class Nest(SetFamily):

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import SetFamily, Universe, _check_same_universe
+from .core import SetFamily, Universe, _check_same_universe, indices_of
 
 TransitivityMode = Literal["standard", "distinct_triples"]
 
@@ -77,8 +77,13 @@ class Relation:
         return antisymmetric_rows(self.rows, columns(self.rows))
 
     def render(self) -> str:
-        names = self.universe.label
-        return "{" + ", ".join(f"({names(x)},{names(y)})" for x, y in self.pairs()) + "}"
+        """The pairs ``{(a,b), …}`` in the order of `pairs`, or ``{}``; each
+        row is read by its set bits only, as `Universe.render_mask` reads a
+        mask."""
+        names = self.universe.names
+        return "{" + ", ".join([
+            f"({names[x]},{names[y]})" for x, row in enumerate(self.rows) for y in indices_of(row)
+        ]) + "}"
 
 
 # ------------------------------------------------------------- row kernels --

@@ -600,6 +600,11 @@ def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str
         t1 = topology_from_subbase(random_family(rng, u, 3))
         t2 = topology_from_subbase(random_family(rng, u, 3))
         count += 1
+        # the engine skips validation on its closures; the oracle puts
+        # both through the validating constructor
+        for closed in (t1, t2):
+            if not _revalidates(closed):
+                violations.append(Violation("subbase:closure-is-topology", {"universe": n}))
         joined = join(t1, t2)
         if join(t1, t1) != t1:
             violations.append(Violation("join:idempotent", {"universe": n}))
@@ -631,6 +636,15 @@ def _suite_topology(config: SuiteConfig) -> tuple[int, list[Violation], list[str
         if upper_topology(diag) != topology_from_subbase(cosingles):
             violations.append(Violation("upper-topology:antichain", {"universe": n}))
     return count, violations, []
+
+
+def _revalidates(closed: Topology) -> bool:
+    """Whether the public `Topology` constructor accepts a closure's opens
+    and rebuilds the same topology."""
+    try:
+        return Topology(closed.universe, closed.opens) == closed
+    except InstanceError:
+        return False
 
 
 # --------------------------------------------------------- sup conditions --

@@ -7,6 +7,16 @@ topology is fixed by each point's minimal open neighbourhood, so validation
 and the continuity of group multiplication read those
 (`Topology.neighbourhoods`) rather than pairs of opens.
 
+Validation happens at the boundary: the public `Topology` constructor (and
+so the ``topology`` document loader) checks its opens.  What the engine
+closes itself, `topology_from_subbase` and every order, join, product and
+group topology built on it, is a topology by construction and is built by
+`Topology._closed` without a second check.  The oracle of that shortcut is
+the topology-engine suite, which re-validates its random closures through
+the constructor (``subbase:closure-is-topology``), and a test that compares
+closures with the constructor and the reference closure.  Rosters render
+from the opens' masks (`core.Universe.render_masks`).
+
 Convention notes, since the source material uses both:
 
 * point-level up/down sets (``point_up_set``/``point_down_set``) expect the
@@ -45,7 +55,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     InstanceError,
@@ -64,13 +74,14 @@ from .orders import Relation, columns
 class Topology:
     """Family of open masks containing X and {} and closed under ∪ and ∩.
 
-    Validation runs through the minimal neighbourhoods N(x), the meet of
-    the opens containing x (`neighbourhoods`), in O(k·n) for k opens on n
-    points.  Every open is the union of its points' N(x), so the family
-    lies inside the ∪-closure of the N(x); once every N(x) is an open, that
-    closure is closed under ∩ as well (a point of two unions has its N(x)
-    inside both).  The family is therefore a topology exactly when every
-    N(x) is an open and the closure is no larger than the family.
+    The public constructor validates; the engine's own closures skip it
+    (`_closed`).  Validation runs through the minimal neighbourhoods N(x),
+    the meet of the opens containing x (`neighbourhoods`), in O(k·n) for k
+    opens on n points.  Every open is the union of its points' N(x), so the
+    family lies inside the ∪-closure of the N(x); once every N(x) is an
+    open, that closure is closed under ∩ as well (a point of two unions has
+    its N(x) inside both).  The family is therefore a topology exactly when
+    every N(x) is an open and the closure is no larger than the family.
     """
 
     universe: Universe
@@ -96,6 +107,18 @@ class Topology:
                 closure |= {c | hood for c in closure}
                 if len(closure) > len(opens):
                     raise InstanceError("open family is not closed under ∩/∪")
+
+    @classmethod
+    def _closed(cls, universe: Universe, opens: Iterable[int]) -> Topology:
+        """A topology the engine closed itself, without `__post_init__`:
+        the caller guarantees the opens are distinct masks of the universe
+        holding {} and X and closed under ∩ and ∪, so no check of the
+        validation could fire; they are only put in canonical order."""
+        topology = object.__new__(cls)
+        # the frozen fields, set as `object.__setattr__` would set them
+        fields = topology.__dict__
+        fields["universe"], fields["opens"] = universe, canonical_masks(opens)
+        return topology
 
     @lazy
     def _open_set(self) -> frozenset[int]:
@@ -124,7 +147,9 @@ class Topology:
         return SetFamily(self.universe, self.opens)
 
     def render(self) -> str:
-        return self.as_family().render()
+        """The opens in canonical order, ``{{}, {a}, …}``, read straight off
+        ``opens`` by `Universe.render_masks`."""
+        return self.universe.render_masks(self.opens)
 
 
 def topology_from_subbase(family: SetFamily) -> Topology:
@@ -133,7 +158,9 @@ def topology_from_subbase(family: SetFamily) -> Topology:
     Closes under finite intersections first (the empty intersection giving X),
     then under unions (the empty union giving the empty set), one generator
     at a time: after a generator b, the set holds every union of the
-    generators so far.
+    generators so far.  The result is a topology by construction (every
+    union of an ∩-closed base holding X), so it is built by
+    `Topology._closed` and not validated again.
     """
     universe = family.universe
     base = {universe.full_mask}
@@ -143,7 +170,7 @@ def topology_from_subbase(family: SetFamily) -> Topology:
     for b in base:
         if b not in opens:
             opens |= {o | b for o in opens}
-    return Topology(universe, tuple(opens))
+    return Topology._closed(universe, opens)
 
 
 def point_up_set(rel: Relation, x: int) -> Subset:

@@ -172,6 +172,27 @@ def test_interlocking_routes_on_examples():
     assert is_interlocking(SetFamily.of(U3, [[0], [1]]))
 
 
+def test_strict_fixed_points_of_a_nest_are_only_the_empty_region():
+    # a nest's order is a strict weak order, so a nonempty region's minimal
+    # points lie above none of its points and miss its strict upward reach:
+    # on every nest and its complement the Alexandroff family is {∅}, and the
+    # Alexandroff route reduces to "X is not a member"
+    seen = 0
+    for n in range(1, 7):
+        u = Universe(n)
+        for nest in enumerate_nests(u, bound=6):
+            ctx = NestContext(nest)
+            for side in (ctx, ctx.dual):
+                assert u.regions.masks_of(side.alexandroff) == [0], (n, side.nest.masks)
+            assert is_interlocking_via_alexandroff(ctx) == (u.full_mask not in nest.masks)
+            seen += 1
+    assert seen == 4 * (1 + 3 + 13 + 75 + 541 + 4683)
+    # a family that is not a nest can order two points both ways; the cycle
+    # is a nonempty region equal to its strict upward reach
+    crossed = SetFamily.of(Universe(2), [[0], [1]])
+    assert alexandroff_family(generated_order(crossed)).masks == (0, 0b11)
+
+
 def test_interlocking_definition_matches_the_double_loop():
     families = [fam for n in (1, 2, 3) for fam in enumerate_families(Universe(n))]
     rng = random.Random(7)

@@ -392,6 +392,202 @@ def test_list_outputs_keep_their_bytes(capsys):
         assert _digest(_stdout([command, "--list"], capsys)) == digest, command
 
 
+# one-shot documents: nests and non-nest families on 1-7 points, the empty
+# family, families holding {} and X, default labels and multi-character ones;
+# a nest carries the --subset its `bounds --direction both` request reads
+ANALYZE_DOCUMENTS = {
+    "empty-1": ({"universe": 1, "family": [], "kind": "family"}, "0"),
+    "empty-labelled-4": (
+        {"universe": 4, "labels": ["north", "east", "south", "west"], "family": [],
+         "kind": "family"}, ""),
+    "point-chain-1": ({"universe": 1, "family": [[], [0]], "kind": "nest"}, "0"),
+    "chain-2": ({"universe": 2, "family": [[0]], "kind": "nest"}, "1"),
+    "trivial-3": ({"universe": 3, "family": [[], [0, 1, 2]], "kind": "nest"}, "0,2"),
+    "nest-3": ({"universe": 3, "family": [[0], [0, 1]], "kind": "nest"}, "2"),
+    "singletons-3": ({"universe": 3, "family": [[0], [1], [2]], "kind": "family"}, None),
+    "trivial-and-two-3": (
+        {"universe": 3, "family": [[], [0], [1], [0, 1, 2]], "kind": "family"}, None),
+    "nest-labelled-4": (
+        {"universe": 4, "labels": ["alpha", "beta", "gamma", "delta"],
+         "family": [[1], [1, 3], [0, 1, 3]], "kind": "nest"}, "0,3"),
+    "overlaps-4": ({"universe": 4, "family": [[0, 1], [1, 2], [2, 3]], "kind": "family"}, None),
+    "nest-5": ({"universe": 5, "family": [[], [2], [2, 4], [0, 2, 4]], "kind": "nest"}, "1,4"),
+    "cosingletons-labelled-5": (
+        {"universe": 5, "labels": ["p10", "p20", "p30", "p40", "ω₁"],
+         "family": [[1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3]],
+         "kind": "family"}, None),
+    "full-chain-6": (
+        {"universe": 6, "family": [list(range(k)) for k in range(1, 7)], "kind": "nest"}, "3"),
+    "triangles-6": (
+        {"universe": 6, "family": [[0, 1, 2], [2, 3, 4], [0, 4, 5], [1, 3, 5]],
+         "kind": "family"}, None),
+    "nest-labelled-7": (
+        {"universe": 7, "labels": ["mon", "tue", "wed", "thu", "fri", "sat", "sun"],
+         "family": [[3], [3, 6], [0, 3, 5, 6]], "kind": "nest"}, "1,2"),
+    "family-7": (
+        {"universe": 7, "family": [[0, 1], [1, 2, 3], [3, 4, 5, 6], [0, 6]], "kind": "family"},
+        None),
+}
+# sha256 of (stdout, --json bytes) of `analyze` and of `bounds --direction
+# both` on each document, recorded before the rosters were rendered from masks
+ANALYZE_DIGESTS = {
+    "chain-2": {
+        "analyze": (
+            "02d2820180a7bb6d3b77af8b5b4b1d201bef62365af608e1fed89537422f6dad",
+            "faa009a7609b82b94cc342532e0f05db785d4ab1854723b591d13c692189c36f",
+        ),
+        "bounds": (
+            "c2ba5fb9671512145aa1aa2da439c0e1e1b0cc5a887f1ef3293816eee7aa993c",
+            "122e69b4d7b7fca76eb2f583ab29b2189785478c1a63ff26ff8f69cf0d89affb",
+        ),
+    },
+    "cosingletons-labelled-5": {
+        "analyze": (
+            "63acb681c90edfde70afac639eca67a5981f16190d6deab4e3a825dc617e94f6",
+            "6d53876cc176acd3fcc83303ab4cbf1ec17be3854568324f5598958f91e276ea",
+        ),
+    },
+    "empty-1": {
+        "analyze": (
+            "65ab0a94641743c46fcb414eeadb06db676a58f8dcce9d11cf64cd8860d0e3f5",
+            "9a044267ac3c332ef6eb9061cd4ecc8d3bfad2713733ff290d1f8c6d853d9aac",
+        ),
+        "bounds": (
+            "0f2e77777bbf027e87d336a2aecf685062305fc5becd252f2ab6abe70a240163",
+            "049516378f30c41ef2fab8594cbccac09d8dee65a347e604b355d920fa11001b",
+        ),
+    },
+    "empty-labelled-4": {
+        "analyze": (
+            "4e40bbf6be2aea07fbf3a87db96c86073556cf40f8ecc1fbf47b3ac38de458d8",
+            "0f3dad3aa68adb72c1d07b8e71f99d8086947f02376f826657eef5bc47c9ee79",
+        ),
+        "bounds": (
+            "2b9104181da90df9aeb64fb2db06e33f91622e60763d20b5cb023a728a86832b",
+            "de04b65e88c271cc7d3b15628dcb6f5c84848b92b87906bdbed4b2b6a16e4ef2",
+        ),
+    },
+    "family-7": {
+        "analyze": (
+            "c846b763589fe64694d2638aa404e8ce0a139d0626f56868e0778543b36e6225",
+            "4e2fa4e0188e0eb7f4529bbeac48a43135aee4fc3f8be245e0eae741739a1864",
+        ),
+    },
+    "full-chain-6": {
+        "analyze": (
+            "0dea5f90b418eba92385c1e34914a638580ee9caa399884057e38ec5a1d9a02d",
+            "7492db9ae7faab180129ee6d2d67e70521868af38bcfd70ec253a06d510884ca",
+        ),
+        "bounds": (
+            "8a366120d924ad2771b519f9014d23f6b45cbb803a84defe56f45319133014ae",
+            "9651f1b4ff49b94e317695b18b227b2273e77cb281d03b1cb2c37db9ae7e4fd5",
+        ),
+    },
+    "nest-3": {
+        "analyze": (
+            "c33f6acabecfe3bf901fd0ef95fd8872003c6f1527b308e5a13452ca62b3813d",
+            "e31e896470a58b4595e3a33c4057ba15fb4b89882bf27ed8aa13f1658a0d1291",
+        ),
+        "bounds": (
+            "0cf9f1a2bf09e1380b63ecd999751ba37d29be6aa74f9192a97aa185fa94ce2f",
+            "d7e2250dc91ab8c75ce347e525cd7d2a4176a65006a6cb6ecab5a98b27b9072c",
+        ),
+    },
+    "nest-5": {
+        "analyze": (
+            "7a15b3096bb5c846b6a3d84f5e6403e12aeabbe5dd3e5468907fb5bb9e6375be",
+            "fb8691d2523fdf0d403bfe2d25ac745cf9564a75a112461e35c2649fe79f7ce7",
+        ),
+        "bounds": (
+            "0128ccc1fbe3e1f00eb3e2f785c552b1896c1378805dae2f5fcb9ca51bab61d6",
+            "c8be63d921502103d56e0ef93eb16c16798cec6a3d1a4b11f36426bc1afcd6f4",
+        ),
+    },
+    "nest-labelled-4": {
+        "analyze": (
+            "205566d36a32dcbd81f24a56acafa5b37b55fb8634105e6b111f9e39c30d3334",
+            "59f621527b70d7c6d4b9d6ce0d6d57cd2fa1b044967b8db814a7a445447d6109",
+        ),
+        "bounds": (
+            "4059d74392c1fcfe9015b6bf25f0fa096e1cb4d32320d512fbbe3a62bf1d396e",
+            "82416e54e8406eae7d559873ab20bbbdda6f7029f8410edb0259f19f46945997",
+        ),
+    },
+    "nest-labelled-7": {
+        "analyze": (
+            "4b5871a4f6b3b0b645eee9b6250d5475ad1c9abb69722267417ff1039c7a38dc",
+            "bc57dc2da5df9970182e26cba56d8302bdac7b7233bbfc35b86d262eabc5f5ee",
+        ),
+        "bounds": (
+            "a1cbd3bad6f0030f69b3ec987295797c0a51be2c8732aa5c3f06282a51d02af7",
+            "37db59ab744dcd0cb5ecdd4eda0e2160acd17e1d2648deb075287b7ebbfbcb40",
+        ),
+    },
+    "overlaps-4": {
+        "analyze": (
+            "4e0e734470fbae9ee757dff73efb1f0701324fea4b6151f1368a4409135432b2",
+            "c0fb74850acf04043a49804ce87a43db1f869a2c086a5d29a5774f91dca5a787",
+        ),
+    },
+    "point-chain-1": {
+        "analyze": (
+            "43a60ffc5f08360f500fe27e96d28a7d7820f201d6324a0e01fe4a1cb99030ec",
+            "61ac90a68b627824431eebb69bd4b12e1bf80ce4ff915b3ed76a6e5c17af64cc",
+        ),
+        "bounds": (
+            "0f2e77777bbf027e87d336a2aecf685062305fc5becd252f2ab6abe70a240163",
+            "049516378f30c41ef2fab8594cbccac09d8dee65a347e604b355d920fa11001b",
+        ),
+    },
+    "singletons-3": {
+        "analyze": (
+            "048b3c35bf0aaba345e3e1710ef1bbebaecb150ab18e7ffa2888d9cf67b3e6b9",
+            "2ff4f7f38a96de8616059f4041b1b2695aeae3eb04abf0506e3b7796f27372ca",
+        ),
+    },
+    "triangles-6": {
+        "analyze": (
+            "a7ed590d3febfb124bf6f7561b0db5a4ea916f7539612a217cd37dd815bac8cb",
+            "eb66a426248ca2faade71a72f063abbb1fcd9724279f00bdcedf735b88414493",
+        ),
+    },
+    "trivial-3": {
+        "analyze": (
+            "449dec3a973f16853b5137dde2c19275e014e74ea2fd8b5785ecbebc197cea8a",
+            "2ff4c88dff071fdb5fa0c124bcc6226a7ec8ccf72b5b2ba3cdd48ce62c9d7668",
+        ),
+        "bounds": (
+            "e8f1b67c2bc708bb618ee0beb43c91fd157dc121326787a7131c36ff2b3c5fd3",
+            "7e31a58a5b8487a9a85ac40b12f760bffc6a5929c238aa3bc5899c4837a6cd90",
+        ),
+    },
+    "trivial-and-two-3": {
+        "analyze": (
+            "57bd11b9492557359f73b53cf060a9192db2f6f49135581ea130ee80bdc49585",
+            "27f791097f035b1900dee896bd6bcc6f4c9f62a2974a7108d0bc187b39e28916",
+        ),
+    },
+}
+
+
+def _one_shot(argv, out, capsys) -> tuple[str, str]:
+    capsys.readouterr()
+    assert main(argv + ["--json", str(out)]) == 0
+    return _digest(capsys.readouterr().out), hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_DOCUMENTS))
+def test_one_shot_outputs_keep_their_bytes(name, tmp_path, capsys):
+    document, subset = ANALYZE_DOCUMENTS[name]
+    path = _write(tmp_path, "instance.json", document)
+    got = {"analyze": _one_shot(["analyze", "--input", str(path)], tmp_path / "a.json", capsys)}
+    if subset is not None:
+        got["bounds"] = _one_shot(
+            ["bounds", "--input", str(path), "--subset", subset, "--direction", "both"],
+            tmp_path / "b.json", capsys)
+    assert got == ANALYZE_DIGESTS[name]
+
+
 def test_group_check_fails_when_the_conclusion_does(nest_file, tmp_path, monkeypatch, capsys):
     trivial = tmp_path / "trivial.json"
     trivial.write_text(canonical_json({

@@ -115,6 +115,33 @@ def test_subbase_examples():
     assert topology_from_subbase(SetFamily.of(U3, [])).opens == (0, 0b111)
 
 
+def _closure_agrees(family: SetFamily) -> bool:
+    """The closure, built without validation, is what the validating
+    constructor builds from its opens and what the reference closure gives."""
+    closed = topology_from_subbase(family)
+    n = family.universe.size
+    return (closed == Topology(family.universe, closed.opens)
+            and set(members(closed.as_family())) == O.closure(members(family), n))
+
+
+def test_subbase_closure_matches_the_validating_constructor_and_the_reference():
+    # every family on at most three points
+    seen = 0
+    for n in range(1, 4):
+        for family in enumerate_families(Universe(n)):
+            assert _closure_agrees(family), (n, family.masks)
+            seen += 1
+    assert seen == 2 ** 2 + 2 ** 4 + 2 ** 8
+    # seeded families on four to seven points, a few members to many
+    rng = random.Random(28)
+    for n in range(4, 8):
+        u = Universe(n)
+        for _ in range(60):
+            family = SetFamily.dedupe(
+                u, (rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n))))
+            assert _closure_agrees(family), (n, family.masks)
+
+
 def test_point_up_down_sets_reflexive_convention():
     assert point_up_set(QUAD_PRE, 0).indices == (0, 2, 3)
     assert point_up_set(QUAD_PRE, 0).complement().indices == (1,)
