@@ -12,6 +12,19 @@ body of the public `absorbs_rectangle_compositions` and the oracle that the
 generated-orders suite checks the mask form against.  Row kernels that read
 the columns of a relation take them as an argument, so a caller that needs
 them several times computes them once.
+
+On at most 8 points a relation also packs into one int, row x in byte x, so
+the pair (x, y) is bit 8x + y (`pack_rows`, `unpack_rows`).  In that layout
+the union of the members' rectangles is one multiply per member
+(`packed_product`, through the byte table `SPREAD`), the transpose is three
+masked swaps (`packed_transpose`), and the diagonal and the full square of
+each size are the constants `DIAGONAL` and `SQUARE`.  The generated-orders
+suite packs the walk of `order_rows` once and checks it against the packed
+product; from its transpose it decides the rectangle form of T0 (against
+`t0_masks`), irreflexivity and asymmetry, and it checks the product of the
+complements against the transpose.  The row kernels
+(`order_rows_via_rectangles`, `columns`, `rectangle_t0_rows`, ...) stay the
+forms for any size and are the packed kernels' oracles in the tests.
 """
 
 from __future__ import annotations
@@ -248,6 +261,62 @@ def columns(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
+# --------------------------------------------------------- packed kernels --
+# A relation on n <= 8 points as one int, row x in byte x: the pair (x, y) is
+# bit 8x + y.  Like the row kernels they validate nothing; a row of 256 or more
+# does not fit a byte, and `pack_rows` refuses it.
+
+
+def pack_rows(rows: Iterable[int]) -> int:
+    """The packed form of one row mask per point."""
+    return int.from_bytes(bytes(rows), "little")
+
+
+def unpack_rows(packed: int, size: int) -> tuple[int, ...]:
+    """The rows of a packed relation on ``size`` points, bytes 0 to
+    size - 1; any higher byte is dropped, not checked (a caller that wants
+    it checked compares the packed value)."""
+    return tuple(packed.to_bytes(8, "little")[:size])
+
+
+def _spread_table() -> tuple[int, ...]:
+    # by doubling: the masks with bit x set are those below it plus byte x
+    table = [0]
+    for x in range(8):
+        table += [spread | 1 << 8 * x for spread in table]
+    return tuple(table)
+
+
+# SPREAD[m] has byte x equal to 1 for each x in m, so SPREAD[m] * v puts the
+# row v (v < 256, no carry) in byte x of every x in m
+SPREAD = _spread_table()
+# per size n: the packed diagonal {(x, x)} and the full square X x X
+DIAGONAL = tuple(sum(1 << 9 * x for x in range(n)) for n in range(9))
+SQUARE = tuple(SPREAD[(1 << n) - 1] * ((1 << n) - 1) for n in range(9))
+
+
+def packed_product(masks: Iterable[int], full: int) -> int:
+    """The union of the members' rectangles S x (X-S), packed: one multiply
+    per member, computed apart from the walk of `order_rows`."""
+    packed = 0
+    for member in masks:
+        packed |= SPREAD[member] * (member ^ full)
+    return packed
+
+
+def packed_transpose(packed: int) -> int:
+    """The transpose of a packed relation: the 8x8 bit matrix transposed by
+    three masked swaps, of the 2x2 blocks' corners (bits 7 apart), then of
+    the 2x2 blocks in each 4x4 block (14 apart), then of the 4x4 blocks (28
+    apart)."""
+    t = (packed ^ packed >> 7) & 0x00AA00AA00AA00AA
+    packed ^= t ^ t << 7
+    t = (packed ^ packed >> 14) & 0x0000CCCC0000CCCC
+    packed ^= t ^ t << 14
+    t = (packed ^ packed >> 28) & 0x00000000F0F0F0F0
+    return packed ^ t ^ t << 28
+
+
 # ------------------------------------------------------------ public forms --
 
 
@@ -357,7 +426,10 @@ def is_linear_order(rel: Relation) -> bool:
 
 
 __all__ = [
+    "DIAGONAL",
     "Relation",
+    "SPREAD",
+    "SQUARE",
     "TransitivityMode",
     "absorbs_rectangle_compositions",
     "absorbs_rectangle_pairs",
@@ -375,6 +447,9 @@ __all__ = [
     "order_rows",
     "order_rows_via_rectangles",
     "orders_equivalent",
+    "pack_rows",
+    "packed_product",
+    "packed_transpose",
     "pairwise_union",
     "rectangle",
     "rectangle_rows",
@@ -390,4 +465,5 @@ __all__ = [
     "total_rows",
     "transitive_rows",
     "transpose",
+    "unpack_rows",
 ]

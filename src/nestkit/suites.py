@@ -72,27 +72,29 @@ from .groups import (
 )
 from .instances import verify_all
 from .orders import (
+    DIAGONAL,
+    SQUARE,
     Relation,
     absorbs_rectangle_compositions,
     absorbs_rectangle_pairs,
     absorbs_rectangles,
-    antisymmetric_rows,
     columns,
     compose_rows,
     generated_order,
-    irreflexive_rows,
     is_transitive,
     linear_rows,
     order_rows,
-    order_rows_via_rectangles,
+    pack_rows,
+    packed_product,
+    packed_transpose,
     rectangle_rows,
-    rectangle_t0_rows,
     reflexive_closure,
     rows_within,
     t0_masks,
     t0_separates,
     t1_separates,
     transitive_rows,
+    unpack_rows,
 )
 from .rays import (
     Carrier,
@@ -399,7 +401,7 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
         # list is indexed by pick bits (see `_star_table`), so those are the
         # odd indices.  Each family's order is computed once and packed one
         # row per byte, so the union of two orders is one OR
-        orders = [int.from_bytes(bytes(order_rows(masks, n, full)), "little") for masks in families]
+        orders = [pack_rows(order_rows(masks, n, full)) for masks in families]
         with_empty = range(1, len(families), 2)
         count += len(with_empty) ** 2
         for left in with_empty:
@@ -473,8 +475,7 @@ def _suite_generated_orders(config: SuiteConfig) -> tuple[int, list[Violation], 
         left = {0, *masks}
         right.add(0)
         merged = {a | b for a in left for b in right}
-        rows1, rows2 = order_rows(left, n, full), order_rows(right, n, full)
-        if order_rows(merged, n, full) != tuple(a | b for a, b in zip(rows1, rows2)):
+        if packed_product(merged, full) != packed_product(left, full) | packed_product(right, full):
             violations.append(_star_union_violation(n, left, right))
     return count, violations, []
 
@@ -501,22 +502,30 @@ def _star_union_violation(n: int, left: Iterable[int], right: Iterable[int]) -> 
 
 
 def _order_checks(masks: tuple[int, ...], size: int, full: int) -> list[Violation]:
-    """The order identities of one family, given by its canonical masks; the
-    family (or nest) is built only for the payload of a violation."""
+    """The order identities of one family, given by its canonical masks on
+    at most 8 points; the family (or nest) is built only for the payload of
+    a violation.
+
+    The walk of `order_rows` is packed once, one row per byte, and checked
+    against the packed product of the members' rectangles; its transpose
+    and the diagonal decide T0, irreflexivity and asymmetry, and the product
+    of the complements is checked against the transpose."""
     flagged = []
     order = order_rows(masks, size, full)
-    cols = columns(order)
-    if order != order_rows_via_rectangles(masks, size, full):
+    packed = pack_rows(order)
+    transposed = packed_transpose(packed)
+    diagonal = DIAGONAL[size]
+    if packed != packed_product(masks, full):
         flagged.append("order:product-form")
     t0 = t0_masks(masks, size)
-    if t0 != rectangle_t0_rows(order, cols, full):
+    if t0 != (packed | transposed | diagonal == SQUARE[size]):
         flagged.append("t0:rectangle-form")
     # a nest has the family's masks, so this also decides nest:absorption
     absorbs = absorbs_rectangle_pairs(masks, full)
     if absorbs and not transitive_rows(order, False):
         flagged.append("absorption:transitivity")
     # generated orders are irreflexive by construction
-    irreflexive = irreflexive_rows(order)
+    irreflexive = not packed & diagonal
     if not irreflexive:
         flagged.append("order:irreflexive")
     # padding with the trivial members never changes the order
@@ -531,12 +540,12 @@ def _order_checks(masks: tuple[int, ...], size: int, full: int) -> list[Violatio
     for mode in ("standard", "distinct_triples"):
         if not transitive_rows(order, mode == "distinct_triples"):
             flagged.append(f"nest:transitive-{mode}")
-    if not (irreflexive and antisymmetric_rows(order, cols)):
+    if not irreflexive or packed & transposed & ~diagonal:
         flagged.append("nest:asymmetric")
-    if t0 and not linear_rows(order, cols, full):
+    if t0 and not linear_rows(order, unpack_rows(transposed, size), full):
         flagged.append("nest:t0-linear")
     # the complements generate the transposed order
-    if order_rows([m ^ full for m in masks], size, full) != cols:
+    if packed_product([m ^ full for m in masks], full) != transposed:
         flagged.append("complement:transpose")
     return out + [Violation(pid, _nest_payload(Nest(Universe(size), masks))) for pid in flagged]
 

@@ -14,7 +14,10 @@ group topology built on it, is a topology by construction and is built by
 `Topology._closed` without a second check.  The oracle of that shortcut is
 the topology-engine suite, which re-validates its random closures through
 the constructor (``subbase:closure-is-topology``), and a test that compares
-closures with the constructor and the reference closure.  Rosters render
+closures with the constructor and the reference closure.  Likewise the
+subbases of the order topologies and of `join`, and the fixed-point family
+of `alexandroff_family`, come from masks of relations and topologies already
+checked, so they are built by `SetFamily._drawn`.  Rosters render
 from the opens' masks (`core.Universe.render_masks`).
 
 Convention notes, since the source material uses both:
@@ -382,7 +385,8 @@ def fixed_masks(table: Sequence[int]) -> tuple[int, ...]:
 def _ray_topology(rel: Relation, rays: Sequence[int]) -> Topology:
     """Topology generated by the complements of the given ray masks."""
     u = rel.universe
-    return topology_from_subbase(SetFamily.dedupe(u, (ray ^ u.full_mask for ray in rays)))
+    full = u.full_mask
+    return topology_from_subbase(SetFamily._drawn(u, canonical_masks({ray ^ full for ray in rays})))
 
 
 def lower_topology(rel_reflexive: Relation) -> Topology:
@@ -400,7 +404,8 @@ def upper_topology(rel_reflexive: Relation) -> Topology:
 def join(t1: Topology, t2: Topology) -> Topology:
     """Coarsest topology refining both (their supremum in the topology lattice)."""
     _check_same_universe(t1.universe, t2.universe)
-    return topology_from_subbase(SetFamily.dedupe(t1.universe, t1.opens + t2.opens))
+    opens = canonical_masks({*t1.opens, *t2.opens})
+    return topology_from_subbase(SetFamily._drawn(t1.universe, opens))
 
 
 def interval_topology(rel_reflexive: Relation) -> Topology:
@@ -417,7 +422,8 @@ def alexandroff_family(rel_strict: Relation) -> SetFamily:
     off `reach_table`.  It is closed under unions and intersections but
     need not contain X, so it is returned as a family, not a Topology.
     """
-    return SetFamily(rel_strict.universe, fixed_masks(reach_table(rel_strict.rows)))
+    fixed = canonical_masks(fixed_masks(reach_table(rel_strict.rows)))
+    return SetFamily._drawn(rel_strict.universe, fixed)
 
 
 def product_universe(u1: Universe, u2: Universe) -> Universe:

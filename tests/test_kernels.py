@@ -45,6 +45,9 @@ from nestkit.groups import (
     translation_closed,
 )
 from nestkit.orders import (
+    DIAGONAL,
+    SPREAD,
+    SQUARE,
     Relation,
     absorbs_rectangle_compositions,
     absorbs_rectangle_pairs,
@@ -61,6 +64,9 @@ from nestkit.orders import (
     linear_rows,
     order_rows,
     order_rows_via_rectangles,
+    pack_rows,
+    packed_product,
+    packed_transpose,
     rectangle,
     rectangle_rows,
     rectangle_t0_rows,
@@ -72,6 +78,7 @@ from nestkit.orders import (
     total_rows,
     transitive_rows,
     transpose,
+    unpack_rows,
 )
 from nestkit.suites import random_nest
 from nestkit.topology import (
@@ -290,6 +297,84 @@ def test_absorption_pair_form_matches_the_row_form_on_seeded_families():
         assert absorbs == absorbs_rectangles(masks, n, full), masks
         verdicts.append(absorbs)
     assert 0.25 < sum(verdicts) / len(verdicts) < 0.9
+
+
+# ----------------------------------------------------------- packed forms --
+
+
+def _check_packed_kernels(masks, rows, n):
+    """The packed kernels on one family's masks and on one relation's rows
+    over n points, against the row kernels; returns the relation's
+    (irreflexive, antisymmetric) verdicts."""
+    full = (1 << n) - 1
+    by_rectangles = order_rows_via_rectangles(masks, n, full)
+    product_form = packed_product(masks, full)
+    assert product_form == pack_rows(by_rectangles)
+    assert unpack_rows(product_form, n) == by_rectangles
+    # the complements' rectangles are the transposed ones
+    assert packed_product([m ^ full for m in masks], full) == pack_rows(columns(by_rectangles))
+    diagonal, square = DIAGONAL[n], SQUARE[n]
+    verdicts = []
+    for relation in (by_rectangles, rows):
+        packed = pack_rows(relation)
+        transposed = packed_transpose(packed)
+        cols = columns(relation)
+        assert transposed == pack_rows(cols)
+        assert packed_transpose(transposed) == packed
+        assert (not packed & diagonal) == irreflexive_rows(relation)
+        assert (not packed & transposed & ~diagonal) == antisymmetric_rows(relation, cols)
+        assert (packed | transposed | diagonal == square) == rectangle_t0_rows(relation, cols, full)
+        verdicts.append((not packed & diagonal, not packed & transposed & ~diagonal))
+    return verdicts[1]
+
+
+def _packed_cases():
+    """(masks, rows, n): every family on at most three points, each with the
+    relation of its masks padded with 0 as rows; then seeded families and
+    relations on four to eight points, where at n = 8 a full row fills its
+    byte."""
+    for n in (1, 2, 3):
+        for family in enumerate_families(Universe(n)):
+            yield family.masks, (family.masks + (0,) * n)[:n], n
+    rng = random.Random(29)
+    for n in range(4, 9):
+        full = (1 << n) - 1
+        for _ in range(400):
+            masks = {rng.randrange(full + 1) for _ in range(rng.randint(0, 6))}
+            rows = tuple(rng.choice((0, full, rng.randrange(full + 1))) for _ in range(n))
+            yield tuple(masks), rows, n
+
+
+def test_packed_kernels_match_the_row_kernels():
+    seen, verdicts = 0, set()
+    for masks, rows, n in _packed_cases():
+        verdicts.add(_check_packed_kernels(masks, rows, n))
+        seen += 1
+    assert seen == 4 + 16 + 256 + 5 * 400
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_packed_layout_tables_and_a_full_byte():
+    for n in range(9):
+        full = (1 << n) - 1
+        assert DIAGONAL[n] == pack_rows(1 << x for x in range(n))
+        assert SQUARE[n] == pack_rows([full] * n)
+    for m in range(256):
+        assert SPREAD[m] == pack_rows(m >> x & 1 for x in range(8))
+    # on eight points the square's rows fill their bytes, and its transpose
+    # and the product of the one member {} and X are the square and nothing
+    assert packed_transpose(SQUARE[8]) == SQUARE[8] == pack_rows([255] * 8)
+    assert packed_product((0, 255), 255) == 0
+    # a single point below the other seven: row 0 is 254, column 0 is empty
+    assert unpack_rows(packed_product((1,), 255), 8) == (254,) + (0,) * 7
+    assert unpack_rows(packed_transpose(packed_product((1,), 255)), 8) == (0,) + (1,) * 7
+
+
+def test_pack_rows_refuses_a_row_that_does_not_fit_a_byte():
+    assert pack_rows([255, 0, 1]) == 0x0100FF
+    for row in (256, 1 << 9, -1):
+        with pytest.raises(ValueError):
+            pack_rows([0, row])
 
 
 def _points(mask):

@@ -49,16 +49,24 @@ MAX_N5_DIGESTS = {
 }
 
 # the two family-fuzz suites at their defaults (10,000 iterations), at the
-# default seed, at seed 1 (the benchmark's default seed), and at seeds 7 and 99
+# default seed, at seed 1 (the benchmark's default seed), and at seeds 7 and
+# 99; generated-orders also at seed 11
 DEFAULT_DIGESTS = {
     ("generated-orders", 20260808): "8b07a278d024c1e8d9ddce122d64e2e9b2f1e8cdea53ab30ad391d8f28f7cdf9",
     ("generated-orders", 1): "a0ff12e52696a48d52fd25305f05cb98943ac80729ce5110a1d70d1e9d8f52fd",
     ("generated-orders", 7): "12696de013ff8372f2933bb703ae9b860a36637518dcca5f502d07aec6f4060b",
     ("generated-orders", 99): "efdb8ef455d47c8cc51bca9dab0f99b705c715ae56f31f1432b8e53c8f190dfa",
+    ("generated-orders", 11): "cdee6fd36373266dcbeb5519d57cab16808b78774f3fc5d21013383ac7c84d27",
     ("group-compatibility", 20260808): "18af58db77695c99cdecb2250b78169a8ba9cc251964c081df0f51d11e672a3a",
     ("group-compatibility", 1): "dd067a807a1ea96310c85772aafe3f037401bac3e8e8deba38e86de29c0c19ab",
     ("group-compatibility", 7): "e0dcb2ddef374e4dfe651849b60e61db74c6c7c6d0647f94c39c935d52b3fbd1",
     ("group-compatibility", 99): "8e57cbf1f800266a64eba946918f69615bc5a98429342618bf763975de491c41",
+}
+
+# generated-orders past its default iterations, so the random loop's checks
+# see more of the four- to six-point draws: (suite, seed, iters) -> digest
+ITERS_DIGESTS = {
+    ("generated-orders", 3, 20_000): "a276305b32106270110578db39aa6473f6cbebb28ad5e0a7670be9e58bff422f",
 }
 
 EXHAUSTIVE = ["core-algebra", "topology-engine", "sup-conditions", "interlocking", "bound-covers"]
@@ -120,6 +128,15 @@ def test_family_sweeps_keep_their_bytes_at_their_defaults(name, seed):
     assert digest == DEFAULT_DIGESTS[name, seed]
 
 
+@pytest.mark.parametrize("name,seed,iters", sorted(ITERS_DIGESTS))
+def test_family_sweeps_keep_their_bytes_past_their_default_iterations(name, seed, iters):
+    report = run_suite(name, SuiteConfig(seed=seed, iters=iters, workers=1))
+    assert report.passed, report.summary()
+    assert report.config["iters"] == iters
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == ITERS_DIGESTS[name, seed, iters]
+
+
 def test_generated_orders_checks_the_absorption_pair_form_against_the_row_form(monkeypatch):
     # a pair form that absorbs everything disagrees with the row form on
     # every family on at most three points that is not a nest
@@ -128,6 +145,62 @@ def test_generated_orders_checks_the_absorption_pair_form_against_the_row_form(m
     fired = [v for v in report.violations if v.property_id == "absorption:pair-form"]
     assert fired and not report.passed
     assert report.instances == run_suite("generated-orders", SuiteConfig(iters=0)).instances
+
+
+def test_generated_orders_flags_a_product_form_that_drops_a_member(monkeypatch):
+    # the packed product with its last member dropped disagrees with the walk
+    # of `order_rows` exactly where that member's rectangle adds a pair
+    product = orders.packed_product
+
+    def drop_last(masks, full):
+        return product(tuple(masks)[:-1], full)
+
+    want = set()
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        for family in enumerate_families(Universe(n)):
+            walked = orders.pack_rows(orders.order_rows(family.masks, n, full))
+            if drop_last(family.masks, full) != walked:
+                want.add((n, family.masks))
+    monkeypatch.setattr(suites, "packed_product", drop_last)
+    report = run_suite("generated-orders", SuiteConfig(iters=0))
+    flagged = set()
+    for v in report.violations:
+        if v.property_id == "order:product-form":
+            n = v.instance["universe"]
+            flagged.add((n, SetFamily.of(Universe(n), v.instance["family"]).masks))
+    assert want and flagged == want
+    assert not report.passed
+
+
+_TRANSPOSE_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+def _transpose_skipping(skip):
+    """The three masked swaps of `orders.packed_transpose`, all but ``skip``."""
+    def transpose(packed):
+        for index, (shift, mask) in enumerate(_TRANSPOSE_SWAPS):
+            if index != skip:
+                t = (packed ^ packed >> shift) & mask
+                packed ^= t ^ t << shift
+        return packed
+    return transpose
+
+
+@pytest.mark.parametrize("skip", [0, 1, 2])
+def test_generated_orders_flags_a_transpose_that_skips_a_swap(monkeypatch, skip):
+    # with every swap the helper is the kernel; a skipped swap leaves pairs
+    # untransposed, on two points or more (shift 7), three or more (14), or
+    # five or more (28, reached by the random loop alone)
+    rng = random.Random(skip)
+    for _ in range(200):
+        packed = rng.getrandbits(64)
+        assert _transpose_skipping(None)(packed) == orders.packed_transpose(packed)
+    monkeypatch.setattr(suites, "packed_transpose", _transpose_skipping(skip))
+    report = run_suite("generated-orders", SuiteConfig(iters=300))
+    ids = {v.property_id for v in report.violations}
+    assert ids & {"t0:rectangle-form", "complement:transpose"}, ids
+    assert not report.passed
 
 
 def test_random_masks_consume_the_stream_of_the_stdlib_draws():

@@ -10,6 +10,7 @@ from nestkit.core import (
     Subset,
     Universe,
     _check_same_universe,
+    canonical_masks,
     enumerate_families,
     enumerate_nests,
 )
@@ -18,6 +19,7 @@ from nestkit.topology import (
     Topology,
     alexandroff_family,
     down_set,
+    fixed_masks,
     interval_topology,
     is_continuous,
     join,
@@ -212,6 +214,63 @@ def test_join_and_interval():
     indiscrete = Topology(U2, (0, U2.full_mask))
     assert join(t, indiscrete) == t
     assert join(t, t) == t
+
+
+def _trusted_build_cases():
+    """(relation, family) pairs: every family on at most three points, then
+    seeded families on four to seven; each family's masks, padded with 0,
+    also serve as the rows of an arbitrary relation."""
+    for n in range(1, 4):
+        for family in enumerate_families(Universe(n)):
+            yield family
+    rng = random.Random(29)
+    for _ in range(300):
+        u = Universe(rng.randint(4, 7))
+        masks = {rng.randrange(u.full_mask + 1) for _ in range(rng.randint(0, 6))}
+        yield SetFamily.dedupe(u, masks)
+
+
+def test_engine_families_equal_the_validating_builds(monkeypatch):
+    # the ray subbases, the join subbase and the Alexandroff family are built
+    # without validation; each must equal what the validating constructors
+    # build from the same masks, in the canonical order they would give it
+    from nestkit import topology
+
+    subbases = []
+    closure = topology.topology_from_subbase
+
+    def spy(family):
+        subbases.append(family)
+        return closure(family)
+
+    monkeypatch.setattr(topology, "topology_from_subbase", spy)
+    seen = 0
+    for family in _trusted_build_cases():
+        u = family.universe
+        n, full = u.size, u.full_mask
+        strict = generated_order(family)
+        arbitrary = Relation(u, (family.masks + (0,) * n)[:n])
+        for rel in (reflexive_closure(strict), arbitrary):
+            rows, cols = rel.rows, transpose(rel).rows
+            for build, rays in ((lower_topology, rows), (upper_topology, cols),
+                                (interval_topology, rows + cols)):
+                subbases.clear()
+                got = build(rel)
+                want = SetFamily.dedupe(u, (ray ^ full for ray in rays))
+                assert subbases == [want]
+                assert got == closure(want)
+            t1, t2 = closure(family), lower_topology(rel)
+            subbases.clear()
+            got = join(t1, t2)
+            want = SetFamily.dedupe(u, t1.opens + t2.opens)
+            assert subbases == [want]
+            assert got == closure(want)
+        for rel in (strict, arbitrary):
+            got = alexandroff_family(rel)
+            assert got == SetFamily(u, fixed_masks(reach_table(rel.rows)))
+            assert got.masks == canonical_masks(got.masks)
+        seen += 1
+    assert seen == 4 + 16 + 256 + 300
 
 
 def _contains_mask(family, mask):
