@@ -14,15 +14,15 @@ element; incomparable upper bounds yield "does not exist" with a reason,
 never an arbitrary pick.  The kernel `sup_index` decides this on the rows
 of a reflexive order and a region mask, starting from the region's upper
 bounds, and answers with the supremum's element or a code (`NO_BOUND`,
-`NO_LEAST`); `sup_of` and `inf_of` wrap it at the `Relation` boundary, and
-both routes of the dual ladder read it.
+`NO_LEAST`); `sup_of` and `inf_of` wrap it at the `Relation` boundary.
 
 A nest's generated order is the strict weak order of its blocks
 (`Nest.blocks`): x < y iff x's block comes before y's.  So a context reads
 T0 (every block has at most one point) and each member's sup (fixed by the
 member's top block and the next one) off the blocks in O(k).  The kernels
-stay as their oracles in the sweeps: `orders.t0_masks` in core-algebra and
-`sup_index` in sup-conditions, on every nest swept.
+stay as their oracles in the sweeps: `orders.t0_masks` in core-algebra, and
+`sup_index` in sup-conditions, on the preorder rows of every nest swept and,
+for the right side of every dual pair, on the left preorder's columns.
 
 `NestContext` holds the values a sweep derives from one nest, at mask level
 only (the rows of its order and preorder, the complement nest's own context,
@@ -42,7 +42,8 @@ kernel; only the sweeps read the reach tables over every region.
 
 `DualPair` is the one form of a dual pair, and holds the two sides'
 contexts.  It checks once that both sides are nests whose orders are mutual
-transposes, and caches the right nest's ladder by both routes.
+transposes, so the right nest's ladder is its own context's, and its sups
+are the infima under the left order.
 `complement_dual` pairs a context with its ``dual``; the sup sweep, the
 all-dual-pairs loop, the searches and ``analyze`` all take this one path,
 and `dual_sup_conditions`, `lots_hypotheses` and `lots_report` read the pair.
@@ -160,29 +161,6 @@ def _ladder(sups: dict[int, int], full: int) -> SupConditions:
             escape = False
         reached |= 1 << s
     return SupConditions(True, escape, escape and reached == full)
-
-
-def _dual_ladder(
-    masks: tuple[int, ...], full: int, rows_right: tuple[int, ...], cols_left: tuple[int, ...]
-) -> SupConditions:
-    """The ladder of the right nest of a dual pair, from the rows of its own
-    reflexive order and the columns of the left nest's.
-
-    Computed twice: as suprema under the right nest's own (reversed) order,
-    and as infima under the left nest's order (suprema under its columns).
-    The two routes must agree; disagreement means the duality invariant was
-    broken.
-    """
-    sups = {}
-    for m in masks:
-        by_sup = sup_index(rows_right, full, m)
-        if by_sup != sup_index(cols_left, full, m):
-            raise InstanceError(
-                "sup-under-reversed-order and inf routes disagree; dual-pair "
-                "invariant violated"
-            )
-        sups[m] = by_sup
-    return _ladder(sups, full)
 
 
 class NestContext:
@@ -327,15 +305,6 @@ class DualPair:
                 f"nests are not dual: orders disagree at pair {witness}"
             )
 
-    @lazy
-    def dual_sup_conditions(self) -> SupConditions:
-        """The ladder of the right nest, by both routes of `_dual_ladder`."""
-        right = self.right
-        return _dual_ladder(
-            right.nest.masks, right.nest.universe.full_mask,
-            right.preorder_rows, self.left.preorder_columns,
-        )
-
 
 def complement_dual(nest: Nest | NestContext) -> DualPair:
     """Pair a nest with its complement nest, which is always its dual; from a
@@ -345,9 +314,16 @@ def complement_dual(nest: Nest | NestContext) -> DualPair:
 
 
 def dual_sup_conditions(pair: DualPair) -> SupConditions:
-    """The sup-condition ladder for the right nest of a dual pair, with the
-    sup route cross-checked against infima under the left nest's order."""
-    return pair.dual_sup_conditions
+    """The sup-condition ladder for the right nest of a dual pair: the right
+    context's own ladder, read off its blocks.
+
+    The right order is the transpose of the left one, so these are also the
+    infima under the left nest's order.  That inf route (`sup_index` on the
+    left preorder's columns) is the oracle of every member's sup in the
+    sup-conditions sweep (`dual:inf-route`), on every complement pair and
+    every pair of its all-dual-pairs loop.
+    """
+    return pair.right.sup_conditions
 
 
 def is_interlocking(family: SetFamily) -> bool:
@@ -451,16 +427,10 @@ class MemberLowerSetReport:
 
 def member_lower_set_report(nest: Nest | NestContext, member: Subset) -> MemberLowerSetReport:
     ctx = NestContext.of(nest)
-    _check_same_universe(ctx.nest.universe, member.universe)
-    if member.mask not in ctx.nest.masks:
+    nest, mask = ctx.nest, member.mask
+    _check_same_universe(nest.universe, member.universe)
+    if mask not in nest.masks:
         raise InstanceError("subset is not a member of the nest")
-    return member_lower_set_masks(ctx, member.mask)
-
-
-def member_lower_set_masks(ctx: NestContext, mask: int) -> MemberLowerSetReport:
-    """`member_lower_set_report` on the mask of a member of the context's
-    nest, from the rows the context holds; checks nothing."""
-    nest = ctx.nest
     union_matches = member_union_of_smaller(nest, mask) == mask
     lower = down_mask(ctx.order_rows, mask) == mask
     # a greatest point's column (its down-set) holds the whole member
@@ -472,7 +442,7 @@ def member_lower_set_masks(ctx: NestContext, mask: int) -> MemberLowerSetReport:
 
 
 def member_lower_set_views(ctx: NestContext) -> tuple[int, int, int]:
-    """The three views of `member_lower_set_masks` for every member of the
+    """The three views of `member_lower_set_report` for every member of the
     context's nest at once, as member indicators, bit i for the i-th member
     in the nest's order: ``(union_of_smaller_matches, is_lower_set,
     no_greatest_element)``.
@@ -540,7 +510,7 @@ def lots_hypotheses(pair: DualPair) -> tuple[bool, bool]:
     that tests them before asking for the conclusion.
     """
     left, right = pair.left, pair.right
-    cond, cond_dual = left.sup_conditions, pair.dual_sup_conditions
+    cond, cond_dual = left.sup_conditions, right.sup_conditions
     sup_onto_pair = cond.sups_onto and cond_dual.sups_onto
     t0_escape_pair = cond.sups_escape and cond_dual.sups_escape and left.t0 and right.t0
     return sup_onto_pair, t0_escape_pair

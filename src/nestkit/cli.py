@@ -27,7 +27,7 @@ from .analysis import (
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
-    member_lower_set_masks,
+    member_lower_set_views,
     sup_conditions,
 )
 from .bounds import down_reach_covers, up_reach_covers
@@ -290,12 +290,10 @@ def analyze_family(family: SetFamily) -> dict:
             "alexandroff": is_interlocking_via_alexandroff(ctx),
             "lower_sets": is_interlocking_via_lower_sets(ctx),
         }
+        lower = member_lower_set_views(ctx)[1]
         document["members"] = [
-            {
-                "member": list(indices_of(m)),
-                "lower_set": member_lower_set_masks(ctx, m).is_lower_set,
-            }
-            for m in nest.masks
+            {"member": list(indices_of(m)), "lower_set": bool(lower >> i & 1)}
+            for i, m in enumerate(nest.masks)
         ]
     return document
 

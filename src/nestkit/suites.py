@@ -751,6 +751,13 @@ def _dual_pair_checks(pair: DualPair) -> list[tuple[str, dict]]:
             "right": family_to_dict(right.nest)["family"],
         }
 
+    # the right side's sups read off its blocks, against the inf route: the
+    # kernel on the columns of the left preorder, the right one's transpose
+    cols, full = left.preorder_columns, u.full_mask
+    for mask, sup in right.sup_indices.items():
+        if sup != sup_index(cols, full, mask):
+            out.append(("dual:inf-route", {**payload(), "member": mask}))
+
     # the onto rungs imply the escape rungs, so the escape premise covers both
     if cond.sups_escape and dcond.sups_escape:
         both = topology_from_subbase(SetFamily.dedupe(u, masks))

@@ -11,10 +11,12 @@ import pytest
 from nestkit.analysis import (
     NO_BOUND,
     NO_LEAST,
+    DualPair,
     NestContext,
-    _dual_ladder,
+    _ladder,
     complement_dual,
     down_mask_by_members,
+    dual_sup_conditions,
     inf_of,
     member_lower_set_report,
     member_lower_set_views,
@@ -709,17 +711,33 @@ def test_sup_kernel_matches_the_definition_on_random_preorders():
     assert {NO_BOUND, NO_LEAST} <= codes
 
 
-def test_dual_ladder_routes_must_agree():
-    # the sup route reads the right nest's rows, the inf route the left
-    # nest's columns; rows that are not their transpose break the pair
-    u = Universe(2)
-    ctx = NestContext(Nest.of(u, [[], [0]]))
-    right = ctx.dual
-    masks, full = right.nest.masks, u.full_mask
-    assert _dual_ladder(masks, full, right.preorder_rows, columns(ctx.preorder_rows)) == (
-        complement_dual(ctx).dual_sup_conditions)
-    with pytest.raises(InstanceError, match="routes disagree"):
-        _dual_ladder(masks, full, right.preorder_rows, ctx.preorder_rows)
+def _dual_pairs():
+    """Every complement pair on at most six points, then every dual pair on
+    at most three."""
+    for n in range(1, 7):
+        for nest in enumerate_nests(Universe(n), bound=6):
+            yield complement_dual(NestContext(nest))
+    for n in range(1, 4):
+        contexts = [NestContext(nest) for nest in enumerate_nests(Universe(n))]
+        for left in contexts:
+            for right in contexts:
+                if right.order_rows == columns(left.order_rows):
+                    yield DualPair(left, right)
+
+
+def test_dual_ladder_is_the_right_ladder_by_either_kernel_route():
+    # the right side's ladder, read off its blocks, against the kernel on
+    # the right preorder's rows (sups) and on the left one's columns (infima)
+    pairs, ladders = 0, set()
+    for pair in _dual_pairs():
+        right, full = pair.right, pair.left.nest.universe.full_mask
+        ladder = dual_sup_conditions(pair)
+        for rows in (right.preorder_rows, pair.left.preorder_columns):
+            assert ladder == _ladder({m: sup_index(rows, full, m) for m in right.nest.masks}, full)
+        pairs += 1
+        ladders.add(ladder)
+    assert pairs == 21536
+    assert len(ladders) == 4
 
 
 # ------------------------------------------------------------ block forms --

@@ -544,6 +544,87 @@ def test_dual_pair_checks_build_interval_topology_only_under_the_premise(monkeyp
     assert len(built) == 1
 
 
+class _StandIn:
+    """A stand-in for a conclusion's topology: `is_open` and ``==`` answer as
+    told, whatever they are asked."""
+
+    def __init__(self, opens: bool = True, equal: bool = True) -> None:
+        self.opens, self.equal = opens, equal
+
+    def is_open(self, mask: int) -> bool:
+        return self.opens
+
+    def __eq__(self, other) -> bool:
+        return self.equal
+
+    __hash__ = None
+
+
+def test_each_dual_pair_check_fires_on_its_own_planted_fault(monkeypatch):
+    # every premise fires on the self-dual pair of {∅} on one point; each
+    # fault breaks only the conclusion one check reads, so that check alone
+    # flags the pair
+    point = Nest.of(Universe(1), [[]])
+    payload = {"universe": 1, "left": [[]], "right": [[]]}
+
+    def flagged(patch=None):
+        pair = DualPair(point, point)
+        assert pair.left.sup_conditions.sups_onto
+        assert analysis.dual_sup_conditions(pair).sups_onto
+        assert all(analysis.lots_hypotheses(pair))
+        with monkeypatch.context() as m:
+            if patch:
+                patch(m, pair)
+            return suites._dual_pair_checks(pair)
+
+    assert flagged() == []
+    assert flagged(lambda m, pair: m.setattr(
+        suites, "interval_topology", lambda rel: _StandIn(opens=False))) == [
+        ("pair:escape-joint-in-interval", payload)]
+    assert flagged(lambda m, pair: m.setattr(
+        suites, "interval_topology", lambda rel: _StandIn(equal=False))) == [
+        ("pair:onto-joint-is-interval", payload)]
+    assert flagged(lambda m, pair: m.setattr(
+        suites, "upper_topology", lambda rel: _StandIn(equal=False))) == [
+        ("pair:dual-onto-upper", payload)]
+    lots_report = suites.lots_report
+    assert flagged(lambda m, pair: m.setattr(
+        suites, "lots_report", lambda p: replace(lots_report(p), order_linear=False))) == [
+        ("pair:lots-hypotheses", payload)]
+    # the inf route: the kernel on the left preorder's columns finds no least
+    # upper bound where the right side's blocks find the point
+    assert flagged(lambda m, pair: m.setattr(
+        suites, "sup_index", lambda rows, full, region: analysis.NO_LEAST)) == [
+        ("dual:inf-route", {**payload, "member": 0})]
+
+    # the right member becomes X once both ladders and T0 are read: the
+    # premise holds, yet a member is nonempty
+    assert flagged(lambda m, pair: m.setattr(pair.right, "nest", Nest.of(Universe(1), [[0]]))) == [
+        ("census:paired-escape-empty-members", {**payload, "right": [[0]]})]
+
+
+def test_a_shifted_right_side_sup_is_a_violation_not_a_usage_error(monkeypatch, tmp_path):
+    # the right side's sups read off its blocks are checked against the inf
+    # route on every complement pair; a shifted one fails the suite (exit 1)
+    from nestkit.cli import main
+
+    complement_dual = suites.complement_dual
+
+    def shifted(ctx):
+        pair = complement_dual(ctx)
+        right, n = pair.right, ctx.nest.universe.size
+        right.sup_indices = {m: (s + 1) % n if s >= 0 else s
+                             for m, s in right.sup_indices.items()}
+        return pair
+
+    monkeypatch.setattr(suites, "complement_dual", shifted)
+    out = tmp_path / "sup.json"
+    assert main(["check", "--suite", "sup-conditions", "--workers", "1", "--json", str(out)]) == 1
+    flagged = [v for v in json.loads(out.read_text())["violations"]
+               if v["property"] == "dual:inf-route"]
+    assert flagged and all("member" in v["instance"] for v in flagged)
+
+
 def test_nest_sweeps_build_relations_only_in_premise_branches(monkeypatch):
     # the per-nest path reads the context's rows; a Relation is built only
     # where a public topology form takes one
@@ -566,7 +647,7 @@ def test_nest_sweeps_build_relations_only_in_premise_branches(monkeypatch):
             before = len(built)
             suites._check_sup(ctx)
             if len(built) > before:
-                dual = analysis.complement_dual(ctx).dual_sup_conditions
+                dual = analysis.dual_sup_conditions(analysis.complement_dual(ctx))
                 assert ctx.sup_conditions.sups_escape or dual.sups_onto
                 fired += 1
     assert fired
