@@ -26,9 +26,9 @@ for the right side of every dual pair, on the left preorder's columns.
 
 `NestContext` holds the values a sweep derives from one nest, at mask level
 only (the rows of its order and preorder, the complement nest's own context,
-member sups, both ladders, T0, and, packed in the layout of
-`topology.Regions`, the strict reach tables and the Alexandroff fixed
-points), and computes each at most once, on first use.  A `Relation`,
+member sups, both ladders, T0, and the strict reach tables, packed in the
+layout of `topology.Regions`), and computes each at most once, on first use;
+its Alexandroff fixed points are the constant {∅}.  A `Relation`,
 `SetFamily` or `Subset` is built only at a public boundary: a predicate that
 takes a `Subset`, a wrapper such as `sup_of`, or a topology a premise needs.
 The fields are `core.lazy` fields, which take no lock: after the first
@@ -260,12 +260,11 @@ class NestContext:
         packed reach table of the columns."""
         return self.nest.universe.regions.reach_table(columns(self.order_rows))
 
-    @lazy
-    def alexandroff(self) -> int:
-        """The Alexandroff family of the order, as an indicator in the
-        packed layout of the universe: field R is 1 when region R equals
-        its strict upward reach in ``up_reach``."""
-        return self.nest.universe.regions.fixed(self.up_reach)
+    # The Alexandroff family of the order, packed (`Regions` layout): {∅},
+    # field 0 alone, on every `Nest`, whose type validates the chain.  The
+    # order is a strict weak order, so a nonempty region's minimal points
+    # miss its strict upward reach.
+    alexandroff = 1
 
 
 def member_sups(nest: Nest | NestContext) -> dict[int, SupResult]:
@@ -344,9 +343,10 @@ def is_interlocking_via_alexandroff(nest: Nest | NestContext) -> bool:
     """Alexandroff route: members closed for the nest's order must have their
     complements closed for the complement nest's order.
 
-    On a finite nest the strict fixed-point family is {∅} on both sides (a
-    nonempty region's minimal points miss its strict upward reach), so the
-    route reduces to "X is not a member"; a test pins both facts."""
+    On a finite nest the strict fixed-point family is {∅} on both sides, so
+    the route reads the constant `NestContext.alexandroff` and reduces to "X
+    is not a member"; topology-engine checks that constant against the
+    reach-table fixed points on every nest it sweeps."""
     ctx = NestContext.of(nest)
     alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
     u = ctx.nest.universe

@@ -557,9 +557,9 @@ _REACH_ROUTES = ("down-set:formula", "up-set:formula", "down-set:table", "up-set
 
 
 def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
-    """Brute-force reach per region is the oracle for the member formulas
-    and for the reach tables the sweeps read; every route is evaluated for
-    all regions at once, in the packed layout of the universe."""
+    """Brute-force reach per region is the oracle for the member formulas,
+    the reach tables the sweeps read and, by their fixed points, the constant
+    Alexandroff family; all regions at once, in the universe's packed layout."""
     nest, rows = ctx.nest, ctx.order_rows
     masks, regions = nest.masks, nest.universe.regions
     down, up = regions.down_mask(rows), regions.up_mask(rows)
@@ -576,7 +576,7 @@ def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
         flagged = _flag_regions(
             regions, [(pid, regions.nonzero(diff)) for pid, diff in zip(_REACH_ROUTES, routes)]
         )
-    if ctx.alexandroff != regions.fixed(by_complements):
+    if not ctx.alexandroff == regions.fixed(ctx.up_reach) == regions.fixed(by_complements):
         flagged.append(("alexandroff:nest-formula", {}))
     return 1, flagged, []
 

@@ -330,7 +330,7 @@ def test_nest_context_fields_are_computed_once(monkeypatch):
     fields = _lazy_fields(NestContext)
     assert fields == [
         "order_rows", "preorder_rows", "preorder_columns", "dual", "sup_indices", "sups",
-        "sup_conditions", "t0", "up_reach", "down_reach", "alexandroff"]
+        "sup_conditions", "t0", "up_reach", "down_reach"]
     # the class hands out the descriptor, with the method's docstring
     assert isinstance(NestContext.preorder_columns, lazy)
     assert NestContext.preorder_columns.__doc__.startswith("Entry y holds")

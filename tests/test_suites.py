@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from nestkit import analysis, orders, suites
-from nestkit.analysis import DualPair, NestContext
+from nestkit.analysis import DualPair, NestContext, is_interlocking_via_alexandroff
 from nestkit.core import (
     Nest, SetFamily, Universe, canonical_masks, enumerate_families, enumerate_nests, indices_of,
 )
@@ -20,8 +20,10 @@ from nestkit.groups import (
     subbase_topology,
 )
 from nestkit.reporting import SuiteReport, Violation, sort_violations
+from nestkit.search import SearchSpec, run_search
 from nestkit.serialize import canonical_json, family_to_dict
 from nestkit.suites import SuiteConfig, run_suite, suite_names
+from nestkit.topology import Regions
 
 FAST = SuiteConfig(iters=300)
 
@@ -39,11 +41,14 @@ FAST_DIGESTS = {
     "topology-engine": "3f8306de9acb31430841faaf0d0ad98eff3aa03642b9571a5c0a1185d2adb83a",
 }
 
-# the two region sweeps and sup-conditions at max_n=5, the size the
-# nest-sweep benchmark runs; at five points sup-conditions checks complement
-# pairs beyond the three points of its all-dual-pairs loop
+# the two region sweeps, sup-conditions, interlocking and core-algebra at
+# max_n=5, the size the nest-sweep benchmark runs; at five points
+# sup-conditions checks complement pairs beyond the three points of its
+# all-dual-pairs loop
 MAX_N5_DIGESTS = {
     "bound-covers": "5c521ad4519860c40cd936bc30121653ec7eb4dd1f9c88b3aa0620c39daf23fd",
+    "core-algebra": "60ca6e5931b2e716c580de652bd0a3656cdfd77f878a500e0eaa0bc7a4c16bd6",
+    "interlocking": "0585bb35efbaaaa5d6e189fd691cb99044b05e708c8f632fccd481beb9771088",
     "sup-conditions": "5265bfad288d0c7db966f95f6f7bbd8003e249ce8b5708f8bd85888dc98433b0",
     "topology-engine": "b76775a8c13a84f375543521cc491c152bad9b8e88b030bae3e01f5b13f9dd0a",
 }
@@ -601,6 +606,68 @@ def test_each_dual_pair_check_fires_on_its_own_planted_fault(monkeypatch):
     # premise holds, yet a member is nonempty
     assert flagged(lambda m, pair: m.setattr(pair.right, "nest", Nest.of(Universe(1), [[0]]))) == [
         ("census:paired-escape-empty-members", {**payload, "right": [[0]]})]
+
+
+def _flagged_by_check(tmp_path, suite: str) -> set[str]:
+    """The property ids a failing ``nestkit check`` run of one suite flags."""
+    from nestkit.cli import main
+
+    out = tmp_path / f"{suite}.json"
+    assert main(["check", "--suite", suite, "--workers", "1", "--json", str(out)]) == 1
+    return {v["property"] for v in json.loads(out.read_text())["violations"]}
+
+
+def test_a_wrong_alexandroff_constant_fails_both_nest_sweeps(monkeypatch, tmp_path):
+    # topology-engine checks the constant against both fixed-point routes;
+    # the interlocking routes read it, so the Alexandroff route then
+    # disagrees with the others on every nest holding X
+    for wrong in (0, -1):  # no region fixed, every region fixed
+        monkeypatch.setattr(NestContext, "alexandroff", wrong)
+        assert _flagged_by_check(tmp_path, "topology-engine") == {"alexandroff:nest-formula"}
+        assert "interlocking:triple" in _flagged_by_check(tmp_path, "interlocking")
+
+
+def test_a_nonempty_fixed_region_in_either_route_fails_topology_engine(monkeypatch, tmp_path):
+    # X made its own strict upward reach, in the reach table and then in the
+    # complement formula: each route's fixed points then differ from {∅}
+    def with_x_fixed(route):
+        def fixed(regions, arg):
+            return route(regions, arg) | regions.full << regions.full * regions.width
+        return fixed
+
+    with monkeypatch.context() as m:
+        m.setattr(Regions, "reach_table", with_x_fixed(Regions.reach_table))
+        assert _flagged_by_check(tmp_path, "topology-engine") == {
+            "alexandroff:nest-formula", "down-set:table", "up-set:table"}
+    by_complements = with_x_fixed(suites.up_mask_by_complements)
+    monkeypatch.setattr(suites, "up_mask_by_complements", by_complements)
+    assert _flagged_by_check(tmp_path, "topology-engine") == {
+        "alexandroff:nest-formula", "up-set:formula"}
+
+
+def test_only_topology_engine_derives_the_alexandroff_family(monkeypatch):
+    # the interlocking sweep, its search and analyze read the constant; the
+    # reach table's fixed points are derived only as topology-engine's oracle
+    from nestkit.cli import analyze_family
+
+    tables = []
+    reach_table = Regions.reach_table
+    monkeypatch.setattr(Regions, "reach_table",
+                        lambda regions, rows: tables.append(rows) or reach_table(regions, rows))
+    contexts = [NestContext(nest) for n in range(1, 5) for nest in enumerate_nests(Universe(n))]
+    for ctx in contexts:
+        nest = ctx.nest
+        assert suites._check_interlocking(ctx) == (1, [], [])
+        assert is_interlocking_via_alexandroff(nest) == (nest.universe.full_mask not in nest.masks)
+        routes = analyze_family(nest)["interlocking_routes"]
+        assert routes["alexandroff"] == routes["definition"]
+    report = run_search(SearchSpec("interlocking-disagreements", max_n=4))
+    assert report.complete and report.examined == len(contexts) and report.witnesses == []
+    assert tables == []
+    for ctx in contexts:
+        assert suites._check_topology(ctx) == (1, [], [])
+    # the upward and downward tables of each nest
+    assert len(tables) == 2 * len(contexts)
 
 
 def test_a_shifted_right_side_sup_is_a_violation_not_a_usage_error(monkeypatch, tmp_path):
