@@ -69,6 +69,7 @@ from .topology import (
     Regions,
     Topology,
     down_mask,
+    field_width,
     topology_from_subbase,
     upper_bounds,
 )
@@ -346,11 +347,13 @@ def is_interlocking_via_alexandroff(nest: Nest | NestContext) -> bool:
     On a finite nest the strict fixed-point family is {∅} on both sides, so
     the route reads the constant `NestContext.alexandroff` and reduces to "X
     is not a member"; topology-engine checks that constant against the
-    reach-table fixed points on every nest it sweeps."""
+    reach-table fixed points on every nest it sweeps.  The constants are read
+    at the layout's field width, which takes no `Universe.regions` layout:
+    that holds 2^n fields of up to 2^n bits."""
     ctx = NestContext.of(nest)
     alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
     u = ctx.nest.universe
-    full, width = u.full_mask, u.regions.width
+    full, width = u.full_mask, field_width(u.size)
     for m in ctx.nest.masks:
         if alex >> (m ^ full) * width & 1 and not alex_c >> m * width & 1:
             return False

@@ -6,6 +6,12 @@ only on density of the carrier, absence of window endpoints, and membership
 of specific endpoints in the carrier, so it transfers to the real-line
 picture unchanged.
 
+A field element (`Quadratic`) is one reduced integer triple (A, B, d), the
+value (A + B*sqrt(2)) / d with d > 0 and gcd(A, B, d) = 1; arithmetic,
+comparison (one cross-multiplication), `floor` and `rational_between` run
+on those ints, and the Fraction views ``a`` and ``b`` serve rendering and
+JSON only.
+
 A ray nest is a family of lower rays (-inf, e) or (-inf, e] (or their upper
 mirrors), intersected with an open window, with the endpoint e drawn from a
 described endpoint set.  Such a family is a nest by construction.
@@ -54,68 +60,107 @@ Orientation = Literal["lower", "upper"]
 EndpointKind = Literal["all_carrier", "dense_interval", "arithmetic_progression", "finite_list"]
 
 
-@dataclass(frozen=True)
 class Quadratic:
-    """Exact field element a + b*sqrt(2) with rational a, b."""
+    """Exact field element a + b*sqrt(2) with rational a, b, immutable.
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    The value is stored as one reduced integer triple (A, B, d): it is
+    (A + B*sqrt(2)) / d with d > 0 and gcd(A, B, d) = 1, so equal values
+    have equal triples, and equality and hashing read the triple.  Every
+    operation runs on ints and ends in at most one gcd reduction; a
+    comparison is one cross-multiplication and a `_sign`.  ``a`` and ``b``
+    are Fraction views of the triple, read by rendering and JSON.
+    """
 
-    def __post_init__(self) -> None:
-        # arithmetic hands over Fractions already; coerce only the rest
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
+    __slots__ = ("_A", "_B", "_d")
+
+    def __init__(self, a: int | str | Fraction, b: int | str | Fraction = 0) -> None:
+        a, b = Fraction(a), Fraction(b)
+        # over the least common denominator the triple is already reduced
+        d = math.lcm(a.denominator, b.denominator)
+        _set(self, "_A", a.numerator * (d // a.denominator))
+        _set(self, "_B", b.numerator * (d // b.denominator))
+        _set(self, "_d", d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Quadratic is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Quadratic is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _triple, (self._A, self._B, self._d)
 
     @classmethod
     def rational(cls, value: int | str | Fraction) -> Quadratic:
-        return cls(Fraction(value))
+        return cls(value)
 
     @classmethod
     def sqrt2(cls, coefficient: int | str | Fraction = 1) -> Quadratic:
-        return cls(Fraction(0), Fraction(coefficient))
+        return cls(0, coefficient)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._A, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._B, self._d)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._B == 0
 
     def sign(self) -> int:
-        return _sign(self.a, self.b)
+        return _sign(self._A, self._B)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Quadratic:
+            return NotImplemented
+        return self._A == other._A and self._B == other._B and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._A, self._B, self._d))
+
+    def __repr__(self) -> str:
+        return f"Quadratic(a={self.a!r}, b={self.b!r})"
 
     def __add__(self, other: Quadratic) -> Quadratic:
-        return Quadratic(self.a + other.a, self.b + other.b)
+        d, e = self._d, other._d
+        return _reduced(self._A * e + other._A * d, self._B * e + other._B * d, d * e)
 
     def __sub__(self, other: Quadratic) -> Quadratic:
-        return Quadratic(self.a - other.a, self.b - other.b)
+        d, e = self._d, other._d
+        return _reduced(self._A * e - other._A * d, self._B * e - other._B * d, d * e)
 
     def __neg__(self) -> Quadratic:
-        return Quadratic(-self.a, -self.b)
+        return _triple(-self._A, -self._B, self._d)
 
     def __mul__(self, other: Quadratic) -> Quadratic:
-        return Quadratic(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        a1, b1, a2, b2 = self._A, self._B, other._A, other._B
+        return _reduced(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     def __truediv__(self, other: Quadratic) -> Quadratic:
-        denom = other.a * other.a - 2 * other.b * other.b
-        if other.sign() == 0:
+        """Multiply by the conjugate: (A + B√2)/d over (C + D√2)/e is
+        (A + B√2)(C - D√2) e / (d n) with the norm n = C² - 2D², which is
+        zero only at zero since √2 is irrational; a negative norm moves its
+        sign to the numerator."""
+        a1, b1, a2, b2 = self._A, self._B, other._A, other._B
+        norm, e = a2 * a2 - 2 * b2 * b2, other._d
+        if norm == 0:
             raise ZeroDivisionError("division by zero")
-        return Quadratic(
-            (self.a * other.a - 2 * self.b * other.b) / denom,
-            (self.b * other.a - self.a * other.b) / denom,
-        )
+        if norm < 0:
+            norm, e = -norm, -e
+        return _reduced((a1 * a2 - 2 * b1 * b2) * e, (b1 * a2 - a1 * b2) * e, self._d * norm)
 
     def scaled(self, factor: int | Fraction) -> Quadratic:
-        f = Fraction(factor)
-        return Quadratic(self.a * f, self.b * f)
+        p, q = factor.numerator, factor.denominator
+        return _reduced(self._A * p, self._B * p, self._d * q)
 
     def _compare(self, other: Quadratic) -> int:
-        """The sign of self - other, without building the difference."""
-        if self.b == other.b:
-            return (self.a > other.a) - (self.a < other.a)
-        return _sign(self.a - other.a, self.b - other.b)
+        """The sign of self - other: one cross-multiplication over the
+        positive denominators, without building the difference."""
+        d, e = self._d, other._d
+        return _sign(self._A * e - other._A * d, self._B * e - other._B * d)
 
     def __lt__(self, other: Quadratic) -> bool:
         return self._compare(other) < 0
@@ -129,36 +174,24 @@ class Quadratic:
     def __ge__(self, other: Quadratic) -> bool:
         return self._compare(other) >= 0
 
-    def _integer_form(self) -> tuple[int, int, int]:
-        """Integers (A, B, d) with d > 0 and a + b*sqrt(2) = (A + B*sqrt(2)) / d,
-        over the least common denominator d."""
-        a, b = self.a, self.b
-        d = math.lcm(a.denominator, b.denominator)
-        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
-
     def floor(self) -> int:
-        """Greatest integer <= a + b*sqrt(2), in integer arithmetic only.
-
-        Over a common denominator d the value is (A + B*sqrt(2)) / d with
-        integers A, B, and since A + floor(B*sqrt(2)) is an integer within 1
-        of the numerator, the floor is (A + floor(B*sqrt(2))) // d.
-        """
-        big_a, big_b, d = self._integer_form()
-        return (big_a + _floor_sqrt2(big_b)) // d
+        """Greatest integer <= (A + B*sqrt(2)) / d, in integer arithmetic:
+        A + floor(B*sqrt(2)) is an integer within 1 of the numerator, so the
+        floor is (A + floor(B*sqrt(2))) // d."""
+        return (self._A + _floor_sqrt2(self._B)) // self._d
 
     def render(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        root = "√2" if self.b == 1 else f"{self.b}·√2"
-        if self.a == 0:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        root = "√2" if b == 1 else f"{b}·√2"
+        if a == 0:
             return root
-        return f"{self.a}+{root}" if self.b > 0 else f"{self.a}{root}"
+        return f"{a}+{root}" if b > 0 else f"{a}{root}"
 
     def to_json(self) -> dict:
-        return {
-            "a": [self.a.numerator, self.a.denominator],
-            "b": [self.b.numerator, self.b.denominator],
-        }
+        a, b = self.a, self.b
+        return {"a": [a.numerator, a.denominator], "b": [b.numerator, b.denominator]}
 
     @classmethod
     def from_json(cls, data: dict) -> Quadratic:
@@ -184,8 +217,29 @@ class Quadratic:
         return cls(*parts)
 
 
-def _sign(a: int | Fraction, b: int | Fraction) -> int:
-    """Sign of a + b*sqrt(2) for rational (or integer) a, b."""
+_new, _set = object.__new__, object.__setattr__
+
+
+def _triple(big_a: int, big_b: int, d: int) -> Quadratic:
+    """The element (A + B*sqrt(2)) / d of a reduced triple, d > 0."""
+    x = _new(Quadratic)
+    _set(x, "_A", big_a)
+    _set(x, "_B", big_b)
+    _set(x, "_d", d)
+    return x
+
+
+def _reduced(big_a: int, big_b: int, d: int) -> Quadratic:
+    """The element (A + B*sqrt(2)) / d for any d > 0: the triple divided by
+    gcd(A, B, d)."""
+    g = math.gcd(big_a, big_b, d)
+    if g == 1:
+        return _triple(big_a, big_b, d)
+    return _triple(big_a // g, big_b // g, d // g)
+
+
+def _sign(a: int, b: int) -> int:
+    """Sign of a + b*sqrt(2) for integers a, b."""
     if a == 0 and b == 0:
         return 0
     if a >= 0 and b >= 0:
@@ -209,15 +263,15 @@ def _floor_sqrt2(b: int) -> int:
 def rational_between(lo: Quadratic, hi: Quadratic) -> Fraction:
     """Some rational strictly inside a nonempty open interval (dyadic search).
 
-    The first k with c = (floor(lo * 2^k) + 1) / 2^k < hi gives c.  Both ends
-    are taken once to their integer forms (A + B*sqrt(2)) / d, so each step
-    is integer arithmetic: floor(lo * 2^k) = (A 2^k + floor(B 2^k sqrt(2))) // d,
-    and c < hi = (C + D*sqrt(2)) / e iff (C 2^k - c 2^k e) + D 2^k sqrt(2) > 0.
+    The first k with c = (floor(lo * 2^k) + 1) / 2^k < hi gives c.  Each step
+    reads the stored triples lo = (A + B*sqrt(2)) / d and hi = (C + D*sqrt(2)) / e:
+    floor(lo * 2^k) = (A 2^k + floor(B 2^k sqrt(2))) // d, and c < hi iff
+    (C 2^k - c 2^k e) + D 2^k sqrt(2) > 0.
     """
     if not lo < hi:
         raise ValueError("interval is empty")
-    lo_a, lo_b, lo_d = lo._integer_form()
-    hi_a, hi_b, hi_d = hi._integer_form()
+    lo_a, lo_b, lo_d = lo._A, lo._B, lo._d
+    hi_a, hi_b, hi_d = hi._A, hi._B, hi._d
     k = 0
     while True:
         top = ((lo_a << k) + _floor_sqrt2(lo_b << k)) // lo_d + 1
@@ -246,11 +300,11 @@ class Interval(NamedTuple):
         # the tighter bound on each side; on a tie it is open if either is
         lo, hi, lo_open, hi_open = self
         if other.lo is not None:
-            diff = 1 if lo is None else (other.lo - lo).sign()
+            diff = 1 if lo is None else other.lo._compare(lo)
             if diff > 0 or (diff == 0 and other.lo_open):
                 lo, lo_open = other.lo, other.lo_open
         if other.hi is not None:
-            diff = -1 if hi is None else (other.hi - hi).sign()
+            diff = -1 if hi is None else other.hi._compare(hi)
             if diff < 0 or (diff == 0 and other.hi_open):
                 hi, hi_open = other.hi, other.hi_open
         return Interval(lo, hi, lo_open, hi_open)
@@ -262,7 +316,7 @@ class Interval(NamedTuple):
         """Does the interval hold a point of the carrier's field?"""
         if self.lo is None or self.hi is None:
             return True
-        diff = (self.lo - self.hi).sign()
+        diff = self.lo._compare(self.hi)
         if diff != 0:
             return diff < 0  # a dense field meets any interval with interior
         return not self.lo_open and not self.hi_open and carrier.in_field(self.lo)
@@ -586,12 +640,10 @@ def _additive_compatibility(nest: RayNest) -> GroupCompatReport:
         return GroupCompatReport("add", True, True, None)
     # over the full line the first gap is the ray below the lowest endpoint
     anchor = _gap_interval(nest).hi - Quadratic.rational(1)
-    quarter = Quadratic.rational(Fraction(1, 4))
+    quarter, eighth = Quadratic.rational("1/4"), Quadratic.rational("1/8")
     x = Quadratic.rational(rational_between(endpoint - quarter, endpoint))
     y = Quadratic.rational(rational_between(endpoint, endpoint + quarter))
-    shift = Quadratic.rational(
-        rational_between(anchor - x, anchor - x + quarter.scaled(Fraction(1, 2)))
-    )
+    shift = Quadratic.rational(rational_between(anchor - x, anchor - x + eighth))
     witness = (
         f"{x.render()} relates to {y.render()} through the endpoint "
         f"{endpoint.render()}, but shifting both by {shift.render()} lands the "

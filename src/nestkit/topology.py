@@ -263,6 +263,13 @@ def reach_table(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
+def field_width(size: int) -> int:
+    """The field width of the packed region layout on ``size`` points: the
+    least of 8, 16, 32, ... above ``size``, so that every mask of the
+    universe fits a field with the field's top bit clear."""
+    return max(8, 1 << size.bit_length())
+
+
 class Regions:
     """The packed layout of every region of an n-point universe, with the
     region kernels lifted to it.
@@ -273,8 +280,8 @@ class Regions:
     """
 
     def __init__(self, size: int) -> None:
-        width = next((w for w in (8, 16, 32, 64) if w > size), None)
-        if width is None:
+        width = field_width(size)
+        if width > 64:
             raise ValueError(f"no packed field width holds masks of {size} points")
         self.size, self.width = size, width
         self.full = full = (1 << size) - 1

@@ -5,9 +5,13 @@ pairs of point indices, importing no nestkit.  A change to the benchmark is
 to move those definitions here, with `perfbench` importing them.  The
 adapters below turn masks and rows into the oracles' sets, also without
 nestkit; `test_reference.py` lists the oracle helpers the test modules keep.
+`FractionPair` is the Fraction-pair arithmetic of Q[sqrt(2)], the oracle of
+`rays.Quadratic`.
 """
 
 import importlib.util
+import math
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -31,3 +35,70 @@ def members(family) -> list[frozenset]:
 def row_pairs(rows) -> set[tuple[int, int]]:
     """The pairs (x, y) of a relation given as one row mask per point."""
     return {(x, y) for x, row in enumerate(rows) for y in range(len(rows)) if row >> y & 1}
+
+
+class FractionPair:
+    """a + b*sqrt(2) held as two Fractions: the Q[sqrt(2)] arithmetic that
+    `rays.Quadratic`, on reduced integer triples, is checked against.  Each
+    operation is the textbook formula on (a, b)."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, other):
+        return FractionPair(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return FractionPair(self.a - other.a, self.b - other.b)
+
+    def __neg__(self):
+        return FractionPair(-self.a, -self.b)
+
+    def __mul__(self, other):
+        return FractionPair(self.a * other.a + 2 * self.b * other.b,
+                            self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        # times the conjugate over the norm, which is zero only at zero
+        norm = other.a * other.a - 2 * other.b * other.b
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return FractionPair((self.a * other.a - 2 * self.b * other.b) / norm,
+                            (self.b * other.a - self.a * other.b) / norm)
+
+    def scaled(self, factor):
+        return FractionPair(self.a * factor, self.b * factor)
+
+    def sign(self):
+        a, b = self.a, self.b
+        if a == 0 and b == 0:
+            return 0
+        if a >= 0 and b >= 0:
+            return 1
+        if a <= 0 and b <= 0:
+            return -1
+        # mixed signs: the part of larger square wins; a^2 = 2 b^2 would
+        # make sqrt(2) rational
+        if a > 0:
+            return 1 if a * a > 2 * b * b else -1
+        return 1 if a * a < 2 * b * b else -1
+
+    def compare(self, other):
+        return (self - other).sign()
+
+    @property
+    def is_rational(self):
+        return self.b == 0
+
+    def floor(self):
+        """The integer n with n <= a + b*sqrt(2) < n + 1.  b*sqrt(2) lies
+        strictly between m = floor(b*sqrt(2)), read off isqrt(floor(2 b^2)),
+        and m + 1, since it is irrational for b != 0; so n is floor(a + m)
+        or one more, told apart by one exact sign."""
+        a, b = self.a, self.b
+        if b == 0:
+            return math.floor(a)
+        root = math.isqrt(math.floor(2 * b * b))
+        m = root if b > 0 else -root - 1
+        n = math.floor(a + m) + 1
+        return n if (self - FractionPair(n)).sign() >= 0 else n - 1

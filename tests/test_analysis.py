@@ -1,6 +1,7 @@
 import ast
 import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,27 @@ def test_interlocking_routes_on_examples():
     assert is_interlocking_via_alexandroff(Nest.of(U3, []))
     # the definition route accepts arbitrary families
     assert is_interlocking(SetFamily.of(U3, [[0], [1]]))
+
+
+def test_alexandroff_route_builds_no_region_layout():
+    # the packed layout holds 2^n fields of up to 2^n bits, and none exists
+    # from 64 points on; the route reads its constants at the layout's field
+    # width without building it, on nests far past the sweeps' sizes (70
+    # first: a route that builds the layout raises there, where at 16 points
+    # it would take gigabytes)
+    for n in (70, 16):
+        u = Universe(n)
+        for member in (u.full_mask, 1, u.full_mask ^ 1):
+            nest = Nest(u, (member,))
+            tracemalloc.start()
+            try:
+                got = is_interlocking_via_alexandroff(nest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == is_interlocking_via_lower_sets(nest) == (member != u.full_mask)
+            assert "regions" not in u.__dict__
+            assert peak < 1 << 20, (n, member, peak)
 
 
 def test_strict_fixed_points_of_a_nest_are_only_the_empty_region():

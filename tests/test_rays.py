@@ -1,9 +1,13 @@
+import copy
 import dataclasses
 import hashlib
+import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from reference import FractionPair
 
 from nestkit import suites
 from nestkit.core import InstanceError
@@ -139,6 +143,112 @@ def test_quadratic_fields_are_exact_fractions_whatever_they_are_built_from():
         assert type(built.a) is Fraction and type(built.b) is Fraction
         assert built == want and hash(built) == hash(want)
     assert type(Quadratic(2).b) is Fraction
+
+
+def _rational(rng):
+    """A seeded rational: mostly small, some zero, some with numerator and
+    denominator up to 10**400."""
+    draw = rng.random()
+    if draw < 0.15:
+        return Fraction(rng.randint(-10**400, 10**400), rng.randint(1, 10**400))
+    if draw < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 12]))
+
+
+def _agrees(x, pair):
+    """x has the oracle's value, and equals and hashes like the same value
+    built from Fractions, so its stored triple is the reduced one."""
+    same = Quadratic(pair.a, pair.b)
+    return (type(x.a) is Fraction and type(x.b) is Fraction and (x.a, x.b) == (pair.a, pair.b)
+            and x == same and hash(x) == hash(same))
+
+
+def test_quadratic_matches_the_fraction_pair_oracle_on_seeded_draws():
+    rng = random.Random(32)
+    norms = set()
+    for _ in range(600):
+        (a, b), (c, d) = [(_rational(rng), _rational(rng)) for _ in range(2)]
+        x, y = Quadratic(a, b), Quadratic(c, d)
+        p, r = FractionPair(a, b), FractionPair(c, d)
+        assert _agrees(x, p) and _agrees(y, r)
+        for got, want in ((x + y, p + r), (x - y, p - r), (x * y, p * r), (-x, -p)):
+            assert _agrees(got, want), (x, y)
+        norm = r.a * r.a - 2 * r.b * r.b
+        norms.add((norm > 0) - (norm < 0))
+        if norm:
+            assert _agrees(x / y, p / r), (x, y)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        factor = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+        assert _agrees(x.scaled(factor), p.scaled(factor))
+        s = p.compare(r)
+        assert (x < y, x <= y, x == y, x != y, x > y, x >= y) == (
+            s < 0, s <= 0, s == 0, s != 0, s > 0, s >= 0)
+        assert (x.sign(), x.floor(), x.is_rational) == (p.sign(), p.floor(), p.is_rational)
+        doc = x.to_json()
+        assert doc == {"a": [p.a.numerator, p.a.denominator], "b": [p.b.numerator, p.b.denominator]}
+        back = Quadratic.from_json(json.loads(json.dumps(doc)))
+        assert back == x and hash(back) == hash(x)
+    # divisors of negative, zero and positive norm were all drawn
+    assert norms == {-1, 0, 1}
+
+
+def test_quadratic_division_by_a_negative_norm_element():
+    # 1 + √2 has norm 1 - 2 = -1 and 1 + 3√2 has norm -17: the conjugate's
+    # sign moves to the numerator and the denominator stays positive
+    for divisor in (Q(1) + R2(), Q(1) + R2(3), -(Q(1) + R2(3)), R2(Fraction(-5, 7))):
+        for x in (Q(1), R2(), Q(Fraction(-2, 9)) + R2(Fraction(4, 3)), Q(10**400) - R2(3)):
+            got = x / divisor
+            assert _agrees(got, FractionPair(x.a, x.b) / FractionPair(divisor.a, divisor.b))
+            assert got * divisor == x
+    assert Q(1) / (Q(1) + R2()) == R2() - Q(1)
+    for zero in (Q(0), R2() - R2(), Quadratic(0, 0), Q(1).scaled(0)):
+        with pytest.raises(ZeroDivisionError):
+            R2() / zero
+
+
+def test_quadratic_triples_are_reduced_so_equal_values_hash_alike():
+    one_plus_root = [
+        Q(1) + R2(),
+        Quadratic(1, 1),
+        (Q(2) + R2(2)).scaled(Fraction(1, 2)),
+        (Q(2) + R2(2)) / Q(2),
+        (Q(2) + R2(2)) * Q(Fraction(1, 2)),
+        Q(1) / (R2() - Q(1)),
+        Quadratic("2/2", Fraction(6, 6)),
+        Quadratic.from_json({"a": [3, 3], "b": [-4, -4]}),
+    ]
+    halves = [
+        Quadratic(Fraction(1, 2)),
+        Quadratic.rational("1/2"),
+        Quadratic(Fraction(1, 2), 0),
+        Quadratic.from_json({"a": [2, 4], "b": [0, 7]}),
+        Q(1) / Q(2),
+        Q(3).scaled(Fraction(1, 6)),
+        Q("3/4") - Q("1/4"),
+        (R2() + Q(Fraction(1, 2))) - R2(),
+    ]
+    for same in (one_plus_root, halves):
+        assert all(x == same[0] for x in same)
+        assert {hash(x) for x in same} == {hash(same[0])}
+        assert len(set(same)) == 1
+        assert {repr(x) for x in same} == {repr(same[0])}
+    assert len({*one_plus_root, *halves}) == 2
+    assert halves[0] != Fraction(1, 2) and halves[0] != 0.5
+
+
+def test_quadratic_is_immutable_and_copies_by_value():
+    x = Q(Fraction(1, 3)) + R2(2)
+    for name in ("a", "b", "is_rational", "_A", "_B", "_d", "c"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == Q(Fraction(1, 3)) + R2(2)
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
 
 
 def _ray_contains(nest, x, endpoint):
