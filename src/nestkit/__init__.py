@@ -14,7 +14,6 @@ from .analysis import (
     SupResult,
     complement_dual,
     dual_sup_conditions,
-    inf_of,
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
@@ -42,15 +41,10 @@ from .orders import (
     Relation,
     compose,
     generated_order,
-    generated_order_via_rectangles,
-    is_linear_order,
     is_transitive,
-    orders_equivalent,
-    pairwise_union,
     reflexive_closure,
     t0_separates,
     t1_separates,
-    transpose,
 )
 from .rays import Carrier, EndpointSet, Quadratic, RayNest, Window
 from .suites import SuiteConfig, run_suite, suite_names

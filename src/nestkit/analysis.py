@@ -14,7 +14,9 @@ element; incomparable upper bounds yield "does not exist" with a reason,
 never an arbitrary pick.  The kernel `sup_index` decides this on the rows
 of a reflexive order and a region mask, starting from the region's upper
 bounds, and answers with the supremum's element or a code (`NO_BOUND`,
-`NO_LEAST`); `sup_of` and `inf_of` wrap it at the `Relation` boundary.
+`NO_LEAST`); `sup_of` wraps it at the `Relation` boundary.  A greatest
+lower bound is the `sup_index` of the order's columns, as the right side of
+a dual pair reads it.
 
 A nest's generated order is the strict weak order of its blocks
 (`Nest.blocks`): x < y iff x's block comes before y's.  So a context reads
@@ -77,8 +79,6 @@ from .topology import (
 REASON_OK = "ok"
 REASON_NO_BOUND = "no_upper_bound"
 REASON_NO_LEAST = "no_least_upper_bound"
-REASON_NO_LOWER = "no_lower_bound"
-REASON_NO_GREATEST = "no_greatest_lower_bound"
 
 
 # `sup_index` codes for a region without a supremum
@@ -122,11 +122,10 @@ def sup_index(rows: tuple[int, ...], full: int, region: int) -> int:
     return least
 
 
-def _result(index: int, no_bound: str = REASON_NO_BOUND,
-            no_least: str = REASON_NO_LEAST) -> SupResult:
+def _result(index: int) -> SupResult:
     if index >= 0:
         return SupResult(True, index, REASON_OK)
-    return SupResult(False, None, no_bound if index == NO_BOUND else no_least)
+    return SupResult(False, None, REASON_NO_BOUND if index == NO_BOUND else REASON_NO_LEAST)
 
 
 def sup_of(rel_reflexive: Relation, region_mask: int) -> SupResult:
@@ -136,12 +135,6 @@ def sup_of(rel_reflexive: Relation, region_mask: int) -> SupResult:
     universe, when that is unique.
     """
     return _result(sup_index(rel_reflexive.rows, rel_reflexive.universe.full_mask, region_mask))
-
-
-def inf_of(rel_reflexive: Relation, region_mask: int) -> SupResult:
-    """Greatest lower bound; dual of `sup_of` via the transposed order."""
-    index = sup_index(columns(rel_reflexive.rows), rel_reflexive.universe.full_mask, region_mask)
-    return _result(index, REASON_NO_LOWER, REASON_NO_GREATEST)
 
 
 @dataclass(frozen=True)

@@ -162,19 +162,8 @@ class Subset:
     def indices(self) -> tuple[int, ...]:
         return indices_of(self.mask)
 
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
     def contains(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
-
-    def complement(self) -> Subset:
-        return Subset(self.universe, self.mask ^ self.universe.full_mask)
-
-    def union(self, other: Subset) -> Subset:
-        _check_same_universe(self.universe, other.universe)
-        return Subset(self.universe, self.mask | other.mask)
 
     def render(self) -> str:
         """``{a,b}``, or ``{}`` for the empty subset (`Universe.render_mask`)."""

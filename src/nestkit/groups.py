@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InstanceError, Nest, SetFamily, Subset, Universe, _check_index, lazy
+from .core import InstanceError, Nest, SetFamily, Universe, lazy
 from .orders import generated_order
 from .topology import (
     Topology,
@@ -166,17 +166,6 @@ def _require_order(group: FiniteGroup, universe: Universe, what: str) -> None:
         raise InstanceError(
             f"{what} lives on {universe.size} points but the group has order {group.order}"
         )
-
-
-def translate(group: FiniteGroup, g: int, subset: Subset, side: str) -> Subset:
-    """Image of a subset under left (g*x) or right (x*g) translation."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    _require_order(group, subset.universe, "subset")
-    _check_index(g, group.order)
-    images = group.left_images if side == "left" else group.right_images
-    # a mask's image is the union of its points' image bits, read like reach
-    return Subset(group.universe, up_mask(images[g], subset.mask))
 
 
 def set_product(group: FiniteGroup, a_mask: int, b_mask: int) -> int:

@@ -22,14 +22,14 @@ each size are the constants `DIAGONAL` and `SQUARE`.  The generated-orders
 suite packs the walk of `order_rows` once and checks it against the packed
 product; from its transpose it decides the rectangle form of T0 (against
 `t0_masks`), irreflexivity and asymmetry, and it checks the product of the
-complements against the transpose.  The row kernels
-(`order_rows_via_rectangles`, `columns`, `rectangle_t0_rows`, ...) stay the
-forms for any size and are the packed kernels' oracles in the tests.
+complements against the transpose.  The row kernels stay the forms for any
+size; the rectangle routes among them, `order_rows_via_rectangles` for the
+order and `rectangle_t0_rows` for T0, are the packed kernels' oracles in the
+tests.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -59,17 +59,6 @@ class Relation:
             rows[x] |= 1 << y
         return cls(universe, tuple(rows))
 
-    @classmethod
-    def empty(cls, universe: Universe) -> Relation:
-        return cls(universe, (0,) * universe.size)
-
-    @classmethod
-    def diagonal(cls, universe: Universe) -> Relation:
-        return cls(universe, tuple(1 << x for x in universe.elements()))
-
-    def holds(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         out = []
         for x in self.universe.elements():
@@ -78,16 +67,6 @@ class Relation:
                 if row >> y & 1:
                     out.append((x, y))
         return tuple(out)
-
-    def union(self, other: Relation) -> Relation:
-        _check_same_universe(self.universe, other.universe)
-        return Relation(self.universe, tuple(a | b for a, b in zip(self.rows, other.rows)))
-
-    def is_irreflexive(self) -> bool:
-        return irreflexive_rows(self.rows)
-
-    def is_antisymmetric(self) -> bool:
-        return antisymmetric_rows(self.rows, columns(self.rows))
 
     def render(self) -> str:
         """The pairs ``{(a,b), …}`` in the order of `pairs`, or ``{}``; each
@@ -331,12 +310,6 @@ def rectangle(universe: Universe, member_mask: int) -> Relation:
     return Relation(universe, rectangle_rows(member_mask, universe.size, universe.full_mask))
 
 
-def generated_order_via_rectangles(family: SetFamily) -> Relation:
-    """Same order as `generated_order`, built as a union of member rectangles."""
-    u = family.universe
-    return Relation(u, order_rows_via_rectangles(family.masks, u.size, u.full_mask))
-
-
 def compose(a: Relation, b: Relation) -> Relation:
     """Relational composition: (x,y) in a∘b iff x -b-> z -a-> y for some z."""
     _check_same_universe(a.universe, b.universe)
@@ -380,49 +353,8 @@ def t1_separates(family: SetFamily) -> bool:
     return all(row | 1 << x == u.full_mask for x, row in enumerate(rows))
 
 
-def t0_separates_via_rectangles(family: SetFamily) -> bool:
-    """Rectangle form of T0: the off-diagonal is covered by the members'
-    rectangles and their transposes."""
-    u = family.universe
-    rows = order_rows(family.masks, u.size, u.full_mask)
-    return rectangle_t0_rows(rows, columns(rows), u.full_mask)
-
-
-def pairwise_union(f1: SetFamily, f2: SetFamily) -> SetFamily:
-    """All unions S1 ∪ S2 across the two families, deduplicated.
-
-    The generated order of the result equals the union of the two generated
-    orders provided both families contain the empty set; otherwise a warning
-    is issued and the result is still returned.
-    """
-    _check_same_universe(f1.universe, f2.universe)
-    if 0 not in f1.masks or 0 not in f2.masks:
-        warnings.warn(
-            "pairwise_union: order-union identity needs the empty set in both "
-            "families",
-            stacklevel=2,
-        )
-    return SetFamily.dedupe(f1.universe, (a | b for a in f1.masks for b in f2.masks))
-
-
-def orders_equivalent(f1: SetFamily, f2: SetFamily) -> bool:
-    """True iff the two families generate extensionally equal orders."""
-    _check_same_universe(f1.universe, f2.universe)
-    return generated_order(f1) == generated_order(f2)
-
-
 def reflexive_closure(rel: Relation) -> Relation:
     return Relation(rel.universe, reflexive_rows(rel.rows))
-
-
-def transpose(rel: Relation) -> Relation:
-    return Relation(rel.universe, columns(rel.rows))
-
-
-def is_linear_order(rel: Relation) -> bool:
-    """The reflexive closure is a total order (reflexive, antisymmetric,
-    transitive, total)."""
-    return linear_rows(rel.rows, columns(rel.rows), rel.universe.full_mask)
 
 
 __all__ = [
@@ -439,18 +371,14 @@ __all__ = [
     "compose",
     "compose_rows",
     "generated_order",
-    "generated_order_via_rectangles",
     "irreflexive_rows",
-    "is_linear_order",
     "is_transitive",
     "linear_rows",
     "order_rows",
     "order_rows_via_rectangles",
-    "orders_equivalent",
     "pack_rows",
     "packed_product",
     "packed_transpose",
-    "pairwise_union",
     "rectangle",
     "rectangle_rows",
     "rectangle_t0_rows",
@@ -460,10 +388,8 @@ __all__ = [
     "rows_within",
     "t0_masks",
     "t0_separates",
-    "t0_separates_via_rectangles",
     "t1_separates",
     "total_rows",
     "transitive_rows",
-    "transpose",
     "unpack_rows",
 ]

@@ -284,7 +284,3 @@ def load_instance(path: str | Path, expect: type = object):
     if not isinstance(instance, expect):
         raise InstanceError(f"{path} holds a {type(instance).__name__}, not a {expect.__name__}")
     return instance
-
-
-def dump_instance(obj, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(instance_to_dict(obj)), encoding="utf-8")

@@ -116,6 +116,7 @@ from .serialize import family_to_dict, ray_to_dict
 from .topology import (
     Regions,
     Topology,
+    field_width,
     interval_topology,
     join,
     lower_bounds,
@@ -846,9 +847,10 @@ def _check_interlocking(ctx: NestContext) -> tuple[int, list, list]:
             "interlocking:triple", {"by_def": by_def, "by_alex": by_alex, "by_lower": by_lower}
         ))
     # a region is closed when its complement is in the Alexandroff family,
-    # whose indicators hold one bit per region
+    # whose indicators hold one bit per region; the field width is read
+    # without building the universe's region layout
     alex, alex_c = ctx.alexandroff, ctx.dual.alexandroff
-    width = nest.universe.regions.width
+    width = field_width(nest.universe.size)
     for mask in nest.masks:
         if member_closed_by_intersections(nest, mask) != bool(alex >> (mask ^ full) * width & 1):
             flagged.append(("closed:intersection-form", {"member": mask}))

@@ -146,9 +146,6 @@ class Topology:
     def is_discrete(self) -> bool:
         return len(self.opens) == 1 << self.universe.size
 
-    def as_family(self) -> SetFamily:
-        return SetFamily(self.universe, self.opens)
-
     def render(self) -> str:
         """The opens in canonical order, ``{{}, {a}, …}``, read straight off
         ``opens`` by `Universe.render_masks`."""

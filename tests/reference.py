@@ -3,7 +3,7 @@
 `O` is `perfbench/oracles.py`: each notion of the paper over frozensets and
 pairs of point indices, importing no nestkit.  A change to the benchmark is
 to move those definitions here, with `perfbench` importing them.  The
-adapters below turn masks and rows into the oracles' sets, also without
+adapters below turn masks, rows and opens into the oracles' sets, also without
 nestkit; `test_reference.py` lists the oracle helpers the test modules keep.
 `FractionPair` is the Fraction-pair arithmetic of Q[sqrt(2)], the oracle of
 `rays.Quadratic`.
@@ -30,6 +30,11 @@ def _points(mask: int) -> frozenset:
 def members(family) -> list[frozenset]:
     """A family's members (its masks) as frozensets of point indices."""
     return [_points(m) for m in family.masks]
+
+
+def opens(topology) -> set[frozenset]:
+    """A topology's opens as frozensets of point indices."""
+    return {_points(m) for m in topology.opens}
 
 
 def row_pairs(rows) -> set[tuple[int, int]]:

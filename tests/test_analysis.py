@@ -9,11 +9,11 @@ import pytest
 import nestkit
 from nestkit import orders
 from nestkit.analysis import (
+    NO_LEAST,
     DualPair,
     NestContext,
     complement_dual,
     dual_sup_conditions,
-    inf_of,
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
@@ -22,6 +22,7 @@ from nestkit.analysis import (
     member_lower_set_report,
     member_sups,
     sup_conditions,
+    sup_index,
     sup_of,
 )
 from nestkit.bounds import down_reach_covers, has_lower_bound, has_upper_bound, up_reach_covers
@@ -79,12 +80,16 @@ def test_sup_of_examples():
 
 
 def test_inf_of():
-    rel = _preorder(QUAD)
-    result = inf_of(rel, mask_of([2, 3], 4))
-    assert not result.exists and result.reason == "no_greatest_lower_bound"
-    chain = _preorder(Nest.of(U3, [[], [0], [0, 1]]))
-    assert inf_of(chain, mask_of([1, 2], 3)).element == 1
-    assert inf_of(chain, 0).element == 2  # greatest element bounds the empty set
+    # an infimum is the supremum under the transposed order: `sup_index` on
+    # the columns of the preorder, the dual route of sup-conditions
+    def inf_index(nest, mask):
+        full = nest.universe.full_mask
+        return sup_index(orders.columns(_preorder(nest).rows), full, mask)
+
+    assert inf_index(QUAD, mask_of([2, 3], 4)) == NO_LEAST
+    chain = Nest.of(U3, [[], [0], [0, 1]])
+    assert inf_index(chain, mask_of([1, 2], 3)) == 1
+    assert inf_index(chain, 0) == 2  # greatest element bounds the empty set
 
 
 def test_sup_conditions():
@@ -258,7 +263,7 @@ def test_no_greatest_element_looks_for_a_point_above_the_member():
             pre = _preorder(nest)
             for mask in nest.masks:
                 inside = Subset(u, mask).indices
-                greatest = any(all(pre.holds(y, g) for y in inside) for g in inside)
+                greatest = any(all(pre.rows[y] >> g & 1 for y in inside) for g in inside)
                 report = member_lower_set_report(nest, Subset(u, mask))
                 assert report.no_greatest_element == (not greatest)
 

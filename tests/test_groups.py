@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from nestkit.core import InstanceError, Nest, SetFamily, Subset, Universe
+from nestkit.core import InstanceError, Nest, SetFamily, Universe
 from nestkit.groups import (
     BUILTIN_GROUPS,
     FiniteGroup,
@@ -19,10 +19,9 @@ from nestkit.groups import (
     set_inverse,
     set_product,
     subbase_topology,
-    translate,
     translation_closed,
 )
-from nestkit.topology import topology_from_subbase
+from nestkit.topology import topology_from_subbase, up_mask
 
 from reference import O, members
 
@@ -59,23 +58,12 @@ def test_invalid_tables_rejected():
 
 
 def test_translate():
-    u = Z3.universe
-    s = Subset.of(u, [0])
-    assert translate(Z3, 1, s, "left").indices == (1,)
-    assert translate(Z3, 0, s, "left") == s
-    shifted = translate(Z3, 2, Subset.of(u, [0, 1]), "right")
-    assert translate(Z3, Z3.inverse[2], shifted, "right").indices == (0, 1)
-    with pytest.raises(ValueError):
-        translate(Z3, 1, s, "sideways")
-
-
-def test_translate_rejects_elements_outside_the_group():
-    # a negative element used to wrap around to the last one
-    s = Subset.of(Z3.universe, [0])
-    for g in (-1, -3, 3):
-        for side in ("left", "right"):
-            with pytest.raises(InstanceError, match=f"element index {g} out of range for size 3"):
-                translate(Z3, g, s, side)
+    # a mask's translate by g is its reach under g's image table
+    assert up_mask(Z3.left_images[1], 0b001) == 0b010
+    assert up_mask(Z3.left_images[0], 0b001) == 0b001
+    shifted = up_mask(Z3.right_images[2], 0b011)
+    assert up_mask(Z3.right_images[Z3.inverse[2]], shifted) == 0b011
+    assert up_mask(Z4.left_images[1], 0b1000) == 0b0001
 
 
 def test_translation_closed():
@@ -219,14 +207,6 @@ def test_pair_mask_premise_matches_set_products():
 
 # the group predicates compare sizes at their boundary: a universe of the
 # group's order passes whatever its labels, any other size raises
-
-def test_translate_checks_the_subset_size():
-    with pytest.raises(InstanceError, match="subset lives on 5 points"):
-        translate(Z4, 1, Subset.of(Universe(5), [4]), "left")
-    with pytest.raises(InstanceError, match="subset lives on 3 points"):
-        translate(Z4, 1, Subset.of(Universe(3), [0]), "right")
-    assert translate(Z4, 1, Subset.of(Universe(4), [3]), "left").indices == (0,)
-
 
 def test_translation_closed_checks_the_family_size():
     with pytest.raises(InstanceError, match="family lives on 3 points"):

@@ -17,7 +17,6 @@ from nestkit.analysis import (
     complement_dual,
     down_mask_by_members,
     dual_sup_conditions,
-    inf_of,
     member_lower_set_report,
     member_lower_set_views,
     sup_index,
@@ -43,7 +42,6 @@ from nestkit.groups import (
     BUILTIN_GROUPS,
     multiplication_premise,
     set_product,
-    translate,
     translation_closed,
 )
 from nestkit.orders import (
@@ -59,9 +57,7 @@ from nestkit.orders import (
     compose,
     compose_rows,
     generated_order,
-    generated_order_via_rectangles,
     irreflexive_rows,
-    is_linear_order,
     is_transitive,
     linear_rows,
     order_rows,
@@ -76,10 +72,8 @@ from nestkit.orders import (
     rows_within,
     t0_masks,
     t0_separates,
-    t0_separates_via_rectangles,
     total_rows,
     transitive_rows,
-    transpose,
     unpack_rows,
 )
 from nestkit.suites import random_nest
@@ -119,7 +113,7 @@ def _is_reflexive(rel):
 
 
 def _is_asymmetric(rel):
-    return rel.is_irreflexive() and rel.is_antisymmetric()
+    return irreflexive_rows(rel.rows) and antisymmetric_rows(rel.rows, columns(rel.rows))
 
 
 def _is_total(rel):
@@ -134,12 +128,12 @@ def test_relation_predicates_match_pair_definitions(n):
     for rel in relations:
         pairs = row_pairs(rel.rows)
         assert set(rel.pairs()) == pairs
-        assert row_pairs(transpose(rel).rows) == {(y, x) for x, y in pairs}
+        assert row_pairs(columns(rel.rows)) == {(y, x) for x, y in pairs}
         assert is_transitive(rel, "standard") == _transitive(pairs, n, distinct=False)
         assert is_transitive(rel, "distinct_triples") == _transitive(pairs, n, distinct=True)
         assert _is_reflexive(rel) == all((x, x) in pairs for x in points)
-        assert rel.is_irreflexive() == all((x, x) not in pairs for x in points)
-        assert rel.is_antisymmetric() == all(
+        assert irreflexive_rows(rel.rows) == all((x, x) not in pairs for x in points)
+        assert antisymmetric_rows(rel.rows, columns(rel.rows)) == all(
             (y, x) not in pairs for x, y in pairs if x != y
         )
         assert _is_asymmetric(rel) == all((y, x) not in pairs for x, y in pairs)
@@ -164,11 +158,12 @@ def test_compose_matches_the_pair_definition(n):
 
 
 def _check_family(fam):
-    n = fam.universe.size
+    n, full = fam.universe.size, fam.universe.full_mask
     want = O.order(members(fam), n)
-    assert row_pairs(generated_order(fam).rows) == want
-    assert row_pairs(generated_order_via_rectangles(fam).rows) == want
-    assert t0_separates_via_rectangles(fam) == O.t0(members(fam), n)
+    rows = generated_order(fam).rows
+    assert row_pairs(rows) == want
+    assert row_pairs(order_rows_via_rectangles(fam.masks, n, full)) == want
+    assert rectangle_t0_rows(rows, columns(rows), full) == O.t0(members(fam), n)
 
 
 def test_generated_orders_match_the_definition_on_every_small_family():
@@ -208,7 +203,7 @@ def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
         assert total_rows(rows, cols, full) == all(
             (x, y) in pairs or (y, x) in pairs for x in points for y in points
         )
-        assert linear_rows(rows, cols, full) == O.is_linear(pairs, n) == is_linear_order(rel)
+        assert linear_rows(rows, cols, full) == O.is_linear(pairs, n)
         for other in partners:
             other_pairs = row_pairs(other.rows)
             # compose_rows(a, b): x -b-> z -a-> y
@@ -233,7 +228,6 @@ def _check_order_kernels(fam):
     assert row_pairs(rows) == want
     assert row_pairs(order_rows_via_rectangles(masks, n, full)) == want
     assert generated_order(fam).rows == rows
-    assert generated_order_via_rectangles(fam).rows == rows
     rects = {m: _rectangle_pairs(m, n) for m in masks}
     for m in masks:
         assert row_pairs(rectangle_rows(m, n, full)) == rects[m]
@@ -258,10 +252,9 @@ def _check_order_kernels(fam):
         (x, y) in want or (y, x) in want for x in range(n) for y in range(n)
     )
     assert linear_rows(rows, cols, full) == O.is_linear(want, n)
-    assert linear_rows(rows, cols, full) == is_linear_order(generated_order(fam))
     split = O.t0(members(fam), n)
     assert t0_masks(masks, n) == split == t0_separates(fam)
-    assert rectangle_t0_rows(rows, cols, full) == split == t0_separates_via_rectangles(fam)
+    assert rectangle_t0_rows(rows, cols, full) == split
 
 
 def test_order_kernels_match_the_definitions_on_every_small_family():
@@ -384,15 +377,15 @@ def _points(mask):
 
 
 def _check_group_kernels(group, a, b):
-    """set_product, both translations and translation closure of one subset
-    pair, against the Cayley table."""
+    """set_product, both translations (the image tables read as reach) and
+    translation closure of one subset pair, against the Cayley table."""
     table, u = group.table, group.universe
     assert set_product(group, a, b) == _mask({table[x][y] for x in _points(a) for y in _points(b)})
     fam = SetFamily(u, tuple({a, b}))
     closed = True
     for g in range(group.order):
-        left = translate(group, g, Subset(u, a), "left").mask
-        right = translate(group, g, Subset(u, a), "right").mask
+        left = up_mask(group.left_images[g], a)
+        right = up_mask(group.right_images[g], a)
         assert left == _mask({table[g][x] for x in _points(a)})
         assert right == _mask({table[x][g] for x in _points(a)})
         closed = closed and all(
@@ -666,22 +659,21 @@ def _least_upper_bound(pairs, n, region):
 def _check_sup_kernel(rel):
     n, full = rel.universe.size, rel.universe.full_mask
     pairs, flipped = row_pairs(rel.rows), {(y, x) for x, y in row_pairs(rel.rows)}
+    cols = columns(rel.rows)
     answers = set()
     for mask in range(full + 1):
         inside = {x for x in range(n) if mask >> x & 1}
         want = _least_upper_bound(pairs, n, inside)
         assert sup_index(rel.rows, full, mask) == want
         answers.add(want)
-        # the wrappers: codes become reasons, infima are suprema upside down
+        # the wrapper turns codes into reasons
         result = sup_of(rel, mask)
         assert (result.element if result.exists else None) == (want if want >= 0 else None)
         assert result.reason == {NO_BOUND: "no_upper_bound", NO_LEAST: "no_least_upper_bound"}.get(
             want, "ok")
-        glb = _least_upper_bound(flipped, n, inside)
-        result = inf_of(rel, mask)
-        assert (result.element if result.exists else None) == (glb if glb >= 0 else None)
-        assert result.reason == {
-            NO_BOUND: "no_lower_bound", NO_LEAST: "no_greatest_lower_bound"}.get(glb, "ok")
+        # infima are suprema upside down: the kernel on the columns, as the
+        # right side of a dual pair reads them
+        assert sup_index(cols, full, mask) == _least_upper_bound(flipped, n, inside)
     return answers
 
 

@@ -13,10 +13,10 @@ KEPT_HELPERS = {
         "set_product", "multiplication_continuous", "multiplication_continuous_via_product",
         "multiplication_continuity"},
     ("test_kernels.py", "_transitive"): {"transitive_rows", "is_transitive"},
-    ("test_kernels.py", "_least_upper_bound"): {"sup_index", "sup_of", "inf_of"},
+    ("test_kernels.py", "_least_upper_bound"): {"sup_index", "sup_of", "columns"},
     ("test_topology.py", "_closed_pairwise"): {"Topology"},
     ("test_topology.py", "_preimage"): {"is_continuous", "down_mask"},
-    ("test_topology.py", "_point_down_set_by_holds"): {"point_down_set", "columns"},
+    ("test_topology.py", "_point_down_set_by_rows"): {"point_down_set", "columns"},
 }
 
 

@@ -8,7 +8,6 @@ from nestkit.orders import Relation
 from nestkit.rays import Carrier, EndpointSet, Quadratic, RayNest, Window
 from nestkit.serialize import (
     canonical_json,
-    dump_instance,
     family_from_dict,
     family_to_dict,
     instance_from_dict,
@@ -33,7 +32,7 @@ def test_family_roundtrip(tmp_path):
     back = family_from_dict(doc)
     assert isinstance(back, Nest) and back.masks == nest.masks
     path = tmp_path / "nest.json"
-    dump_instance(nest, path)
+    path.write_text(canonical_json(instance_to_dict(nest)), encoding="utf-8")
     assert load_instance(path).masks == nest.masks
     # canonical dumps are byte-stable
     assert canonical_json(doc) == canonical_json(family_to_dict(back))
@@ -78,7 +77,7 @@ def test_group_roundtrip(tmp_path):
     back = instance_from_dict(doc)
     assert isinstance(back, FiniteGroup) and back.table == group.table
     path = tmp_path / "group.json"
-    dump_instance(group, path)
+    path.write_text(canonical_json(instance_to_dict(group)), encoding="utf-8")
     assert load_instance(path).table == group.table
     with pytest.raises(InstanceError):
         instance_from_dict({"order": 2, "table": [[0, 1], [1, 1]]})
@@ -104,7 +103,7 @@ def test_ray_roundtrip(tmp_path):
     ):
         ray = RayNest(Carrier("Qsqrt2"), "open", eps, "upper")
         path = tmp_path / "ray.json"
-        dump_instance(ray, path)
+        path.write_text(canonical_json(instance_to_dict(ray)), encoding="utf-8")
         assert load_instance(path) == ray
     with pytest.raises(InstanceError):
         instance_from_dict({"carrier": "R", "shape": "open", "endpoints": {"kind": "all_carrier"}})

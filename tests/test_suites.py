@@ -670,6 +670,16 @@ def test_only_topology_engine_derives_the_alexandroff_family(monkeypatch):
     assert len(tables) == 2 * len(contexts)
 
 
+def test_the_interlocking_sweep_builds_no_region_layout():
+    # the sweep reads one bit of the constant Alexandroff indicator, at the
+    # field width of the universe's size: the 2^n-field layout stays unbuilt
+    for n in (3, 9):
+        u = Universe(n)
+        for masks in ((), (1,), (1, 3), (1, 3, u.full_mask)):
+            assert suites._check_interlocking(NestContext(Nest(u, masks))) == (1, [], [])
+        assert "regions" not in u.__dict__
+
+
 def test_a_shifted_right_side_sup_is_a_violation_not_a_usage_error(monkeypatch, tmp_path):
     # the right side's sups read off its blocks are checked against the inf
     # route on every complement pair; a shifted one fails the suite (exit 1)
