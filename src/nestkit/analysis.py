@@ -14,9 +14,7 @@ element; incomparable upper bounds yield "does not exist" with a reason,
 never an arbitrary pick.  The kernel `sup_index` decides this on the rows
 of a reflexive order and a region mask, starting from the region's upper
 bounds, and answers with the supremum's element or a code (`NO_BOUND`,
-`NO_LEAST`); `sup_of` wraps it at the `Relation` boundary.  A greatest
-lower bound is the `sup_index` of the order's columns, as the right side of
-a dual pair reads it.
+`NO_LEAST`); `sup_of` wraps it at the `Relation` boundary.
 
 A nest's generated order is the strict weak order of its blocks
 (`Nest.blocks`): x < y iff x's block comes before y's.  So a context reads

@@ -22,10 +22,9 @@ each size are the constants `DIAGONAL` and `SQUARE`.  The generated-orders
 suite packs the walk of `order_rows` once and checks it against the packed
 product; from its transpose it decides the rectangle form of T0 (against
 `t0_masks`), irreflexivity and asymmetry, and it checks the product of the
-complements against the transpose.  The row kernels stay the forms for any
-size; the rectangle routes among them, `order_rows_via_rectangles` for the
-order and `rectangle_t0_rows` for T0, are the packed kernels' oracles in the
-tests.
+complements against the transpose.  The row kernels
+(`order_rows_via_rectangles`, `columns`, `rectangle_t0_rows`, ...) stay the
+forms for any size and are the packed kernels' oracles in the tests.
 """
 
 from __future__ import annotations

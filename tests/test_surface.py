@@ -68,7 +68,7 @@ def test_every_name_the_workloads_import_resolves():
     tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
     seen = 0
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nestkit":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nestkit":
             package = importlib.import_module(node.module)
             for alias in node.names:
                 # `from package import module` binds a submodule
