@@ -10,10 +10,11 @@ intersection must then be empty.
 
 Each predicate takes a nest or its `NestContext` and answers for one region,
 from the region kernels of `topology` on the nest's order rows: a reach
-cover holds when the region's strict reach is the full mask.  Sweeps call
-the kernels on plain masks, or read a nest's reach tables over every region,
-and build a `Subset` or `CoverWitness` only for a verdict or payload they
-read.
+cover holds when the region's strict reach is the full mask.  On a finite
+nest it never does (the order has maximal and minimal points; topology-engine
+checks it), so the bound-covers sweep reads no reach table, and only a
+test's forced order reaches the witness branch, kept for the ``bounds``
+command and for carriers where a cover can hold.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .analysis import (
     is_interlocking,
     is_interlocking_via_alexandroff,
     is_interlocking_via_lower_sets,
-    member_lower_set_views,
     sup_conditions,
 )
 from .bounds import down_reach_covers, up_reach_covers
@@ -41,12 +40,13 @@ from .groups import (
     translation_closed,
 )
 from .instances import get as get_instance, slugs as instance_slugs
-from .orders import generated_order, reflexive_closure, t0_separates, t1_separates
+from .orders import Relation, generated_order, reflexive_closure, t0_separates, t1_rows
 from .search import TARGETS, SearchSpec, persist_witnesses, run_search, target_names
 from .serialize import canonical_json, load_instance
 from .suites import SUITES, SuiteConfig, run_suite, suite_names
 from .topology import (
     alexandroff_family,
+    down_mask,
     interval_topology,
     lower_topology,
     topology_from_subbase,
@@ -254,13 +254,16 @@ def analyze_family(family: SetFamily) -> dict:
         raise InstanceError(
             f"'universe' size {u.size} exceeds the analyze bound {ANALYZE_UNIVERSE_BOUND}"
         )
-    order = generated_order(family)
+    # a nest's context derives its order, and its complement's, once for
+    # every section below
+    ctx = NestContext(as_nest(family)) if is_nest(family) else None
+    order = generated_order(family) if ctx is None else Relation(u, ctx.order_rows)
     document: dict = {
         "universe": u.size,
         "family": [list(indices_of(m)) for m in family.masks],
-        "is_nest": is_nest(family),
+        "is_nest": ctx is not None,
         "t0_separates": t0_separates(family),
-        "t1_separates": t1_separates(family),
+        "t1_separates": t1_rows(order.rows, u.full_mask),
         "generated_order": [list(p) for p in order.pairs()],
         "interlocking": is_interlocking(family),
     }
@@ -272,9 +275,7 @@ def analyze_family(family: SetFamily) -> dict:
         "interval": interval_topology(pre).render(),
         "alexandroff_family": alexandroff_family(order).render(),
     }
-    if document["is_nest"]:
-        nest = as_nest(family)
-        ctx = NestContext(nest)
+    if ctx is not None:
         cond = sup_conditions(ctx)
         dual_cond = dual_sup_conditions(complement_dual(ctx))
         document["sup_conditions"] = {
@@ -290,10 +291,9 @@ def analyze_family(family: SetFamily) -> dict:
             "alexandroff": is_interlocking_via_alexandroff(ctx),
             "lower_sets": is_interlocking_via_lower_sets(ctx),
         }
-        lower = member_lower_set_views(ctx)[1]
         document["members"] = [
-            {"member": list(indices_of(m)), "lower_set": bool(lower >> i & 1)}
-            for i, m in enumerate(nest.masks)
+            {"member": list(indices_of(m)), "lower_set": down_mask(order.rows, m) == m}
+            for m in ctx.nest.masks
         ]
     return document
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import SetFamily, Universe, _check_same_universe, indices_of
+from .core import SetFamily, Universe, _check_same_universe, indices_of, lazy
 
 TransitivityMode = Literal["standard", "distinct_triples"]
 
@@ -50,6 +50,11 @@ class Relation:
         # for ints, 0 <= row <= full says exactly that row & ~full == 0
         if min(self.rows) < 0 or max(self.rows) > self.universe.full_mask:
             raise ValueError("relation row mentions out-of-range elements")
+
+    @lazy
+    def columns(self) -> tuple[int, ...]:
+        """`columns` of the rows, derived once per relation."""
+        return columns(self.rows)
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]) -> Relation:
@@ -227,6 +232,11 @@ def rectangle_t0_rows(rows: tuple[int, ...], cols: tuple[int, ...], full: int) -
     return all(row | col | 1 << x == full for x, (row, col) in enumerate(zip(rows, cols)))
 
 
+def t1_rows(rows: tuple[int, ...], full: int) -> bool:
+    """T1 on a generated order's rows: each point reaches every other."""
+    return all(row | 1 << x == full for x, row in enumerate(rows))
+
+
 def columns(rows: tuple[int, ...]) -> tuple[int, ...]:
     """Column masks of a relation: entry y holds every x with x -> y."""
     cols = [0] * len(rows)
@@ -345,11 +355,9 @@ def t0_separates(family: SetFamily) -> bool:
 
 
 def t1_separates(family: SetFamily) -> bool:
-    """Every distinct pair is split both ways: each point reaches every other
-    point under the generated order."""
+    """Every distinct pair is split both ways."""
     u = family.universe
-    rows = order_rows(family.masks, u.size, u.full_mask)
-    return all(row | 1 << x == u.full_mask for x, row in enumerate(rows))
+    return t1_rows(order_rows(family.masks, u.size, u.full_mask), u.full_mask)
 
 
 def reflexive_closure(rel: Relation) -> Relation:
@@ -387,6 +395,7 @@ __all__ = [
     "rows_within",
     "t0_masks",
     "t0_separates",
+    "t1_rows",
     "t1_separates",
     "total_rows",
     "transitive_rows",

@@ -36,11 +36,7 @@ from .analysis import (
     up_mask_by_complements,
     down_mask_by_members,
 )
-from .bounds import (
-    down_reach_covers,
-    has_upper_bound,
-    up_reach_covers,
-)
+from .bounds import down_reach_covers, has_upper_bound
 from .core import (
     InstanceError,
     Nest,
@@ -560,23 +556,28 @@ _REACH_ROUTES = ("down-set:formula", "up-set:formula", "down-set:table", "up-set
 def _check_topology(ctx: NestContext) -> tuple[int, list, list]:
     """Brute-force reach per region is the oracle for the member formulas,
     the reach tables the sweeps read and, by their fixed points, the constant
-    Alexandroff family; all regions at once, in the universe's packed layout."""
+    Alexandroff family, and the theorem bound-covers reads: no strict reach
+    is X.  All regions at once, in the universe's packed layout."""
     nest, rows = ctx.nest, ctx.order_rows
     masks, regions = nest.masks, nest.universe.regions
     down, up = regions.down_mask(rows), regions.up_mask(rows)
     by_complements = up_mask_by_complements(regions, masks)
-    # each route's differences from the brute-force reach, in id order
+    # each route's differences from the brute-force reach, in id order, and
+    # the regions that reach covers: a finite nest order has maximal and
+    # minimal points, which escape every strict reach
     routes = (
         down_mask_by_members(regions, masks) ^ down,
         by_complements ^ up,
         ctx.down_reach ^ down,
         ctx.up_reach ^ up,
     )
+    never_full = regions.covers(down) | regions.covers(up)
     flagged = []
-    if any(routes):
-        flagged = _flag_regions(
-            regions, [(pid, regions.nonzero(diff)) for pid, diff in zip(_REACH_ROUTES, routes)]
-        )
+    if any(routes) or never_full:
+        flagged = _flag_regions(regions, [
+            *((pid, regions.nonzero(diff)) for pid, diff in zip(_REACH_ROUTES, routes)),
+            ("reach:never-full", never_full),
+        ])
     if not ctx.alexandroff == regions.fixed(ctx.up_reach) == regions.fixed(by_complements):
         flagged.append(("alexandroff:nest-formula", {}))
     return 1, flagged, []
@@ -877,52 +878,30 @@ def _suite_interlocking(config: SuiteConfig) -> tuple[int, list[Violation], list
 
 def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     """Every region of one nest, then every covering subfamily: one
-    instance each.  Each route is evaluated for all regions at once, in the
-    packed layout of the universe, as an indicator of the regions where it
-    holds.  The covers are only counted, in closed form, with
-    `bounds.covering_subfamilies` as the oracle: every cover of a chain
-    ends in X, so no cover leaves a point outside its top member."""
+    instance each.  No region's strict reach is X (topology-engine checks
+    it), so a cover form fails where it finds a cover and, on T0-separating
+    nests, a reflexive bound form where it finds no bound: all regions at
+    once, in the packed layout of the universe.  The covers are only
+    counted, in closed form, with `bounds.covering_subfamilies` as the
+    oracle: every cover of a chain ends in X."""
     nest, t0 = ctx.nest, ctx.t0
     u = nest.universe
     masks, full = nest.masks, u.full_mask
     rows = ctx.order_rows
     pre_rows = ctx.preorder_rows if t0 else None
     regions = u.regions
-    ones, nonzero, width = regions.ones, regions.nonzero, regions.width
-    fulls = regions.fill(full)
-    down = ones ^ nonzero(ctx.down_reach ^ fulls)
-    up = ones ^ nonzero(ctx.up_reach ^ fulls)
-    # the members meeting each region, and what their intersection misses
-    meeting = missed = 0
-    for m in masks:
-        meets = regions.meets(m)
-        meeting |= meets
-        missed |= meets * (full ^ m)
-    # a finite nest order has maximal and minimal elements, so no region's
-    # strict reach covers X either way; the witnesses are built only for the
-    # regions whose reach does
-    down_witness = up_witness = 0
-    for mask in regions.masks_of(down):
-        seen = down_reach_covers(ctx, Subset(u, mask)).witness_family
-        if seen is None or any(mask & ~m == 0 for m in seen.masks):
-            down_witness |= 1 << mask * width
-    for mask in regions.masks_of(up):
-        seen = up_reach_covers(ctx, Subset(u, mask)).witness_family
-        if seen is None or any(mask & m == 0 for m in seen.masks):
-            up_witness |= 1 << mask * width
+    ones, nonzero = regions.ones, regions.nonzero
     down_bound = up_bound = 0
     if t0:
-        down_bound = down ^ ones ^ nonzero(regions.upper_bounds(pre_rows))
-        up_bound = up ^ ones ^ nonzero(regions.lower_bounds(pre_rows))
+        down_bound = ones ^ nonzero(regions.upper_bounds(pre_rows))
+        up_bound = ones ^ nonzero(regions.lower_bounds(pre_rows))
     # the empty region is field 0
     empty = int(not upper_bounds(rows, full, 0) or not lower_bounds(rows, 0))
-    # a form fails where its verdict differs from the reach table's
+    # the members not containing the region cover X, or the complements of
+    # those meeting it do (their intersection is empty)
     flagged = _flag_regions(regions, [
-        ("down:cover-form", down ^ ones ^ nonzero(down_mask_by_members(regions, masks) ^ fulls)),
-        ("reach:never-full", down | up),
-        ("down:witness", down_witness),
-        ("up:intersection-form", up ^ (meeting & (ones ^ nonzero(missed ^ fulls)))),
-        ("up:witness", up_witness),
+        ("down:cover-form", regions.covers(down_mask_by_members(regions, masks))),
+        ("up:intersection-form", regions.covers(up_mask_by_complements(regions, masks))),
         ("down:bound-dichotomy", down_bound),
         ("up:bound-dichotomy", up_bound),
         ("bounds:empty-region", empty),

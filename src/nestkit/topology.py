@@ -46,9 +46,10 @@ with ``IND`` an indicator of the condition: its fields are 0 or 1 and
 A comparison over every region is one integer equality; `Regions.nonzero`
 and `Regions.masks_of` find the regions where one fails.
 `Regions.reach_table` builds the reach table in this layout by the same
-doubling as `reach_table`, and `Regions.fixed` reads its fixed points as an
-indicator.  A layout lives on its `Universe` (``Universe.regions``), so a
-sweep shard builds it once per universe size.
+doubling as `reach_table`; `Regions.fixed` reads its fixed points as an
+indicator, and `Regions.covers` the regions whose reach is X.  A layout
+lives on its `Universe` (``Universe.regions``), so a sweep shard builds it
+once per universe size.
 
 Empty intersections close to X and empty unions to the empty set.
 """
@@ -70,7 +71,7 @@ from .core import (
     canonical_masks,
     lazy,
 )
-from .orders import Relation, columns
+from .orders import Relation
 
 
 @dataclass(frozen=True)
@@ -323,6 +324,11 @@ class Regions:
         `fixed_masks` of every region at once."""
         return self.ones ^ self.nonzero(packed ^ self.identity)
 
+    def covers(self, packed: int) -> int:
+        """The indicator of the fields that hold ``full``: adding 1 to a
+        field, at most ``full``, sets its bit n just then."""
+        return (packed + self.ones) >> self.size & self.ones
+
     def masks_of(self, indicator: int) -> list[int]:
         """The region masks whose field of the indicator is set, ascending."""
         shift = self.width.bit_length() - 1
@@ -402,7 +408,7 @@ def lower_topology(rel_reflexive: Relation) -> Topology:
 def upper_topology(rel_reflexive: Relation) -> Topology:
     """Generated by the subbase {X - down(x)}: the complements of the
     columns; expects the reflexive order."""
-    return _ray_topology(rel_reflexive, columns(rel_reflexive.rows))
+    return _ray_topology(rel_reflexive, rel_reflexive.columns)
 
 
 def join(t1: Topology, t2: Topology) -> Topology:
@@ -415,8 +421,7 @@ def join(t1: Topology, t2: Topology) -> Topology:
 def interval_topology(rel_reflexive: Relation) -> Topology:
     """The join of the upper and lower topologies, generated by the union of
     their subbases."""
-    rows = rel_reflexive.rows
-    return _ray_topology(rel_reflexive, rows + columns(rows))
+    return _ray_topology(rel_reflexive, rel_reflexive.rows + rel_reflexive.columns)
 
 
 def alexandroff_family(rel_strict: Relation) -> SetFamily:

@@ -4,7 +4,9 @@
 pairs of point indices, importing no nestkit.  A change to the benchmark is
 to move those definitions here, with `perfbench` importing them.  The
 adapters below turn masks, rows and opens into the oracles' sets, also without
-nestkit; `test_reference.py` lists the oracle helpers the test modules keep.
+nestkit, and so do the pair definitions of irreflexive, antisymmetric and
+total relations; `test_reference.py` lists the oracle helpers the test
+modules keep.
 `FractionPair` is the Fraction-pair arithmetic of Q[sqrt(2)], the oracle of
 `rays.Quadratic`.
 """
@@ -40,6 +42,21 @@ def opens(topology) -> set[frozenset]:
 def row_pairs(rows) -> set[tuple[int, int]]:
     """The pairs (x, y) of a relation given as one row mask per point."""
     return {(x, y) for x, row in enumerate(rows) for y in range(len(rows)) if row >> y & 1}
+
+
+def irreflexive(pairs, n: int) -> bool:
+    """No point of ``range(n)`` is related to itself."""
+    return all((x, x) not in pairs for x in range(n))
+
+
+def antisymmetric(pairs) -> bool:
+    """No two distinct points are related both ways."""
+    return all((y, x) not in pairs for x, y in pairs if x != y)
+
+
+def total(pairs, n: int) -> bool:
+    """Any two points of ``range(n)`` are related one way or the other."""
+    return all((x, y) in pairs or (y, x) in pairs for x in range(n) for y in range(n))
 
 
 class FractionPair:

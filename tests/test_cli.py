@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from nestkit import cli, search
+from nestkit import analysis, cli, orders, search
 from nestkit.analysis import is_interlocking
+from nestkit.core import Nest, SetFamily, Universe
 from nestkit.cli import main
 from nestkit.groups import ContinuityReport
 from nestkit.instances import slugs
@@ -586,6 +587,23 @@ def test_one_shot_outputs_keep_their_bytes(name, tmp_path, capsys):
             ["bounds", "--input", str(path), "--subset", subset, "--direction", "both"],
             tmp_path / "b.json", capsys)
     assert got == ANALYZE_DIGESTS[name]
+
+
+def test_analyze_derives_each_order_and_each_set_of_columns_once(monkeypatch):
+    # a nest's order and its complement's, once each; the columns of the
+    # strict order (the dual pair's check) and of the preorder (the upper and
+    # interval topologies), once each; a family that is no nest has one order
+    # and reads its preorder's columns alone
+    derived = []
+    order_rows, columns = orders.order_rows, orders.columns
+    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append("rows") or order_rows(*a))
+    for module in (orders, analysis):
+        monkeypatch.setattr(module, "columns", lambda rows: derived.append("cols") or columns(rows))
+    nest = cli.analyze_family(Nest.of(Universe(4), [[0], [0, 1], [0, 1, 2]]))
+    assert nest["is_nest"] and sorted(derived) == ["cols", "cols", "rows", "rows"]
+    derived.clear()
+    family = cli.analyze_family(SetFamily.of(Universe(3), [[0], [1]]))
+    assert not family["is_nest"] and sorted(derived) == ["cols", "rows"]
 
 
 def test_group_check_fails_when_the_conclusion_does(nest_file, tmp_path, monkeypatch, capsys):

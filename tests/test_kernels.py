@@ -89,7 +89,7 @@ from nestkit.topology import (
     upper_bounds,
 )
 
-from reference import O, members, row_pairs
+from reference import O, antisymmetric, irreflexive, members, row_pairs, total
 
 
 def _all_relations(n):
@@ -132,14 +132,10 @@ def test_relation_predicates_match_pair_definitions(n):
         assert is_transitive(rel, "standard") == _transitive(pairs, n, distinct=False)
         assert is_transitive(rel, "distinct_triples") == _transitive(pairs, n, distinct=True)
         assert _is_reflexive(rel) == all((x, x) in pairs for x in points)
-        assert irreflexive_rows(rel.rows) == all((x, x) not in pairs for x in points)
-        assert antisymmetric_rows(rel.rows, columns(rel.rows)) == all(
-            (y, x) not in pairs for x, y in pairs if x != y
-        )
+        assert irreflexive_rows(rel.rows) == irreflexive(pairs, n)
+        assert antisymmetric_rows(rel.rows, columns(rel.rows)) == antisymmetric(pairs)
         assert _is_asymmetric(rel) == all((y, x) not in pairs for x, y in pairs)
-        assert _is_total(rel) == all(
-            (x, y) in pairs or (y, x) in pairs for x in points for y in points
-        )
+        assert _is_total(rel) == total(pairs, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -193,16 +189,13 @@ def test_row_kernels_match_pair_definitions_on_every_small_relation(n):
         rows, pairs = rel.rows, row_pairs(rel.rows)
         cols = columns(rows)
         assert row_pairs(cols) == {(y, x) for x, y in pairs}
+        assert rel.columns == cols and rel.columns is rel.columns
         assert row_pairs(reflexive_closure(rel).rows) == pairs | {(x, x) for x in points}
         for distinct in (False, True):
             assert transitive_rows(rows, distinct) == _transitive(pairs, n, distinct)
-        assert irreflexive_rows(rows) == all((x, x) not in pairs for x in points)
-        assert antisymmetric_rows(rows, cols) == all(
-            (y, x) not in pairs for x, y in pairs if x != y
-        )
-        assert total_rows(rows, cols, full) == all(
-            (x, y) in pairs or (y, x) in pairs for x in points for y in points
-        )
+        assert irreflexive_rows(rows) == irreflexive(pairs, n)
+        assert antisymmetric_rows(rows, cols) == antisymmetric(pairs)
+        assert total_rows(rows, cols, full) == total(pairs, n)
         assert linear_rows(rows, cols, full) == O.is_linear(pairs, n)
         for other in partners:
             other_pairs = row_pairs(other.rows)
@@ -597,6 +590,10 @@ def _check_layout(regions):
         assert packed == sum(v << r * regions.width for r, v in enumerate(table))
         assert regions.unpack(regions.nonzero(packed)) == tuple(int(v != 0) for v in table)
         assert regions.masks_of(regions.nonzero(packed)) == [r for r, v in enumerate(table) if v]
+    # every other field holds X
+    table = tuple(full if r & 1 else r >> 1 for r in everywhere)
+    assert regions.unpack(regions.covers(regions.pack(table))) == tuple(
+        int(v == full) for v in table)
 
 
 def test_lifted_kernels_match_the_region_kernels_on_every_small_nest():

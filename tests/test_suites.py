@@ -895,16 +895,28 @@ def test_bare_escape_note_counts_the_nests_the_sweep_sees(cap):
         assert note.startswith(f"the bare escape condition also fires for {seen} nests "), max_n
 
 
-def test_bound_covers_flags_a_strict_reach_that_covers_x():
+def test_topology_engine_flags_a_brute_force_reach_that_covers_x(monkeypatch, tmp_path):
     # finite nest orders have maximal and minimal elements, so a full reach
-    # table can only come from a broken context; each region is flagged once
+    # can only come from a broken order: rows that put every point below
+    # every point reach X from each nonempty region, each flagged once
     u = Universe(3)
-    ctx = NestContext(Nest.of(u, [[1], [0, 1]]))
-    assert suites._check_bounds(ctx)[1] == []
-    ctx.down_reach = ctx.up_reach = u.regions.fill(u.full_mask)
-    _, flagged, _ = suites._check_bounds(ctx)
+    nest = Nest.of(u, [[1], [0, 1]])
+    assert suites._check_topology(NestContext(nest)) == (1, [], [])
+    ctx = NestContext(nest)
+    ctx.order_rows = (u.full_mask,) * u.size
+    _, flagged, _ = suites._check_topology(ctx)
     regions = [extra["region"] for pid, extra in flagged if pid == "reach:never-full"]
-    assert regions == [list(indices_of(m)) for m in range(u.full_mask + 1)]
+    assert regions == [list(indices_of(m)) for m in range(1, u.full_mask + 1)]
+    # X made its own reach on one side of the brute force: the theorem fails
+    # with the two routes checked against that side, and bound-covers, which
+    # reads the theorem, reads no brute-force reach
+    for side, kernel in (("down", Regions.down_mask), ("up", Regions.up_mask)):
+        with monkeypatch.context() as m:
+            m.setattr(Regions, f"{side}_mask", lambda regions, rows, kernel=kernel: kernel(
+                regions, rows) | regions.full << regions.full * regions.width)
+            assert _flagged_by_check(tmp_path, "topology-engine") == {
+                "reach:never-full", f"{side}-set:formula", f"{side}-set:table"}
+            assert run_suite("bound-covers", SuiteConfig(max_n=3, workers=1)).passed
 
 
 def _corrupted_context():
@@ -943,10 +955,65 @@ def test_failing_region_checks_keep_their_payloads():
         *at(0b111, down_f, down_t),
         ("alexandroff:nest-formula", {}),
     ], [])
+    # bound-covers reads no reach table: of the corrupted context it reads
+    # the perturbed order rows
     assert suites._check_bounds(_corrupted_context()) == (8, [
-        *at(0b100, "reach:never-full", "up:intersection-form", "up:witness",
-            "up:bound-dichotomy"),
-        *at(0b110, "down:cover-form", "reach:never-full", "down:witness",
-            "down:bound-dichotomy"),
         ("member:strict-upper-bound", {"member": 0b011}),
     ], [])
+
+
+BOUND_FAULTS = {
+    # every region's member reach made X, or its complement reach
+    "down:cover-form": (suites, "down_mask_by_members",
+                        lambda regions, masks: regions.fill(regions.full)),
+    "up:intersection-form": (suites, "up_mask_by_complements",
+                             lambda regions, masks: regions.fill(regions.full)),
+    # no region has a reflexive bound
+    "down:bound-dichotomy": (Regions, "upper_bounds", lambda regions, rows: 0),
+    "up:bound-dichotomy": (Regions, "lower_bounds", lambda regions, rows: 0),
+    # the empty region loses its strict lower bounds, a nonempty one its
+    # strict upper bounds, or a nonempty one gains a strict lower bound
+    # (every nonempty member holds the minimum)
+    "bounds:empty-region": (
+        suites, "lower_bounds",
+        lambda rows, region, bounds=suites.lower_bounds: bounds(rows, region) if region else 0),
+    "member:strict-upper-bound": (
+        suites, "upper_bounds",
+        lambda rows, full, region, bounds=suites.upper_bounds:
+            0 if region else bounds(rows, full, region)),
+    "member:lower-bound-minimum": (
+        suites, "lower_bounds",
+        lambda rows, region, bounds=suites.lower_bounds: 1 if region else bounds(rows, region)),
+    # the strict form no longer diverges from the dichotomy at the top
+    "bounds:strict-divergence-witness": (
+        suites, "has_upper_bound", lambda nest, region, strict=True: True),
+}
+
+
+@pytest.mark.parametrize("pid", sorted(BOUND_FAULTS))
+def test_each_bound_covers_id_fails_on_its_own_planted_fault(monkeypatch, tmp_path, pid):
+    target, name, fault = BOUND_FAULTS[pid]
+    monkeypatch.setattr(target, name, fault)
+    assert _flagged_by_check(tmp_path, "bound-covers") == {pid}
+
+
+def test_bound_covers_derives_no_reach_table_and_no_columns(monkeypatch):
+    # the cover forms are checked against the theorem that no strict reach
+    # is X, so no region's reach is derived; topology-engine holds the oracle
+    derived = []
+    reach_table = Regions.reach_table
+    monkeypatch.setattr(Regions, "reach_table",
+                        lambda regions, rows: derived.append("reach") or reach_table(regions, rows))
+    columns = orders.columns
+    for module in (orders, analysis):
+        monkeypatch.setattr(module, "columns", lambda rows: derived.append("columns") or columns(rows))
+    nests = [nest for n in range(1, 5) for nest in enumerate_nests(Universe(n))]
+    for nest in nests:
+        assert suites._check_bounds(NestContext(nest))[1] == []
+    assert derived == []
+    # the patches do see the context's reach fields: two tables per nest,
+    # one of them on the order's columns
+    for nest in nests:
+        ctx = NestContext(nest)
+        ctx.down_reach, ctx.up_reach
+    assert derived.count("reach") == 2 * len(nests) and derived.count("columns") == len(nests)
