@@ -18,17 +18,27 @@ bounds, and answers with the supremum's element or a code (`NO_BOUND`,
 
 A nest's generated order is the strict weak order of its blocks
 (`Nest.blocks`): x < y iff x's block comes before y's.  So a context reads
-T0 (every block has at most one point) and each member's sup (fixed by the
-member's top block and the next one) off the blocks in O(k).  The kernels
+T0 (every block has at most one point), each member's sup (fixed by the
+member's top block and the next one) and the ladder off the blocks in O(k).
+The ladder is one walk that builds no table of sups and stops at the first
+member without one; it is one of four shared, immutable `SupConditions`
+values (`NO_SUPS`, `SUPS_EXIST`, `SUPS_ESCAPE`, `SUPS_ONTO`).  The kernels
 stay as their oracles in the sweeps: `orders.t0_masks` in core-algebra, and
-`sup_index` in sup-conditions, on the preorder rows of every nest swept and,
-for the right side of every dual pair, on the left preorder's columns.
+in sup-conditions `sup_index`, on the preorder rows of every nest swept and,
+for the right side of every dual pair, on the left preorder's columns, and
+``_ladder`` of those sups against the ladder (``ladder:block-form``).
 
 `NestContext` holds the values a sweep derives from one nest, at mask level
 only (the rows of its order and preorder, the complement nest's own context,
 member sups, both ladders, T0, and the strict reach tables, packed in the
 layout of `topology.Regions`), and computes each at most once, on first use;
-its Alexandroff fixed points are the constant {∅}.  A `Relation`,
+its Alexandroff fixed points are the constant {∅}.  On at most 8 points the
+order's rows are the members' rectangles packed one row per byte
+(`orders.packed_product`) and the preorder's columns its packed transpose;
+on more points they are the walk of `orders.order_rows` and `columns`.
+Topology-engine's member formulas pin the rows on every nest it sweeps,
+sup-conditions' inf route (``dual:inf-route``) pins the columns, and the
+tests pin both sides of the cutoff against the walk.  A `Relation`,
 `SetFamily` or `Subset` is built only at a public boundary: a predicate that
 takes a `Subset`, a wrapper such as `sup_of`, or a topology a premise needs.
 The fields are `core.lazy` fields, which take no lock: after the first
@@ -64,7 +74,15 @@ from .core import (
     is_chain,
     lazy,
 )
-from .orders import Relation, columns, linear_rows, reflexive_rows
+from .orders import (
+    Relation,
+    columns,
+    linear_rows,
+    pack_rows,
+    packed_transpose,
+    reflexive_rows,
+    unpack_rows,
+)
 from .topology import (
     Regions,
     Topology,
@@ -142,27 +160,38 @@ class SupConditions:
     sups_onto: bool
 
 
+# the four rungs a ladder can stop at, shared by every nest: each rung
+# implies the ones before it
+NO_SUPS = SupConditions(False, False, False)
+SUPS_EXIST = SupConditions(True, False, False)
+SUPS_ESCAPE = SupConditions(True, True, False)
+SUPS_ONTO = SupConditions(True, True, True)
+
+
 def _ladder(sups: dict[int, int], full: int) -> SupConditions:
     """The ladder from each member's `sup_index`: every sup exists, every
     sup lies outside its member, and the escaping sups cover the universe."""
     escape, reached = True, 0
     for m, s in sups.items():
         if s < 0:
-            return SupConditions(False, False, False)
+            return NO_SUPS
         if m >> s & 1:
             escape = False
         reached |= 1 << s
-    return SupConditions(True, escape, escape and reached == full)
+    if not escape:
+        return SUPS_EXIST
+    return SUPS_ONTO if reached == full else SUPS_ESCAPE
 
 
 class NestContext:
     """Derived values of one nest, each computed at most once, on first use.
 
-    A context belongs to a single nest and is dropped with it; nothing is
-    shared between nests.  ``dual`` is the context of the complement nest,
-    which is the nest's dual (`complement_dual` pairs the two).  A context is
-    never shared between threads (the suite workers are processes), so its
-    `lazy` fields need no lock.
+    A context belongs to a single nest and is dropped with it; nothing it
+    holds is shared between nests but the immutable ladder values.  ``dual``
+    is the context of the complement nest, which is the nest's dual
+    (`complement_dual` pairs the two).  A context is never shared between
+    threads (the suite workers are processes), so its `lazy` fields need no
+    lock.
     """
 
     def __init__(self, nest: Nest) -> None:
@@ -176,9 +205,13 @@ class NestContext:
 
     @lazy
     def order_rows(self) -> tuple[int, ...]:
-        """Rows of the nest's generated (strict) order."""
+        """Rows of the nest's generated (strict) order: on at most 8 points
+        the members' rectangles packed one row per byte, else the walk of
+        `orders.order_rows`."""
         u = self.nest.universe
-        # through the module, where the derivation-count tests patch it
+        # through the module, where the tests patch both kernels
+        if u.size <= 8:
+            return orders.unpack_rows(orders.packed_product(self.nest.masks, u.full_mask), u.size)
         return orders.order_rows(self.nest.masks, u.size, u.full_mask)
 
     @lazy
@@ -188,7 +221,12 @@ class NestContext:
 
     @lazy
     def preorder_columns(self) -> tuple[int, ...]:
-        """Entry y holds every x at or below y: the down-sets of the points."""
+        """Entry y holds every x at or below y: the down-sets of the points.
+        On at most 8 points the packed transpose of the rows, else their
+        `columns`."""
+        size = self.nest.universe.size
+        if size <= 8:
+            return unpack_rows(packed_transpose(pack_rows(self.preorder_rows)), size)
         return columns(self.preorder_rows)
 
     @lazy
@@ -229,7 +267,25 @@ class NestContext:
 
     @lazy
     def sup_conditions(self) -> SupConditions:
-        return _ladder(self.sup_indices, self.nest.universe.full_mask)
+        """The ladder read off the blocks in one walk, as `sup_indices` reads
+        each sup, stopping at the first member without one.  A member's sup
+        lies inside it exactly when its top block is one point alone, so
+        escape fails there; ``_ladder`` of `sup_indices` is its oracle in
+        sup-conditions (``ladder:block-form``)."""
+        blocks = self.nest.blocks
+        escape, reached = True, 0
+        # each member's top block and the next one
+        for top, above in zip(blocks, blocks[1:]):
+            if top and not top & (top - 1):
+                escape = False
+                reached |= top
+            elif above and not above & (above - 1):
+                reached |= above
+            else:
+                return NO_SUPS
+        if not escape:
+            return SUPS_EXIST
+        return SUPS_ONTO if reached == self.nest.universe.full_mask else SUPS_ESCAPE
 
     @lazy
     def t0(self) -> bool:
@@ -274,13 +330,14 @@ class DualPair:
     Each side is a nest or its context (`NestContext.of`); a pair built from
     contexts reads the order rows they hold and derives none.  Both sides
     must be nests with mutually transposed orders; nothing here demands that
-    either separates the universe.
+    either separates the universe.  A side held as a `Nest` is a chain by
+    its type, so only a side of another family is checked for one.
     """
 
     def __init__(self, left: Nest | NestContext, right: Nest | NestContext) -> None:
         self.left, self.right = NestContext.of(left), NestContext.of(right)
         for side, ctx in (("left", self.left), ("right", self.right)):
-            if not is_chain(ctx.nest.masks):
+            if not isinstance(ctx.nest, Nest) and not is_chain(ctx.nest.masks):
                 raise InstanceError(f"the {side} side of a dual pair is not a nest")
         u = self.left.nest.universe
         _check_same_universe(u, self.right.nest.universe)

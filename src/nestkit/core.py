@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import xor
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -268,8 +267,12 @@ class Nest(SetFamily):
         strict weak order of the blocks: x < y iff x's block comes before
         y's, so each point's row is the union of the blocks after its own.
         """
-        masks = self.masks
-        return tuple(map(xor, masks + (self.universe.full_mask,), (0,) + masks))
+        blocks, below = [], 0
+        for mask in self.masks:
+            blocks.append(mask ^ below)
+            below = mask
+        blocks.append(self.universe.full_mask ^ below)
+        return tuple(blocks)
 
 
 def is_nest(family: SetFamily) -> bool:
@@ -293,7 +296,7 @@ def family_complement(family: SetFamily) -> SetFamily:
     if isinstance(family, Nest):
         # complements reverse inclusion, so a chain's members read backwards
         # complement to a strictly nested chain in canonical order
-        return Nest._drawn(family.universe, tuple(m ^ full for m in reversed(family.masks)))
+        return Nest._drawn(family.universe, tuple([m ^ full for m in reversed(family.masks)]))
     return SetFamily(family.universe, tuple(m ^ full for m in family.masks))
 
 

@@ -22,7 +22,9 @@ each size are the constants `DIAGONAL` and `SQUARE`.  The generated-orders
 suite packs the walk of `order_rows` once and checks it against the packed
 product; from its transpose it decides the rectangle form of T0 (against
 `t0_masks`), irreflexivity and asymmetry, and it checks the product of the
-complements against the transpose.  The row kernels
+complements against the transpose.  `analysis.NestContext` reads a nest's
+order as the packed product, and its preorder's columns as the packed
+transpose, on at most 8 points.  The row kernels
 (`order_rows_via_rectangles`, `columns`, `rectangle_t0_rows`, ...) stay the
 forms for any size and are the packed kernels' oracles in the tests.
 """

@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 from .analysis import (
     DualPair,
     NestContext,
+    _ladder,
     complement_dual,
     dual_sup_conditions,
     is_interlocking,
@@ -221,8 +222,10 @@ def _sweep_shard(job: tuple) -> tuple[int, list[Violation]]:
     ):
         examined, flagged, own = check(NestContext(nest))
         count += examined
-        violations += [Violation(pid, _nest_payload(nest, **extra)) for pid, extra in flagged]
-        violations += [Violation(pid, payload) for pid, payload in own]
+        if flagged:
+            violations += [Violation(pid, _nest_payload(nest, **extra)) for pid, extra in flagged]
+        if own:
+            violations += [Violation(pid, payload) for pid, payload in own]
     return count, violations
 
 
@@ -676,6 +679,9 @@ def _check_sup(ctx: NestContext) -> tuple[int, list, list]:
         flagged.append(("ladder:escape-exist", {}))
     if cond.sups_onto and not t0:
         flagged.append(("ladder:onto-t0", {}))
+    # the ladder read off the blocks, against the ladder of the member sups
+    if cond != _ladder(sups, full):
+        flagged.append(("ladder:block-form", {}))
 
     # the sups read off the blocks, against the kernel on the preorder rows;
     # the up-set of a sup is its preorder row
@@ -881,9 +887,12 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     instance each.  No region's strict reach is X (topology-engine checks
     it), so a cover form fails where it finds a cover and, on T0-separating
     nests, a reflexive bound form where it finds no bound: all regions at
-    once, in the packed layout of the universe.  The covers are only
-    counted, in closed form, with `bounds.covering_subfamilies` as the
-    oracle: every cover of a chain ends in X."""
+    once, in the packed layout of the universe.  On those nests the order
+    is linear, so every member other than X has a strict upper bound, and
+    every nonempty member holds the minimum and has no strict lower bound.
+    The covers are only counted, in closed form, with
+    `bounds.covering_subfamilies` as the oracle: every cover of a chain
+    ends in X."""
     nest, t0 = ctx.nest, ctx.t0
     u = nest.universe
     masks, full = nest.masks, u.full_mask
@@ -908,14 +917,15 @@ def _check_bounds(ctx: NestContext) -> tuple[int, list, list]:
     ])
 
     if t0:
-        minimum = next((x for x in u.elements() if pre_rows[x] == full), None)
+        # the order is linear: its minimum, the point of the first nonempty
+        # block, is the point whose preorder row is X (as a mask).  Every
+        # nonempty member holds it, so none has a strict lower bound
+        minimum = sum(1 << x for x in u.elements() if pre_rows[x] == full)
         for mask in masks:
             if mask != full and not upper_bounds(rows, full, mask):
                 flagged.append(("member:strict-upper-bound", {"member": mask}))
-            if mask and minimum is not None:
-                expect = not (mask >> minimum & 1)
-                if bool(lower_bounds(rows, mask)) != expect:
-                    flagged.append(("member:lower-bound-minimum", {"member": mask}))
+            if mask and (not mask & minimum or lower_bounds(rows, mask)):
+                flagged.append(("member:lower-bound-minimum", {"member": mask}))
     # one cover for each choice of the members below X, none without X
     return full + 1 + (1 << len(masks) - 1 if full in masks else 0), flagged, []
 

@@ -2,16 +2,18 @@ import ast
 import pickle
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 
 import nestkit
-from nestkit import orders
+from nestkit import analysis, orders
 from nestkit.analysis import (
     NO_LEAST,
     DualPair,
     NestContext,
+    SupConditions,
     complement_dual,
     dual_sup_conditions,
     is_interlocking,
@@ -105,6 +107,32 @@ def test_sup_conditions():
     assert chain.sups_exist and not chain.sups_escape
 
 
+def test_ladders_are_the_four_shared_values():
+    # every ladder is one of four immutable module values; equality, hash
+    # and repr go by the fields, and `replace` builds a fresh value
+    rungs = (analysis.NO_SUPS, analysis.SUPS_EXIST, analysis.SUPS_ESCAPE, analysis.SUPS_ONTO)
+    assert [tuple(vars(rung).values()) for rung in rungs] == [
+        (False, False, False), (True, False, False), (True, True, False), (True, True, True)]
+    assert analysis.SUPS_ESCAPE == SupConditions(True, True, False)
+    assert hash(analysis.SUPS_ESCAPE) == hash(SupConditions(True, True, False))
+    assert repr(analysis.SUPS_EXIST) == (
+        "SupConditions(sups_exist=True, sups_escape=False, sups_onto=False)")
+    with pytest.raises(FrozenInstanceError):
+        analysis.SUPS_ONTO.sups_onto = False
+    lowered = replace(analysis.SUPS_ONTO, sups_onto=False)
+    assert lowered == analysis.SUPS_ESCAPE and lowered is not analysis.SUPS_ESCAPE
+    assert analysis.SUPS_ONTO.sups_onto
+    seen = set()
+    for n in range(1, 5):
+        for nest in enumerate_nests(Universe(n)):
+            ctx = NestContext(nest)
+            for ladder in (sup_conditions(nest), ctx.sup_conditions,
+                           dual_sup_conditions(complement_dual(ctx))):
+                assert any(ladder is rung for rung in rungs)
+                seen.add(id(ladder))
+    assert seen == set(map(id, rungs))
+
+
 def test_dual_pair_validation():
     DualPair(PAIR, PAIR_DUAL)
     DualPair(QUAD, QUAD_DUAL)
@@ -129,12 +157,13 @@ def test_dual_pair_rejects_a_side_that_is_not_a_nest():
 
 
 def test_dual_pair_of_contexts_derives_no_order(monkeypatch):
-    # the pair reads the orders its contexts hold, also for its dual ladder
+    # the pair reads the orders its contexts hold, also for its dual ladder;
+    # on at most 8 points a context derives its order as the packed product
     from nestkit import orders
 
     derived = []
-    order_rows = orders.order_rows
-    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append(1) or order_rows(*a))
+    packed_product = orders.packed_product
+    monkeypatch.setattr(orders, "packed_product", lambda *a: derived.append(1) or packed_product(*a))
     for n in (1, 2, 3):
         for nest in enumerate_nests(Universe(n)):
             ctx = NestContext(nest)
@@ -351,9 +380,10 @@ def _lazy_fields(cls) -> list[str]:
 
 
 def test_nest_context_fields_are_computed_once(monkeypatch):
+    # on at most 8 points a context derives its order as the packed product
     calls = []
-    order_rows = orders.order_rows
-    monkeypatch.setattr(orders, "order_rows", lambda *a: calls.append(a) or order_rows(*a))
+    packed_product = orders.packed_product
+    monkeypatch.setattr(orders, "packed_product", lambda *a: calls.append(a) or packed_product(*a))
     fields = _lazy_fields(NestContext)
     assert fields == [
         "order_rows", "preorder_rows", "preorder_columns", "dual", "sup_indices", "sups",

@@ -593,10 +593,15 @@ def test_analyze_derives_each_order_and_each_set_of_columns_once(monkeypatch):
     # a nest's order and its complement's, once each; the columns of the
     # strict order (the dual pair's check) and of the preorder (the upper and
     # interval topologies), once each; a family that is no nest has one order
-    # and reads its preorder's columns alone
+    # and reads its preorder's columns alone.  A nest's context derives its
+    # order as the packed product (at most 8 points), a family's order is the
+    # walk of `order_rows`
     derived = []
     order_rows, columns = orders.order_rows, orders.columns
+    packed_product = orders.packed_product
     monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append("rows") or order_rows(*a))
+    monkeypatch.setattr(orders, "packed_product",
+                        lambda *a: derived.append("rows") or packed_product(*a))
     for module in (orders, analysis):
         monkeypatch.setattr(module, "columns", lambda rows: derived.append("cols") or columns(rows))
     nest = cli.analyze_family(Nest.of(Universe(4), [[0], [0, 1], [0, 1, 2]]))

@@ -11,6 +11,10 @@ import pytest
 from nestkit.analysis import (
     NO_BOUND,
     NO_LEAST,
+    NO_SUPS,
+    SUPS_ESCAPE,
+    SUPS_EXIST,
+    SUPS_ONTO,
     DualPair,
     NestContext,
     _ladder,
@@ -748,18 +752,65 @@ def _block_form_nests():
 
 
 def test_context_t0_and_sups_read_off_the_blocks_match_their_kernels():
-    # the context reads T0 and each member's sup off the nest's blocks; the
-    # direct T0 form and the sup kernel on the preorder rows are the oracles
-    t0_seen, codes = set(), set()
+    # the context reads T0, each member's sup and the ladder off the nest's
+    # blocks; the direct T0 form, the sup kernel on the preorder rows and the
+    # ladder of those sups are the oracles, and each ladder is a shared value
+    t0_seen, codes, ladders = set(), set(), set()
     for nest in _block_form_nests():
         ctx, n, full = NestContext(nest), nest.universe.size, nest.universe.full_mask
         assert ctx.t0 == t0_masks(nest.masks, n)
         rows = ctx.preorder_rows
         assert ctx.sup_indices == {m: sup_index(rows, full, m) for m in nest.masks}
+        assert ctx.sup_conditions is _ladder(ctx.sup_indices, full)
         t0_seen.add((n > 7, ctx.t0))
         codes |= set(ctx.sup_indices.values()) & {NO_BOUND, NO_LEAST}
+        ladders.add(id(ctx.sup_conditions))
     assert t0_seen >= {(False, False), (False, True), (True, False)}
     assert codes == {NO_BOUND, NO_LEAST}
+    assert ladders == {id(rung) for rung in (NO_SUPS, SUPS_EXIST, SUPS_ESCAPE, SUPS_ONTO)}
+
+
+def _cutoff_nests():
+    """Every nest on at most five points, then seeded random nests on 8 and
+    9 points: the last size whose order packs into one int, and the first
+    whose order does not."""
+    for n in range(1, 6):
+        yield from enumerate_nests(Universe(n), bound=5)
+    rng = random.Random(89)
+    for n in (8, 9):
+        for _ in range(60):
+            yield random_nest(rng, Universe(n))
+
+
+def test_context_orders_on_both_sides_of_the_packed_cutoff(monkeypatch):
+    # on at most 8 points a context packs its members' rectangles, on more it
+    # walks them; the walk and `columns` are the oracles on both sides, and a
+    # pair of contexts still checks that its orders are transposes
+    from nestkit import orders
+
+    product = orders.packed_product
+    derived = []
+    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append("walk") or order_rows(*a))
+    monkeypatch.setattr(orders, "packed_product", lambda *a: derived.append("packed") or product(*a))
+    sizes, refused = set(), 0
+    for nest in _cutoff_nests():
+        u = nest.universe
+        ctx = NestContext(nest)
+        derived.clear()
+        rows = ctx.order_rows
+        assert derived == ["packed" if u.size <= 8 else "walk"]
+        assert rows == order_rows(nest.masks, u.size, u.full_mask)
+        assert ctx.preorder_columns == columns(ctx.preorder_rows)
+        pair = complement_dual(ctx)
+        assert pair.right.order_rows == columns(rows)
+        # a member other than ∅ and X orders some pair one way only, so the
+        # nest is not its own dual
+        if any(0 < m < u.full_mask for m in nest.masks):
+            with pytest.raises(InstanceError, match="not dual"):
+                DualPair(ctx, NestContext(nest))
+            refused += 1
+        sizes.add(u.size)
+    assert sizes == {1, 2, 3, 4, 5, 8, 9} and refused > 2000
 
 
 def test_packed_alexandroff_family_is_the_fixed_points_of_the_reach_table():

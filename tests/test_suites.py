@@ -9,6 +9,7 @@ from nestkit import analysis, orders, suites
 from nestkit.analysis import DualPair, NestContext, is_interlocking_via_alexandroff
 from nestkit.core import (
     Nest, SetFamily, Universe, canonical_masks, enumerate_families, enumerate_nests, indices_of,
+    lazy,
 )
 from nestkit.groups import (
     BUILTIN_GROUPS,
@@ -733,10 +734,11 @@ def test_nest_sweeps_build_relations_only_in_premise_branches(monkeypatch):
 def test_sup_checks_derive_each_order_once(monkeypatch):
     # a nest's order and its complement's, and no more: the complement pair
     # holds both contexts, so the pair whose orderability hypotheses fire
-    # builds its report without deriving an order again
+    # builds its report without deriving an order again; on at most 8
+    # points a context derives its order as the packed product
     derived, reports = [], []
-    order_rows, lots_report = orders.order_rows, suites.lots_report
-    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append(1) or order_rows(*a))
+    packed_product, lots_report = orders.packed_product, suites.lots_report
+    monkeypatch.setattr(orders, "packed_product", lambda *a: derived.append(1) or packed_product(*a))
     monkeypatch.setattr(suites, "lots_report", lambda p: reports.append(p) or lots_report(p))
     nests = 0
     for n in range(1, 6):
@@ -750,10 +752,12 @@ def test_sup_checks_derive_each_order_once(monkeypatch):
 def test_sup_suite_derives_one_order_per_context(monkeypatch):
     # two orders per swept nest, one per context of the all-dual-pairs loop
     # (68 nests on at most three points) and one for the fixed witness; every
-    # pair, complement or not, goes through the one pair-check function
+    # pair, complement or not, goes through the one pair-check function; on
+    # at most 8 points a context derives its order as the packed product,
+    # which the generated-orders checks import for themselves
     derived, checked = [], []
-    order_rows, checks = orders.order_rows, suites._dual_pair_checks
-    monkeypatch.setattr(orders, "order_rows", lambda *a: derived.append(1) or order_rows(*a))
+    packed_product, checks = orders.packed_product, suites._dual_pair_checks
+    monkeypatch.setattr(orders, "packed_product", lambda *a: derived.append(1) or packed_product(*a))
     monkeypatch.setattr(suites, "_dual_pair_checks", lambda p: checked.append(p) or checks(p))
     report = run_suite("sup-conditions", SuiteConfig(max_n=4, workers=1))
     assert report.passed, report.summary()
@@ -836,7 +840,9 @@ def test_census_checks_fire_on_the_nest_they_are_about(monkeypatch):
         if ctx.nest == point:
             ctx.sup_conditions = replace(ctx.sup_conditions, sups_onto=False)
 
+    # the broken ladder also differs from the ladder of the member sups
     assert _broken_sup_sweep(2, not_onto) == [
+        Violation("ladder:block-form", family_to_dict(point)),
         Violation("census:onto-only-trivial", family_to_dict(point))]
 
     def empty_not_t0(ctx):
@@ -995,6 +1001,75 @@ def test_each_bound_covers_id_fails_on_its_own_planted_fault(monkeypatch, tmp_pa
     target, name, fault = BOUND_FAULTS[pid]
     monkeypatch.setattr(target, name, fault)
     assert _flagged_by_check(tmp_path, "bound-covers") == {pid}
+
+
+def test_a_member_without_the_minimum_fails_the_lower_bound_check():
+    # the other side of the theorem: preorder rows whose minimum is the last
+    # point, which neither member holds, while the strict rows still give
+    # neither member a strict lower bound
+    ctx = NestContext(Nest.of(Universe(3), [[0], [0, 1]]))
+    assert suites._check_bounds(ctx) == (8, [], [])
+    ctx.preorder_rows = (0b001, 0b011, 0b111)
+    assert suites._check_bounds(ctx) == (8, [
+        ("member:lower-bound-minimum", {"member": 0b001}),
+        ("member:lower-bound-minimum", {"member": 0b011}),
+    ], [])
+
+
+class _SweptSupsSwapped(NestContext):
+    """A swept nest's context whose sups, read off the blocks, swap the two
+    codes of a member without a sup on four points.  Its dual is a plain
+    context, and the all-dual-pairs loop stops at three points, so no right
+    side of a pair reads the swapped codes, and the ladder of the sups
+    stays the same."""
+
+    @lazy
+    def sup_indices(self) -> dict[int, int]:
+        sups = NestContext.sup_indices.func(self)
+        if self.nest.universe.size < 4:
+            return sups
+        swap = {analysis.NO_BOUND: analysis.NO_LEAST, analysis.NO_LEAST: analysis.NO_BOUND}
+        return {m: swap.get(s, s) for m, s in sups.items()}
+
+
+_block_ladder = NestContext.sup_conditions.func
+
+BLOCK_FAULTS = {
+    # a ladder read off the blocks where every sup exists, also on a nest
+    # with a member without one: no other check reads that rung alone
+    "ladder:block-form": ("sup-conditions", NestContext, "sup_conditions", property(
+        lambda ctx: analysis.SUPS_EXIST if _block_ladder(ctx) is analysis.NO_SUPS
+        else _block_ladder(ctx))),
+    "sup:block-form": ("sup-conditions", suites, "NestContext", _SweptSupsSwapped),
+    # T0 read off the blocks, counting the empty ones as points
+    "t0:block-form": ("core-algebra", NestContext, "t0", property(
+        lambda ctx: len(ctx.nest.blocks) == ctx.nest.universe.size)),
+}
+
+
+@pytest.mark.parametrize("pid", sorted(BLOCK_FAULTS))
+def test_each_block_form_id_fails_on_its_own_planted_fault(monkeypatch, tmp_path, pid):
+    suite, target, name, fault = BLOCK_FAULTS[pid]
+    monkeypatch.setattr(target, name, fault)
+    assert _flagged_by_check(tmp_path, suite) == {pid}
+
+
+def test_a_wrong_packed_product_in_the_context_fails_topology_engine(monkeypatch, tmp_path):
+    # the context derives its order through `orders.packed_product`; the
+    # first member's rectangle dropped there leaves the member formulas,
+    # which read the masks, apart from the brute-force reach of the rows.
+    # The generated-orders checks keep their own import of the kernel
+    product = orders.packed_product
+    monkeypatch.setattr(orders, "packed_product", lambda masks, full: product(masks[1:], full))
+    assert suites.packed_product is product
+    assert _flagged_by_check(tmp_path, "topology-engine") == {"down-set:formula", "up-set:formula"}
+
+
+def test_a_wrong_packed_transpose_in_the_context_fails_the_inf_route(monkeypatch, tmp_path):
+    # the preorder's columns, packed, read as its rows: the inf route on
+    # them misses the right side's sups read off its blocks
+    monkeypatch.setattr(analysis, "packed_transpose", lambda packed: packed)
+    assert _flagged_by_check(tmp_path, "sup-conditions") == {"dual:inf-route"}
 
 
 def test_bound_covers_derives_no_reach_table_and_no_columns(monkeypatch):
