@@ -329,8 +329,10 @@ class DualPair:
 
     Each side is a nest or its context (`NestContext.of`); a pair built from
     contexts reads the order rows they hold and derives none.  Both sides
-    must be nests with mutually transposed orders; nothing here demands that
-    either separates the universe.  A side held as a `Nest` is a chain by
+    must be nests with mutually transposed orders, compared on the packed
+    rows (`orders.packed_transpose`) on at most 8 points and through
+    `columns` on more; nothing here demands that either separates the
+    universe.  A side held as a `Nest` is a chain by
     its type, so only a side of another family is checked for one.
     """
 
@@ -342,7 +344,11 @@ class DualPair:
         u = self.left.nest.universe
         _check_same_universe(u, self.right.nest.universe)
         rows, rows_right = self.left.order_rows, self.right.order_rows
-        if rows_right != columns(rows):
+        if u.size <= 8:
+            dual = pack_rows(rows_right) == packed_transpose(pack_rows(rows))
+        else:
+            dual = rows_right == columns(rows)
+        if not dual:
             witness = next(
                 (x, y)
                 for x in u.elements()

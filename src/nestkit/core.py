@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -266,6 +267,7 @@ class Nest(SetFamily):
         member, the last exactly when X is.  The generated order is the
         strict weak order of the blocks: x < y iff x's block comes before
         y's, so each point's row is the union of the blocks after its own.
+        `enumerate_nests` sets the field on every nest it yields.
         """
         blocks, below = [], 0
         for mask in self.masks:
@@ -300,6 +302,15 @@ def family_complement(family: SetFamily) -> SetFamily:
     return SetFamily(family.universe, tuple(m ^ full for m in family.masks))
 
 
+# Universes of at most this many points draw their nests from a table of
+# every chain and its blocks, built once per process by the walk: the tables
+# on 1-5 points hold 2,532 chains, about 0.5 MiB.  A 6-point table holds
+# 18,732 chains, about 4 MiB, and would raise the peak memory of a process
+# that walks them once (the s3 group sweeps) by about a fifth, so larger
+# universes keep the streaming walk.
+TABLED_NEST_SIZE = 5
+
+
 def enumerate_nests(
     universe: Universe,
     include_trivial: bool = True,
@@ -317,6 +328,13 @@ def enumerate_nests(
     set and the whole universe may appear as members, and ``max_members``
     caps the number of members (0 leaves only the empty nest).  The arguments
     are checked at the call, so a bad one raises before any nest is drawn.
+
+    Each nest is a fresh `Nest` on ``universe`` with its `Nest.blocks`
+    already set.  On at most `TABLED_NEST_SIZE` points the stream is read
+    from a table of every chain and its blocks, filled by the walk on the
+    first call for a size and kept for the process (a capped stream is the
+    table filtered by chain length: the preorder of the capped tree is the
+    full preorder filtered); on more points the walk streams it.
     """
     if universe.size > bound:
         raise ValueError(
@@ -328,42 +346,67 @@ def enumerate_nests(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if not 0 <= offset < stride:
         raise ValueError(f"offset must lie in [0, stride) = [0, {stride}), got {offset}")
-    candidates, above = _nest_extensions(universe.size, include_trivial)
-    cap = len(candidates) if max_members is None else max_members
+    size = universe.size
     drawn = Nest._drawn
 
-    def walk() -> Iterator[Nest]:
-        # depth first with an explicit stack of chains still to visit, each
-        # with the index of its top candidate (-1, the last entry of
-        # ``above``, for the empty chain): a chain is yielded, then its
-        # extensions are pushed in reverse, so they pop in candidate order
-        # and the stream is the preorder of the chain tree
-        stack = [((), -1)]
-        pop, push = stack.pop, stack.extend
-        counter = 0
-        while stack:
-            chain, top = pop()
-            if counter % stride == offset:
-                yield drawn(universe, chain)
-            counter += 1
-            if len(chain) < cap:
-                push([(chain + (candidates[j],), j) for j in above[top]])
+    def nests() -> Iterator[Nest]:
+        if size > TABLED_NEST_SIZE:
+            chains = _walk(size, include_trivial, max_members)
+        else:
+            chains = _nest_table(size, include_trivial)
+            # no chain has more than size + 1 members
+            if max_members is not None and max_members <= size:
+                chains = [entry for entry in chains if len(entry[0]) <= max_members]
+        for masks, blocks in islice(chains, offset, None, stride):
+            nest = drawn(universe, masks)
+            nest.__dict__["blocks"] = blocks
+            yield nest
 
-    return walk()
+    return nests()
+
+
+@lru_cache(maxsize=None)
+def _nest_table(size: int, include_trivial: bool) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every chain of the uncapped walk with its blocks, in stream order."""
+    return tuple(_walk(size, include_trivial, None))
+
+
+def _walk(
+    size: int, include_trivial: bool, max_members: int | None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The chains on ``size`` points, each with its blocks, in preorder of
+    the chain tree.
+
+    Depth first with an explicit stack of chains still to visit, each with
+    its blocks below the top member, the top member (0 for the empty chain)
+    and the top's candidate index (-1, the last entry of ``above``, for the
+    empty chain): a chain is yielded, then its extensions are pushed in
+    reverse, so they pop in candidate order.  An extension by c adds the
+    block c - top, and the last block of a chain is X - top."""
+    candidates, above = _nest_extensions(size, include_trivial)
+    cap = len(candidates) if max_members is None else max_members
+    full = (1 << size) - 1
+    stack = [((), (), 0, -1)]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        chain, cuts, top, index = pop()
+        yield chain, cuts + (full ^ top,)
+        if len(chain) < cap:
+            push([(chain + (c,), cuts + (c ^ top,), c, j) for c, j in above[index]])
 
 
 @lru_cache(maxsize=None)
 def _nest_extensions(size: int, include_trivial: bool) -> tuple[tuple[int, ...], tuple]:
     """The nest candidates of a universe of ``size`` points, in canonical
-    order, and for each the indices of the later candidates containing it,
-    descending; a last entry lists every index, descending, for the empty
-    chain.  Containing the top is the test, so a chain extended by these
-    stays strictly nested and canonical."""
+    order, and for each the later candidates containing it with their
+    indices, ``(mask, index)`` by descending index; a last entry lists every
+    candidate so, for the empty chain.  Containing the top is the test, so
+    a chain extended by these stays strictly nested and canonical."""
     candidates = _nest_candidates((1 << size) - 1, include_trivial)
     last = len(candidates) - 1
-    above = [tuple(j for j in range(last, i, -1) if not cand & ~candidates[j])
+    above = [tuple((candidates[j], j) for j in range(last, i, -1) if not cand & ~candidates[j])
              for i, cand in enumerate(candidates)]
-    return candidates, (*above, tuple(range(last, -1, -1)))
+    return candidates, (*above, tuple((candidates[j], j) for j in range(last, -1, -1)))
 
 
 def count_nests(

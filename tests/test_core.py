@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from nestkit.core import (
+    TABLED_NEST_SIZE,
     InstanceError,
     Nest,
     SetFamily,
@@ -18,6 +19,7 @@ from nestkit.core import (
     family_complement,
     is_nest,
 )
+from nestkit.groups import FiniteGroup
 from nestkit.suites import random_nest
 
 from reference import O
@@ -303,25 +305,54 @@ def _recursive_nests(n, include_trivial, cap):
 
 
 def test_flat_enumerator_yields_the_recursive_stream_and_its_shards():
-    for n in range(1, 7):
+    # on both sides of the table's cutoff: up to five points the stream is
+    # read from the table, on six and seven the walk streams it (seven with
+    # at most three members); a cap of n + 1 members, the most a chain on n
+    # points has, leaves the uncapped stream
+    assert TABLED_NEST_SIZE == 5
+    for n in range(1, 8):
         u = Universe(n)
         for include_trivial in (True, False):
-            for cap in (None, 0, 1, 2, 3):
+            caps = (None, 0, 1, 2, 3) if n < 7 else (0, 1, 2, 3)
+            for cap in caps:
                 want = _recursive_nests(n, include_trivial, cap)
                 for stride in (1, 2, 3):
                     for offset in range(stride):
                         got = list(enumerate_nests(
-                            u, include_trivial, cap, bound=6, offset=offset, stride=stride))
+                            u, include_trivial, cap, bound=7, offset=offset, stride=stride))
                         assert [nest.masks for nest in got] == want[offset::stride]
                         assert all(type(nest) is Nest and nest.universe is u for nest in got)
+            if n < 7:
+                for cap in (n + 1, n + 2):
+                    assert ([nest.masks for nest in enumerate_nests(u, include_trivial, cap, bound=6)]
+                            == _recursive_nests(n, include_trivial, None))
+
+
+def test_enumerated_nests_are_fresh_and_live_in_the_callers_universe():
+    # a labelled universe on each side of the cutoff (z4 from the table, s3
+    # from the walk): every nest is on the caller's universe, and two calls
+    # give equal masks in distinct nests
+    for group in (FiniteGroup.cyclic(4), FiniteGroup.symmetric_3()):
+        u = group.universe
+        assert u.labels is not None
+        first, second = (list(enumerate_nests(u, max_members=3, bound=6)) for _ in range(2))
+        assert [nest.masks for nest in first] == [nest.masks for nest in second]
+        assert len({id(nest) for nest in first + second}) == 2 * len(first)
+        for nest in first:
+            assert nest.universe is u and nest == Nest(u, nest.masks)
+        # the third nest is {∅, {first element}}, rendered with its label
+        assert first[2].render() == "{{}, {%s}}" % u.labels[0]
 
 
 def test_nest_blocks_partition_the_universe_in_member_order():
     # block i is M_i - M_(i-1) (M_0 = ∅), the last is X - M_k, and only the
-    # outer two may be empty: the first when ∅ is a member, the last when X is
+    # outer two may be empty: the first when ∅ is a member, the last when X
+    # is.  An enumerated nest arrives with its blocks set, from the table on
+    # at most five points and from the walk on six and seven
     rng = random.Random(27)
-    nests = [nest for n in range(1, 7) for nest in enumerate_nests(Universe(n), bound=6)]
-    nests += [random_nest(rng, Universe(n)) for n in range(7, 13) for _ in range(30)]
+    enumerated = [nest for n in range(1, 8) for nest in enumerate_nests(Universe(n), bound=7)]
+    assert all("blocks" in nest.__dict__ for nest in enumerated)
+    nests = enumerated + [random_nest(rng, Universe(n)) for n in range(7, 13) for _ in range(30)]
     for nest in nests:
         masks, full, blocks = nest.masks, nest.universe.full_mask, nest.blocks
         assert nest.blocks is blocks

@@ -8,6 +8,9 @@ from nestkit.core import count_nests
 from nestkit.groups import BUILTIN_GROUPS
 from nestkit.search import SearchSpec, persist_witnesses, run_search, target_names
 from nestkit.serialize import family_from_dict, load_instance
+from nestkit.suites import SuiteConfig, run_suite
+
+from test_suites import MAX_N5_DIGESTS
 
 
 def test_sup_onto_search_finds_only_the_trivial_nest():
@@ -122,6 +125,25 @@ def test_search_documents_keep_their_bytes(target):
         hashlib.sha256(run_search(spec).to_json().encode("utf-8")).hexdigest() for spec in specs
     )
     assert digests == SEARCH_DIGESTS[target]
+
+
+def test_sweeps_and_searches_repeat_their_bytes_in_one_process():
+    # the nests of a universe of at most five points come from a table kept
+    # for the process: a one-member sweep and a search on s3's six labelled
+    # points in between leave every later document as it was, and as the
+    # digest tables pin it
+    def documents():
+        docs = {name: run_suite(name, SuiteConfig(max_n=5)).to_json() for name in MAX_N5_DIGESTS}
+        docs.update({target: run_search(SearchSpec(target)).to_json() for target in target_names()})
+        return docs
+
+    first = documents()
+    run_suite("sup-conditions", SuiteConfig(max_n=5, max_members=1))
+    run_search(SearchSpec("translation-closed-nests", group="s3"))
+    assert documents() == first
+    digests = {**MAX_N5_DIGESTS, **{target: pair[0] for target, pair in SEARCH_DIGESTS.items()}}
+    assert {name: hashlib.sha256(doc.encode("utf-8")).hexdigest()
+            for name, doc in first.items()} == digests
 
 
 def test_random_mode_honours_a_cap_of_zero_members():
