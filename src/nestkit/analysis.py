@@ -329,10 +329,8 @@ class DualPair:
 
     Each side is a nest or its context (`NestContext.of`); a pair built from
     contexts reads the order rows they hold and derives none.  Both sides
-    must be nests with mutually transposed orders, compared on the packed
-    rows (`orders.packed_transpose`) on at most 8 points and through
-    `columns` on more; nothing here demands that either separates the
-    universe.  A side held as a `Nest` is a chain by
+    must be nests with mutually transposed orders; nothing here demands that
+    either separates the universe.  A side held as a `Nest` is a chain by
     its type, so only a side of another family is checked for one.
     """
 
@@ -344,20 +342,17 @@ class DualPair:
         u = self.left.nest.universe
         _check_same_universe(u, self.right.nest.universe)
         rows, rows_right = self.left.order_rows, self.right.order_rows
-        if u.size <= 8:
-            dual = pack_rows(rows_right) == packed_transpose(pack_rows(rows))
-        else:
-            dual = rows_right == columns(rows)
-        if not dual:
-            witness = next(
+        if rows_right != columns(rows):
+            # a pair where the rows disagree; none when `columns` itself is
+            # wrong, which still refuses the pair
+            witness = next((
                 (x, y)
                 for x in u.elements()
                 for y in u.elements()
                 if (rows[x] >> y ^ rows_right[y] >> x) & 1
-            )
-            raise InstanceError(
-                f"nests are not dual: orders disagree at pair {witness}"
-            )
+            ), None)
+            where = "" if witness is None else f" at pair {witness}"
+            raise InstanceError(f"nests are not dual: orders disagree{where}")
 
 
 def complement_dual(nest: Nest | NestContext) -> DualPair:

@@ -144,6 +144,14 @@ def test_dual_pair_validation():
         DualPair(Nest.of(U3, [[0]]), Nest.of(U3, [[1]]))
 
 
+def test_a_wrong_columns_refuses_a_true_dual_pair_with_an_instance_error(monkeypatch):
+    # the rows read as their own columns: the check refuses the pair, though
+    # no pair of points disagrees, and the sweep's complement check flags it
+    monkeypatch.setattr(analysis, "columns", lambda rows: list(rows))
+    with pytest.raises(InstanceError, match=r"orders disagree$"):
+        DualPair(QUAD, QUAD_DUAL)
+
+
 def test_dual_pair_rejects_a_side_that_is_not_a_nest():
     # two incomparable singletons: not a chain, on either side of the pair
     family = SetFamily.of(U3, [[0], [1]])

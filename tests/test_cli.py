@@ -591,11 +591,11 @@ def test_one_shot_outputs_keep_their_bytes(name, tmp_path, capsys):
 
 def test_analyze_derives_each_order_and_each_set_of_columns_once(monkeypatch):
     # a nest's order and its complement's, once each; the columns of the
-    # preorder (the upper and interval topologies), once; a family that is
-    # no nest has one order and reads its preorder's columns alone.  A nest's
-    # context derives its order as the packed product (at most 8 points), a
-    # family's order is the walk of `order_rows`; on at most 8 points the
-    # dual pair checks transposition on the packed rows and takes no columns
+    # strict order (the dual pair's check) and of the preorder (the upper and
+    # interval topologies), once each; a family that is no nest has one order
+    # and reads its preorder's columns alone.  A nest's context derives its
+    # order as the packed product (at most 8 points), a family's order is the
+    # walk of `order_rows`
     derived = []
     order_rows, columns = orders.order_rows, orders.columns
     packed_product = orders.packed_product
@@ -605,7 +605,7 @@ def test_analyze_derives_each_order_and_each_set_of_columns_once(monkeypatch):
     for module in (orders, analysis):
         monkeypatch.setattr(module, "columns", lambda rows: derived.append("cols") or columns(rows))
     nest = cli.analyze_family(Nest.of(Universe(4), [[0], [0, 1], [0, 1, 2]]))
-    assert nest["is_nest"] and sorted(derived) == ["cols", "rows", "rows"]
+    assert nest["is_nest"] and sorted(derived) == ["cols", "cols", "rows", "rows"]
     derived.clear()
     family = cli.analyze_family(SetFamily.of(Universe(3), [[0], [1]]))
     assert not family["is_nest"] and sorted(derived) == ["cols", "rows"]

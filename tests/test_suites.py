@@ -1066,12 +1066,9 @@ def test_a_wrong_packed_product_in_the_context_fails_topology_engine(monkeypatch
 
 
 def test_a_wrong_packed_transpose_in_the_context_fails_the_inf_route(monkeypatch, tmp_path):
-    # the preorder's rows read as its columns, as an identity transpose
-    # gives them: the inf route on them misses the right side's sups read
-    # off its blocks.  The fault is planted in the context's field, since
-    # the dual pair's transposition check takes the same kernel on at most
-    # 8 points and would refuse the pair first
-    monkeypatch.setattr(NestContext, "preorder_columns", property(lambda ctx: ctx.preorder_rows))
+    # the preorder's columns, packed, read as its rows: the inf route on
+    # them misses the right side's sups read off its blocks
+    monkeypatch.setattr(analysis, "packed_transpose", lambda packed: packed)
     assert _flagged_by_check(tmp_path, "sup-conditions") == {"dual:inf-route"}
 
 
